@@ -1433,16 +1433,14 @@ def _run_cache(args) -> int:
 
     Covers both content-addressed stores under the artifact root: the
     experiment result cache (``cache/``) and the compiler's program cache
-    (``programs/``, when present).
+    (``programs/``).
     """
     from .compiler import ProgramCache
 
-    cache = ResultCache(Path(args.artifacts) / "cache")
-    programs = ProgramCache(Path(args.artifacts) / "programs")
+    results = ResultCache(Path(args.artifacts) / "cache")
+    stores = (results, ProgramCache(Path(args.artifacts) / "programs"))
     if args.cache_command == "ls":
-        entries = cache.list_entries()
-        total = sum(entry.size_bytes for entry in entries)
-        for entry in entries:
+        for entry in results.list_entries():
             age_s = max(0.0, time.time() - entry.mtime)
             params = ",".join(
                 f"{k}={v}" for k, v in sorted(entry.params.items())
@@ -1453,36 +1451,31 @@ def _run_cache(args) -> int:
                 f"{entry.key[:12]}  {entry.experiment:<24}"
                 f" {entry.size_bytes:>9}B  {age_s:>8.0f}s ago  {params}"
             )
-        print(f"{len(entries)} entries, {total} bytes ({cache.root})")
-        program_entries, program_bytes = programs.disk_usage()
-        if program_entries:
+        all_stats = [store.stats() for store in stores]
+        for store, stats in zip(stores, all_stats):
             print(
-                f"programs: {program_entries} entries,"
-                f" {program_bytes} bytes ({programs.root})"
+                f"{stats.store}: {stats.entries} entries,"
+                f" {stats.total_bytes} bytes ({store.root})"
             )
         if args.stats:
-            result_stats = cache.stats()
             print(
                 "stats: "
-                f"{result_stats.entries + program_entries} entries,"
-                f" {result_stats.total_bytes + program_bytes} bytes"
-                f" | result {result_stats.entries} / {result_stats.total_bytes}B"
-                f" | program {program_entries} / {program_bytes}B"
+                f"{sum(s.entries for s in all_stats)} entries,"
+                f" {sum(s.total_bytes for s in all_stats)} bytes"
+                + "".join(
+                    f" | {s.store} {s.entries} / {s.total_bytes}B"
+                    for s in all_stats
+                )
             )
         return 0
     if args.keep_latest < 0:
         print("--keep-latest must be >= 0", file=sys.stderr)
         return 2
-    result = cache.gc(args.keep_latest)
-    print(
-        f"kept {result.kept}, removed {result.removed},"
-        f" freed {result.freed_bytes} bytes ({cache.root})"
-    )
-    kept, removed, freed = programs.gc(args.keep_latest)
-    if kept or removed:
+    for store in stores:
+        result = store.gc(args.keep_latest)
         print(
-            f"programs: kept {kept}, removed {removed},"
-            f" freed {freed} bytes ({programs.root})"
+            f"{store.name}: kept {result.kept}, removed {result.removed},"
+            f" freed {result.freed_bytes} bytes ({store.root})"
         )
     return 0
 

@@ -18,9 +18,8 @@ Two layers back the cache:
   compiled by earlier runs instead of re-running the numpy core models,
   which is where the serving experiments' wall-clock win comes from.
 
-Entries live at ``<root>/<key[:2]>/<key>.json``; corrupted entries are
-treated as misses and deleted (self-healing, same contract as
-``repro.runtime.cache.ResultCache``).
+The disk layer is a :class:`repro.store.JsonStore` — the same layout,
+atomic writes, self-healing reads and gc as the runtime's result cache.
 """
 
 from __future__ import annotations
@@ -28,15 +27,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import asdict
-from functools import lru_cache
 from pathlib import Path
 
 from .. import obs
 from ..algo.ecp import ECPConfig
 from ..arch.config import BishopConfig
 from ..arch.energy import EnergyModel
+from ..store import JsonStore, package_code_hash
 from .ir import Program
 from .passes import PassConfig, compile_trace
 
@@ -47,18 +45,6 @@ __all__ = [
     "package_code_hash",
     "program_key",
 ]
-
-
-@lru_cache(maxsize=1)
-def package_code_hash() -> str:
-    """SHA-256 over every ``repro`` source file (compiler-version stamp)."""
-    digest = hashlib.sha256()
-    package_root = Path(__file__).resolve().parents[1]
-    for path in sorted(package_root.rglob("*.py")):
-        digest.update(str(path.relative_to(package_root)).encode())
-        digest.update(b"\x00")
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
 
 
 def program_key(
@@ -92,7 +78,7 @@ def program_key(
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-class ProgramCache:
+class ProgramCache(JsonStore):
     """Memory + disk cache of compiled programs.
 
     ``root=None`` keeps the cache memory-only (tests, throwaway configs);
@@ -104,130 +90,36 @@ class ProgramCache:
     alongside the result cache.
     """
 
-    # A .tmp this old cannot be a write in flight; gc may reclaim it.
-    TMP_ORPHAN_AGE_S = 60.0
+    name = "program"
 
     def __init__(self, root: Path | str | None = None):
-        self.root = Path(root) if root is not None else None
+        super().__init__(root)
         self._memory: dict[str, Program] = {}
-
-    # -- bookkeeping -------------------------------------------------------
-    def path_for(self, key: str) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / key[:2] / f"{key}.json"
 
     def clear_memory(self) -> None:
         self._memory.clear()
 
-    def entry_count(self) -> int:
-        if self.root is None or not self.root.is_dir():
-            return len(self._memory)
-        return sum(1 for _ in self.root.glob("*/*.json"))
+    def encode(self, program: Program) -> str:
+        return json.dumps(program.to_dict(), sort_keys=True, default=float)
 
-    def disk_usage(self) -> tuple[int, int]:
-        """(entries, total bytes) of the on-disk layer."""
-        entries = total = 0
-        if self.root is None or not self.root.is_dir():
-            return 0, 0
-        for path in self.root.glob("*/*.json"):
-            try:
-                total += path.stat().st_size
-            except FileNotFoundError:
-                continue
-            entries += 1
-        return entries, total
-
-    def gc(self, keep_latest: int) -> tuple[int, int, int]:
-        """Delete all but the ``keep_latest`` most recent disk entries.
-
-        Returns ``(kept, removed, freed bytes)``.  Victims are picked by
-        recency (stat only); stale ``.tmp`` orphans from crashed writes
-        are collected too, and empty shard directories pruned — the same
-        contract as the result cache's gc.
-        """
-        if keep_latest < 0:
-            raise ValueError("keep_latest must be >= 0")
-        if self.root is None or not self.root.is_dir():
-            return 0, 0, 0
-        found = []
-        for path in self.root.glob("*/*.json"):
-            try:
-                stat = path.stat()
-            except FileNotFoundError:
-                continue
-            found.append((path, stat.st_size, stat.st_mtime))
-        found.sort(key=lambda e: (-e[2], str(e[0])))
-        doomed = found[keep_latest:]
-        freed = 0
-        for path, size, _ in doomed:
-            freed += size
-            path.unlink(missing_ok=True)
-        removed = len(doomed)
-        obs.inc("cache.program.evict", removed)
-        cutoff = time.time() - self.TMP_ORPHAN_AGE_S
-        for tmp in self.root.glob("*/*.tmp"):
-            try:
-                stat = tmp.stat()
-            except FileNotFoundError:
-                continue
-            if stat.st_mtime < cutoff:
-                freed += stat.st_size
-                removed += 1
-                tmp.unlink(missing_ok=True)
-        for shard in self.root.glob("*"):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()  # only succeeds when empty
-                except OSError:
-                    pass
-        return len(found) - len(doomed), removed, freed
-
-    # -- lookup ------------------------------------------------------------
     def get(self, key: str) -> Program | None:
         program = self._memory.get(key)
         if program is not None:
             obs.inc("cache.program.hit")
             obs.inc("cache.program.hit_memory")
             return program
-        path = self.path_for(key)
-        if path is None:
-            obs.inc("cache.program.miss")
-            return None
-        try:
-            program = Program.from_dict(json.loads(path.read_text()))
-        except FileNotFoundError:
-            obs.inc("cache.program.miss")
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                UnicodeDecodeError):
-            path.unlink(missing_ok=True)  # corrupted: self-heal on next put
-            obs.inc("cache.program.corrupt")
-            obs.inc("cache.program.miss")
-            return None
-        self._memory[key] = program
-        obs.inc("cache.program.hit")
-        obs.inc("cache.program.hit_disk")
+        program = self._read(key, Program.from_dict)
+        if program is not None:
+            self._memory[key] = program
+            obs.inc("cache.program.hit_disk")
         return program
 
-    def put(self, key: str, program: Program) -> None:
-        obs.inc("cache.program.put")
+    def put(self, key: str, program: Program) -> Path | None:
         self._memory[key] = program
-        path = self.path_for(key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(program.to_dict(), sort_keys=True, default=float)
-        )
-        tmp.replace(path)  # atomic: a crashed write never corrupts an entry
+        return super().put(key, program)
 
     def __contains__(self, key: str) -> bool:
-        if key in self._memory:
-            return True
-        path = self.path_for(key)
-        return path is not None and path.is_file()
+        return key in self._memory or super().__contains__(key)
 
 
 _DEFAULT_CACHE: ProgramCache | None = None

@@ -6,16 +6,16 @@ from .experiments import (
     Experiment,
     ParamSpec,
     get_experiment,
-    registry_code_hash,
     run_experiment,
 )
+from ..store import package_code_hash
 
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "ParamSpec",
     "get_experiment",
-    "registry_code_hash",
+    "package_code_hash",
     "run_experiment",
     "ablation",
     "endtoend",

@@ -13,10 +13,8 @@ registry can be exercised in seconds instead of minutes.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -47,7 +45,6 @@ __all__ = [
     "Experiment",
     "ParamSpec",
     "run_experiment",
-    "registry_code_hash",
 ]
 
 ALL_MODELS = ("model1", "model2", "model3", "model4", "model5")
@@ -2245,20 +2242,3 @@ def get_experiment(name: str) -> Experiment:
 def run_experiment(name: str, **params: object) -> dict:
     """Run one registered experiment by id, with optional param overrides."""
     return get_experiment(name).run(**params)
-
-
-def registry_code_hash() -> str:
-    """SHA-256 over every ``repro`` source file.
-
-    Used by the runtime's result cache.  Experiments compute through the
-    whole package (models, simulator cores, baselines, training), so any
-    source edit — not just to the harness layer — must invalidate
-    previously cached results.
-    """
-    digest = hashlib.sha256()
-    package_root = Path(__file__).resolve().parents[1]
-    for path in sorted(package_root.rglob("*.py")):
-        digest.update(str(path.relative_to(package_root)).encode())
-        digest.update(b"\x00")
-        digest.update(path.read_bytes())
-    return digest.hexdigest()

@@ -9,13 +9,16 @@ Layout (under the store root, ``artifacts/`` by default)::
       cache/...                result cache (see :mod:`repro.runtime.cache`)
 
 Artifacts are written through :func:`canonical_json` so a cached re-run
-produces byte-identical files to a fresh run.
+produces byte-identical files to a fresh run, and atomically (temp file +
+rename) so an interrupted run leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from ..store import atomic_write_text
 
 __all__ = ["ArtifactStore", "canonical_json", "canonical_payload"]
 
@@ -52,23 +55,19 @@ class ArtifactStore:
     def sweep_path(self, experiment_id: str) -> Path:
         return self.root / "sweeps" / f"{experiment_id}.json"
 
-    def write(self, experiment_id: str, result: object) -> Path:
-        path = self.path_for(experiment_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(canonical_json(result))
+    @staticmethod
+    def _write(path: Path, payload: object) -> Path:
+        atomic_write_text(path, canonical_json(payload))
         return path
+
+    def write(self, experiment_id: str, result: object) -> Path:
+        return self._write(self.path_for(experiment_id), result)
 
     def write_sweep(self, experiment_id: str, payload: object) -> Path:
-        path = self.sweep_path(experiment_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(canonical_json(payload))
-        return path
+        return self._write(self.sweep_path(experiment_id), payload)
 
     def write_manifest(self, manifest: dict) -> Path:
-        path = self.manifest_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(canonical_json(manifest))
-        return path
+        return self._write(self.manifest_path, manifest)
 
     def read(self, experiment_id: str) -> object:
         return json.loads(self.path_for(experiment_id).read_text())

@@ -1,25 +1,23 @@
 """Content-addressed on-disk result cache for experiment runs.
 
-A cache entry is keyed by ``(experiment id, registry code hash, config
+A cache entry is keyed by ``(experiment id, package code hash, config
 hash)`` — the config hash covers the fully-resolved parameter dict, the
-code hash covers every ``repro.harness`` source file — so a re-run of an
+code hash covers every ``repro`` source file — so a re-run of an
 unchanged experiment is a near-free disk read, while any code or parameter
 change misses cleanly.
 
-Entries live at ``<root>/<key[:2]>/<key>.json``.  A corrupted or
-truncated entry (interrupted write, disk fault) is treated as a miss and
-deleted, so the next run repairs the cache automatically.
+The on-disk layout, atomic writes, self-healing reads and gc are those of
+:class:`repro.store.JsonStore`; this module adds the entry codec.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .. import obs
+from ..store import DECODE_ERRORS, GcResult, JsonStore, StoreStats
 from .artifacts import canonical_json
 
 __all__ = [
@@ -65,23 +63,22 @@ class CacheEntry:
         }
 
 
-class ResultCache:
+class ResultCache(JsonStore):
     """Directory of content-addressed experiment results."""
 
-    # A .tmp this old cannot be a write in flight; gc may reclaim it.
-    TMP_ORPHAN_AGE_S = 60.0
+    name = "result"
 
-    def __init__(self, root: Path | str):
-        self.root = Path(root)
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def encode(self, entry: CacheEntry) -> str:
+        return canonical_json(entry.payload())
 
     def get(self, key: str, experiment_id: str | None = None) -> CacheEntry | None:
-        """Load an entry, or ``None`` on miss *or* corruption (self-healing)."""
-        path = self.path_for(key)
-        try:
-            raw = json.loads(path.read_text())
+        """Load an entry, or ``None`` on miss *or* corruption (self-healing).
+
+        An entry recorded for another experiment than ``experiment_id``
+        is dropped as a miss.
+        """
+
+        def decode(raw) -> CacheEntry | None:
             entry = CacheEntry(
                 experiment=raw["experiment"],
                 params=raw["params"],
@@ -89,53 +86,11 @@ class ResultCache:
                 config_hash=raw["config_hash"],
                 result=raw["result"],
             )
-        except FileNotFoundError:
-            obs.inc("cache.result.miss")
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError):
-            # Corrupted entry: drop it so the re-run rewrites a good one.
-            path.unlink(missing_ok=True)
-            obs.inc("cache.result.corrupt")
-            obs.inc("cache.result.miss")
-            return None
-        if experiment_id is not None and entry.experiment != experiment_id:
-            path.unlink(missing_ok=True)
-            obs.inc("cache.result.miss")
-            return None
-        obs.inc("cache.result.hit")
-        return entry
+            if experiment_id is not None and entry.experiment != experiment_id:
+                return None
+            return entry
 
-    def put(self, key: str, entry: CacheEntry) -> Path:
-        obs.inc("cache.result.put")
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(canonical_json(entry.payload()))
-        tmp.replace(path)  # atomic: a crashed write never corrupts an entry
-        return path
-
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
-    def entry_count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def _scan(self) -> list[tuple[Path, int, float]]:
-        """(path, size, mtime) of every entry, newest first — stat only.
-
-        Entries unlinked between glob and stat (a concurrent gc or sweep)
-        are skipped; ties on mtime break by path for a deterministic order.
-        """
-        found = []
-        for path in self.root.glob("*/*.json"):
-            try:
-                stat = path.stat()
-            except FileNotFoundError:
-                continue
-            found.append((path, stat.st_size, stat.st_mtime))
-        return sorted(found, key=lambda e: (-e[2], str(e[0])))
+        return self._read(key, decode)
 
     def list_entries(self) -> list["CacheEntryInfo"]:
         """Metadata of every entry, newest first (for ``repro cache ls``).
@@ -145,7 +100,7 @@ class ResultCache:
         they age out of the keep window like any other entry).
         """
         infos = []
-        for path, size, mtime in self._scan():
+        for path, size, mtime in self.scan():
             experiment, params = "<corrupt>", {}
             try:
                 raw = json.loads(path.read_text())
@@ -154,7 +109,7 @@ class ResultCache:
                 params = raw_params if isinstance(raw_params, dict) else {}
             except FileNotFoundError:
                 continue  # unlinked since the scan (concurrent gc)
-            except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError):
+            except DECODE_ERRORS:
                 pass
             infos.append(CacheEntryInfo(
                 path=path,
@@ -165,66 +120,6 @@ class ResultCache:
                 mtime=mtime,
             ))
         return infos
-
-    def gc(self, keep_latest: int) -> "GcResult":
-        """Delete all but the ``keep_latest`` most recent entries.
-
-        Long sweep campaigns write one entry per grid point, so the cache
-        grows unboundedly without this.  Victims are picked from the
-        stat-only scan (no payload parsing).  Empty shard directories left
-        behind are pruned.  Returns kept/removed counts and freed bytes.
-        """
-        if keep_latest < 0:
-            raise ValueError("keep_latest must be >= 0")
-        entries = self._scan()
-        doomed = entries[keep_latest:]
-        freed = 0
-        removed = len(doomed)
-        for path, size, _ in doomed:
-            freed += size
-            path.unlink(missing_ok=True)
-        # Orphaned .tmp files from a crashed put() never become entries;
-        # collect them too, but only once stale — a fresh one may belong
-        # to a write in flight.
-        cutoff = time.time() - self.TMP_ORPHAN_AGE_S
-        for tmp in self.root.glob("*/*.tmp"):
-            try:
-                stat = tmp.stat()
-            except FileNotFoundError:
-                continue
-            if stat.st_mtime < cutoff:
-                freed += stat.st_size
-                removed += 1
-                tmp.unlink(missing_ok=True)
-        for shard in self.root.glob("*"):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()  # only succeeds when empty
-                except OSError:
-                    pass  # non-empty, or a concurrent writer repopulated it
-        obs.inc("cache.result.evict", removed)
-        return GcResult(
-            kept=len(entries) - len(doomed),
-            removed=removed,
-            freed_bytes=freed,
-        )
-
-    def stats(self) -> "StoreStats":
-        """Entry count and total bytes (stat-only scan, no payload reads).
-
-        Also publishes the numbers as gauges (``cache.result.entries`` /
-        ``cache.result.bytes``) when metrics are on, so a registry dump
-        records cache shape alongside the hit/miss counters.
-        """
-        entries = self._scan()
-        stats = StoreStats(
-            store="result",
-            entries=len(entries),
-            total_bytes=sum(size for _, size, _ in entries),
-        )
-        obs.set_gauge("cache.result.entries", stats.entries)
-        obs.set_gauge("cache.result.bytes", stats.total_bytes)
-        return stats
 
 
 @dataclass(frozen=True)
@@ -237,21 +132,3 @@ class CacheEntryInfo:
     params: dict
     size_bytes: int
     mtime: float
-
-
-@dataclass(frozen=True)
-class GcResult:
-    """Outcome of one cache garbage collection."""
-
-    kept: int
-    removed: int
-    freed_bytes: int
-
-
-@dataclass(frozen=True)
-class StoreStats:
-    """Shape of one cache store (``repro cache ls --stats``)."""
-
-    store: str
-    entries: int
-    total_bytes: int

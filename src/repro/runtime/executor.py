@@ -25,7 +25,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .. import obs
-from ..harness import EXPERIMENTS, get_experiment, registry_code_hash
+from ..harness import EXPERIMENTS, get_experiment
+from ..store import package_code_hash
 from .artifacts import ArtifactStore, canonical_payload
 from .cache import CacheEntry, ResultCache, cache_key, config_hash
 from .sweep import expand_grid
@@ -237,7 +238,7 @@ class ExperimentRunner:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
         self.jobs = jobs
         self.force = force
-        self._code_hash = registry_code_hash()
+        self._code_hash = package_code_hash()
 
     # -- single-run convenience -------------------------------------------
     def run(self, name: str, params: Mapping[str, object] | None = None) -> RunOutcome:

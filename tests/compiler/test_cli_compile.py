@@ -144,11 +144,11 @@ class TestCacheCoversPrograms:
         self.seed_programs(tmp_path)
         assert main(["cache", "ls", "--artifacts", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "programs: 3 entries" in out
+        assert "program: 3 entries" in out
 
-    def test_ls_silent_without_program_store(self, tmp_path, capsys):
+    def test_ls_reports_empty_program_store(self, tmp_path, capsys):
         assert main(["cache", "ls", "--artifacts", str(tmp_path)]) == 0
-        assert "programs:" not in capsys.readouterr().out
+        assert "program: 0 entries" in capsys.readouterr().out
 
     def test_gc_prunes_program_store(self, tmp_path, capsys):
         self.seed_programs(tmp_path, count=4)
@@ -156,5 +156,5 @@ class TestCacheCoversPrograms:
             "cache", "gc", "--keep-latest", "1", "--artifacts", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
-        assert "programs: kept 1, removed 3" in out
+        assert "program: kept 1, removed 3" in out
         assert len(list((tmp_path / "programs").glob("*/*.json"))) == 1

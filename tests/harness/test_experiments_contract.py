@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.harness import EXPERIMENTS, Experiment, ParamSpec, registry_code_hash
+from repro.harness import EXPERIMENTS, Experiment, ParamSpec, package_code_hash
 from repro.harness.experiments import COST_TIERS
 
 ALL_IDS = sorted(EXPERIMENTS)
@@ -88,9 +88,9 @@ class TestResults:
 
 class TestRegistryHash:
     def test_stable_within_process(self):
-        assert registry_code_hash() == registry_code_hash()
+        assert package_code_hash() == package_code_hash()
 
     def test_shape(self):
-        digest = registry_code_hash()
+        digest = package_code_hash()
         assert len(digest) == 64
         int(digest, 16)  # hex
