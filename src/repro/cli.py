@@ -104,6 +104,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Literal
 
 from . import obs
 from .harness import EXPERIMENTS, get_experiment
@@ -117,8 +118,16 @@ from .runtime import (
     parse_param_specs,
     provenance,
 )
+from .schema import add_flags, signature_params
 
 __all__ = ["main", "build_parser"]
+
+
+def _shared_flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,14 +137,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    artifacts = _shared_flag(
+        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR",
+        help="artifact/cache root (default: ./artifacts)",
+    )
+    param = _shared_flag(
+        "--param", action="append", default=[], metavar="K=V",
+        help="override one experiment parameter (repeatable); `sweep`"
+        " takes comma-separated values per axis, K=V1,V2,...",
+    )
+    smoke = _shared_flag(
+        "--smoke", action="store_true",
+        help="start from each experiment's cheap smoke params (CI)",
+    )
+    jobs = _shared_flag(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes (default: 1; 0 = one per core)",
+    )
+    force = _shared_flag(
+        "--force", action="store_true",
+        help="ignore and overwrite cached results",
+    )
+    as_json = _shared_flag(
+        "--json", action="store_true", help="print the full payload as JSON"
+    )
+
     sub.add_parser("list", help="list registered experiment ids")
 
-    run = sub.add_parser("run", help="run one experiment")
+    run = sub.add_parser("run", help="run one experiment", parents=[param])
     run.add_argument("experiment", help="experiment id (see `repro list`)")
-    run.add_argument(
-        "--param", action="append", default=[], metavar="K=V",
-        help="override one experiment parameter (repeatable)",
-    )
     run.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="set the experiment's seed parameter (reproducible workloads)",
@@ -149,26 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run_all = sub.add_parser(
-        "run-all", help="run every experiment via the parallel cached runtime"
-    )
-    run_all.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for cache misses (default: 1; 0 = one per core)",
-    )
-    run_all.add_argument(
-        "--force", action="store_true", help="ignore and overwrite cached results"
+        "run-all", help="run every experiment via the parallel cached runtime",
+        parents=[jobs, force, smoke, artifacts],
     )
     run_all.add_argument(
         "--only", default=None, metavar="ID,ID,...",
         help="comma-separated subset of experiment ids",
-    )
-    run_all.add_argument(
-        "--smoke", action="store_true",
-        help="run each experiment under its cheap smoke params (CI)",
-    )
-    run_all.add_argument(
-        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR",
-        help="artifact/cache root (default: ./artifacts)",
     )
     run_all.add_argument(
         "--trace", action="store_true",
@@ -182,23 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
         " experiments, and alerts fired inside simulated runs",
     )
 
-    sweep = sub.add_parser("sweep", help="parameter sweep of one experiment")
+    sweep = sub.add_parser(
+        "sweep", help="parameter sweep of one experiment",
+        parents=[param, jobs, force, artifacts],
+    )
     sweep.add_argument("experiment", help="experiment id (see `repro list`)")
-    sweep.add_argument(
-        "--param", action="append", default=[], metavar="K=V1,V2,...",
-        help="sweep axis: parameter name and comma-separated values (repeatable)",
-    )
-    sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default: 1; 0 = one per core)",
-    )
     sweep.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="set the experiment's seed parameter on every grid point",
-    )
-    sweep.add_argument("--force", action="store_true")
-    sweep.add_argument(
-        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR"
     )
     sweep.add_argument(
         "--output", type=Path, default=None,
@@ -206,23 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="measure per-experiment wall-clock timings"
-    )
-    bench.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default: 1; 0 = one per core)",
+        "bench", help="measure per-experiment wall-clock timings",
+        parents=[jobs, smoke, artifacts],
     )
     bench.add_argument(
         "--only", default=None, metavar="ID,ID,...",
         help="comma-separated subset of experiment ids",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="time each experiment under its cheap smoke params (CI)",
-    )
-    bench.add_argument(
-        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR",
-        help="artifact root for the underlying run-all",
     )
     bench.add_argument(
         "--output", type=Path, default=None, metavar="FILE",
@@ -278,112 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser(
         "cluster", help="simulate a multi-chip fleet behind the router"
     )
-    cluster.add_argument(
-        "--fleet", default="standard:4", metavar="SPEC",
-        help="chips, e.g. 'standard:4' or 'dense_heavy:2+sparse_heavy:2'",
-    )
-    cluster.add_argument(
-        "--policy", default="least_work",
-        help="routing policy: round_robin | least_work | sparsity",
-    )
-    cluster.add_argument(
-        "--mix", default="model4", metavar="MIX",
-        help="model mix, e.g. 'model4' or 'model4:0.7+model2:0.3'",
-    )
-    cluster.add_argument(
-        "--rho", type=float, default=0.7,
-        help="offered load relative to fleet aggregate capacity",
-    )
-    cluster.add_argument("--requests", type=int, default=400, metavar="N")
-    cluster.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="workload + synthetic-trace seed (one seed fixes the run)",
-    )
-    cluster.add_argument(
-        "--arrival", default="poisson",
-        choices=("poisson", "bursty", "diurnal", "flash_crowd", "regional"),
-        help="arrival trace; diurnal/flash_crowd/regional are the"
-        " planet-scale trace workloads (--rho applies at trace peak)",
-    )
-    cluster.add_argument(
-        "--period-s", type=float, default=0.0, metavar="S",
-        help="diurnal/regional day-curve period (0 = one cycle per trace)",
-    )
-    cluster.add_argument(
-        "--regions", default="us:0.5@0.0+eu:0.3@0.33+apac:0.2@0.66",
-        metavar="SPEC", help="regional trace spec: name:weight@phase '+'-joined",
-    )
-    cluster.add_argument(
-        "--shards", type=int, default=0, metavar="K",
-        help="partition the fleet into K shard engines coordinated in"
-        " windows (0 = single-process simulation)",
-    )
-    cluster.add_argument(
-        "--window-ms", type=float, default=0.0, metavar="W",
-        help="shard coordination window (0 = trace span / 32)",
-    )
-    cluster.add_argument(
-        "--shard-jobs", type=int, default=1, metavar="N",
-        help="shard worker processes (default: 1 = inline; 0 = one per core)",
-    )
-    cluster.add_argument(
-        "--shard-policy", default="round_robin",
-        choices=("round_robin", "least_backlog"),
-        help="cross-shard request routing (within-shard routing is --policy)",
-    )
-    cluster.add_argument(
-        "--slo-ms", type=float, default=0.0, metavar="MS",
-        help="latency SLO: streaming attainment / error-budget /"
-        " burn-rate report (0 = off; sharded runs evaluate it live in"
-        " the coordinator loop)",
-    )
-    cluster.add_argument(
-        "--slo-target", type=float, default=0.99, metavar="T",
-        help="SLO attainment target in (0,1) (default: 0.99)",
-    )
-    cluster.add_argument(
-        "--alerts", action="store_true",
-        help="run the detector rule engine (queue-growth, shed-rate,"
-        " saturation, latency-drift) streaming in the shard coordinator"
-        " and write INCIDENT_cluster.json (requires --shards)",
-    )
-    cluster.add_argument(
-        "--scheduler", default="auto",
-        choices=("auto", "fifo", "batch", "continuous"),
-        help="per-chip dispatch: auto (static, --max-batch decides"
-        " fifo/batch) | fifo (static, batch 1) | batch (static) |"
-        " continuous (stage-boundary join/leave, priority preemption,"
-        " per-tenant WFQ)",
-    )
-    cluster.add_argument(
-        "--tenants", default=None, metavar="SPEC",
-        help="multi-tenant serving: 'name[:weight][@quota]' '+'-joined,"
-        " e.g. 'gold:3@64+silver:1'; requests are assigned uniformly,"
-        " WFQ shapes served shares by weight, quotas bound outstanding"
-        " requests per tenant at admission",
-    )
-    cluster.add_argument(
-        "--priority-mix", default=None, metavar="MIX",
-        help="priority tiers: 'tier:weight' '+'-joined, e.g."
-        " '0:0.8+2:0.2'; higher tiers preempt at stage boundaries under"
-        " --scheduler continuous",
-    )
-    cluster.add_argument("--max-batch", type=int, default=1, metavar="B")
-    cluster.add_argument("--max-inflight", type=int, default=2, metavar="I")
-    cluster.add_argument(
-        "--queue-capacity", type=int, default=0, metavar="Q",
-        help="per-chip admission bound (0 = unbounded, no shedding)",
-    )
-    cluster.add_argument(
-        "--autoscale-max", type=int, default=0, metavar="N",
-        help="enable the reactive autoscaler up to N chips (0 = off);"
-        " replicas clone the fleet's first chip kind",
-    )
-    cluster.add_argument(
-        "--passes", default="all", metavar="SPEC",
-        help="compiler passes for the chip programs: all | none |"
-        " '+'-joined subset of packing,stratify,ecp,schedule",
-    )
+    add_flags(cluster, signature_params(
+        _run_cluster,
+        {"rho": "offered load vs fleet aggregate capacity (at the trace"
+         " peak for diurnal/flash_crowd/regional)"},
+        kinds=(bool, int, float, str), keyword_only=True,
+    ))
     cluster.add_argument(
         "--kinds-file", type=Path, default=None, metavar="FILE",
         help="register chip kinds from a JSON kinds file (e.g. a"
@@ -400,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     dse = sub.add_parser(
-        "dse", help="Pareto search over Bishop chip configurations"
+        "dse", help="Pareto search over Bishop chip configurations",
+        parents=[jobs, force, artifacts],
     )
     dse.add_argument("model", help="Table-2 model id (see `repro zoo`)")
     dse.add_argument(
@@ -419,19 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse.add_argument("--seed", type=int, default=0, metavar="N")
     dse.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for candidate evaluation (default: 1;"
-        " 0 = one per core)",
-    )
-    dse.add_argument(
         "--batch", type=int, default=16, metavar="N",
         help="proposal batch size (the parallelism grain)",
-    )
-    dse.add_argument("--force", action="store_true",
-                     help="ignore cached candidate evaluations")
-    dse.add_argument(
-        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR",
-        help="artifact/cache root (default: ./artifacts)",
     )
     dse.add_argument(
         "--top", type=int, default=8, metavar="N",
@@ -454,41 +340,29 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect / garbage-collect the result cache"
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_ls = cache_sub.add_parser("ls", help="list cache entries, newest first")
-    cache_ls.add_argument(
-        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR",
-        help="artifact root holding the cache (default: ./artifacts)",
+    cache_ls = cache_sub.add_parser(
+        "ls", help="list cache entries, newest first", parents=[artifacts]
     )
     cache_ls.add_argument(
         "--stats", action="store_true",
         help="append a per-store summary line (result vs program cache)",
     )
     cache_gc = cache_sub.add_parser(
-        "gc", help="delete all but the most recent entries"
+        "gc", help="delete all but the most recent entries", parents=[artifacts]
     )
     cache_gc.add_argument(
         "--keep-latest", type=int, required=True, metavar="N",
         help="number of most-recent entries to keep",
     )
-    cache_gc.add_argument(
-        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR"
-    )
 
     trace = sub.add_parser(
-        "trace", help="run one experiment with tracing on; write Perfetto JSON"
+        "trace", help="run one experiment with tracing on; write Perfetto JSON",
+        parents=[param, smoke],
     )
     trace.add_argument("experiment", help="experiment id (see `repro list`)")
     trace.add_argument(
-        "--param", action="append", default=[], metavar="K=V",
-        help="override one experiment parameter (repeatable)",
-    )
-    trace.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="set the experiment's seed parameter (reproducible workloads)",
-    )
-    trace.add_argument(
-        "--smoke", action="store_true",
-        help="start from the experiment's cheap smoke params (CI)",
     )
     trace.add_argument(
         "--output", type=Path, default=None, metavar="FILE",
@@ -496,36 +370,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     metrics = sub.add_parser(
-        "metrics", help="dump the metrics registry from a run or a manifest"
+        "metrics", help="dump the metrics registry from a run or a manifest",
+        parents=[param, smoke, as_json],
     )
     metrics.add_argument(
         "experiment", nargs="?", default=None,
         help="experiment id to run with metrics on (see `repro list`)",
     )
     metrics.add_argument(
-        "--param", action="append", default=[], metavar="K=V",
-        help="override one experiment parameter (repeatable)",
-    )
-    metrics.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="set the experiment's seed parameter (reproducible workloads)",
-    )
-    metrics.add_argument(
-        "--smoke", action="store_true",
-        help="start from the experiment's cheap smoke params (CI)",
     )
     metrics.add_argument(
         "--manifest", type=Path, default=None, metavar="FILE",
         help="read the metrics block out of a `run-all --trace` manifest"
         " instead of running an experiment",
     )
-    metrics.add_argument(
-        "--json", action="store_true",
-        help="print the raw registry snapshot as JSON",
-    )
 
     analyze = sub.add_parser(
-        "analyze", help="analyze a saved trace or artifact offline"
+        "analyze", help="analyze a saved trace or artifact offline",
+        parents=[artifacts, as_json],
     )
     analyze.add_argument(
         "target",
@@ -546,20 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
         " id): localizes a bench regression to specific spans",
     )
     analyze.add_argument(
-        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR",
-        help="artifact root for id resolution (default: ./artifacts)",
-    )
-    analyze.add_argument(
         "--top", type=int, default=12, metavar="N",
         help="rows to print per table (default: 12)",
     )
-    analyze.add_argument(
-        "--json", action="store_true",
-        help="print the full analysis payload as JSON",
-    )
 
     slo = sub.add_parser(
-        "slo", help="replay a cluster artifact's window series through the SLO monitor"
+        "slo", help="replay a cluster artifact's window series through the"
+        " SLO monitor", parents=[artifacts, as_json],
     )
     slo.add_argument(
         "artifact",
@@ -573,14 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--target", type=float, default=0.0, metavar="T",
         help="attainment target override in (0,1) (default: the"
         " artifact's, else 0.99)",
-    )
-    slo.add_argument(
-        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR",
-        help="artifact root for id resolution (default: ./artifacts)",
-    )
-    slo.add_argument(
-        "--json", action="store_true",
-        help="print the full SLO replay payload as JSON",
     )
 
     sub.add_parser("zoo", help="print the Table-2 model zoo")
@@ -961,7 +810,38 @@ def _run_slo(args) -> int:
     return 0
 
 
-def _run_cluster(args) -> int:
+def _run_cluster(
+    kinds_file: Path | None,
+    output: Path | None,
+    trace: bool,
+    *,
+    fleet: str = "standard:4",
+    policy: str = "least_work",
+    mix: str = "model4",
+    rho: float = 0.7,
+    requests: int = 400,
+    seed: int = 0,
+    arrival: Literal[
+        "poisson", "bursty", "diurnal", "flash_crowd", "regional"
+    ] = "poisson",
+    period_s: float = 0.0,
+    regions: str = "us:0.5@0.0+eu:0.3@0.33+apac:0.2@0.66",
+    shards: int = 0,
+    window_ms: float = 0.0,
+    shard_jobs: int = 1,
+    shard_policy: Literal["round_robin", "least_backlog"] = "round_robin",
+    slo_ms: float = 0.0,
+    slo_target: float = 0.99,
+    alerts: bool = False,
+    scheduler: Literal["auto", "fifo", "batch", "continuous"] = "auto",
+    tenants: str = "",
+    priority_mix: str = "",
+    max_batch: int = 1,
+    max_inflight: int = 2,
+    queue_capacity: int = 0,
+    autoscale_max: int = 0,
+    passes: str = "all",
+) -> int:
     """The `repro cluster` body: build the fleet, serve the stream, print."""
     # Imported lazily: the cluster layer pulls the whole simulator stack,
     # which `repro list`/`repro cache` don't need.
@@ -975,118 +855,110 @@ def _run_cluster(args) -> int:
     )
     from .serve import (
         SchedulerConfig,
+        arrival_trace,
         assign_priorities,
         assign_tenants,
-        bursty_arrivals,
         parse_model_mix,
         parse_priority_mix,
         parse_tenants,
-        poisson_arrivals,
     )
 
-    if args.alerts and not args.shards:
+    if alerts and not shards:
         raise ValueError(
             "--alerts needs the windowed coordinator: add --shards K"
         )
-    if args.trace:
+    if trace:
         obs.enable()
-    if args.kinds_file is not None:
+    if kinds_file is not None:
         from .cluster import load_chip_kinds
 
-        names = load_chip_kinds(args.kinds_file)
-        print(f"registered chip kind(s) from {args.kinds_file}: {', '.join(names)}")
-    weights = parse_model_mix(args.mix)
-    fleet = parse_fleet(args.fleet)
-    capacity = fleet_capacity_rps(fleet, weights, seed=args.seed, passes=args.passes)
-    rate = args.rho * capacity
-    if args.arrival == "poisson":
-        stream = poisson_arrivals(args.requests, rate, weights, args.seed)
-    elif args.arrival == "bursty":
-        stream = bursty_arrivals(args.requests, rate, weights, args.seed)
-    else:
-        from .harness.experiments import _planet_trace
-
-        stream = _planet_trace(
-            args.arrival, args.requests, rate, weights, args.seed,
-            args.period_s, args.regions, spike_factor=4.0,
-        )
-    tenants = parse_tenants(args.tenants) if args.tenants else ()
-    if tenants:
-        stream = assign_tenants(stream, tenants, seed=args.seed)
-    if args.priority_mix:
+        names = load_chip_kinds(kinds_file)
+        print(f"registered chip kind(s) from {kinds_file}: {', '.join(names)}")
+    weights = parse_model_mix(mix)
+    chip_fleet = parse_fleet(fleet)
+    capacity = fleet_capacity_rps(chip_fleet, weights, seed=seed, passes=passes)
+    rate = rho * capacity
+    stream = arrival_trace(
+        arrival, requests, rate, weights, seed,
+        period_s=period_s, regions=regions,
+    )
+    tenant_specs = parse_tenants(tenants) if tenants else ()
+    if tenant_specs:
+        stream = assign_tenants(stream, tenant_specs, seed=seed)
+    if priority_mix:
         stream = assign_priorities(
-            stream, parse_priority_mix(args.priority_mix), seed=args.seed
+            stream, parse_priority_mix(priority_mix), seed=seed
         )
 
     autoscale = None
-    if args.autoscale_max:
+    if autoscale_max:
         # Sampling interval ~20x the mix's mean service time on one chip
         # of the fleet's leading kind — replicas are of that kind too, so
         # a sparse_heavy fleet scales with sparse_heavy chips.
-        template_kind = fleet.chips[0].kind
+        template_kind = chip_fleet.chips[0].kind
         mean_latency = 1.0 / fleet_capacity_rps(
-            homogeneous_fleet(1, template_kind), weights, seed=args.seed,
-            passes=args.passes,
+            homogeneous_fleet(1, template_kind), weights, seed=seed,
+            passes=passes,
         )
         autoscale = AutoscaleConfig(
             interval_s=20 * mean_latency,
-            max_chips=args.autoscale_max,
+            max_chips=autoscale_max,
             kind=template_kind,
         )
-    scheduler = SchedulerConfig(
-        max_batch=1 if args.scheduler == "fifo" else args.max_batch,
-        max_inflight=args.max_inflight,
-        mode="continuous" if args.scheduler == "continuous" else "static",
+    scheduler_config = SchedulerConfig(
+        max_batch=1 if scheduler == "fifo" else max_batch,
+        max_inflight=max_inflight,
+        mode="continuous" if scheduler == "continuous" else "static",
     )
-    admission = AdmissionConfig(queue_capacity=args.queue_capacity or None)
-    if args.shards:
+    admission = AdmissionConfig(queue_capacity=queue_capacity or None)
+    if shards:
         from .cluster import ShardingConfig, simulate_cluster_sharded
 
         span = stream[-1].arrival_s if stream else 0.0
         window_s = (
-            args.window_ms * 1e-3
-            if args.window_ms > 0
+            window_ms * 1e-3
+            if window_ms > 0
             else max(span / 32.0, 1e-9)
         )
         report = simulate_cluster_sharded(
             stream,
-            fleet,
-            scheduler,
-            policy=args.policy,
+            chip_fleet,
+            scheduler_config,
+            policy=policy,
             admission=admission,
             autoscale=autoscale,
             sharding=ShardingConfig(
-                num_shards=args.shards,
+                num_shards=shards,
                 window_s=window_s,
-                jobs=args.shard_jobs,
-                shard_policy=args.shard_policy,
+                jobs=shard_jobs,
+                shard_policy=shard_policy,
             ),
-            seed=args.seed,
-            passes=args.passes,
-            slo_ms=args.slo_ms or None,
-            slo_target=args.slo_target,
-            alerts=args.alerts,
-            tenants=tenants,
+            seed=seed,
+            passes=passes,
+            slo_ms=slo_ms or None,
+            slo_target=slo_target,
+            alerts=alerts,
+            tenants=tenant_specs,
         )
     else:
         report = ClusterSimulation(
-            fleet,
-            scheduler,
-            policy=args.policy,
+            chip_fleet,
+            scheduler_config,
+            policy=policy,
             admission=admission,
             autoscale=autoscale,
-            seed=args.seed,
-            passes=args.passes,
-            tenants=tenants,
+            seed=seed,
+            passes=passes,
+            tenants=tenant_specs,
         ).run(stream)
 
     p = report.latency_percentiles_ms
     print(
-        f"fleet {args.fleet} policy {report.policy} mix {args.mix}"
-        f" seed {args.seed} passes {args.passes}"
+        f"fleet {fleet} policy {report.policy} mix {mix}"
+        f" seed {seed} passes {passes}"
     )
     print(
-        f"  offered {report.offered_rps:,.0f} rps (rho {args.rho} of"
+        f"  offered {report.offered_rps:,.0f} rps (rho {rho} of"
         f" {capacity:,.0f} rps capacity)"
     )
     print(
@@ -1099,7 +971,7 @@ def _run_cluster(args) -> int:
     )
     print(f"  energy/request {report.energy_per_request_mj:.4f} mJ")
     if report.tenants:
-        print(f"  tenants ({args.scheduler} scheduler):")
+        print(f"  tenants ({scheduler} scheduler):")
         for name, block in report.tenants.items():
             quota = block["quota"]
             print(
@@ -1114,8 +986,8 @@ def _run_cluster(args) -> int:
             f"  sharded: {report.num_shards} shards,"
             f" {len(report.windows)} windows of"
             f" {report.window_s * 1e3:.4f} ms"
-            f" ({args.shard_jobs or 'all'} job(s),"
-            f" shard policy {args.shard_policy})"
+            f" ({shard_jobs or 'all'} job(s),"
+            f" shard policy {shard_policy})"
         )
     if report.slo is not None:
         print(
@@ -1144,7 +1016,7 @@ def _run_cluster(args) -> int:
                 f"    {alert['severity']:<8} {alert['rule']}"
                 f" {alert['kind']}{at}: {alert['message']}"
             )
-    elif args.alerts or (report.slo or {}).get("rules"):
+    elif alerts or (report.slo or {}).get("rules"):
         print("  alerts: none fired")
     if len(report.chips) <= 16:
         for name, chip in report.chips.items():
@@ -1170,10 +1042,10 @@ def _run_cluster(args) -> int:
             f" {event.chip} (pressure {event.pressure:.2f},"
             f" {event.accepting_chips} accepting)"
         )
-    if args.output is not None:
-        args.output.write_text(canonical_json(report.to_dict()))
-        print(f"wrote {args.output}")
-    if args.alerts:
+    if output is not None:
+        output.write_text(canonical_json(report.to_dict()))
+        print(f"wrote {output}")
+    if alerts:
         # Reconstruct incident episodes from the recorded transitions and
         # write the JSON incident report alongside the run.
         monitor = obs.Monitor(detectors=[])
@@ -1185,7 +1057,7 @@ def _run_cluster(args) -> int:
             monitor.incident_report(slo_summary=report.slo)
         ))
         print(f"incident report: {incident_path}")
-    if args.trace:
+    if trace:
         _write_trace(
             Path("TRACE_cluster.json"), obs.result_events(report.to_dict())
         )
@@ -1643,7 +1515,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "cluster":
         try:
-            return _run_cluster(args)
+            options = {k: v for k, v in vars(args).items() if k != "command"}
+            return _run_cluster(**options)
         except ValueError as error:
             print(error, file=sys.stderr)
             return 2

@@ -1,7 +1,8 @@
 """Experiment registry: one :class:`Experiment` per paper table/figure.
 
 Each registry entry carries metadata — the paper artifact it reproduces, a
-cost tier, and a typed parameter schema — plus the callable that computes a
+cost tier, and a typed parameter schema derived from the callable's
+signature (:mod:`repro.schema`) — plus the callable that computes a
 JSON-serializable dict.  Benches, examples, EXPERIMENTS.md generation, and
 the parallel runtime (``repro.runtime``) all consume the same artifacts.
 See DESIGN.md's per-experiment index for the mapping to paper artifacts.
@@ -37,6 +38,7 @@ from ..train import (
     make_image_dataset,
     model_bundle_distributions,
 )
+from ..schema import ParamSpec, signature_params
 from . import endtoend, fig11, fig14, fig15, fig16, hetero, table1
 from .synthetic import PROFILES, synthetic_trace
 
@@ -47,7 +49,6 @@ __all__ = [
     "run_experiment",
 ]
 
-ALL_MODELS = ("model1", "model2", "model3", "model4", "model5")
 COST_TIERS = ("cheap", "medium", "heavy")
 
 
@@ -71,41 +72,28 @@ def _models(models: str) -> tuple[str, ...]:
 # Registry schema
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ParamSpec:
-    """One overridable experiment parameter: its type, default, and docs."""
-
-    kind: type
-    default: int | float | str
-    help: str = ""
-
-    def cast(self, value: object) -> int | float | str:
-        if isinstance(value, self.kind) and not (
-            self.kind is int and isinstance(value, bool)
-        ):
-            return value
-        try:
-            return self.kind(value)  # type: ignore[call-arg]
-        except (TypeError, ValueError) as error:
-            raise ValueError(
-                f"expected {self.kind.__name__}, got {value!r}"
-            ) from error
-
-
-@dataclass(frozen=True)
 class Experiment:
-    """A registered paper artifact: callable plus run metadata."""
+    """A registered paper artifact: callable plus run metadata.
+
+    ``params`` is derived from ``fn``'s signature (see :mod:`repro.schema`);
+    ``param_help`` rewords the shared help text of overridable names.
+    """
 
     id: str
     artifact: str
     fn: Callable[..., dict]
     cost: str = "cheap"
-    params: Mapping[str, ParamSpec] = field(default_factory=dict)
+    param_help: Mapping[str, str] = field(default_factory=dict)
     smoke_params: Mapping[str, int | float | str] = field(default_factory=dict)
     description: str = ""
+    params: Mapping[str, ParamSpec] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.cost not in COST_TIERS:
             raise ValueError(f"{self.id}: bad cost tier {self.cost!r}")
+        object.__setattr__(
+            self, "params", signature_params(self.fn, self.param_help)
+        )
         unknown = set(self.smoke_params) - set(self.params)
         if unknown:
             raise ValueError(f"{self.id}: smoke params not in schema: {unknown}")
@@ -121,28 +109,18 @@ class Experiment:
             )
         resolved = {name: spec.default for name, spec in self.params.items()}
         for name, value in overrides.items():
-            resolved[name] = self.params[name].cast(value)
+            resolved[name] = self.cast(name, value)
         return resolved
+
+    def cast(self, name: str, value: object) -> int | float | str:
+        """``value`` as parameter ``name``'s kind; errors name the parameter."""
+        try:
+            return self.params[name].cast(value)
+        except ValueError as error:
+            raise ValueError(f"{self.id} parameter {name!r}: {error}") from None
 
     def run(self, **overrides: object) -> dict:
         return self.fn(**self.resolve_params(overrides))
-
-
-_SEED = ParamSpec(int, 0, "base RNG seed")
-_BS_T = ParamSpec(int, 2, "bundle timestep extent BS_t")
-_BS_N = ParamSpec(int, 4, "bundle token extent BS_n")
-_PASSES = ParamSpec(
-    str, "all",
-    "compiler passes: all | none | '+'-joined subset of"
-    " packing,stratify,ecp,schedule",
-)
-_MODEL = ParamSpec(str, "model3", "Table-2 model id")
-_MODELS = ParamSpec(
-    str, ",".join(ALL_MODELS[:4]), "model ids, ','- or '+'-separated"
-)
-_MIX = ParamSpec(
-    str, "model4", "model mix, e.g. 'model4' or 'model4:0.7+model2:0.3'"
-)
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +253,7 @@ def experiment_fig8(seed: int = 0) -> dict:
     }
 
 
-def experiment_fig11(models: str = _MODELS.default) -> dict:
+def experiment_fig11(models: str = "model1,model2,model3,model4") -> dict:
     """Fig. 11 — layerwise Bishop-vs-PTB latency/energy ratios."""
     return {
         model: {
@@ -287,7 +265,10 @@ def experiment_fig11(models: str = _MODELS.default) -> dict:
 
 
 def experiment_fig12(
-    models: str = ",".join(ALL_MODELS), seed: int = 0, bs_t: int = 2, bs_n: int = 4
+    models: str = "model1,model2,model3,model4,model5",
+    seed: int = 0,
+    bs_t: int = 2,
+    bs_n: int = 4,
 ) -> dict:
     """Fig. 12 — end-to-end latency across the five systems."""
     grid = endtoend.run_grid(_models(models), bs_t=bs_t, bs_n=bs_n, seed=seed)
@@ -308,7 +289,10 @@ def experiment_fig12(
 
 
 def experiment_fig13(
-    models: str = ",".join(ALL_MODELS), seed: int = 0, bs_t: int = 2, bs_n: int = 4
+    models: str = "model1,model2,model3,model4,model5",
+    seed: int = 0,
+    bs_t: int = 2,
+    bs_n: int = 4,
 ) -> dict:
     """Fig. 13 — end-to-end energy across the five systems."""
     grid = endtoend.run_grid(_models(models), bs_t=bs_t, bs_n=bs_n, seed=seed)
@@ -328,7 +312,7 @@ def experiment_fig13(
     }
 
 
-def experiment_fig14(models: str = _MODELS.default) -> dict:
+def experiment_fig14(models: str = "model1,model2,model3,model4") -> dict:
     """Fig. 14 — ECP threshold sweep over the SSA layers."""
     return {
         model: [vars(p) for p in fig14.ecp_hardware_sweep(model)]
@@ -378,7 +362,10 @@ def experiment_fig17() -> dict:
 
 
 def experiment_sec62(
-    models: str = ",".join(ALL_MODELS), seed: int = 0, bs_t: int = 2, bs_n: int = 4
+    models: str = "model1,model2,model3,model4,model5",
+    seed: int = 0,
+    bs_t: int = 2,
+    bs_n: int = 4,
 ) -> dict:
     """Sec. 6.2 — headline averages across the model zoo."""
     grid = endtoend.run_grid(_models(models), bs_t=bs_t, bs_n=bs_n, seed=seed)
@@ -396,7 +383,7 @@ def experiment_sec64_hetero(
     return vars(hetero.heterogeneity_ablation(model, bs_t=bs_t, bs_n=bs_n, seed=seed))
 
 
-def experiment_sec64_attn(models: str = _MODELS.default) -> dict:
+def experiment_sec64_attn(models: str = "model1,model2,model3,model4") -> dict:
     """Sec. 6.4 — attention-core comparison vs PTB."""
     return {
         model: {
@@ -437,15 +424,13 @@ def _serve_arrivals(
     seed: int,
     burst_factor: float,
 ):
-    from ..serve import bursty_arrivals, poisson_arrivals
+    from ..serve import arrival_trace
 
-    if arrival == "poisson":
-        return poisson_arrivals(num_requests, rate, weights, seed)
-    if arrival == "bursty":
-        return bursty_arrivals(
-            num_requests, rate, weights, seed, burst_factor=burst_factor
-        )
-    raise ValueError(f"unknown arrival kind {arrival!r}; use poisson|bursty")
+    if arrival not in ("poisson", "bursty"):
+        raise ValueError(f"unknown arrival kind {arrival!r}; use poisson|bursty")
+    return arrival_trace(
+        arrival, num_requests, rate, weights, seed, burst_factor=burst_factor
+    )
 
 
 def experiment_serve_latency_cdf(
@@ -549,9 +534,6 @@ def experiment_serve_batch_sweep(
 # ----------------------------------------------------------------------
 # Continuous batching / preemption / multi-tenant serving experiments
 # ----------------------------------------------------------------------
-_CONTINUOUS_PASSES = "packing+stratify+ecp"
-
-
 def _tier_latencies(report) -> dict[str, list[float]]:
     tiers: dict[str, list[float]] = {}
     for request in report.requests:
@@ -583,7 +565,7 @@ def experiment_serve_continuous_batching(
     max_inflight: int = 2,
     bs_t: int = 2,
     bs_n: int = 4,
-    passes: str = _CONTINUOUS_PASSES,
+    passes: str = "packing+stratify+ecp",
 ) -> dict:
     """Serving — continuous batching vs static same-model batching.
 
@@ -666,7 +648,7 @@ def experiment_serve_preemption_slo(
     max_inflight: int = 2,
     bs_t: int = 2,
     bs_n: int = 4,
-    passes: str = _CONTINUOUS_PASSES,
+    passes: str = "packing+stratify+ecp",
 ) -> dict:
     """Serving — what stage-boundary preemption buys the high tier.
 
@@ -759,7 +741,7 @@ def experiment_cluster_multitenant_fairness(
     max_inflight: int = 2,
     bs_t: int = 2,
     bs_n: int = 4,
-    passes: str = _CONTINUOUS_PASSES,
+    passes: str = "packing+stratify+ecp",
 ) -> dict:
     """Cluster — weighted fair queuing across tenants at saturation.
 
@@ -875,7 +857,7 @@ def experiment_serve_continuous_bench(
     seed: int = 0,
     max_batch: int = 4,
     max_inflight: int = 2,
-    passes: str = _CONTINUOUS_PASSES,
+    passes: str = "packing+stratify+ecp",
 ) -> dict:
     """Serving — continuous-scheduler simulation overhead vs static.
 
@@ -1409,58 +1391,6 @@ def experiment_engine_fastpath_bench(
     }
 
 
-def _planet_trace(
-    trace: str,
-    num_requests: int,
-    peak_rate: float,
-    weights: dict[str, float],
-    seed: int,
-    period_s: float,
-    regions: str,
-    spike_factor: float,
-):
-    """One trace-driven arrival stream at a given PEAK rate.
-
-    ``period_s=0`` auto-sizes the diurnal/regional period so the trace
-    covers about one full cycle (the diurnal mean rate with the default
-    trough fraction 0.25 is ``0.625 x`` peak); the flash-crowd spike is
-    placed at fixed fractions of the stream's baseline span.
-    """
-    from ..serve import (
-        diurnal_arrivals,
-        flash_crowd_arrivals,
-        poisson_arrivals,
-        regional_arrivals,
-    )
-
-    if trace == "poisson":
-        return poisson_arrivals(num_requests, peak_rate, weights, seed)
-    if period_s <= 0:
-        period_s = num_requests / (0.625 * peak_rate)
-    if trace == "diurnal":
-        return diurnal_arrivals(
-            num_requests, peak_rate, weights, seed, period_s=period_s
-        )
-    if trace == "flash_crowd":
-        base_rate = peak_rate / spike_factor
-        base_span = num_requests / base_rate
-        return flash_crowd_arrivals(
-            num_requests, base_rate, weights, seed,
-            spike_at_s=0.3 * base_span,
-            spike_duration_s=0.2 * base_span,
-            spike_factor=spike_factor,
-        )
-    if trace == "regional":
-        return regional_arrivals(
-            num_requests, peak_rate, regions, weights, seed,
-            period_s=period_s,
-        )
-    raise ValueError(
-        f"unknown trace kind {trace!r};"
-        " use poisson|diurnal|flash_crowd|regional"
-    )
-
-
 def experiment_cluster_planet_scale(
     mix: str = "model4",
     chips: int = 1000,
@@ -1513,15 +1443,15 @@ def experiment_cluster_planet_scale(
         homogeneous_fleet,
         simulate_cluster_sharded,
     )
-    from ..serve import SchedulerConfig, parse_model_mix
+    from ..serve import SchedulerConfig, arrival_trace, parse_model_mix
 
     weights = parse_model_mix(mix)
     fleet = homogeneous_fleet(chips, kind)
     capacity = fleet_capacity_rps(fleet, weights, bs_t, bs_n, seed, passes)
     peak_rate = rho_peak * capacity
-    stream = _planet_trace(
-        trace, num_requests, peak_rate, weights, seed, period_s, regions,
-        spike_factor,
+    stream = arrival_trace(
+        trace, num_requests, peak_rate, weights, seed,
+        period_s=period_s, regions=regions, spike_factor=spike_factor,
     )
     span = stream[-1].arrival_s if stream else 0.0
     if slo_ms <= 0:
@@ -1812,7 +1742,6 @@ def _register(experiments: tuple[Experiment, ...]) -> dict[str, Experiment]:
 EXPERIMENTS: dict[str, Experiment] = _register((
     Experiment(
         "table1", "Table 1", experiment_table1, cost="heavy",
-        params={"seed": _SEED, "epochs": ParamSpec(int, 12, "training epochs")},
         smoke_params={"epochs": 2},
         description="trained accuracy across network families",
     ),
@@ -1826,59 +1755,44 @@ EXPERIMENTS: dict[str, Experiment] = _register((
     ),
     Experiment(
         "fig5", "Fig. 5", experiment_fig5, cost="heavy",
-        params={"seed": _SEED, "epochs": ParamSpec(int, 12, "training epochs")},
         smoke_params={"epochs": 2},
         description="active-bundle distribution without vs with BSA",
     ),
     Experiment(
         "fig6", "Fig. 6", experiment_fig6,
-        params={"seed": _SEED},
         description="raw vs stratified workload density",
     ),
     Experiment(
         "fig8", "Fig. 8", experiment_fig8,
-        params={"seed": _SEED},
         description="ECP attention-score concentration",
     ),
     Experiment(
         "fig11", "Fig. 11", experiment_fig11, cost="medium",
-        params={"models": _MODELS},
         smoke_params={"models": "model4"},
         description="layerwise latency/energy ratios vs PTB",
     ),
     Experiment(
         "fig12", "Fig. 12", experiment_fig12, cost="heavy",
-        params={
-            "models": ParamSpec(str, ",".join(ALL_MODELS), _MODELS.help),
-            "seed": _SEED, "bs_t": _BS_T, "bs_n": _BS_N,
-        },
         smoke_params={"models": "model4"},
         description="end-to-end latency across five systems",
     ),
     Experiment(
         "fig13", "Fig. 13", experiment_fig13, cost="heavy",
-        params={
-            "models": ParamSpec(str, ",".join(ALL_MODELS), _MODELS.help),
-            "seed": _SEED, "bs_t": _BS_T, "bs_n": _BS_N,
-        },
         smoke_params={"models": "model4"},
         description="end-to-end energy across five systems",
     ),
     Experiment(
         "fig14", "Fig. 14", experiment_fig14,
-        params={"models": _MODELS},
         smoke_params={"models": "model4"},
         description="ECP threshold hardware sweep",
     ),
     Experiment(
         "fig15", "Fig. 15", experiment_fig15, cost="medium",
-        params={"model": _MODEL},
         smoke_params={"model": "model4"},
         description="stratification-threshold sweep",
     ),
     Experiment(
         "fig16", "Fig. 16", experiment_fig16, cost="heavy",
-        params={"model": _MODEL},
         smoke_params={"model": "model4"},
         description="TTB bundle-volume sweep",
     ),
@@ -1888,97 +1802,45 @@ EXPERIMENTS: dict[str, Experiment] = _register((
     ),
     Experiment(
         "sec6.2-summary", "Sec. 6.2", experiment_sec62, cost="heavy",
-        params={
-            "models": ParamSpec(str, ",".join(ALL_MODELS), _MODELS.help),
-            "seed": _SEED, "bs_t": _BS_T, "bs_n": _BS_N,
-        },
         smoke_params={"models": "model4"},
         description="headline speedup/energy averages",
     ),
     Experiment(
         "sec6.4-hetero", "Sec. 6.4", experiment_sec64_hetero, cost="medium",
-        params={"model": _MODEL, "bs_t": _BS_T, "bs_n": _BS_N, "seed": _SEED},
         smoke_params={"model": "model4"},
         description="heterogeneous cores vs dense-only ablation",
     ),
     Experiment(
         "sec6.4-attn", "Sec. 6.4", experiment_sec64_attn, cost="medium",
-        params={"models": _MODELS},
         smoke_params={"models": "model4"},
         description="attention-core comparison vs PTB",
     ),
     Experiment(
         "compiler_pass_ablation", "Compiler", experiment_compiler_pass_ablation,
         cost="medium",
-        params={
-            "model": _MODEL,
-            "dram_gbps": ParamSpec(
-                float, 2.4, "chip DRAM bandwidth (GB/s); 76.8 = paper chip"
-            ),
-            "theta_q": ParamSpec(float, 6.0, "ECP Q-pruning threshold"),
-            "theta_k": ParamSpec(float, 6.0, "ECP K-pruning threshold"),
-            "seed": _SEED, "bs_t": _BS_T, "bs_n": _BS_N,
-        },
         smoke_params={"model": "model4"},
         description="per-pass compiler ablation: makespan/energy of each"
         " optimization pass toggled off",
     ),
     Experiment(
         "dse_point", "DSE", experiment_dse_point,
-        params={
-            "model": _MODEL,
-            "point": ParamSpec(
-                str, "{}",
-                "JSON design point over the default space (missing keys ="
-                " paper defaults)",
-            ),
-            "seed": _SEED,
-        },
         description="compile + engine-measure one chip design point",
     ),
     Experiment(
         "dse_pareto_frontier", "DSE", experiment_dse_pareto_frontier,
         cost="medium",
-        params={
-            "model": _MODEL,
-            "strategy": ParamSpec(
-                str, "random", "search strategy: grid | random | evolutionary"
-            ),
-            "budget": ParamSpec(int, 48, "searched candidate chips"),
-            "objectives": ParamSpec(
-                str, "latency_ms+energy_mj+area_mm2",
-                "'+'-separated frontier axes (see repro.dse.OBJECTIVES)",
-            ),
-            "seed": _SEED,
-        },
         smoke_params={"model": "model4", "budget": 6},
         description="Pareto search over Bishop chip configurations",
     ),
     Experiment(
         "dse_strategy_ablation", "DSE", experiment_dse_strategy_ablation,
         cost="medium",
-        params={
-            "model": ParamSpec(str, "model4", _MODEL.help),
-            "strategies": ParamSpec(
-                str, "grid+random+evolutionary", "'+'-separated strategies"
-            ),
-            "budget": ParamSpec(int, 32, "candidates per strategy"),
-            "objectives": ParamSpec(
-                str, "latency_ms+energy_mj+area_mm2",
-                "'+'-separated frontier axes",
-            ),
-            "seed": _SEED,
-        },
+        param_help={"budget": "candidates per strategy"},
         smoke_params={"budget": 5, "strategies": "random+evolutionary"},
         description="search-strategy comparison at a fixed budget",
     ),
     Experiment(
         "engine_fastpath_bench", "Engine", experiment_engine_fastpath_bench,
-        params={
-            "model": ParamSpec(str, "model4", _MODEL.help),
-            "repeats": ParamSpec(int, 5, "timed replays per implementation"),
-            "seed": _SEED,
-        },
         smoke_params={"repeats": 2},
         description="kernel-vs-fastpath single-request replay speedup"
         " (the BENCH_baseline.json perf deliverable)",
@@ -1986,34 +1848,12 @@ EXPERIMENTS: dict[str, Experiment] = _register((
     Experiment(
         "serve_latency_cdf", "Serving", experiment_serve_latency_cdf,
         cost="medium",
-        params={
-            "mix": _MIX,
-            "rho": ParamSpec(float, 0.7, "offered load vs single-chip capacity"),
-            "num_requests": ParamSpec(int, 400, "requests in the stream"),
-            "seed": _SEED,
-            "arrival": ParamSpec(str, "poisson", "poisson | bursty"),
-            "burst_factor": ParamSpec(float, 8.0, "burst rate multiplier"),
-            "max_batch": ParamSpec(int, 1, "same-model batching limit"),
-            "max_inflight": ParamSpec(int, 2, "concurrent inferences"),
-            "bs_t": _BS_T, "bs_n": _BS_N,
-            "passes": _PASSES,
-        },
         smoke_params={"num_requests": 40},
         description="serving latency percentiles under an arrival stream",
     ),
     Experiment(
         "serve_batch_sweep", "Serving", experiment_serve_batch_sweep,
         cost="medium",
-        params={
-            "mix": _MIX,
-            "rho": ParamSpec(float, 1.5, "offered load vs single-chip capacity"),
-            "num_requests": ParamSpec(int, 300, "requests in the stream"),
-            "seed": _SEED,
-            "batch_sizes": ParamSpec(str, "1+2+4+8", "'+'-separated batch sizes"),
-            "max_inflight": ParamSpec(int, 2, "concurrent inferences"),
-            "bs_t": _BS_T, "bs_n": _BS_N,
-            "passes": _PASSES,
-        },
         smoke_params={"num_requests": 40, "batch_sizes": "1+4"},
         description="batching throughput/latency/energy trade-off",
     ),
@@ -2021,18 +1861,9 @@ EXPERIMENTS: dict[str, Experiment] = _register((
         "serve_continuous_batching", "Serving",
         experiment_serve_continuous_batching,
         cost="medium",
-        params={
-            "mix": _MIX,
-            "rho": ParamSpec(float, 1.5, "offered load vs single-chip capacity"),
-            "num_requests": ParamSpec(int, 300, "requests in the stream"),
-            "priority_mix": ParamSpec(
-                str, "0:0.8+1:0.2", "tier mix, e.g. '0:0.8+1:0.2'"
-            ),
-            "seed": _SEED,
-            "max_batch": ParamSpec(int, 4, "stage-group size limit"),
-            "max_inflight": ParamSpec(int, 2, "concurrent lanes"),
-            "bs_t": _BS_T, "bs_n": _BS_N,
-            "passes": ParamSpec(str, _CONTINUOUS_PASSES, _PASSES.help),
+        param_help={
+            "max_batch": "stage-group size limit",
+            "max_inflight": "concurrent lanes",
         },
         smoke_params={"num_requests": 40},
         description="continuous vs static batching + degenerate conformance pin",
@@ -2040,33 +1871,17 @@ EXPERIMENTS: dict[str, Experiment] = _register((
     Experiment(
         "serve_preemption_slo", "Serving", experiment_serve_preemption_slo,
         cost="medium",
-        params={
-            "mix": _MIX,
-            "rho": ParamSpec(float, 2.0, "offered load vs single-chip capacity"),
-            "num_requests": ParamSpec(int, 300, "requests in the stream"),
-            "priority_mix": ParamSpec(
-                str, "0:0.8+1:0.2", "tier mix, e.g. '0:0.8+1:0.2'"
-            ),
-            "seed": _SEED,
-            "max_inflight": ParamSpec(int, 2, "concurrent lanes"),
-            "bs_t": _BS_T, "bs_n": _BS_N,
-            "passes": ParamSpec(str, _CONTINUOUS_PASSES, _PASSES.help),
-        },
+        param_help={"max_inflight": "concurrent lanes"},
         smoke_params={"num_requests": 60},
         description="stage-boundary preemption: high-tier p99 vs FIFO"
         " at saturation, with per-resource work conservation",
     ),
     Experiment(
         "serve_continuous_bench", "Serving", experiment_serve_continuous_bench,
-        params={
-            "mix": _MIX,
-            "rho": ParamSpec(float, 1.5, "offered load vs single-chip capacity"),
-            "num_requests": ParamSpec(int, 400, "requests in the stream"),
-            "repeats": ParamSpec(int, 3, "timed replays per scheduler"),
-            "seed": _SEED,
-            "max_batch": ParamSpec(int, 4, "batching / stage-group limit"),
-            "max_inflight": ParamSpec(int, 2, "concurrent lanes"),
-            "passes": ParamSpec(str, _CONTINUOUS_PASSES, _PASSES.help),
+        param_help={
+            "repeats": "timed replays per scheduler",
+            "max_batch": "batching / stage-group limit",
+            "max_inflight": "concurrent lanes",
         },
         smoke_params={"num_requests": 60, "repeats": 2},
         description="continuous-scheduler simulation overhead vs static"
@@ -2075,43 +1890,13 @@ EXPERIMENTS: dict[str, Experiment] = _register((
     Experiment(
         "cluster_scaling_curve", "Cluster", experiment_cluster_scaling_curve,
         cost="medium",
-        params={
-            "mix": _MIX,
-            "rho": ParamSpec(float, 5.0, "offered load vs ONE chip's capacity"),
-            "fleet_sizes": ParamSpec(str, "1+2+4", "'+'-separated fleet sizes"),
-            "kind": ParamSpec(str, "standard", "chip kind of the homogeneous fleet"),
-            "policy": ParamSpec(str, "least_work", "routing policy"),
-            "num_requests": ParamSpec(int, 600, "requests in the stream"),
-            "seed": _SEED,
-            "max_batch": ParamSpec(int, 1, "same-model batching limit"),
-            "max_inflight": ParamSpec(int, 2, "concurrent inferences per chip"),
-            "bs_t": _BS_T, "bs_n": _BS_N,
-            "passes": _PASSES,
-        },
         smoke_params={"num_requests": 60, "fleet_sizes": "1+2"},
         description="throughput + p50/p99 latency vs fleet size",
     ),
     Experiment(
         "cluster_routing_ablation", "Cluster", experiment_cluster_routing_ablation,
         cost="medium",
-        params={
-            "mix": ParamSpec(str, "model2:0.5+model4:0.5", _MIX.help),
-            "fleet": ParamSpec(
-                str, "dense_heavy:2+sparse_heavy:2",
-                "fleet spec, e.g. 'standard:4' or 'dense_heavy:2+sparse_heavy:2'",
-            ),
-            "rho": ParamSpec(float, 0.85, "offered load vs fleet aggregate capacity"),
-            "policies": ParamSpec(
-                str, "round_robin+least_work+sparsity", "'+'-separated policies"
-            ),
-            "num_requests": ParamSpec(int, 800, "requests in the stream"),
-            "seed": _SEED,
-            "queue_capacity": ParamSpec(int, 0, "per-chip queue bound (0: unbounded)"),
-            "max_batch": ParamSpec(int, 1, "same-model batching limit"),
-            "max_inflight": ParamSpec(int, 2, "concurrent inferences per chip"),
-            "bs_t": _BS_T, "bs_n": _BS_N,
-            "passes": _PASSES,
-        },
+        param_help={"rho": "offered load vs fleet aggregate capacity"},
         smoke_params={"num_requests": 80, "policies": "round_robin+sparsity"},
         description="routing-policy comparison at a fixed heterogeneous fleet",
     ),
@@ -2119,24 +1904,9 @@ EXPERIMENTS: dict[str, Experiment] = _register((
         "cluster_multitenant_fairness", "Cluster",
         experiment_cluster_multitenant_fairness,
         cost="medium",
-        params={
-            "mix": _MIX,
-            "rho": ParamSpec(float, 3.0, "offered load vs ONE chip's capacity"),
-            "tenants": ParamSpec(
-                str, "gold:3+silver:1", "tenant spec 'name[:weight][@quota]+...'"
-            ),
-            "fleet_size": ParamSpec(int, 2, "homogeneous fleet size"),
-            "num_requests": ParamSpec(int, 400, "requests in the stream"),
-            "seed": _SEED,
-            "quota": ParamSpec(
-                int, 0, "per-tenant outstanding bound (0: declared/unbounded)"
-            ),
-            "max_batch": ParamSpec(
-                int, 1, "stage-group size limit (1: tenant-pure WFQ quanta)"
-            ),
-            "max_inflight": ParamSpec(int, 2, "concurrent lanes per chip"),
-            "bs_t": _BS_T, "bs_n": _BS_N,
-            "passes": ParamSpec(str, _CONTINUOUS_PASSES, _PASSES.help),
+        param_help={
+            "max_batch": "stage-group size limit (1: tenant-pure WFQ quanta)",
+            "max_inflight": "concurrent lanes per chip",
         },
         smoke_params={"num_requests": 80},
         description="WFQ service shares vs declared tenant weights under"
@@ -2145,47 +1915,9 @@ EXPERIMENTS: dict[str, Experiment] = _register((
     Experiment(
         "cluster_planet_scale", "Cluster", experiment_cluster_planet_scale,
         cost="heavy",
-        params={
-            "mix": _MIX,
-            "chips": ParamSpec(int, 1000, "fleet size (chips)"),
-            "kind": ParamSpec(str, "standard", "chip kind of the homogeneous fleet"),
-            "shards": ParamSpec(int, 8, "independent shard engines"),
-            "window_ms": ParamSpec(
-                float, 0.0, "coordination window (ms); 0 = trace span / 32"
-            ),
-            "policy": ParamSpec(str, "least_work", "in-shard routing policy"),
-            "shard_policy": ParamSpec(
-                str, "least_backlog", "cross-shard routing: round_robin | least_backlog"
-            ),
-            "trace": ParamSpec(
-                str, "diurnal", "poisson | diurnal | flash_crowd | regional"
-            ),
-            "num_requests": ParamSpec(int, 4000, "requests in the trace"),
-            "rho_peak": ParamSpec(
-                float, 0.7, "offered load AT TRACE PEAK vs fleet capacity"
-            ),
-            "period_s": ParamSpec(
-                float, 0.0, "diurnal/regional period (s); 0 = one cycle per trace"
-            ),
-            "regions": ParamSpec(
-                str, "us:0.5@0.0+eu:0.3@0.33+apac:0.2@0.66",
-                "regional trace spec: name:weight@phase '+'-joined",
-            ),
-            "spike_factor": ParamSpec(float, 4.0, "flash-crowd rate multiplier"),
-            "slo_ms": ParamSpec(
-                float, 0.0, "latency SLO (ms); 0 = 20x mean single-request latency"
-            ),
-            "queue_capacity": ParamSpec(int, 0, "per-chip queue bound (0: unbounded)"),
-            "jobs": ParamSpec(int, 1, "shard worker processes (0 = one per core)"),
-            "seed": _SEED,
-            "max_batch": ParamSpec(int, 1, "same-model batching limit"),
-            "max_inflight": ParamSpec(int, 2, "concurrent inferences per chip"),
-            "bs_t": _BS_T, "bs_n": _BS_N,
-            "passes": _PASSES,
-            "alerts": ParamSpec(
-                int, 1, "1 = run the detector rule engine alongside the"
-                " always-on burn-rate monitor",
-            ),
+        param_help={
+            "policy": "in-shard routing policy",
+            "num_requests": "requests in the trace",
         },
         smoke_params={"chips": 64, "shards": 2, "num_requests": 240},
         description="sharded planet-scale fleet under trace-driven load"
@@ -2194,22 +1926,9 @@ EXPERIMENTS: dict[str, Experiment] = _register((
     Experiment(
         "cluster_sharding_bench", "Cluster", experiment_cluster_sharding_bench,
         cost="heavy",
-        params={
-            "mix": _MIX,
-            "chips": ParamSpec(int, 1000, "fleet size (chips)"),
-            "kind": ParamSpec(str, "standard", "chip kind of the homogeneous fleet"),
-            "shards": ParamSpec(int, 8, "independent shard engines"),
-            "window_ms": ParamSpec(
-                float, 0.0, "coordination window (ms); 0 = trace span / 16"
-            ),
-            "num_requests": ParamSpec(int, 3000, "requests in the stream"),
-            "rho": ParamSpec(float, 0.7, "offered load vs fleet aggregate capacity"),
-            "jobs": ParamSpec(int, 1, "shard worker processes (0 = one per core)"),
-            "seed": _SEED,
-            "max_batch": ParamSpec(int, 1, "same-model batching limit"),
-            "max_inflight": ParamSpec(int, 2, "concurrent inferences per chip"),
-            "bs_t": _BS_T, "bs_n": _BS_N,
-            "passes": _PASSES,
+        param_help={
+            "window_ms": "coordination window (ms); 0 = trace span / 16",
+            "rho": "offered load vs fleet aggregate capacity",
         },
         smoke_params={"chips": 64, "shards": 2, "num_requests": 200},
         description="sharded-vs-single-process fleet speedup + percentile"
@@ -2217,11 +1936,7 @@ EXPERIMENTS: dict[str, Experiment] = _register((
     ),
     Experiment(
         "obs_analyze_bench", "Engine", experiment_obs_analyze_bench,
-        params={
-            "model": ParamSpec(str, "model4", _MODEL.help),
-            "repeats": ParamSpec(int, 20, "timed critical-path extractions"),
-            "seed": _SEED,
-        },
+        param_help={"repeats": "timed critical-path extractions"},
         smoke_params={"repeats": 2},
         description="critical-path analyzer overhead + exactness evidence"
         " (a BENCH trajectory deliverable)",

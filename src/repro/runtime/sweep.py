@@ -2,7 +2,7 @@
 
 Turns CLI ``--param k=v1,v2`` specs into a validated list of parameter
 dicts (the cartesian product of every axis), with values cast through the
-experiment's :class:`~repro.harness.experiments.ParamSpec` schema.
+experiment's signature-derived schema (:mod:`repro.schema`).
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ def parse_param_specs(
                 f"experiment {experiment.id!r} has no parameter {name!r};"
                 f" schema: {sorted(experiment.params)}"
             )
-        param = experiment.params[name]
-        values = [param.cast(v.strip()) for v in raw.split(",") if v.strip()]
+        values = [
+            experiment.cast(name, v.strip()) for v in raw.split(",") if v.strip()
+        ]
         if not values:
             raise ValueError(f"bad --param spec {spec!r}; no values")
         grid[name] = values

@@ -25,6 +25,7 @@ from .sketch import LatencySketch
 from .workload import (
     Request,
     TenantSpec,
+    arrival_trace,
     assign_priorities,
     assign_tenants,
     bursty_arrivals,
@@ -53,6 +54,7 @@ __all__ = [
     "ServingReport",
     "StageEntry",
     "TenantSpec",
+    "arrival_trace",
     "assign_priorities",
     "assign_tenants",
     "bursty_arrivals",

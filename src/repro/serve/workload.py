@@ -18,6 +18,9 @@ Arrival processes
     A mix of phase-shifted diurnal regions ("follow-the-sun"); each
     region draws from its own ``SeedSequence.spawn`` child so adding or
     reweighting one region never perturbs another region's trace.
+``arrival_trace``
+    Any of the above by name at a given peak rate, with the trace period
+    and flash-crowd spike sized from the stream length.
 
 Determinism: every generator derives its random state from
 ``numpy.random.SeedSequence(seed)`` children, so a stream is a pure
@@ -43,6 +46,7 @@ from ..model import MODEL_ZOO
 __all__ = [
     "Request",
     "TenantSpec",
+    "arrival_trace",
     "assign_priorities",
     "assign_tenants",
     "bursty_arrivals",
@@ -143,8 +147,8 @@ def poisson_arrivals(
     """Poisson stream: exponential inter-arrival gaps at ``rate_rps``."""
     if num_requests < 1:
         raise ValueError("need at least one request")
-    if rate_rps <= 0:
-        raise ValueError("arrival rate must be positive")
+    if not 0.0 < rate_rps < np.inf:
+        raise ValueError("arrival rate must be positive and finite")
     weights = parse_model_mix(mix) if isinstance(mix, str) else dict(mix)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_rps, size=num_requests)
@@ -167,8 +171,8 @@ def bursty_arrivals(
     """
     if num_requests < 1:
         raise ValueError("need at least one request")
-    if rate_rps <= 0:
-        raise ValueError("arrival rate must be positive")
+    if not 0.0 < rate_rps < np.inf:
+        raise ValueError("arrival rate must be positive and finite")
     if burst_factor <= 1.0:
         raise ValueError("burst_factor must exceed 1")
     if not 0.0 < burst_fraction < 1.0:
@@ -273,8 +277,8 @@ def diurnal_arrivals(
     """
     if num_requests < 1:
         raise ValueError("need at least one request")
-    if peak_rps <= 0:
-        raise ValueError("peak rate must be positive")
+    if not 0.0 < peak_rps < np.inf:
+        raise ValueError("peak rate must be positive and finite")
     if period_s <= 0:
         raise ValueError("period must be positive")
     if not 0.0 < trough_fraction <= 1.0:
@@ -313,8 +317,8 @@ def flash_crowd_arrivals(
     """
     if num_requests < 1:
         raise ValueError("need at least one request")
-    if base_rps <= 0:
-        raise ValueError("base rate must be positive")
+    if not 0.0 < base_rps < np.inf:
+        raise ValueError("base rate must be positive and finite")
     if spike_factor < 1.0:
         raise ValueError("spike_factor must be >= 1")
     if spike_at_s < 0 or spike_duration_s <= 0:
@@ -431,6 +435,57 @@ def regional_arrivals(
         )
         for i, request in enumerate(merged)
     ]
+
+
+def arrival_trace(
+    kind: str,
+    num_requests: int,
+    peak_rps: float,
+    mix: str | dict[str, float] = "model4",
+    seed=0,
+    *,
+    period_s: float = 0.0,
+    regions: str = "us:0.5@0.0+eu:0.3@0.33+apac:0.2@0.66",
+    spike_factor: float = 4.0,
+    burst_factor: float = 8.0,
+) -> list[Request]:
+    """One arrival stream of ``kind`` at a PEAK rate of ``peak_rps``.
+
+    ``poisson`` and ``bursty`` are stationary, so their peak is their mean
+    rate.  ``period_s=0`` auto-sizes the diurnal/regional period so the
+    trace covers about one full cycle (the diurnal mean rate with the
+    default trough fraction 0.25 is ``0.625 x`` peak); the flash-crowd
+    spike is placed at fixed fractions of the stream's baseline span.
+    """
+    if kind == "poisson":
+        return poisson_arrivals(num_requests, peak_rps, mix, seed)
+    if kind == "bursty":
+        return bursty_arrivals(
+            num_requests, peak_rps, mix, seed, burst_factor=burst_factor
+        )
+    if period_s <= 0:
+        period_s = num_requests / (0.625 * peak_rps)
+    if kind == "diurnal":
+        return diurnal_arrivals(
+            num_requests, peak_rps, mix, seed, period_s=period_s
+        )
+    if kind == "flash_crowd":
+        base_rps = peak_rps / spike_factor
+        base_span = num_requests / base_rps
+        return flash_crowd_arrivals(
+            num_requests, base_rps, mix, seed,
+            spike_at_s=0.3 * base_span,
+            spike_duration_s=0.2 * base_span,
+            spike_factor=spike_factor,
+        )
+    if kind == "regional":
+        return regional_arrivals(
+            num_requests, peak_rps, regions, mix, seed, period_s=period_s
+        )
+    raise ValueError(
+        f"unknown arrival kind {kind!r};"
+        " use poisson|bursty|diurnal|flash_crowd|regional"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -613,8 +668,8 @@ def dvs_stream_arrivals(
         raise ValueError("need at least one stream")
     if ticks_per_stream < 1:
         raise ValueError("need at least one tick per stream")
-    if tick_hz <= 0:
-        raise ValueError("tick rate must be positive")
+    if not 0.0 < tick_hz < np.inf:
+        raise ValueError("tick rate must be positive and finite")
     if not 0.0 <= jitter < 1.0:
         raise ValueError("jitter must be in [0, 1)")
     if priority < 0:
