@@ -867,6 +867,9 @@ def _run_cluster(
         raise ValueError(
             "--alerts needs the windowed coordinator: add --shards K"
         )
+    for flag, value in (("--window-ms", window_ms), ("--period-s", period_s)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0 (0 = auto), got {value:g}")
     if trace:
         obs.enable()
     if kinds_file is not None:
@@ -912,14 +915,14 @@ def _run_cluster(
     )
     admission = AdmissionConfig(queue_capacity=queue_capacity or None)
     if shards:
-        from .cluster import ShardingConfig, simulate_cluster_sharded
+        from .cluster import (
+            ShardingConfig,
+            auto_window_s,
+            simulate_cluster_sharded,
+        )
 
         span = stream[-1].arrival_s if stream else 0.0
-        window_s = (
-            window_ms * 1e-3
-            if window_ms > 0
-            else max(span / 32.0, 1e-9)
-        )
+        window_s = auto_window_s(window_ms, span, 32)
         report = simulate_cluster_sharded(
             stream,
             chip_fleet,

@@ -64,6 +64,7 @@ from .sharding import (
     ShardState,
     ShardingConfig,
     WindowDigest,
+    auto_window_s,
     partition_fleet,
     simulate_cluster_sharded,
 )

@@ -73,6 +73,7 @@ __all__ = [
     "ShardState",
     "ShardingConfig",
     "WindowDigest",
+    "auto_window_s",
     "make_shard_state",
     "partition_fleet",
     "simulate_cluster_sharded",
@@ -113,6 +114,16 @@ class ShardingConfig:
                 f"unknown shard policy {self.shard_policy!r};"
                 f" options {sorted(SHARD_POLICIES)}"
             )
+
+
+def auto_window_s(window_ms: float, span_s: float, windows: int) -> float:
+    """Coordination window in seconds: ``window_ms`` when positive, and
+    ``span_s / windows`` when ``0`` (auto); negative values are rejected."""
+    if window_ms < 0:
+        raise ValueError(f"window_ms must be >= 0 (0 = auto), got {window_ms:g}")
+    if window_ms > 0:
+        return window_ms * 1e-3
+    return max(span_s / windows, 1e-9)
 
 
 def partition_fleet(

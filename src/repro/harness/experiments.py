@@ -1439,6 +1439,7 @@ def experiment_cluster_planet_scale(
     from ..cluster import (
         AdmissionConfig,
         ShardingConfig,
+        auto_window_s,
         fleet_capacity_rps,
         homogeneous_fleet,
         simulate_cluster_sharded,
@@ -1457,7 +1458,7 @@ def experiment_cluster_planet_scale(
     if slo_ms <= 0:
         mean_service_s = chips / capacity
         slo_ms = 20.0 * mean_service_s * 1e3
-    window_s = window_ms * 1e-3 if window_ms > 0 else max(span / 32.0, 1e-9)
+    window_s = auto_window_s(window_ms, span, 32)
     report = simulate_cluster_sharded(
         stream,
         fleet,
@@ -1580,6 +1581,7 @@ def experiment_cluster_sharding_bench(
     from ..cluster import (
         ClusterSimulation,
         ShardingConfig,
+        auto_window_s,
         fleet_capacity_rps,
         homogeneous_fleet,
         simulate_cluster_sharded,
@@ -1592,7 +1594,7 @@ def experiment_cluster_sharding_bench(
     rate = rho * capacity
     stream = poisson_arrivals(num_requests, rate, weights, seed)
     span = stream[-1].arrival_s if stream else 0.0
-    window_s = window_ms * 1e-3 if window_ms > 0 else max(span / 16.0, 1e-9)
+    window_s = auto_window_s(window_ms, span, 16)
     scheduler = SchedulerConfig(max_batch=max_batch, max_inflight=max_inflight)
 
     started = time.perf_counter()

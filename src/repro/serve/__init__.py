@@ -4,10 +4,11 @@
     Poisson / bursty arrival streams over Table-2 model mixes.
 ``profiles``
     Cached per-model engine task graphs (one analytic run per model).
-``scheduler``
-    FIFO / same-model batching dispatch policies.
+``scheduler`` / ``continuous``
+    Dispatch policies and the ready pool: static same-model batching
+    (whole-program quantum) and continuous batching (stage quantum).
 ``simulate``
-    The serving loop: arrivals → scheduler → contended inference.
+    The serving loop: arrivals → ready pool → lanes → contended inference.
 ``report``
     Latency percentiles, throughput, utilization, chip energy.
 

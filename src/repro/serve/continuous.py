@@ -1,10 +1,10 @@
-"""Continuous batching: stage-boundary group forming, preemption, WFQ.
+"""The chip's ready pool: static and continuous batching.
 
-The static scheduler (``repro.serve.scheduler``) forms a batch once and
-runs the whole layer chain; requests arriving mid-batch wait for the next
-dispatch.  Production SNN serving — long-lived DVS event streams with
-mixed urgency and per-tenant contracts — wants the opposite: the chip's
-schedulable quantum is one compiled ``Stage``
+Admitted requests wait in one admission-ordered pool; each lane of a
+:class:`~repro.serve.simulate.ChipServer` takes a group, runs one
+quantum, and repeats.  In static mode the quantum is the whole compiled
+program and groups come from :func:`~repro.serve.scheduler.take_batch`.
+In continuous mode the quantum is one compiled ``Stage``
 (:func:`~repro.arch.engine.machine.stage_process`), and *between* stages
 the scheduler re-decides what runs next.  That buys three mechanisms for
 the price of one boundary:
@@ -28,10 +28,11 @@ stage-seconds served, divided by the tenant's weight) within the highest
 ready priority tier — the classic WFQ rule at stage granularity.
 
 Degenerate conformance: with a single tenant, one priority tier, and
-``allow_join=False`` / ``preempt=False``, selection reduces exactly to
-:func:`~repro.serve.scheduler.take_batch` order and groups stay pinned to
-completion — the differential tests pin per-request latencies against
-the static scheduler to float precision.
+``allow_join=False`` / ``preempt=False``, stage-quantum selection
+reduces exactly to :func:`~repro.serve.scheduler.take_batch` order and
+groups stay pinned to completion — the differential tests pin
+per-request latencies of the stage quantum against the whole-program
+quantum to float precision.
 """
 
 from __future__ import annotations
@@ -82,13 +83,15 @@ class StageEntry:
 
 
 class ContinuousBatchScheduler:
-    """Ready pool + stage-boundary selection for one chip.
+    """Ready pool + group selection for one chip.
 
-    The owning :class:`~repro.serve.simulate.ChipServer` lane calls
+    A continuous-mode :class:`~repro.serve.simulate.ChipServer` lane calls
     :meth:`select` at every stage boundary (handing back its previous
-    group) and :meth:`stage_done` after executing the chosen stage; the
-    scheduler owns all ordering decisions, the lane owns the engine
-    processes.
+    group) and :meth:`stage_done` after executing the chosen stage; a
+    static-mode lane takes groups from :attr:`pool` with
+    :func:`~repro.serve.scheduler.take_batch` and reports them through
+    :meth:`program_done`.  The scheduler owns all ordering decisions, the
+    lane owns the engine processes.
     """
 
     def __init__(
@@ -97,8 +100,6 @@ class ContinuousBatchScheduler:
         profiles: dict[str, RequestProfile],
         tenants: tuple[TenantSpec, ...] = (),
     ):
-        if not config.continuous:
-            raise ValueError("ContinuousBatchScheduler needs mode='continuous'")
         self.config = config
         self.profiles = profiles
         self.weights = {t.name: t.weight for t in tenants}
@@ -107,6 +108,7 @@ class ContinuousBatchScheduler:
         self.preemptions = 0
         self.joins = 0
         self._order = 0
+        self._resumable = 0      # started (preempted) entries in the pool
         self._next_cohort = 0
         self._serial: dict[str, tuple[float, ...]] = {}
 
@@ -126,8 +128,9 @@ class ContinuousBatchScheduler:
         """Admission-control depth: pooled requests not yet in service.
 
         Preempted (started) entries are in-flight work, not queue
-        backlog — they don't count against a bounded pending queue."""
-        return sum(1 for e in self.pool if not e.started)
+        backlog — they don't count against a bounded pending queue.  An
+        entry stops counting when it is dispatched (leaves the pool)."""
+        return len(self.pool) - self._resumable
 
     @property
     def empty(self) -> bool:
@@ -187,6 +190,7 @@ class ContinuousBatchScheduler:
         for entry in carry:
             if entry not in self.pool:
                 self.pool.append(entry)
+                self._resumable += 1
         if not self.pool:
             return [], 0, [], 0
         head = self._pick_head(carry)
@@ -213,6 +217,8 @@ class ContinuousBatchScheduler:
         self.joins += joined
         for entry in group:
             entry.cohort = cohort
+            if entry.started:
+                self._resumable -= 1
             entry.started = True
             self.pool.remove(entry)
         return group, stage, preempted, joined
@@ -265,3 +271,19 @@ class ContinuousBatchScheduler:
         for entry in finished:
             entry.finish_s = now
         return finished
+
+    def program_done(
+        self, group: list[StageEntry], now: float
+    ) -> list[StageEntry]:
+        """Static mode: ``group`` ran the whole program together.  Each
+        member's tenant is credited one uncontended request latency;
+        returns the group, every member finished."""
+        size = len(group)
+        for entry in group:
+            entry.completed = entry.total_stages
+            entry.max_group = size
+            entry.finish_s = now
+            latency = self.profiles[entry.request.model].single_latency_s
+            tenant = entry.request.tenant
+            self.service_s[tenant] = self.service_s.get(tenant, 0.0) + latency
+        return group

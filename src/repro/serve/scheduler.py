@@ -1,8 +1,8 @@
-"""Queue and batch scheduling policies for the serving simulator.
+"""Dispatch policies of the serving simulator.
 
-The scheduler decides *what to dispatch next* when the chip has a free
-inference slot; the engine then decides how the dispatched work contends
-for cores.  Two axes:
+The scheduler decides *what to dispatch next* when one of the chip's
+serving lanes is free; the engine then decides how the dispatched work
+contends for cores.  Three axes:
 
 ``max_batch``
     Requests for the same model are merged into one batched inference:
@@ -10,26 +10,29 @@ for cores.  Two axes:
     DRAM only once (the classic batching bandwidth amortization).
     ``max_batch=1`` is plain FIFO.
 ``max_inflight``
-    Concurrent inferences allowed on the chip.  More than one lets
-    requests overlap on different cores (one request's attention phase
-    under another's MLP), at the price of queueing on busy cores.
+    Lanes (concurrent inferences) allowed on the chip.  More than one
+    lets requests overlap on different cores (one request's attention
+    phase under another's MLP), at the price of queueing on busy cores.
 ``mode``
-    ``"static"`` (the default): batches are formed once at dispatch and
-    run to completion (:func:`take_batch` + the layer-serial or
-    scheduled inference process).  ``"continuous"``: execution groups
-    are re-formed at every compiled-``Stage`` boundary by the
-    :class:`~repro.serve.continuous.ContinuousBatchScheduler` —
-    requests join and leave in-flight groups, higher priority tiers
-    preempt at stage boundaries (``preempt``), and preempted requests
-    resume from their checkpointed stage index without redoing work.
+    ``"static"`` (the default): the quantum is the whole program.  A
+    lane takes its group with :func:`take_batch` — FIFO over the pool,
+    blind to priority and tenant — and runs the layer-serial or
+    scheduled inference process to completion.  ``"continuous"``: the
+    quantum is one compiled ``Stage``; groups are re-formed at every
+    stage boundary — requests join and leave in-flight groups, higher
+    priority tiers preempt at stage boundaries (``preempt``), and
+    preempted requests resume from their checkpointed stage index
+    without redoing work.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from typing import TYPE_CHECKING
 
-from .workload import Request
+if TYPE_CHECKING:
+    from .continuous import StageEntry
 
 __all__ = ["SCHEDULER_MODES", "SchedulerConfig", "take_batch"]
 
@@ -68,23 +71,21 @@ class SchedulerConfig:
         return "fifo" if self.max_batch == 1 else "batch"
 
 
-def take_batch(pending: deque[Request], max_batch: int) -> list[Request]:
-    """Pop the next batch: the head request plus up to ``max_batch - 1``
-    later pending requests for the *same model* (they can share weight
-    streams).  Requests for other models keep their queue positions.
+def take_batch(pool: list["StageEntry"], max_batch: int) -> list["StageEntry"]:
+    """Remove and return the next static batch from an admission-ordered
+    pool: the head entry plus up to ``max_batch - 1`` later entries for
+    the *same model* (they can share weight streams).  Entries for other
+    models keep their pool positions.
     """
-    if not pending:
+    if not pool:
         raise ValueError("no pending requests")
-    head = pending.popleft()
+    head = pool[0]
     batch = [head]
-    if max_batch > 1:
-        keep: list[Request] = []
-        while pending and len(batch) < max_batch:
-            request = pending.popleft()
-            if request.model == head.model:
-                batch.append(request)
-            else:
-                keep.append(request)
-        for request in reversed(keep):
-            pending.appendleft(request)
+    for entry in islice(pool, 1, None):
+        if len(batch) == max_batch:
+            break
+        if entry.request.model == head.request.model:
+            batch.append(entry)
+    for entry in batch:
+        pool.remove(entry)
     return batch

@@ -1,12 +1,14 @@
 """Multi-request serving simulation on the discrete-event engine.
 
-The serving loop of one chip is packaged as a :class:`ChipServer`: a
-bounded pending queue, a **scheduler** process that forms batches
-(``repro.serve.scheduler``) and dispatches them whenever an inference slot
-is free, and per-batch processes running the model's
-:func:`~repro.arch.engine.machine.inference_process`, contending with
-every other in-flight batch for the dense/sparse/attention cores, the
-spike generator, and the DRAM channel.
+The serving loop of one chip is packaged as a :class:`ChipServer`: one
+admission-ordered ready pool (optionally bounded, for admission control),
+a dispatcher that opens a **lane** per free inference slot, and the lanes
+themselves — each takes a group from the pool
+(``repro.serve.scheduler``), runs one quantum of the model's compiled
+program, contending with every other lane for the dense/sparse/attention
+cores, the spike generator, and the DRAM channel, and repeats until the
+pool is dry.  Static mode's quantum is the whole program; continuous
+mode's is one stage.
 
 :func:`simulate_serving` wires ONE chip server to an arrival stream — the
 N=1 special case of the cluster simulation (``repro.cluster``), which
@@ -18,7 +20,6 @@ and chip energy (dynamic per work done + static over the horizon).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from .. import obs
@@ -41,13 +42,13 @@ __all__ = ["ChipServer", "simulate_serving"]
 
 
 class ChipServer:
-    """One chip's serving loop: pending queue, scheduler, dispatch.
+    """One chip's serving loop: ready pool, dispatcher, lanes.
 
     The server owns the mutable serving state of a single
-    :class:`~repro.arch.engine.machine.BishopMachine` — the pending queue
-    (optionally bounded, for admission control), the in-flight count, the
-    per-request completion records, and the chip's dynamic energy.  The
-    cluster router talks to it through :meth:`enqueue` /
+    :class:`~repro.arch.engine.machine.BishopMachine` — the ready pool
+    (optionally bounded, for admission control), the in-flight lane
+    count, the per-request completion records, and the chip's dynamic
+    energy.  The cluster router talks to it through :meth:`enqueue` /
     :meth:`has_queue_capacity` / :attr:`outstanding_s`; the single-chip
     simulator feeds it directly from the arrival stream.
     """
@@ -85,13 +86,8 @@ class ChipServer:
         self.recorder = recorder
         self.tenants = tuple(tenants)
 
-        self.pending: deque[Request] = deque()
-        # Continuous mode replaces the pending deque with a stage-level
-        # ready pool: groups re-form at every compiled-Stage boundary.
-        self.continuous: ContinuousBatchScheduler | None = (
-            ContinuousBatchScheduler(self.scheduler, profiles, self.tenants)
-            if self.scheduler.continuous
-            else None
+        self.queue = ContinuousBatchScheduler(
+            self.scheduler, profiles, self.tenants
         )
         self.work = engine.gate()
         self.inflight = 0
@@ -103,9 +99,6 @@ class ChipServer:
         self.dynamic_energy_pj = 0.0
         self.preemptions = 0         # continuous: priority displacements
         self.continuous_joins = 0    # continuous: merges into in-flight cohorts
-        self._static_service_s: dict[str, float] = {
-            t.name: 0.0 for t in self.tenants
-        }
         self.outstanding_s = 0.0     # estimated queued + in-flight work
         self.accepting = True        # routing eligibility (autoscaler drain)
         self.closed = False          # no further arrivals will ever come
@@ -125,18 +118,14 @@ class ChipServer:
 
     @property
     def queue_depth(self) -> int:
-        if self.continuous is not None:
-            return self.continuous.queue_depth
-        return len(self.pending)
+        return self.queue.queue_depth
 
     @property
     def tenant_service_s(self) -> dict[str, float]:
         """Per-tenant service seconds delivered by this chip (serial
         stage-seconds executed in continuous mode; uncontended request
         seconds completed in static mode) — the WFQ fairness measure."""
-        if self.continuous is not None:
-            return dict(self.continuous.service_s)
-        return dict(self._static_service_s)
+        return dict(self.queue.service_s)
 
     def service_estimate_s(self, model: str) -> float:
         """Uncontended single-request latency of ``model`` on this chip."""
@@ -145,10 +134,7 @@ class ChipServer:
     def enqueue(self, request: Request) -> None:
         if self.closed:
             raise RuntimeError(f"chip {self.name!r} is closed")
-        if self.continuous is not None:
-            self.continuous.add(request)
-        else:
-            self.pending.append(request)
+        self.queue.add(request)
         obs.inc("serve.admitted")
         obs.set_gauge("serve.queue_depth", self.queue_depth)
         self.outstanding_s += self.service_estimate_s(request.model)
@@ -161,9 +147,7 @@ class ChipServer:
 
     @property
     def idle(self) -> bool:
-        if self.continuous is not None:
-            return self.continuous.empty and self.inflight == 0
-        return not self.pending and self.inflight == 0
+        return self.queue.empty and self.inflight == 0
 
     @property
     def mean_batch_size(self) -> float:
@@ -184,121 +168,83 @@ class ChipServer:
 
     # -- serving processes -------------------------------------------------
     def _schedule_loop(self):
-        if self.continuous is not None:
-            yield from self._continuous_loop()
-            return
+        # Lanes are the chip's inference slots: each runs one group at a
+        # time and takes its next group itself; a lane exits when the
+        # ready pool is dry and is respawned on the next arrival.
         while True:
-            if self.pending and self.inflight < self.scheduler.max_inflight:
-                batch = take_batch(self.pending, self.scheduler.max_batch)
-                self.dispatched += len(batch)
-                self.inflight += 1
-                label = self._batch_label(batch)
-                self.engine.spawn(self._run_batch(batch, label), name=label)
-                continue
-            if self.closed and not self.pending:
-                self._maybe_mark_drained()
-                return
-            yield WaitFor(self.work)
-
-    def _continuous_loop(self):
-        # Lanes are the chip's inference slots: each runs one execution
-        # group at a time, re-consulting the continuous scheduler at every
-        # stage boundary; a lane exits when the ready pool is dry and is
-        # respawned on the next arrival.
-        while True:
-            if (
-                not self.continuous.empty
-                and self.inflight < self.scheduler.max_inflight
-            ):
+            if not self.queue.empty and self.inflight < self.scheduler.max_inflight:
                 self.inflight += 1
                 lane = self._lanes
                 self._lanes += 1
                 name = f"{self.name or 'chip'}:lane{lane}"
                 self.engine.spawn(self._run_lane(), name=name)
                 continue
-            if self.closed and self.continuous.empty:
+            if self.closed and self.queue.empty:
                 self._maybe_mark_drained()
                 return
             yield WaitFor(self.work)
 
     def _maybe_mark_drained(self) -> None:
-        # Fully idle after close: the scheduler may exit while batches are
-        # still in flight, so the last _run_batch also checks.
+        # Fully idle after close: the dispatcher may exit while lanes are
+        # still running, so the last lane to exit also checks.
         if self.closed and self.idle and self.drained_s is None:
             self.drained_s = self.engine.now
 
-    def _batch_label(self, batch: list[Request]) -> str:
-        label = f"b{batch[0].index}x{len(batch)}"
-        return f"{self.name}/{label}" if self.name else label
-
-    def _run_batch(self, batch: list[Request], label: str):
-        profile = self.profiles[batch[0].model]
-        start = self.engine.now
-        # Profiles compiled with the scheduling pass replay under the
-        # depth-1 weight-prefetch schedule; others layer-serially.
-        process = (
-            scheduled_inference_process
-            if getattr(profile, "scheduled", False)
-            else inference_process
-        )
-        yield from process(
-            self.engine, self.machine, profile.timings, label, len(batch),
-            self.timeline,
-        )
-        finish = self.engine.now
-        size = len(batch)
-        obs.inc("serve.batches")
-        obs.observe("serve.batch_size", size)
-        self.served_count += size
-        self.batch_size_weighted += float(size) * size
-        self.last_finish_s = max(self.last_finish_s, finish)
-        for request in batch:
-            if self.recorder is None:
-                self.served.append(ServedRequest(
-                    index=request.index,
-                    model=request.model,
-                    arrival_s=request.arrival_s,
-                    start_s=start,
-                    finish_s=finish,
-                    batch_size=size,
-                    chip=self.name or "",
-                    tenant=request.tenant,
-                    priority=request.priority,
-                ))
-            else:
-                self.recorder.observe(
-                    request, start, finish, size, self.name or ""
-                )
-            self.outstanding_s -= self.service_estimate_s(request.model)
-        for request in batch:
-            self._static_service_s[request.tenant] = (
-                self._static_service_s.get(request.tenant, 0.0)
-                + profile.single_latency_s
-            )
-        self.dynamic_energy_pj += profile.batch_dynamic_pj(len(batch))
-        self.inflight -= 1
-        self._maybe_mark_drained()
-        self.work.signal()
-        if self.on_complete is not None:
-            self.on_complete(batch)
-
-    # -- continuous-batching lane ------------------------------------------
-    def _stage_label(self, entry: StageEntry, stage: int, size: int) -> str:
-        request = entry.request
-        timing = self.profiles[request.model].timings[stage]
-        label = f"c{entry.cohort}x{size}/L{stage}.{timing.kind}"
+    def _label(self, label: str) -> str:
         return f"{self.name}/{label}" if self.name else label
 
     def _run_lane(self):
-        """One inference slot under continuous batching.
+        """One inference slot: take a group, run one quantum, repeat."""
+        if self.scheduler.continuous:
+            yield from self._stage_quanta()
+        else:
+            yield from self._program_quanta()
+        self.inflight -= 1
+        self._maybe_mark_drained()
+        self.work.signal()
+
+    def _dispatch(self, group: list[StageEntry]) -> None:
+        for entry in group:
+            if entry.start_s is None:
+                entry.start_s = self.engine.now
+                self.dispatched += 1
+
+    def _program_quanta(self):
+        """Static mode: the whole program for each :func:`take_batch` group.
+
+        Profiles compiled with the scheduling pass replay under the
+        depth-1 weight-prefetch schedule; others layer-serially.
+        """
+        pool = self.queue.pool
+        while pool:
+            group = take_batch(pool, self.scheduler.max_batch)
+            self._dispatch(group)
+            size = len(group)
+            profile = self.profiles[group[0].request.model]
+            process = (
+                scheduled_inference_process
+                if getattr(profile, "scheduled", False)
+                else inference_process
+            )
+            label = self._label(f"b{group[0].request.index}x{size}")
+            yield from process(
+                self.engine, self.machine, profile.timings, label, size,
+                self.timeline,
+            )
+            obs.inc("serve.batches")
+            obs.observe("serve.batch_size", size)
+            self.dynamic_energy_pj += profile.batch_dynamic_pj(size)
+            self._finish_entries(self.queue.program_done(group, self.engine.now))
+
+    def _stage_quanta(self):
+        """Continuous mode: one compiled stage per scheduling decision.
 
         The lane asks the scheduler for an execution group at every stage
         boundary (handing back its previous group, so joins, leaves, WFQ
         switches, and preemptions all happen here), executes exactly one
-        compiled stage for the whole group, then repeats; it exits when
-        the ready pool is dry.
+        compiled stage for the whole group, then repeats.
         """
-        sched = self.continuous
+        sched = self.queue
         group: list[StageEntry] = []
         while True:
             group, stage, preempted, joined = sched.select(group)
@@ -317,16 +263,12 @@ class ChipServer:
                 self.continuous_joins += joined
                 obs.inc("serve.continuous_joins")
             if not group:
-                break
+                return
             head = group[0]
-            profile = self.profiles[head.request.model]
+            timing = self.profiles[head.request.model].timings[stage]
             size = len(group)
-            for entry in group:
-                if entry.start_s is None:
-                    entry.start_s = self.engine.now
-                    self.dispatched += 1
-            timing = profile.timings[stage]
-            label = self._stage_label(head, stage, size)
+            self._dispatch(group)
+            label = self._label(f"c{head.cohort}x{size}/L{stage}.{timing.kind}")
             obs.inc("serve.stage_groups")
             yield from stage_process(
                 self.engine, self.machine, timing, label, size, self.timeline
@@ -336,9 +278,6 @@ class ChipServer:
             if finished:
                 self._finish_entries(finished)
                 group = [e for e in group if not e.done]
-        self.inflight -= 1
-        self._maybe_mark_drained()
-        self.work.signal()
 
     def _finish_entries(self, finished: list[StageEntry]) -> None:
         now = self.engine.now

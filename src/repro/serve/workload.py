@@ -457,13 +457,15 @@ def arrival_trace(
     default trough fraction 0.25 is ``0.625 x`` peak); the flash-crowd
     spike is placed at fixed fractions of the stream's baseline span.
     """
+    if period_s < 0:
+        raise ValueError(f"period_s must be >= 0 (0 = auto), got {period_s:g}")
     if kind == "poisson":
         return poisson_arrivals(num_requests, peak_rps, mix, seed)
     if kind == "bursty":
         return bursty_arrivals(
             num_requests, peak_rps, mix, seed, burst_factor=burst_factor
         )
-    if period_s <= 0:
+    if period_s == 0:
         period_s = num_requests / (0.625 * peak_rps)
     if kind == "diurnal":
         return diurnal_arrivals(

@@ -305,3 +305,15 @@ class TestExperiments:
         assert result["conformance"]["per_chip_assignment_identical"]
         assert metrics["p99_rel_err"] < 0.01
         json.dumps(result, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "name", ["cluster_planet_scale", "cluster_sharding_bench"]
+    )
+    def test_negative_window_rejected(self, name):
+        # 0 means "auto"; a negative window is an error, not "auto"
+        from repro.harness import run_experiment
+
+        with pytest.raises(ValueError, match="window_ms must be >= 0"):
+            run_experiment(
+                name, window_ms=-5.0, chips=8, shards=2, num_requests=50
+            )

@@ -58,6 +58,12 @@ class TestArrivalTrace:
         with pytest.raises(ValueError, match="unknown arrival kind 'warp'"):
             arrival_trace("warp", 10, 100.0)
 
+    @pytest.mark.parametrize("kind", ["poisson", "diurnal", "regional"])
+    def test_negative_period_rejected(self, kind):
+        # 0 means "auto"; a negative period is an error, not "auto"
+        with pytest.raises(ValueError, match="period_s must be >= 0"):
+            arrival_trace(kind, 10, 100.0, period_s=-1.0)
+
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
 class TestRateGuards:

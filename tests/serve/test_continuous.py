@@ -18,6 +18,7 @@ from repro.serve import (
     request_profile,
     simulate_serving,
     stage_serial_s,
+    take_batch,
 )
 
 MODEL = "model4"
@@ -63,9 +64,17 @@ def drain(sched, group=(), max_steps=100_000):
 
 
 class TestConfig:
-    def test_requires_continuous_mode(self, profiles):
-        with pytest.raises(ValueError, match="continuous"):
-            ContinuousBatchScheduler(SchedulerConfig(), profiles)
+    def test_static_mode_runs_whole_program_groups(self, profiles):
+        sched = ContinuousBatchScheduler(
+            SchedulerConfig(max_batch=2), profiles, (TenantSpec("gold"),)
+        )
+        entries = [sched.add(request(i, tenant="gold")) for i in range(3)]
+        group = take_batch(sched.pool, 2)
+        assert sched.queue_depth == 1
+        assert sched.program_done(group, 1.0) == entries[:2]
+        assert all(e.done and e.max_group == 2 for e in group)
+        latency = profiles[MODEL].single_latency_s
+        assert sched.service_s == {"gold": 2 * latency}
 
     def test_policy_name(self):
         assert SchedulerConfig(mode="continuous").policy == "continuous"

@@ -13,7 +13,9 @@ properties pin what reordering must never change:
   checkpointed stage; its executed-stage log is exactly
   ``0..total_stages-1`` in order, each stage once;
 * **WFQ fairness** — under a standing two-tenant backlog, cumulative
-  virtual service per weight stays within a stage quantum of equal.
+  virtual service per weight stays within a stage quantum of equal;
+* **queue depth** — the admission-control counter equals a recount of
+  the undispatched pool entries at every selection, in both modes.
 """
 
 import pytest
@@ -21,7 +23,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.arch.engine import BishopMachine, Engine, Hold  # noqa: E402
+from repro.serve import simulate as serve_simulate  # noqa: E402
 from repro.serve import (  # noqa: E402
+    ChipServer,
     ContinuousBatchScheduler,
     Request,
     SchedulerConfig,
@@ -162,3 +167,58 @@ def test_wfq_virtual_service_within_one_quantum(gold_weight, silver_weight):
             sched.service_s[t.name] / t.weight for t in specs
         ]
         assert abs(normalized[0] - normalized[1]) <= quantum + 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    requests=streams,
+    max_batch=st.integers(min_value=1, max_value=4),
+    mode=st.sampled_from(["static", "continuous"]),
+)
+def test_queue_depth_matches_recount_at_every_selection(
+    requests, max_batch, mode
+):
+    """``queue_depth`` is kept as a counter that drops at dispatch; under
+    priorities (so preemption in continuous mode) it never drifts from
+    ``sum(not e.started for e in pool)``."""
+    engine = Engine()
+    chip = ChipServer(
+        engine, BishopMachine(engine), profiles(),
+        SchedulerConfig(max_batch=max_batch, max_inflight=2, mode=mode),
+    )
+    sched = chip.queue
+    checks = []
+
+    def check():
+        recount = sum(not e.started for e in sched.pool)
+        assert sched.queue_depth == recount
+        checks.append(recount)
+
+    select, take_batch = sched.select, serve_simulate.take_batch
+
+    def checked_select(prev):
+        check()
+        result = select(prev)
+        check()
+        return result
+
+    def checked_take_batch(pool, size):
+        check()
+        batch = take_batch(pool, size)
+        check()
+        return batch
+
+    def arrivals():
+        for request in requests:
+            if request.arrival_s > engine.now:
+                yield Hold(request.arrival_s - engine.now)
+            chip.enqueue(request)
+        chip.close()
+
+    sched.select = checked_select
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serve_simulate, "take_batch", checked_take_batch)
+        engine.spawn(arrivals(), name="arrivals")
+        engine.run()
+    assert chip.served_count == len(requests)
+    assert checks and sched.queue_depth == 0

@@ -1,16 +1,24 @@
 """Batch-forming and scheduler-config semantics."""
 
-from collections import deque
-
 import pytest
 
-from repro.serve import Request, SchedulerConfig, take_batch
+from repro.serve import Request, SchedulerConfig, StageEntry, take_batch
 
 
 def reqs(*models):
-    return deque(
-        Request(index=i, model=m, arrival_s=float(i)) for i, m in enumerate(models)
-    )
+    """An admission-ordered pool, as the chip's scheduler holds it."""
+    return [
+        StageEntry(
+            request=Request(index=i, model=m, arrival_s=float(i)),
+            total_stages=1,
+            order=i,
+        )
+        for i, m in enumerate(models)
+    ]
+
+
+def indices(entries):
+    return [e.request.index for e in entries]
 
 
 class TestSchedulerConfig:
@@ -29,28 +37,28 @@ class TestTakeBatch:
     def test_fifo_takes_head_only(self):
         pending = reqs("model4", "model4", "model4")
         batch = take_batch(pending, max_batch=1)
-        assert [r.index for r in batch] == [0]
+        assert indices(batch) == [0]
         assert len(pending) == 2
 
     def test_merges_same_model(self):
         pending = reqs("model4", "model4", "model4")
         batch = take_batch(pending, max_batch=8)
-        assert [r.index for r in batch] == [0, 1, 2]
+        assert indices(batch) == [0, 1, 2]
         assert not pending
 
     def test_respects_max_batch(self):
         pending = reqs("model4", "model4", "model4", "model4")
         batch = take_batch(pending, max_batch=2)
-        assert [r.index for r in batch] == [0, 1]
-        assert [r.index for r in pending] == [2, 3]
+        assert indices(batch) == [0, 1]
+        assert indices(pending) == [2, 3]
 
     def test_other_models_keep_queue_positions(self):
         pending = reqs("model4", "model2", "model4", "model2")
         batch = take_batch(pending, max_batch=4)
-        assert [r.index for r in batch] == [0, 2]
-        assert [r.index for r in pending] == [1, 3]
-        assert all(r.model == "model2" for r in pending)
+        assert indices(batch) == [0, 2]
+        assert indices(pending) == [1, 3]
+        assert all(e.request.model == "model2" for e in pending)
 
     def test_empty_queue_raises(self):
         with pytest.raises(ValueError):
-            take_batch(deque(), max_batch=1)
+            take_batch([], max_batch=1)

@@ -386,6 +386,14 @@ class TestCluster:
         assert "per-chip rows elided" in out
         assert "chip0 " not in out
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--shards", "2", "--window-ms", "-1"], "--window-ms"),
+        (["--arrival", "diurnal", "--period-s", "-1"], "--period-s"),
+    ])
+    def test_cluster_rejects_negative_auto_knobs(self, argv, flag, capsys):
+        assert main(["cluster", "--requests", "5", *argv]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_cluster_rejects_bad_shard_count(self, capsys):
         argv = ["cluster", "--fleet", "standard:2", "--requests", "5",
                 "--shards", "4"]
