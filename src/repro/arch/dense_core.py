@@ -32,7 +32,13 @@ from .config import BishopConfig
 from .energy import EnergyModel
 from .memory import TrafficLedger, bundle_storage_bytes
 
-__all__ = ["DenseCoreResult", "simulate_dense_core"]
+__all__ = [
+    "DenseCoreResult",
+    "dense_core_cycles",
+    "dense_tile_activity",
+    "psum_chunking",
+    "simulate_dense_core",
+]
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,64 @@ class DenseCoreResult:
         return energy.compute_pj("sac", self.sac_ops) + energy.compute_pj(
             "idle", self.idle_slots
         )
+
+
+def psum_chunking(config: BishopConfig) -> tuple[int, int]:
+    """``(chunks, volume_cycles)`` of one bundle on a PE or TTB unit.
+
+    A bundle larger than the psum register file is processed in chunks,
+    re-streaming the weights once per chunk (Fig.-16 penalty); each chunk
+    takes ``⌈chunk volume / spikes_per_cycle⌉`` cycles per weight.
+    """
+    volume = config.bundle_spec.volume
+    chunks = -(-volume // config.psum_regs_per_pe)
+    chunk_volume = -(-volume // chunks)
+    return chunks, -(-chunk_volume // config.spikes_per_cycle) * chunks
+
+
+def dense_tile_activity(
+    active: np.ndarray, config: BishopConfig, skip_inactive: bool
+) -> np.ndarray:
+    """``(row_tiles, D)`` bitmap of the lockstep feature steps the array takes.
+
+    ``active`` is the ``(bundle rows, D)`` activity mask.  A feature step is
+    needed in a bundle-row tile iff any row of the tile is active for that
+    feature (the slowest row paces the column); without inactive-bundle
+    skipping every step is taken.
+    """
+    num_bundles, d_in = active.shape
+    row_tiles = -(-num_bundles // config.dense_rows)
+    if not skip_inactive:
+        return np.ones((row_tiles, d_in), dtype=bool)
+    padded = np.zeros((row_tiles * config.dense_rows, d_in), dtype=bool)
+    padded[:num_bundles] = active
+    return padded.reshape(row_tiles, config.dense_rows, d_in).any(axis=1)
+
+
+def dense_core_cycles(
+    tile_steps: float,
+    num_features: int,
+    num_bundles: int,
+    out_features: int,
+    config: BishopConfig,
+) -> float:
+    """Dense-core cycles from the layer's statistics.
+
+    ``tile_steps`` is the number of (bundle-row tile, feature) steps the
+    array takes — the sum of :func:`dense_tile_activity`; ``num_bundles``
+    is the number of bundle rows (time × token bundle slots).  Every
+    output tile replays the steps and pays the pipeline fill once per
+    (row tile × output tile).
+    """
+    if num_features == 0 or out_features == 0:
+        return 0.0
+    _, volume_cycles = psum_chunking(config)
+    row_tiles = -(-num_bundles // config.dense_rows)
+    col_tiles = -(-out_features // config.dense_cols)
+    return (
+        float(tile_steps) * volume_cycles * col_tiles
+        + (row_tiles * col_tiles) * config.pipeline_fill_cycles
+    )
 
 
 def simulate_dense_core(
@@ -81,35 +145,26 @@ def simulate_dense_core(
     num_bundles = grid.n_bt * grid.n_bn
     active = grid.active.reshape(num_bundles, d_in)          # (B, D_in)
 
-    # A bundle larger than the PE's psum register file is processed in
-    # chunks, re-streaming the weights once per chunk (Fig.-16 penalty).
-    chunks = -(-spec.volume // config.psum_regs_per_pe)
-    chunk_volume = -(-spec.volume // chunks)
-    volume_cycles = -(-chunk_volume // config.spikes_per_cycle) * chunks
-
+    chunks, volume_cycles = psum_chunking(config)
     row_tiles = -(-num_bundles // config.dense_rows)
     col_tiles = -(-out_features // config.dense_cols)
 
     # --- cycles ---------------------------------------------------------
-    cycles = 0.0
-    total_needed_steps = 0.0
-    occupied_slots = 0.0
-    for tile in range(row_tiles):
-        rows = active[tile * config.dense_rows : (tile + 1) * config.dense_rows]
-        if skip_inactive:
-            # A feature step is needed iff any row in the tile is active for
-            # that feature (lockstep: the slowest row paces the column).
-            needed_steps = float(rows.any(axis=0).sum())
-        else:
-            needed_steps = float(d_in)
-        total_needed_steps += needed_steps
-        cycles += needed_steps * volume_cycles
-        occupied_slots += (
-            needed_steps * volume_cycles * config.spikes_per_cycle * rows.shape[0]
-        )
-    cycles *= col_tiles
-    cycles += (row_tiles * col_tiles) * config.pipeline_fill_cycles
-    occupied_slots *= col_tiles * config.dense_cols
+    steps_per_tile = dense_tile_activity(active, config, skip_inactive).sum(axis=1)
+    total_needed_steps = float(steps_per_tile.sum())
+    cycles = dense_core_cycles(
+        total_needed_steps, d_in, num_bundles, out_features, config
+    )
+    # Every step occupies all lanes of every row in the tile (the last
+    # tile may be short).
+    rows_per_tile = np.minimum(
+        config.dense_rows, num_bundles - config.dense_rows * np.arange(row_tiles)
+    )
+    occupied_slots = (
+        float((steps_per_tile * rows_per_tile).sum())
+        * volume_cycles * config.spikes_per_cycle
+        * col_tiles * config.dense_cols
+    )
 
     # --- operations (energy) ---------------------------------------------
     # Each active (bundle, feature) pair costs `volume` SAC lane-slots per

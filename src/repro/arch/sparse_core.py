@@ -26,10 +26,11 @@ import numpy as np
 
 from ..bundles import TTBGrid
 from .config import BishopConfig
+from .dense_core import psum_chunking
 from .energy import EnergyModel
 from .memory import TrafficLedger, bundle_storage_bytes
 
-__all__ = ["SparseCoreResult", "simulate_sparse_core"]
+__all__ = ["SparseCoreResult", "simulate_sparse_core", "sparse_core_cycles"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,27 @@ class SparseCoreResult:
         return energy.compute_pj("sparse", self.sparse_ops)
 
 
+def _waves(active_pairs: float, config: BishopConfig) -> float:
+    """Distribution-network waves: active pairs spread over the TTB units."""
+    return -(-float(active_pairs) // config.sparse_units)
+
+
+def sparse_core_cycles(
+    active_pairs: float, out_features: int, config: BishopConfig
+) -> float:
+    """Sparse-core cycles from the partition's active (bundle, feature) pair
+    count: ``⌈active_pairs / units⌉ × O × volume cycles × overhead``."""
+    if out_features == 0 or active_pairs == 0:
+        return 0.0
+    # TTB units hold one psum per bundle slot; oversized bundles split into
+    # chunks (same register budget as the dense core's PEs).
+    _, volume_cycles = psum_chunking(config)
+    return (
+        _waves(active_pairs, config) * out_features * volume_cycles
+        * config.sparse_overhead
+    )
+
+
 def simulate_sparse_core(
     spikes: np.ndarray,
     out_features: int,
@@ -67,14 +89,9 @@ def simulate_sparse_core(
     if active_pairs == 0:
         return SparseCoreResult(0.0, 0.0, 0.0, 0.0, traffic)
 
-    # TTB units hold one psum per bundle slot; oversized bundles split into
-    # chunks that re-gather their weight rows (same register budget as the
-    # dense core's PEs).
-    chunks = -(-spec.volume // config.psum_regs_per_pe)
-    chunk_volume = -(-spec.volume // chunks)
-    volume_cycles = -(-chunk_volume // config.spikes_per_cycle) * chunks
-    waves = -(-active_pairs // config.sparse_units)
-    cycles = waves * out_features * volume_cycles * config.sparse_overhead
+    chunks, _ = psum_chunking(config)
+    waves = _waves(active_pairs, config)
+    cycles = sparse_core_cycles(active_pairs, out_features, config)
 
     sparse_ops = active_pairs * spec.volume * out_features
     peak = cycles * config.sparse_throughput

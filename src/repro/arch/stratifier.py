@@ -11,6 +11,17 @@ partition is a correctness-preserving reordering (property-tested).
 approximately balances the two cores' latencies; :func:`balanced_theta`
 implements that search, and :func:`theta_for_dense_fraction` realizes the
 "targeted dense-to-sparse split ratio" strategies of Fig. 15.
+
+Closed-form scoring: the compiler (``compiler.lowering.plan_stratification``)
+builds one :class:`TTBGrid` per layer and reduces it to two per-feature
+vectors — ``counts`` (active bundles per feature) and ``tile_steps`` (dense
+row-tiles in which the feature is active).  Every candidate partition is
+cut from ``counts`` and scored from sums over those vectors through
+``dense_core_cycles`` / ``sparse_core_cycles``, the same cycle formulas the
+core simulators use, so no candidate re-bundles or re-simulates its slice.
+The per-candidate loop that sliced the spikes and ran both simulators
+survives as the test oracle (``tests/compiler/test_stratify_scorer.py``):
+every score and the chosen θ_s are ``==`` to it.
 """
 
 from __future__ import annotations
@@ -64,13 +75,24 @@ class StratifiedWorkload:
         )
 
 
+def _active_per_feature(spikes, spec, counts) -> np.ndarray:
+    return TTBGrid(spikes, spec).active_per_feature if counts is None else counts
+
+
 def stratify(
-    spikes: np.ndarray, spec: BundleSpec, theta: float
+    spikes: np.ndarray,
+    spec: BundleSpec,
+    theta: float,
+    *,
+    counts: np.ndarray | None = None,
 ) -> StratifiedWorkload:
     """Algorithm 1: route features with ``active_bundles > θ_s`` to the dense
-    core, the rest to the sparse core."""
-    grid = TTBGrid(spikes, spec)
-    counts = grid.active_per_feature
+    core, the rest to the sparse core.
+
+    ``counts`` is the per-feature active-bundle count of ``spikes`` when the
+    caller already has it (one grid per layer); otherwise it is computed.
+    """
+    counts = _active_per_feature(spikes, spec, counts)
     dense = np.flatnonzero(counts > theta)
     sparse = np.flatnonzero(counts <= theta)
     return StratifiedWorkload(
@@ -82,7 +104,11 @@ def stratify(
 
 
 def theta_for_dense_fraction(
-    spikes: np.ndarray, spec: BundleSpec, dense_fraction: float
+    spikes: np.ndarray,
+    spec: BundleSpec,
+    dense_fraction: float,
+    *,
+    counts: np.ndarray | None = None,
 ) -> float:
     """θ_s that routes approximately ``dense_fraction`` of features dense.
 
@@ -92,7 +118,7 @@ def theta_for_dense_fraction(
     """
     if not 0.0 <= dense_fraction <= 1.0:
         raise ValueError(f"dense_fraction must be in [0, 1], got {dense_fraction}")
-    counts = TTBGrid(spikes, spec).active_per_feature
+    counts = _active_per_feature(spikes, spec, counts)
     if dense_fraction >= 1.0:
         return -1.0                      # every feature is > -1 → all dense
     if dense_fraction <= 0.0:
@@ -106,14 +132,19 @@ def balanced_theta(
     dense_time_fn,
     sparse_time_fn,
     num_candidates: int = 16,
+    *,
+    counts: np.ndarray | None = None,
 ) -> float:
     """Pick θ_s minimizing ``max(dense core time, sparse core time)``.
 
     ``dense_time_fn(workload)`` / ``sparse_time_fn(workload)`` are callbacks
-    supplied by the accelerator so the search uses the real cycle models.
-    Candidates are quantiles of the per-feature activity distribution.
+    supplied by the accelerator so the search uses the real cycle models;
+    each is called once per candidate, in ascending θ_s order, and the first
+    strict minimum wins.  Candidates are quantiles of the per-feature
+    activity distribution; every candidate partition is cut from ``counts``
+    (computed from ``spikes`` if not given).
     """
-    counts = TTBGrid(spikes, spec).active_per_feature
+    counts = _active_per_feature(spikes, spec, counts)
     unique = np.unique(counts)
     if len(unique) > num_candidates:
         quantiles = np.linspace(0.0, 1.0, num_candidates)
@@ -122,7 +153,7 @@ def balanced_theta(
         candidates = unique
     best_theta, best_time = float(candidates[0]), np.inf
     for theta in candidates:
-        workload = stratify(spikes, spec, float(theta))
+        workload = stratify(spikes, spec, float(theta), counts=counts)
         bottleneck = max(dense_time_fn(workload), sparse_time_fn(workload))
         if bottleneck < best_time:
             best_time = bottleneck

@@ -78,7 +78,7 @@ class TTBGrid:
         spikes = np.asarray(spikes)
         if spikes.ndim != 3:
             raise ValueError(f"expected (T, N, D) spikes, got shape {spikes.shape}")
-        if spikes.size and not np.isin(np.unique(spikes), (0, 1)).all():
+        if not ((spikes == 0) | (spikes == 1)).all():
             raise ValueError("spike tensor must be binary")
         self.spec = spec
         self.timesteps, self.tokens, self.features = spikes.shape

@@ -25,12 +25,16 @@ import numpy as np
 from ..algo.ecp import ECPConfig
 from ..arch.attention_core import simulate_attention_core
 from ..arch.config import BishopConfig
-from ..arch.dense_core import simulate_dense_core
+from ..arch.dense_core import (
+    dense_core_cycles,
+    dense_tile_activity,
+    simulate_dense_core,
+)
 from ..arch.energy import EnergyModel
 from ..arch.engine.machine import layer_timing
 from ..arch.memory import TrafficLedger, bundle_storage_bytes, spike_payload_bytes
 from ..arch.report import EnergyBreakdown, LayerReport
-from ..arch.sparse_core import simulate_sparse_core
+from ..arch.sparse_core import simulate_sparse_core, sparse_core_cycles
 from ..arch.spike_generator import simulate_spike_generator
 from ..arch.stratifier import (
     StratifiedWorkload,
@@ -70,28 +74,52 @@ def plan_stratification(
     Honors ``config.use_stratifier`` (off → everything dense) so the
     accelerator's config-driven path and the compiler's pass-driven path
     share one implementation.
+
+    The layer's bundle grid is built once.  Every θ_s candidate is scored in
+    closed form from two per-feature statistics of it: ``counts`` (active
+    bundles per feature; a sparse partition's active-pair count is their
+    sum) and ``tile_steps`` (dense row-tiles in which the feature needs a
+    lockstep step; a dense partition's steps are their sum).  The scores
+    equal the core simulators' cycles on the sliced partitions exactly.
     """
     spec = config.bundle_spec
     if not config.use_stratifier:
         return unstratified_workload(spikes, spec)
+    grid = TTBGrid(spikes, spec)
+    counts = grid.active_per_feature
     if config.stratify_theta is not None:
         theta = config.stratify_theta
     elif config.stratify_dense_fraction is not None:
         theta = theta_for_dense_fraction(
-            spikes, spec, config.stratify_dense_fraction
+            spikes, spec, config.stratify_dense_fraction, counts=counts
         )
     else:
+        num_bundles = grid.n_bt * grid.n_bn
+        tile_steps = dense_tile_activity(
+            grid.active.reshape(num_bundles, grid.features),
+            config,
+            config.skip_inactive_bundles,
+        ).sum(axis=0)
+        del grid  # only the per-feature vectors outlive the grid
+
+        def dense_cycles(workload: StratifiedWorkload) -> float:
+            return dense_core_cycles(
+                tile_steps[workload.dense_features].sum(),
+                len(workload.dense_features),
+                num_bundles,
+                out_features,
+                config,
+            )
+
+        def sparse_cycles(workload: StratifiedWorkload) -> float:
+            return sparse_core_cycles(
+                counts[workload.sparse_features].sum(), out_features, config
+            )
+
         theta = balanced_theta(
-            spikes,
-            spec,
-            dense_time_fn=lambda w: simulate_dense_core(
-                spikes[:, :, w.dense_features], out_features, config
-            ).cycles,
-            sparse_time_fn=lambda w: simulate_sparse_core(
-                spikes[:, :, w.sparse_features], out_features, config
-            ).cycles,
+            spikes, spec, dense_cycles, sparse_cycles, counts=counts
         )
-    return stratify(spikes, spec, theta)
+    return stratify(spikes, spec, theta, counts=counts)
 
 
 def lower_matmul_layer(
@@ -100,7 +128,12 @@ def lower_matmul_layer(
     config: BishopConfig,
     energy: EnergyModel,
 ) -> LayerReport:
-    """Lower one projection/MLP layer onto the dense+sparse cores."""
+    """Lower one projection/MLP layer onto the dense+sparse cores.
+
+    ``workload`` must be planned on ``record.input_spikes`` at
+    ``config.bundle_spec``: its ``active_per_feature`` supplies the layer's
+    bundle statistics.
+    """
     spikes = record.input_spikes
     d_in, d_out = record.weight_shape
     timesteps, tokens, _ = spikes.shape
@@ -123,15 +156,18 @@ def lower_matmul_layer(
     # weight GLB); rows of completely silent input features are never
     # fetched (tag-gated — the structured pruning BSA amplifies).
     # Input/output spike tensors spill only past the ping-pong spike GLB.
-    grid = TTBGrid(spikes, config.bundle_spec)
+    counts = workload.active_per_feature
     if config.skip_inactive_bundles:
-        alive_features = int((grid.active_per_feature > 0).sum())
+        alive_features = int((counts > 0).sum())
     else:
         alive_features = d_in
     weight_bytes = alive_features * d_out * config.weight_bits / 8.0
     traffic.add("dram", "weight", weight_bytes)
+    n_bt, n_bn = config.bundle_spec.grid_shape(timesteps, tokens)
+    num_bundles = n_bt * n_bn * len(counts)
+    num_active_bundles = int(counts.sum())
     in_payload = bundle_storage_bytes(
-        grid.num_active_bundles, config.bundle_spec.volume, grid.num_bundles
+        num_active_bundles, config.bundle_spec.volume, num_bundles
     )
     out_payload = spike_payload_bytes(timesteps * tokens, d_out)
     for payload in (in_payload, out_payload):
@@ -179,7 +215,9 @@ def lower_matmul_layer(
             "sparse_ops": sparse.sparse_ops,
             "spike_count": float(spikes.sum()),
             "alive_features": float(alive_features),
-            "bundle_occupancy": grid.bundle_density,
+            "bundle_occupancy": (
+                num_active_bundles / num_bundles if num_bundles else 0.0
+            ),
         },
     )
 

@@ -59,9 +59,24 @@ class TestTags:
         assert grid.bundle_density == 1.0
         assert grid.spike_density == 1.0
 
-    def test_rejects_non_binary(self, spec):
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_non_binary(self, spec, value):
+        spikes = np.zeros((2, 4, 3))
+        spikes[1, 2, 1] = value
         with pytest.raises(ValueError, match="binary"):
-            TTBGrid(np.full((2, 4, 1), 0.5), spec)
+            TTBGrid(spikes, spec)
+
+    @pytest.mark.parametrize(
+        "spikes",
+        [
+            np.full((2, 4, 1), -0.0),
+            np.ones((2, 4, 1), dtype=bool),
+            np.zeros((0, 4, 2)),
+        ],
+        ids=["negative-zero", "bool", "empty"],
+    )
+    def test_accepts_binary(self, spec, spikes):
+        assert TTBGrid(spikes, spec).num_active_bundles == int(spikes.any())
 
     def test_rejects_wrong_rank(self, spec):
         with pytest.raises(ValueError):
