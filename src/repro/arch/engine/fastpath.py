@@ -1,6 +1,6 @@
 """Vectorized fast path: replay compiled task graphs without the event heap.
 
-The event kernel (``kernel.py``) walks one heap event per acquire / hold /
+The event kernel (``kernel.py``) fires one event per acquire / hold /
 release, which is exact but costs tens of microseconds per layer — the
 bottleneck of every serve, cluster, and DSE sweep.  For the *uncontended*
 single-request case the schedule is a pure function of the per-layer task

@@ -1,6 +1,6 @@
 """Discrete-event kernel: event queue, shared clock, cooperative processes.
 
-The engine owns a single simulated clock and a heap-ordered event queue.
+The engine owns a single simulated clock and an event queue.
 Work is expressed as *processes* — plain Python generators that yield
 :class:`Command` objects back to the kernel:
 
@@ -15,10 +15,30 @@ Work is expressed as *processes* — plain Python generators that yield
     Suspend until the gate is signalled (condition-variable style; the
     waiter must re-check its predicate after waking).
 
-Determinism: simultaneous events are ordered by a monotonically increasing
-sequence number, so a simulation is a pure function of its inputs — the
-property the result cache and the engine-vs-analytical regression tests
-rely on.
+Determinism: events fire in ``(time, sequence number)`` order, so a
+simulation is a pure function of its inputs — the property the result
+cache and the engine-vs-analytical regression tests rely on.
+
+The queue is two structures that together keep exactly that order:
+
+* a heap of ``(time, seq, fn)`` for events due strictly after ``now``;
+* a FIFO ``deque`` of *ready* events due at ``now`` itself — every
+  zero-delay resume (a grant, a ``Release``, a ``Join``, a ``spawn``) and
+  any positive delay too small to move the clock (``now + delay == now``).
+
+:meth:`Engine.run` fires heap entries due at ``now`` first, then the FIFO,
+and advances the clock only once the FIFO is empty.  That is exactly
+``(time, seq)`` order: a heap entry due at ``now`` was created before the
+clock reached ``now``, so its sequence number is smaller than that of any
+ready event (all created at ``now``), and the FIFO keeps ready events in
+creation order.  Most events are ready events, so most skip the heap's
+``O(log n)`` push/pop.
+
+Nothing in the per-event path may tie a :class:`Process` into a reference
+cycle (e.g. a wake-up closure cached on the process): a fleet keeps
+thousands of processes live, and cyclic garbage at that scale triggers
+costly full collections.  The per-event ``lambda`` a wake-up schedules is
+acyclic; the long-lived ``Resource`` ↔ command-object cycle is harmless.
 """
 
 from __future__ import annotations
@@ -100,6 +120,9 @@ class Process:
     def __init__(self, engine: "Engine", generator: Generator, name: str):
         self.engine = engine
         self.generator = generator
+        # Generators receive the resume value; plain iterators of commands
+        # are also accepted (handy in tests).
+        self._send = getattr(generator, "send", None)
         self.name = name
         self.done = False
         self.started_at = engine.now
@@ -153,6 +176,9 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self.stats = ResourceStats()
+        # Built once: processes yield these for every acquire/release.
+        self.acquire_command = Acquire(self)
+        self.release_command = Release(self)
         self._queue: deque[tuple[Process, float]] = deque()
         self._last_change = engine.now
 
@@ -188,12 +214,17 @@ class Resource:
         return len(self._queue)
 
 
+# The command types `Engine._step` dispatches on, in `isinstance` order.
+_COMMANDS = (Hold, Acquire, Release, Join, WaitFor)
+
+
 class Engine:
-    """The discrete-event simulator: one clock, one event heap."""
+    """The discrete-event simulator: one clock, a timed heap, a ready FIFO."""
 
     def __init__(self):
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._ready: deque[Callable[[], None]] = deque()
         self._seq = itertools.count()
         self.resources: dict[str, Resource] = {}
 
@@ -215,31 +246,58 @@ class Engine:
 
     # -- event queue -------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
+        if delay == 0.0:
+            self._ready.append(fn)
+            return
         if not math.isfinite(delay):
             raise ValueError(f"cannot schedule a non-finite delay {delay}")
         if delay < 0:
             raise ValueError(f"cannot schedule {delay}s into the past")
-        heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn))
+        now = self.now
+        time = now + delay
+        if time == now:  # too small to move the clock: due now
+            self._ready.append(fn)
+        else:
+            heapq.heappush(self._heap, (time, next(self._seq), fn))
 
     def run(self, until: float | None = None) -> float:
         """Drain the event queue; returns the final simulated time.
 
-        With ``until`` the clock always lands exactly on ``until`` (never
-        earlier, never backwards) whether events remain or the heap drains
-        first — the invariant incremental window-stepped draining relies on.
+        With ``until`` the clock lands exactly on ``until`` whether events
+        remain or the queue drains first, and never moves backwards: an
+        ``until`` earlier than ``now`` fires nothing and returns ``now`` —
+        the invariant incremental window-stepped draining relies on.
         """
-        with obs.span("engine.run", cat="engine"):
-            while self._heap:
-                time, _, fn = self._heap[0]
-                if until is not None and time > until:
-                    self.now = until
-                    return self.now
-                heapq.heappop(self._heap)
-                self.now = time
-                fn()
-            if until is not None and until > self.now:
-                self.now = until
+        if until is not None and until < self.now:
             return self.now
+        heap, ready = self._heap, self._ready
+        heappop, popleft = heapq.heappop, ready.popleft
+        timed = fired_ready = 0
+        with obs.span("engine.run", cat="engine"):
+            now = self.now
+            while True:
+                # Heap entries due now precede every ready event (smaller
+                # seq); the clock advances only once the FIFO is empty.
+                if heap and heap[0][0] == now:
+                    fn = heappop(heap)[2]
+                    timed += 1
+                elif ready:
+                    fn = popleft()
+                    fired_ready += 1
+                elif heap:
+                    if until is not None and heap[0][0] > until:
+                        break
+                    now, _, fn = heappop(heap)
+                    self.now = now
+                    timed += 1
+                else:
+                    break
+                fn()
+            if until is not None and until > now:
+                self.now = until
+        obs.inc("engine.events.timed", timed)
+        obs.inc("engine.events.ready", fired_ready)
+        return self.now
 
     # -- process stepping --------------------------------------------------
     def _resume(self, process: Process, value: object = None) -> None:
@@ -247,9 +305,7 @@ class Engine:
 
     def _step(self, process: Process, value: object) -> None:
         try:
-            send = getattr(process.generator, "send", None)
-            # Generators receive the resume value; plain iterators of
-            # commands are also accepted (handy in tests).
+            send = process._send
             command = send(value) if send is not None else next(process.generator)
         except StopIteration:
             process.done = True
@@ -258,21 +314,25 @@ class Engine:
                 self._resume(joiner, process)
             process._joiners.clear()
             return
-        if isinstance(command, Hold):
+        kind = type(command)
+        if kind not in _COMMANDS:
+            # A subclass dispatches as the command it extends.
+            kind = next((base for base in _COMMANDS if isinstance(command, base)), None)
+            if kind is None:
+                raise TypeError(
+                    f"process {process.name!r} yielded {command!r}; expected a Command"
+                )
+        if kind is Hold:
             self.schedule(command.duration, lambda: self._step(process, None))
-        elif isinstance(command, Acquire):
+        elif kind is Acquire:
             command.resource._acquire(process)
-        elif isinstance(command, Release):
+        elif kind is Release:
             command.resource._release()
             self._resume(process)
-        elif isinstance(command, Join):
+        elif kind is Join:
             if command.process.done:
                 self._resume(process, command.process)
             else:
                 command.process._joiners.append(process)
-        elif isinstance(command, WaitFor):
-            command.gate._waiters.append(process)
         else:
-            raise TypeError(
-                f"process {process.name!r} yielded {command!r}; expected a Command"
-            )
+            command.gate._waiters.append(process)

@@ -150,15 +150,22 @@ class BishopMachine:
         }
 
 
-def _quanta(tiles: int) -> int:
+def _max_quanta() -> int:
     # Fast mode coalesces same-resource event runs: one acquire/hold/release
     # per layer task, so contended serve/cluster event counts scale with
     # layers, not tiles.  Kernel mode keeps tile-granular interleaving.
+    # Read once per inference or stage, not once per core task.
     from .fastpath import engine_mode  # local: fastpath imports this module
 
-    if engine_mode() == "fast":
-        return 1
-    return max(1, min(int(tiles), MAX_QUANTA))
+    return 1 if engine_mode() == "fast" else MAX_QUANTA
+
+
+def _quanta(tiles: int, max_quanta: int | None = None) -> int:
+    """Acquire/release quanta of a ``tiles``-tile core task (mode cap if
+    ``max_quanta`` is not given)."""
+    if max_quanta is None:
+        max_quanta = _max_quanta()
+    return max(1, min(int(tiles), max_quanta))
 
 
 def _compute_chain(
@@ -168,26 +175,29 @@ def _compute_chain(
     label: str,
     batch: int,
     timeline: list[TimelineEntry] | None,
+    max_quanta: int,
 ):
     """Core occupancy of one layer: dense ∥ sparse (or attention), then the
     spike generator merges/fires — the Fig.-9 dataflow as engine tasks."""
     if timing.phase == "ATN":
         yield from use(
             engine, machine.attention_core, timing.attention_s * batch,
-            timeline, f"{label}:attn", _quanta(timing.attention_tiles),
+            timeline, f"{label}:attn", _quanta(timing.attention_tiles, max_quanta),
         )
     else:
         cores = []
         if timing.dense_s > 0:
             cores.append(engine.spawn(
                 use(engine, machine.dense_core, timing.dense_s * batch,
-                    timeline, f"{label}:dense", _quanta(timing.dense_tiles)),
+                    timeline, f"{label}:dense",
+                    _quanta(timing.dense_tiles, max_quanta)),
                 name=f"{label}:dense",
             ))
         if timing.sparse_s > 0:
             cores.append(engine.spawn(
                 use(engine, machine.sparse_core, timing.sparse_s * batch,
-                    timeline, f"{label}:sparse", _quanta(timing.sparse_tiles)),
+                    timeline, f"{label}:sparse",
+                    _quanta(timing.sparse_tiles, max_quanta)),
                 name=f"{label}:sparse",
             ))
         for core in cores:
@@ -217,8 +227,20 @@ def stage_process(
     (``repro.serve.continuous``) re-forms its execution groups *between*
     stage boundaries — the `TileOp`/`Stage` preemption points.
     """
+    return _stage(engine, machine, timing, label, batch, timeline, _max_quanta())
+
+
+def _stage(
+    engine: Engine,
+    machine: BishopMachine,
+    timing: LayerTiming,
+    label: str,
+    batch: int,
+    timeline: list[TimelineEntry] | None,
+    max_quanta: int,
+):
     compute = engine.spawn(
-        _compute_chain(engine, machine, timing, label, batch, timeline),
+        _compute_chain(engine, machine, timing, label, batch, timeline, max_quanta),
         name=f"{label}:compute",
     )
     dram_s = timing.dram_s(batch)
@@ -246,10 +268,11 @@ def inference_process(
     Per layer, one :func:`stage_process`: compute and DRAM concurrent,
     layers strictly serial.
     """
+    max_quanta = _max_quanta()
     for index, timing in enumerate(timings):
-        yield from stage_process(
+        yield from _stage(
             engine, machine, timing, f"{label}/L{index}.{timing.kind}",
-            batch, timeline,
+            batch, timeline, max_quanta,
         )
 
 
@@ -274,6 +297,7 @@ def scheduled_inference_process(
     :func:`inference_process` makespan (equal when one resource dominates
     every layer, strictly smaller on mixed compute-/memory-bound chains).
     """
+    max_quanta = _max_quanta()
     n = len(timings)
     compute_started = [False] * n
     weights_done = [False] * n
@@ -299,7 +323,9 @@ def scheduled_inference_process(
         compute_started[index] = True
         layer_label = f"{label}/L{index}.{timing.kind}"
         compute = engine.spawn(
-            _compute_chain(engine, machine, timing, layer_label, batch, timeline),
+            _compute_chain(
+                engine, machine, timing, layer_label, batch, timeline, max_quanta
+            ),
             name=f"{layer_label}:compute",
         )
         activation_s = batch * timing.activation_dram_s

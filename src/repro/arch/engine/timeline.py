@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .kernel import Acquire, Engine, Hold, Release, Resource, ResourceStats
+from .kernel import Engine, Hold, Resource, ResourceStats
 
 __all__ = [
     "EngineRun",
@@ -105,15 +105,16 @@ def use(
         return
     chunks = max(1, int(chunks))
     quantum = duration_s / chunks
+    acquire, release = resource.acquire_command, resource.release_command
     for _ in range(chunks):
-        yield Acquire(resource)
+        yield acquire
         start = engine.now
         yield Hold(quantum)
         if timeline is not None:
             timeline.append(
                 TimelineEntry(resource.name, label, start, engine.now)
             )
-        yield Release(resource)
+        yield release
 
 
 @dataclass

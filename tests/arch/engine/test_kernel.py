@@ -76,6 +76,38 @@ class TestClockAndHold:
         engine.run()
         assert engine.run(until=1.0) == 3.0
 
+    def test_run_until_never_moves_clock_backwards_with_pending_events(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(10.0, lambda: fired.append(engine.now))
+        assert engine.run(until=5.0) == 5.0
+        assert engine.run(until=3.0) == 5.0
+        assert engine.now == 5.0
+        assert engine.run() == 10.0
+        assert fired == [10.0]
+
+    def test_run_until_in_the_past_fires_nothing(self):
+        engine = Engine()
+        engine.run(until=5.0)
+        fired = []
+        engine.schedule(0.0, lambda: fired.append(engine.now))
+        assert engine.run(until=3.0) == 5.0
+        assert fired == []
+        assert engine.run(until=5.0) == 5.0
+        assert fired == [5.0]
+
+    def test_delay_too_small_to_move_the_clock_fires_now(self):
+        # At 2**53 a 1.0 s delay rounds away: the event is due now, after
+        # the events already due now, in scheduling order.
+        engine = Engine()
+        engine.now = 2.0**53
+        fired = []
+        engine.schedule(1.0, lambda: fired.append("tiny"))
+        engine.schedule(0.0, lambda: fired.append("zero"))
+        engine.schedule(2.0, lambda: fired.append("timed"))
+        assert engine.run() == 2.0**53 + 2.0
+        assert fired == ["tiny", "zero", "timed"]
+
     def test_empty_engine_runs_to_zero(self):
         assert Engine().run() == 0.0
 
@@ -198,8 +230,54 @@ class TestJoinAndGate:
 
     def test_unknown_command_raises(self):
         engine = Engine()
-        engine.spawn(iter(["not a command"]))
-        with pytest.raises(TypeError, match="expected a Command"):
+        engine.spawn(iter(["not a command"]), name="rogue")
+        with pytest.raises(TypeError, match="'rogue'.*expected a Command"):
+            engine.run()
+
+
+class TestCommandSubclasses:
+    """A subclass of a command dispatches exactly as the command it extends."""
+
+    @staticmethod
+    def trace(hold_cls, acquire_cls):
+        engine = Engine()
+        resource = engine.resource("core")
+        log = []
+
+        def proc(name):
+            yield acquire_cls(resource)
+            log.append((name, "granted", engine.now))
+            yield hold_cls(1.5)
+            yield Release(resource)
+            log.append((name, "released", engine.now))
+
+        engine.spawn(proc("a"))
+        engine.spawn(proc("b"))
+        return engine.run(), log, resource.stats
+
+    def test_hold_and_acquire_subclasses_run_as_the_base_classes(self):
+        class TimedHold(Hold):
+            pass
+
+        class TaggedAcquire(Acquire):
+            pass
+
+        assert self.trace(TimedHold, TaggedAcquire) == self.trace(Hold, Acquire)
+
+    def test_subclass_keeps_the_base_checks(self):
+        class TimedHold(Hold):
+            pass
+
+        with pytest.raises(ValueError, match="negative"):
+            TimedHold(-1.0)
+
+    def test_non_command_still_raises_naming_the_process(self):
+        class NotACommand:
+            pass
+
+        engine = Engine()
+        engine.spawn(iter([Hold(1.0), NotACommand()]), name="stray")
+        with pytest.raises(TypeError, match="process 'stray' yielded"):
             engine.run()
 
 
@@ -291,3 +369,55 @@ class TestUseHelper:
         engine.spawn(use(engine, resource, 0.0))
         assert engine.run() == 0.0
         assert resource.stats.acquisitions == 0
+
+
+class TestEventCounters:
+    """`engine.events.timed` + `engine.events.ready` count every fired event."""
+
+    @pytest.fixture
+    def metrics(self):
+        from repro import obs
+
+        obs.disable()
+        obs.registry.reset()
+        obs.enable(trace=False, metrics=True)
+        yield obs.registry
+        obs.disable()
+        obs.registry.reset()
+
+    def test_counters_split_timed_and_ready_events(self, metrics):
+        engine = Engine()
+        engine.spawn(iter([Hold(1.0), Hold(0.0)]))
+        engine.run()
+        # timed: the 1.0 s hold; ready: spawn, the 0 s hold, the final step
+        assert metrics.counter("engine.events.timed").value == 1
+        assert metrics.counter("engine.events.ready").value == 2
+
+    def test_counters_equal_schedule_calls_on_a_serving_stream(
+        self, metrics, monkeypatch
+    ):
+        from repro.serve import (
+            SchedulerConfig,
+            poisson_arrivals,
+            request_profile,
+            simulate_serving,
+        )
+
+        profiles = {"model4": request_profile("model4")}
+        requests = poisson_arrivals(
+            12, 1.5 / profiles["model4"].single_latency_s, "model4", seed=3
+        )
+        scheduled = 0
+        original = Engine.schedule
+
+        def counted(self, delay, fn):
+            nonlocal scheduled
+            scheduled += 1
+            return original(self, delay, fn)
+
+        monkeypatch.setattr(Engine, "schedule", counted)
+        simulate_serving(requests, SchedulerConfig(max_inflight=2), profiles=profiles)
+        timed = metrics.counter("engine.events.timed").value
+        ready = metrics.counter("engine.events.ready").value
+        assert timed > 0 and ready > 0
+        assert timed + ready == scheduled
