@@ -14,16 +14,6 @@ run-all [--jobs N] [--force] [--only a,b,...] [--smoke] [--artifacts DIR]
     ``--jobs 0`` resolves to one worker per CPU core.
 sweep <experiment-id> --param k=v1,v2,... [--jobs N] [--output FILE]
     Cartesian-product parameter sweep of one experiment.
-bench [--jobs N] [--only a,b,...] [--smoke] [--output FILE]
-      [--compare BENCH_old.json] [--gate RATIO]
-    Force-run experiments and record per-experiment wall-clock timings
-    from the runtime manifest to ``BENCH_<timestamp>.json`` (repo root),
-    so the perf trajectory accumulates across PRs.  ``--compare`` prints
-    a per-experiment regression/speedup diff against an older bench file
-    (added/removed/failed experiments are listed explicitly and excluded
-    from the totals); ``--gate RATIO`` additionally exits 3 when the
-    shared-experiment total runs slower than RATIO x the old file — the
-    CI regression gate against the committed ``BENCH_baseline.json``.
 compile <model> [--chip KIND] [--passes SPEC] [--dump FILE]
     Compile one Table-2 model through the pass pipeline
     (``repro.compiler``) and print the program summary: stages, tile
@@ -72,7 +62,7 @@ analyze <trace|artifact> [--critical-path] [--self-time] [--diff OTHER]
     path or an artifact id under ``--artifacts``): ``--critical-path``
     extracts the binding-resource chain whose durations sum exactly to
     the makespan (per-resource blocking attribution), ``--self-time``
-    rolls the span tree up per name, ``--diff OTHER`` localizes a bench
+    rolls the span tree up per name, ``--diff OTHER`` localizes a
     regression to the spans that slowed down (OTHER is the baseline).
     With no mode flags, every analysis that applies to the input runs.
 slo <artifact> [--slo-ms MS] [--target T]
@@ -95,6 +85,10 @@ explicitly via ``--param``).
 
 Observability: see docs/OBSERVABILITY.md for the span/metric naming
 convention and the ``repro.obs`` API the instrumented layers use.
+
+Performance: the ``perf/`` benchmark (perf/README.md) is the one
+measurement and gate; CI runs each of its workloads on the parent and on
+the change and fails on a regressed verdict from ``perf/compare.py``.
 """
 
 from __future__ import annotations
@@ -114,11 +108,9 @@ from .runtime import (
     ResultCache,
     RunSummary,
     canonical_json,
-    format_provenance,
     parse_param_specs,
-    provenance,
 )
-from .schema import add_flags, signature_params
+from .schema import ParamSpec, add_flags, signature_params
 
 __all__ = ["main", "build_parser"]
 
@@ -212,28 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the sweep payload JSON here",
     )
 
-    bench = sub.add_parser(
-        "bench", help="measure per-experiment wall-clock timings",
-        parents=[jobs, smoke, artifacts],
-    )
-    bench.add_argument(
-        "--only", default=None, metavar="ID,ID,...",
-        help="comma-separated subset of experiment ids",
-    )
-    bench.add_argument(
-        "--output", type=Path, default=None, metavar="FILE",
-        help="bench JSON path (default: ./BENCH_<timestamp>.json)",
-    )
-    bench.add_argument(
-        "--compare", type=Path, default=None, metavar="BENCH.json",
-        help="print per-experiment speedup/regression vs an older bench file",
-    )
-    bench.add_argument(
-        "--gate", type=float, default=None, metavar="RATIO",
-        help="with --compare: exit 3 when the shared-experiment total runs"
-        " slower than RATIO x the old file (the CI regression gate)",
-    )
-
     compile_cmd = sub.add_parser(
         "compile", help="compile one zoo model into a chip program"
     )
@@ -250,16 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
         " packing,stratify,ecp,schedule",
     )
     compile_cmd.add_argument("--seed", type=int, default=0, metavar="N")
+    # The schema's finite-float cast: nan/inf are usage errors (exit 2).
+    finite_float = ParamSpec(float, 0.0).parse_flag
     compile_cmd.add_argument(
-        "--dram-gbps", type=float, default=None, metavar="G",
+        "--dram-gbps", type=finite_float, default=None, metavar="G",
         help="override the chip's DRAM bandwidth (GB/s)",
     )
     compile_cmd.add_argument(
-        "--theta-q", type=float, default=None, metavar="T",
+        "--theta-q", type=finite_float, default=None, metavar="T",
         help="enable ECP with this Q threshold (requires --theta-k)",
     )
     compile_cmd.add_argument(
-        "--theta-k", type=float, default=None, metavar="T",
+        "--theta-k", type=finite_float, default=None, metavar="T",
         help="enable ECP with this K threshold (requires --theta-q)",
     )
     compile_cmd.add_argument(
@@ -407,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--diff", default=None, metavar="OTHER",
         help="diff self-times against a baseline trace (path or artifact"
-        " id): localizes a bench regression to specific spans",
+        " id): localizes a regression to specific spans",
     )
     analyze.add_argument(
         "--top", type=int, default=12, metavar="N",
@@ -440,30 +412,6 @@ def _parse_only(raw: str | None) -> list[str] | None:
     if raw is None:
         return None
     return [name.strip() for name in raw.split(",") if name.strip()]
-
-
-def _run_registry(args, force: bool) -> tuple[int, RunSummary | None]:
-    """Shared run-all/bench body: build the runner, run, print the summary.
-
-    Returns ``(exit_code, summary)``; a bad id or option yields
-    ``(2, None)`` with the message already on stderr.
-    """
-    try:
-        runner = ExperimentRunner(
-            artifacts_root=args.artifacts, jobs=args.jobs, force=force
-        )
-        summary = runner.run_all(
-            only=_parse_only(args.only), smoke=args.smoke,
-            alerts=getattr(args, "alerts", False),
-        )
-    except KeyError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2, None
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2, None
-    _print_summary(summary)
-    return (0 if summary.ok else 1), summary
 
 
 def _parse_single_params(name: str, specs: list[str], seed: int | None = None) -> dict:
@@ -1221,88 +1169,6 @@ def _run_dse(args) -> int:
     return 0
 
 
-def _bench_record(table: dict, name: str, side: str) -> tuple[float, str]:
-    """One experiment's (duration, status) out of a bench payload, with a
-    clear error instead of a crash on malformed entries."""
-    entry = table[name]
-    if not isinstance(entry, dict):
-        raise ValueError(f"{side}: experiment {name!r} is not an object")
-    try:
-        duration = float(entry.get("duration_s", 0.0))
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{side}: experiment {name!r} has a non-numeric duration_s"
-            f" {entry.get('duration_s')!r}"
-        ) from None
-    return duration, str(entry.get("status", "ok"))
-
-
-def _print_bench_compare(
-    old_payload: dict, payload: dict, old_path: Path
-) -> float | None:
-    """Per-experiment wall-clock diff of two bench files (new vs old).
-
-    Experiments that failed on either side are excluded from the timing
-    totals and listed explicitly, as are experiments present on only one
-    side (added/removed) — a differing experiment set must never crash or
-    silently skip.  Returns the total new/old duration ratio over the
-    shared passing experiments (``None`` when there is no timed overlap);
-    ``--gate`` turns that ratio into the CI exit code.  Raises
-    ``ValueError`` on structurally malformed payloads.
-    """
-    old_experiments = old_payload.get("experiments")
-    if not isinstance(old_experiments, dict):
-        raise ValueError(f"{old_path}: no experiments table (not a bench file?)")
-    new_experiments = payload.get("experiments", {})
-    print(
-        f"vs {old_path} (generated {old_payload.get('generated_at', '?')},"
-        f" code {str(old_payload.get('code_hash', '?'))[:12]})"
-    )
-    print(f"  old: {format_provenance(old_payload.get('provenance'))}")
-    print(f"  new: {format_provenance(payload.get('provenance'))}")
-    shared = sorted(name for name in new_experiments if name in old_experiments)
-    failed: list[tuple[str, str, str]] = []
-    timed: list[tuple[str, float, float]] = []
-    for name in shared:
-        old_s, old_status = _bench_record(old_experiments, name, str(old_path))
-        new_s, new_status = _bench_record(new_experiments, name, "new bench")
-        if old_status != "ok" or new_status != "ok":
-            failed.append((name, old_status, new_status))
-        else:
-            timed.append((name, old_s, new_s))
-    width = max((len(name) for name in shared), default=10)
-    old_total = new_total = 0.0
-    for name, old_s, new_s in timed:
-        old_total += old_s
-        new_total += new_s
-        if new_s > 0:
-            ratio = old_s / new_s
-            verdict = f"{ratio:6.2f}x " + ("faster" if ratio >= 1.0 else "SLOWER")
-        else:
-            verdict = "      -"
-        print(f"  {name:<{width}}  {old_s:8.2f}s -> {new_s:8.2f}s  {verdict}")
-    total_ratio = None
-    if old_total > 0 and new_total > 0:
-        total_ratio = new_total / old_total
-        ratio = old_total / new_total
-        print(
-            f"  {'total':<{width}}  {old_total:8.2f}s -> {new_total:8.2f}s"
-            f"  {ratio:6.2f}x " + ("faster" if ratio >= 1.0 else "SLOWER")
-        )
-    for name, old_status, new_status in failed:
-        print(
-            f"  failed (excluded from totals): {name}"
-            f" [{old_path.name}: {old_status}, new: {new_status}]"
-        )
-    new_only = sorted(set(new_experiments) - set(old_experiments))
-    gone = sorted(set(old_experiments) - set(new_experiments))
-    if new_only:
-        print(f"  added since {old_path.name}: {', '.join(new_only)}")
-    if gone:
-        print(f"  removed vs {old_path.name}: {', '.join(gone)}")
-    return total_ratio
-
-
 def _run_cache(args) -> int:
     """The `repro cache ls|gc` body.
 
@@ -1418,96 +1284,29 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run-all":
         if args.trace:
             obs.enable()
-        code, summary = _run_registry(args, force=args.force)
-        if args.trace and summary is not None:
+        try:
+            runner = ExperimentRunner(
+                artifacts_root=args.artifacts, jobs=args.jobs, force=args.force
+            )
+            summary = runner.run_all(
+                only=_parse_only(args.only), smoke=args.smoke,
+                alerts=args.alerts,
+            )
+        except KeyError as error:
+            print(error.args[0], file=sys.stderr)
+            return 2
+        except ValueError as error:
+            print(error, file=sys.stderr)
+            return 2
+        _print_summary(summary)
+        if args.trace:
             root = (
                 Path(summary.manifest_path).parent
                 if summary.manifest_path
                 else Path(args.artifacts)
             )
             _write_trace(root / "trace.json")
-        return code
-
-    if args.command == "bench":
-        if args.gate is not None and args.compare is None:
-            print("--gate requires --compare", file=sys.stderr)
-            return 2
-        if args.gate is not None and args.gate <= 0:
-            print("--gate must be > 0", file=sys.stderr)
-            return 2
-        # Benchmarks force-run: cache hits report ~0s and would poison the
-        # timing series.
-        code, summary = _run_registry(args, force=True)
-        if summary is None:
-            return code
-        payload = {
-            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "provenance": provenance(),
-            "smoke": args.smoke,
-            "jobs": summary.jobs,
-            "code_hash": summary.code_hash,
-            "wall_time_s": summary.wall_time_s,
-            "experiments": {
-                o.experiment: {
-                    "duration_s": o.duration_s,
-                    "status": o.status,
-                    "params": o.params,
-                    # experiments may publish headline numbers (e.g. the
-                    # engine fastpath speedup) into the bench record
-                    **(
-                        {"metrics": o.result["bench_metrics"]}
-                        if isinstance(o.result, dict)
-                        and "bench_metrics" in o.result
-                        else {}
-                    ),
-                }
-                for o in summary.outcomes
-            },
-        }
-        target = args.output
-        if target is None:
-            target = Path(f"BENCH_{time.strftime('%Y%m%d-%H%M%S')}.json")
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float))
-        print(f"bench: {target}")
-        if args.compare is not None:
-            try:
-                old_payload = json.loads(args.compare.read_text())
-            except FileNotFoundError:
-                print(f"--compare: {args.compare} not found", file=sys.stderr)
-                return 2
-            except json.JSONDecodeError as error:
-                print(f"--compare: {args.compare}: {error}", file=sys.stderr)
-                return 2
-            if not isinstance(old_payload, dict):
-                print(
-                    f"--compare: {args.compare}: not a bench payload",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                ratio = _print_bench_compare(old_payload, payload, args.compare)
-            except ValueError as error:
-                print(f"--compare: {error}", file=sys.stderr)
-                return 2
-            if args.gate is not None:
-                if ratio is None:
-                    print(
-                        "--gate: no shared passing experiments to compare",
-                        file=sys.stderr,
-                    )
-                    return 2
-                if ratio > args.gate:
-                    print(
-                        f"bench gate FAILED: {ratio:.2f}x the"
-                        f" {args.compare.name} total (gate {args.gate:.2f}x)",
-                        file=sys.stderr,
-                    )
-                    return 3
-                print(
-                    f"bench gate ok: {ratio:.2f}x the {args.compare.name}"
-                    f" total (gate {args.gate:.2f}x)"
-                )
-        return code
+        return 0 if summary.ok else 1
 
     if args.command == "compile":
         try:

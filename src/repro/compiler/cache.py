@@ -14,9 +14,9 @@ Two layers back the cache:
   hit it for free;
 * an on-disk JSON store under ``artifacts/programs`` (override with the
   ``REPRO_PROGRAM_CACHE`` environment variable; ``off`` disables) — worker
-  *processes* of ``repro run-all``/``sweep``/``bench`` reuse programs
-  compiled by earlier runs instead of re-running the numpy core models,
-  which is where the serving experiments' wall-clock win comes from.
+  *processes* of ``repro run-all``/``sweep`` reuse programs compiled by
+  earlier runs instead of re-running the numpy core models, which is
+  where the serving experiments' wall-clock win comes from.
 
 The disk layer is a :class:`repro.store.JsonStore` — the same layout,
 atomic writes, self-healing reads and gc as the runtime's result cache.

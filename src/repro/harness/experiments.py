@@ -849,71 +849,6 @@ def experiment_cluster_multitenant_fairness(
     }
 
 
-def experiment_serve_continuous_bench(
-    mix: str = "model4",
-    rho: float = 1.5,
-    num_requests: int = 400,
-    repeats: int = 3,
-    seed: int = 0,
-    max_batch: int = 4,
-    max_inflight: int = 2,
-    passes: str = "packing+stratify+ecp",
-) -> dict:
-    """Serving — continuous-scheduler simulation overhead vs static.
-
-    Times the same stream through the static and continuous schedulers
-    (best of ``repeats``); the ``bench_metrics`` block lands in the
-    ``repro bench`` JSON so the continuous path's simulator cost is
-    tracked across PRs alongside the conformance residual.
-    """
-    import time as _time
-
-    from ..serve import SchedulerConfig, simulate_serving
-
-    weights, profiles, rate = _serve_setup(mix, 2, 4, seed, rho, passes)
-    requests = _serve_arrivals("poisson", num_requests, rate, weights, seed, 8.0)
-    common = dict(profiles=profiles, seed=seed)
-
-    def _best(config: "SchedulerConfig") -> tuple[float, object]:
-        best = float("inf")
-        report = None
-        for _ in range(max(1, repeats)):
-            started = _time.perf_counter()
-            report = simulate_serving(requests, config, **common)
-            best = min(best, _time.perf_counter() - started)
-        return best, report
-
-    static_s, static = _best(
-        SchedulerConfig(max_batch=max_batch, max_inflight=max_inflight)
-    )
-    continuous_s, continuous = _best(SchedulerConfig(
-        max_batch=max_batch, max_inflight=max_inflight, mode="continuous",
-        allow_join=False, preempt=False,
-    ))
-    conformance = max(
-        (
-            abs(a.latency_s - b.latency_s)
-            for a, b in zip(static.requests, continuous.requests)
-        ),
-        default=0.0,
-    )
-    overhead = continuous_s / static_s if static_s > 0 else 0.0
-    return {
-        "mix": weights,
-        "target_rho": rho,
-        "num_requests": num_requests,
-        "repeats": repeats,
-        "static_wall_s": static_s,
-        "continuous_wall_s": continuous_s,
-        "overhead_x": overhead,
-        "degenerate_latency_conformance_s": conformance,
-        "bench_metrics": {
-            "continuous_overhead_x": overhead,
-            "conformance_residual_s": conformance,
-        },
-    }
-
-
 # ----------------------------------------------------------------------
 # Compiler experiments (beyond the paper: pass-pipeline ablation)
 # ----------------------------------------------------------------------
@@ -1327,70 +1262,6 @@ def experiment_cluster_routing_ablation(
     }
 
 
-def experiment_engine_fastpath_bench(
-    model: str = "model4", repeats: int = 5, seed: int = 0
-) -> dict:
-    """Wall-clock comparison of the event-kernel vs vectorized engine replay.
-
-    Replays one compiled program's uncontended single request ``repeats``
-    times through both implementations — the kernel's full event-heap walk
-    (serial + scheduled) against the fast path's closed-form makespans
-    plus full :class:`EngineRun` synthesis — and reports the speedup and
-    the worst relative makespan disagreement.  The ``bench_metrics`` block
-    is lifted into ``repro bench`` JSON payloads, which is how the
-    committed ``BENCH_baseline.json`` records the measured speedup.
-    """
-    import time
-
-    from ..arch.engine import fastpath
-    from ..arch.engine.fastpath import schedule_for
-    from ..compiler.emit import measure_timings_kernel
-    from ..serve import request_profile
-
-    repeats = max(1, int(repeats))
-    profile = request_profile(model, seed=seed)
-    timings = profile.timings
-
-    kernel_started = time.perf_counter()
-    for _ in range(repeats):
-        kernel_serial = measure_timings_kernel(timings, scheduled=False)
-        kernel_scheduled = measure_timings_kernel(timings, scheduled=True)
-    kernel_s = (time.perf_counter() - kernel_started) / repeats
-
-    # The fast path's precompute-once contract: schedule construction is
-    # inside the timed region (the memo cache is cleared first), but every
-    # request after the first answers from the cached columnar schedule.
-    fastpath._schedule_for.cache_clear()
-    fast_started = time.perf_counter()
-    for _ in range(repeats):
-        schedule = schedule_for(timings)
-        fast_serial = schedule.serial_makespan()
-        fast_scheduled = schedule.scheduled_makespan()
-        schedule.serial_run(label=model)
-    fast_s = (time.perf_counter() - fast_started) / repeats
-
-    serial_err = abs(fast_serial - kernel_serial) / max(kernel_serial, 1e-30)
-    scheduled_err = abs(fast_scheduled - kernel_scheduled) / max(
-        kernel_scheduled, 1e-30
-    )
-    speedup = kernel_s / fast_s if fast_s > 0 else float("inf")
-    return {
-        "model": model,
-        "layers": len(timings),
-        "repeats": repeats,
-        "serial_makespan_s": {"kernel": kernel_serial, "fast": fast_serial},
-        "scheduled_makespan_s": {
-            "kernel": kernel_scheduled, "fast": fast_scheduled,
-        },
-        "bench_metrics": {
-            "kernel_replay_s": kernel_s,
-            "fast_replay_s": fast_s,
-            "speedup": speedup,
-            "max_rel_err": max(serial_err, scheduled_err),
-        },
-    }
-
-
 def experiment_cluster_planet_scale(
     mix: str = "model4",
     chips: int = 1000,
@@ -1545,190 +1416,6 @@ def experiment_cluster_planet_scale(
     }
 
 
-def experiment_cluster_sharding_bench(
-    mix: str = "model4",
-    chips: int = 1000,
-    kind: str = "standard",
-    shards: int = 8,
-    window_ms: float = 0.0,
-    num_requests: int = 3000,
-    rho: float = 0.7,
-    jobs: int = 1,
-    seed: int = 0,
-    max_batch: int = 1,
-    max_inflight: int = 2,
-    bs_t: int = 2,
-    bs_n: int = 4,
-    passes: str = "all",
-) -> dict:
-    """Wall-clock comparison of the sharded vs single-process cluster.
-
-    The SAME Poisson stream is served by the single-engine
-    :class:`~repro.cluster.ClusterSimulation` and by the windowed shard
-    coordinator in conformance mode (round-robin at both levels, which
-    with interleaved partitioning reproduces the global round-robin
-    request for request when ``shards`` divides ``chips``) — so the
-    speedup is measured against a run with byte-identical per-chip
-    assignment, and the percentile disagreement is pure sketch
-    quantization.  ``jobs`` sizes the actor pool (1 = shards inline in
-    one process: the speedup is then the router/event-locality win
-    alone; on a multi-core host ``jobs>1`` adds true parallelism).  The
-    ``bench_metrics`` block is lifted into ``repro bench`` JSON
-    payloads and the committed ``BENCH_baseline.json`` trajectory.
-    """
-    import time
-
-    from ..cluster import (
-        ClusterSimulation,
-        ShardingConfig,
-        auto_window_s,
-        fleet_capacity_rps,
-        homogeneous_fleet,
-        simulate_cluster_sharded,
-    )
-    from ..serve import SchedulerConfig, parse_model_mix, poisson_arrivals
-
-    weights = parse_model_mix(mix)
-    fleet = homogeneous_fleet(chips, kind)
-    capacity = fleet_capacity_rps(fleet, weights, bs_t, bs_n, seed, passes)
-    rate = rho * capacity
-    stream = poisson_arrivals(num_requests, rate, weights, seed)
-    span = stream[-1].arrival_s if stream else 0.0
-    window_s = auto_window_s(window_ms, span, 16)
-    scheduler = SchedulerConfig(max_batch=max_batch, max_inflight=max_inflight)
-
-    started = time.perf_counter()
-    single = ClusterSimulation(
-        fleet, scheduler, policy="round_robin", bs_t=bs_t, bs_n=bs_n,
-        seed=seed, passes=passes,
-    ).run(stream)
-    single_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    sharded = simulate_cluster_sharded(
-        stream,
-        fleet,
-        scheduler,
-        policy="round_robin",
-        sharding=ShardingConfig(
-            num_shards=shards, window_s=window_s, jobs=jobs,
-            shard_policy="round_robin",
-        ),
-        bs_t=bs_t,
-        bs_n=bs_n,
-        seed=seed,
-        passes=passes,
-    )
-    sharded_s = time.perf_counter() - started
-
-    percentile_errs = {
-        key: (
-            abs(sharded.latency_percentiles_ms[key] - exact_ms)
-            / max(exact_ms, 1e-30)
-        )
-        for key, exact_ms in single.latency_percentiles_ms.items()
-    }
-    chips_match = all(
-        single.chips[name].requests_served == chip.requests_served
-        for name, chip in sharded.chips.items()
-    )
-    speedup = single_s / sharded_s if sharded_s > 0 else float("inf")
-    return {
-        "mix": weights,
-        "kind": kind,
-        "chips": chips,
-        "num_requests": num_requests,
-        "arrival_rate_rps": rate,
-        "sharding": {
-            "num_shards": shards,
-            "window_s": window_s,
-            "num_windows": len(sharded.windows),
-            "jobs": jobs,
-        },
-        "served": {"single": single.served, "sharded": sharded.served},
-        "conformance": {
-            "per_chip_assignment_identical": chips_match,
-            "percentile_rel_err": percentile_errs,
-            "mean_ms": {
-                "single": single.latency_mean_ms,
-                "sharded": sharded.latency_mean_ms,
-            },
-        },
-        "bench_metrics": {
-            "single_process_s": single_s,
-            "sharded_s": sharded_s,
-            "speedup": speedup,
-            "p99_rel_err": percentile_errs["p99"],
-        },
-    }
-
-
-def experiment_obs_analyze_bench(
-    model: str = "model4", repeats: int = 20, seed: int = 0
-) -> dict:
-    """Wall-clock overhead of the offline trace analyzers.
-
-    Replays one compiled program into an :class:`EngineRun` and times
-    ``repro analyze``'s critical-path extraction over its timeline
-    ``repeats`` times, recording per-call cost and per-entry cost — the
-    budget an operator pays to attribute a makespan after a run.  The
-    exactness invariants ride along as evidence, not just tests: the
-    path's segment durations must telescope to the makespan and the
-    per-resource blocking shares must sum to one.  The ``bench_metrics``
-    block is lifted into ``repro bench`` JSON payloads and the committed
-    ``BENCH_baseline.json`` trajectory.
-    """
-    import math
-    import time
-
-    from ..arch import (
-        BishopAccelerator,
-        BishopConfig,
-        EnergyModel,
-        simulate_inference,
-    )
-    from ..obs.analyze import critical_path
-
-    repeats = max(1, int(repeats))
-    spec = BundleSpec(2, 4)
-    trace = synthetic_trace(model_config(model), PROFILES[model], spec, seed=seed)
-    report = BishopAccelerator(
-        BishopConfig(bundle_spec=spec)
-    ).run_trace(trace, simulate_events=False)
-    run = simulate_inference(
-        report, BishopConfig(bundle_spec=spec), EnergyModel()
-    )
-
-    started = time.perf_counter()
-    for _ in range(repeats):
-        path = critical_path(run)
-    analyze_s = (time.perf_counter() - started) / repeats
-
-    entries = len(run.timeline)
-    makespan_err = abs(path.total_s - run.makespan_s) / max(
-        run.makespan_s, 1e-30
-    )
-    shares = path.blocking_shares()
-    shares_err = abs(math.fsum(shares.values()) - 1.0)
-    return {
-        "model": model,
-        "repeats": repeats,
-        "timeline_entries": entries,
-        "makespan_s": run.makespan_s,
-        "critical_path": {
-            "segments": len(path.segments),
-            "blocking_shares": shares,
-            "makespan_rel_err": makespan_err,
-            "shares_sum_err": shares_err,
-        },
-        "bench_metrics": {
-            "critical_path_s": analyze_s,
-            "per_entry_us": analyze_s / max(entries, 1) * 1e6,
-            "makespan_rel_err": makespan_err,
-        },
-    }
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -1842,12 +1529,6 @@ EXPERIMENTS: dict[str, Experiment] = _register((
         description="search-strategy comparison at a fixed budget",
     ),
     Experiment(
-        "engine_fastpath_bench", "Engine", experiment_engine_fastpath_bench,
-        smoke_params={"repeats": 2},
-        description="kernel-vs-fastpath single-request replay speedup"
-        " (the BENCH_baseline.json perf deliverable)",
-    ),
-    Experiment(
         "serve_latency_cdf", "Serving", experiment_serve_latency_cdf,
         cost="medium",
         smoke_params={"num_requests": 40},
@@ -1877,17 +1558,6 @@ EXPERIMENTS: dict[str, Experiment] = _register((
         smoke_params={"num_requests": 60},
         description="stage-boundary preemption: high-tier p99 vs FIFO"
         " at saturation, with per-resource work conservation",
-    ),
-    Experiment(
-        "serve_continuous_bench", "Serving", experiment_serve_continuous_bench,
-        param_help={
-            "repeats": "timed replays per scheduler",
-            "max_batch": "batching / stage-group limit",
-            "max_inflight": "concurrent lanes",
-        },
-        smoke_params={"num_requests": 60, "repeats": 2},
-        description="continuous-scheduler simulation overhead vs static"
-        " (tracked in BENCH_baseline.json)",
     ),
     Experiment(
         "cluster_scaling_curve", "Cluster", experiment_cluster_scaling_curve,
@@ -1924,24 +1594,6 @@ EXPERIMENTS: dict[str, Experiment] = _register((
         smoke_params={"chips": 64, "shards": 2, "num_requests": 240},
         description="sharded planet-scale fleet under trace-driven load"
         " with per-window SLO attainment and streaming alerts",
-    ),
-    Experiment(
-        "cluster_sharding_bench", "Cluster", experiment_cluster_sharding_bench,
-        cost="heavy",
-        param_help={
-            "window_ms": "coordination window (ms); 0 = trace span / 16",
-            "rho": "offered load vs fleet aggregate capacity",
-        },
-        smoke_params={"chips": 64, "shards": 2, "num_requests": 200},
-        description="sharded-vs-single-process fleet speedup + percentile"
-        " conformance (a BENCH trajectory deliverable)",
-    ),
-    Experiment(
-        "obs_analyze_bench", "Engine", experiment_obs_analyze_bench,
-        param_help={"repeats": "timed critical-path extractions"},
-        smoke_params={"repeats": 2},
-        description="critical-path analyzer overhead + exactness evidence"
-        " (a BENCH trajectory deliverable)",
     ),
 ))
 

@@ -16,8 +16,9 @@ Three questions this module answers about a finished run:
    span tree of a Chrome trace and charges each span its *self* time
    (duration minus children), rolled up per span name.
 3. **What changed?**  :func:`diff_traces` joins two self-time rollups
-   by span name and ranks the deltas, localizing a ``repro bench
-   --compare`` regression to the spans that actually slowed down.
+   by span name and ranks the deltas, localizing a regression between
+   two traced runs (``repro trace`` on the parent and on the change) to
+   the spans that actually slowed down.
 
 Everything duck-types via :func:`repro.obs.convert._get`: live
 ``EngineRun``/``TimelineEntry`` objects, their ``to_dict`` payloads,
@@ -340,7 +341,7 @@ def self_time(doc: dict) -> list[dict]:
 def diff_traces(old_doc: dict, new_doc: dict) -> list[dict]:
     """Join two self-time rollups by span name, ranked by |self delta|.
 
-    The output localizes a bench regression: each row carries old/new
+    The output localizes a regression: each row carries old/new
     self and total times, the deltas, and a status (``added`` /
     ``removed`` / ``changed``).
     """

@@ -17,7 +17,6 @@ from .cache import (
     config_hash,
 )
 from .executor import ExperimentRunner, RunOutcome, RunSummary
-from .provenance import format_provenance, provenance
 from .sweep import expand_grid, parse_param_specs
 
 __all__ = [
@@ -35,7 +34,5 @@ __all__ = [
     "canonical_payload",
     "config_hash",
     "expand_grid",
-    "format_provenance",
     "parse_param_specs",
-    "provenance",
 ]

@@ -55,6 +55,14 @@ class ParamSpec:
             raise ValueError(f"expected a finite float, got {value!r}")
         return result
 
+    def parse_flag(self, text: str) -> bool | int | float | str:
+        """:meth:`cast` as an argparse ``type``: a bad value is a usage
+        error (exit 2) whose message names the flag."""
+        try:
+            return self.cast(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
 
 # Help for every parameter name, shared by all experiments and by
 # `repro cluster`.  Names in OVERRIDABLE_HELP may carry per-function
@@ -102,7 +110,6 @@ HELP: dict[str, str] = {
     "queue_capacity": "per-chip queue bound (0: unbounded)",
     "quota": "per-tenant outstanding bound (0: declared/unbounded)",
     "regions": "regional trace spec: name:weight@phase '+'-joined",
-    "repeats": "timed replays per implementation",
     "requests": "requests in the stream",
     "rho": "offered load vs single-chip capacity",
     "rho_peak": "offered load AT TRACE PEAK vs fleet capacity",
@@ -132,7 +139,7 @@ HELP: dict[str, str] = {
 
 OVERRIDABLE_HELP = frozenset({
     "budget", "max_batch", "max_inflight", "num_requests", "objectives",
-    "policy", "repeats", "rho", "window_ms",
+    "policy", "rho", "window_ms",
 })
 
 
@@ -188,21 +195,15 @@ def add_flags(
     parser: argparse.ArgumentParser, specs: Mapping[str, ParamSpec]
 ) -> None:
     """One ``--kebab-name`` flag per spec: a ``bool`` (default False) is a
-    bare switch, every other kind is parsed through :meth:`ParamSpec.cast`."""
+    bare switch, every other kind is parsed by :meth:`ParamSpec.parse_flag`."""
     for name, spec in specs.items():
         flag = "--" + name.replace("_", "-")
         if spec.kind is bool:
             parser.add_argument(flag, action="store_true", help=spec.help)
             continue
-
-        def parse(text: str, spec: ParamSpec = spec):
-            try:
-                return spec.cast(text)
-            except ValueError as error:
-                raise argparse.ArgumentTypeError(str(error)) from None
-
         parser.add_argument(
-            flag, type=parse, default=spec.default, choices=spec.choices,
+            flag, type=spec.parse_flag, default=spec.default,
+            choices=spec.choices,
             metavar=None if spec.choices else spec.kind.__name__.upper(),
             help=spec.help,
         )

@@ -292,23 +292,7 @@ class TestExperiments:
         assert sum(w["arrivals"] for w in result["windows"]) == 60
         json.dumps(result, allow_nan=False)
 
-    def test_sharding_bench_smoke(self):
-        from repro.harness import run_experiment
-
-        result = run_experiment(
-            "cluster_sharding_bench", chips=8, shards=2, num_requests=80,
-        )
-        metrics = result["bench_metrics"]
-        assert set(metrics) >= {
-            "single_process_s", "sharded_s", "speedup", "p99_rel_err",
-        }
-        assert result["conformance"]["per_chip_assignment_identical"]
-        assert metrics["p99_rel_err"] < 0.01
-        json.dumps(result, allow_nan=False)
-
-    @pytest.mark.parametrize(
-        "name", ["cluster_planet_scale", "cluster_sharding_bench"]
-    )
+    @pytest.mark.parametrize("name", ["cluster_planet_scale"])
     def test_negative_window_rejected(self, name):
         # 0 means "auto"; a negative window is an error, not "auto"
         from repro.harness import run_experiment

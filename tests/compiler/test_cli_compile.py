@@ -1,6 +1,8 @@
-"""CLI surface of the compiler: ``repro compile`` and ``repro bench --compare``."""
+"""CLI surface of the compiler: ``repro compile`` and its program cache."""
 
 import json
+
+import pytest
 
 from repro.cli import main
 
@@ -76,57 +78,28 @@ class TestCompileCommand:
         ]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--dram-gbps", "nan"], "--dram-gbps"),
+        (["--dram-gbps", "inf"], "--dram-gbps"),
+        (["--theta-q", "nan", "--theta-k", "6"], "--theta-q"),
+        (["--theta-q", "6", "--theta-k=-inf"], "--theta-k"),
+        (["--theta-q", "inf", "--theta-k", "inf"], "--theta-q"),
+    ], ids=["dram-nan", "dram-inf", "theta-q-nan", "theta-k-neg-inf", "both-inf"])
+    def test_non_finite_float_exits_2_naming_the_flag(self, argv, flag, capsys):
+        # `nan <= 0` is False: without the finite-float cast a NaN
+        # bandwidth would compile with "DRAM traffic 0.00 MB"
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "model4", "--no-cache", *argv])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a finite float" in (
+            capsys.readouterr().err
+        )
+
     def test_bad_pass_spec_is_usage_error(self, capsys):
         assert main([
             "compile", "model4", "--no-cache", "--passes", "vectorize",
         ]) == 2
         assert "unknown compiler pass" in capsys.readouterr().err
-
-
-class TestBenchCompare:
-    def bench(self, tmp_path, name, extra=()):
-        target = tmp_path / name
-        code = main([
-            "bench", "--only", "table2", "--smoke",
-            "--artifacts", str(tmp_path / "artifacts"),
-            "--output", str(target), *extra,
-        ])
-        return code, target
-
-    def test_prints_speedup_table(self, tmp_path, capsys):
-        code, old = self.bench(tmp_path, "old.json")
-        assert code == 0
-        payload = json.loads(old.read_text())
-        payload["experiments"]["table2"]["duration_s"] = 10.0
-        payload["experiments"]["retired_experiment"] = {
-            "duration_s": 1.0, "status": "ok", "params": {},
-        }
-        old.write_text(json.dumps(payload))
-        capsys.readouterr()
-
-        code, _ = self.bench(
-            tmp_path, "new.json", extra=("--compare", str(old))
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"vs {old}" in out
-        assert "table2" in out and "faster" in out
-        assert "removed vs old.json: retired_experiment" in out
-
-    def test_missing_compare_file_is_usage_error(self, tmp_path, capsys):
-        code, _ = self.bench(
-            tmp_path, "new.json",
-            extra=("--compare", str(tmp_path / "nope.json")),
-        )
-        assert code == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_corrupt_compare_file_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        code, _ = self.bench(tmp_path, "new.json", extra=("--compare", str(bad)))
-        assert code == 2
-        assert "bad.json" in capsys.readouterr().err
 
 
 class TestCacheCoversPrograms:

@@ -15,7 +15,7 @@ class TestTraceCommand:
     def test_writes_perfetto_json_with_layered_spans(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
         code = main(
-            ["trace", "engine_fastpath_bench", "--smoke", "--output", str(path)]
+            ["trace", "serve_latency_cdf", "--smoke", "--output", str(path)]
         )
         assert code == 0
         spans = load_trace(path)
@@ -31,8 +31,8 @@ class TestTraceCommand:
 
     def test_default_output_lands_in_cwd(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["trace", "engine_fastpath_bench", "--smoke"]) == 0
-        assert load_trace(tmp_path / "TRACE_engine_fastpath_bench.json")
+        assert main(["trace", "serve_latency_cdf", "--smoke"]) == 0
+        assert load_trace(tmp_path / "TRACE_serve_latency_cdf.json")
 
 
 class TestMetricsCommand:
@@ -43,7 +43,7 @@ class TestMetricsCommand:
         assert "histograms:" in out and "runtime.experiment_s" in out
 
     def test_json_output_parses(self, capsys):
-        code = main(["metrics", "engine_fastpath_bench", "--smoke", "--json"])
+        code = main(["metrics", "serve_latency_cdf", "--smoke", "--json"])
         assert code == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert "counters" in snapshot
@@ -76,7 +76,7 @@ class TestEnvEntry:
         monkeypatch.setenv("REPRO_METRICS", "1")
         artifacts = tmp_path / "artifacts"
         assert main([
-            "run-all", "--smoke", "--only", "engine_fastpath_bench",
+            "run-all", "--smoke", "--only", "serve_latency_cdf",
             "--artifacts", str(artifacts),
         ]) == 0
         manifest = json.loads((artifacts / "smoke" / "manifest.json").read_text())
@@ -94,7 +94,7 @@ class TestTraceFlags:
     ):
         artifacts = tmp_path / "artifacts"
         code = main([
-            "run-all", "--smoke", "--only", "engine_fastpath_bench",
+            "run-all", "--smoke", "--only", "serve_latency_cdf",
             "--artifacts", str(artifacts), "--trace",
         ])
         assert code == 0
@@ -113,7 +113,7 @@ class TestCacheStats:
     def test_stats_line_summarizes_both_stores(self, tmp_path, capsys):
         artifacts = tmp_path / "artifacts"
         assert main([
-            "run-all", "--smoke", "--only", "engine_fastpath_bench",
+            "run-all", "--smoke", "--only", "serve_latency_cdf",
             "--artifacts", str(artifacts),
         ]) == 0
         capsys.readouterr()
@@ -126,33 +126,6 @@ class TestCacheStats:
     def test_without_flag_no_stats_line(self, tmp_path, capsys):
         assert main(["cache", "ls", "--artifacts", str(tmp_path)]) == 0
         assert "stats:" not in capsys.readouterr().out
-
-
-class TestBenchProvenance:
-    def test_payload_carries_provenance_and_compare_prints_it(
-        self, tmp_path, capsys
-    ):
-        artifacts = tmp_path / "artifacts"
-        output = tmp_path / "BENCH_new.json"
-        old = tmp_path / "BENCH_old.json"
-        old.write_text(json.dumps({
-            "generated_at": "2026-01-01T00:00:00+0000",
-            "experiments": {"table2": {"duration_s": 1.0, "status": "ok"}},
-        }))
-        code = main([
-            "bench", "--smoke", "--only", "table2",
-            "--artifacts", str(artifacts),
-            "--output", str(output), "--compare", str(old),
-        ])
-        assert code == 0
-        payload = json.loads(output.read_text())
-        block = payload["provenance"]
-        assert block["python"] and block["generated_at_utc"]
-        assert "cpu_count" in block and "git_sha" in block
-        out = capsys.readouterr().out
-        assert "old: (no provenance)" in out
-        assert f"new: {block['generated_at_utc']}" in out
-        assert f"py{block['python']}" in out
 
 
 def trace_doc(inner_dur=40.0):
@@ -168,7 +141,7 @@ class TestAnalyzeCommand:
     def test_trace_gets_critical_path_and_self_time(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
         assert main(
-            ["trace", "engine_fastpath_bench", "--smoke", "--output", str(path)]
+            ["trace", "serve_latency_cdf", "--smoke", "--output", str(path)]
         ) == 0
         capsys.readouterr()
         assert main(["analyze", str(path)]) == 0
@@ -310,7 +283,7 @@ class TestTraceLimit:
         monkeypatch.setenv("REPRO_TRACE_LIMIT", "2")
         path = tmp_path / "trace.json"
         assert main(
-            ["trace", "engine_fastpath_bench", "--smoke", "--output", str(path)]
+            ["trace", "serve_latency_cdf", "--smoke", "--output", str(path)]
         ) == 0
         assert obs.tracer.limit == 2
         assert obs.tracer.dropped > 0
@@ -335,7 +308,7 @@ class TestAlertsFlags:
     def test_run_all_alerts_manifest_block(self, tmp_path):
         artifacts = tmp_path / "artifacts"
         assert main([
-            "run-all", "--smoke", "--only", "engine_fastpath_bench",
+            "run-all", "--smoke", "--only", "serve_latency_cdf",
             "--artifacts", str(artifacts), "--alerts",
         ]) == 0
         manifest = json.loads((artifacts / "smoke" / "manifest.json").read_text())

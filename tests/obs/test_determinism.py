@@ -11,10 +11,11 @@ import json
 import os
 
 from repro import obs
+from repro.harness import get_experiment
 from repro.runtime import ExperimentRunner
 
-EXPERIMENT = "engine_fastpath_bench"
-PARAMS = {"repeats": 2}
+EXPERIMENT = "serve_latency_cdf"
+PARAMS = dict(get_experiment(EXPERIMENT).smoke_params)
 
 
 def traced_structure():

@@ -96,182 +96,13 @@ class TestRunAllJobs:
         expected = os.cpu_count() or 1
         assert f"with {expected} job(s)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["run-all", "sweep", "bench"])
+    @pytest.mark.parametrize("command", ["run-all", "sweep"])
     def test_negative_jobs_is_a_clean_usage_error(self, command, tmp_path, capsys):
         argv = [command, "--jobs", "-1", "--artifacts", str(tmp_path)]
         if command == "sweep":
             argv = ["sweep", "fig6", "--param", "seed=0"] + argv[1:]
         assert main(argv) == 2
         assert "jobs" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_writes_bench_json(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_test.json"
-        argv = ["bench", "--only", "table2,fig17", "--smoke",
-                "--artifacts", str(tmp_path / "artifacts"),
-                "--output", str(target)]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert f"bench: {target}" in out
-        payload = json.loads(target.read_text())
-        assert set(payload["experiments"]) == {"table2", "fig17"}
-        for record in payload["experiments"].values():
-            assert record["status"] == "ok"
-            assert record["duration_s"] >= 0.0
-        assert payload["smoke"] is True
-        assert len(payload["code_hash"]) == 64
-
-    def test_default_output_lands_in_cwd(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        argv = ["bench", "--only", "table2", "--smoke",
-                "--artifacts", str(tmp_path / "artifacts")]
-        assert main(argv) == 0
-        benches = list(tmp_path.glob("BENCH_*.json"))
-        assert len(benches) == 1
-        assert json.loads(benches[0].read_text())["experiments"]["table2"]
-
-    def test_bench_forces_reruns(self, tmp_path, capsys):
-        # a warm cache must not zero the timings: bench always re-runs
-        artifacts = str(tmp_path / "artifacts")
-        assert main(["run-all", "--only", "fig17", "--artifacts", artifacts]) == 0
-        capsys.readouterr()
-        target = tmp_path / "bench.json"
-        argv = ["bench", "--only", "fig17", "--artifacts", artifacts,
-                "--output", str(target)]
-        assert main(argv) == 0
-        assert "0 cache hits, 1 runs" in capsys.readouterr().out
-
-    def test_unknown_only_id(self, tmp_path, capsys):
-        argv = ["bench", "--only", "fig99", "--artifacts", str(tmp_path)]
-        assert main(argv) == 2
-        assert "unknown experiment" in capsys.readouterr().err
-
-    def test_bench_metrics_embedded_in_payload(self, tmp_path, capsys):
-        # experiments publishing `bench_metrics` (the fastpath speedup
-        # deliverable) surface them in the committed bench record
-        target = tmp_path / "bench.json"
-        argv = ["bench", "--only", "engine_fastpath_bench", "--smoke",
-                "--artifacts", str(tmp_path / "artifacts"),
-                "--output", str(target)]
-        assert main(argv) == 0
-        record = json.loads(target.read_text())["experiments"][
-            "engine_fastpath_bench"
-        ]
-        assert record["status"] == "ok"
-        assert record["metrics"]["speedup"] > 0
-        assert record["metrics"]["max_rel_err"] < 1e-6
-
-
-class TestBenchCompare:
-    """`bench --compare` against differing experiment sets + the CI gate."""
-
-    def _old_payload(self, tmp_path, experiments):
-        old = tmp_path / "BENCH_old.json"
-        old.write_text(json.dumps({
-            "generated_at": "2026-01-01T00:00:00+0000",
-            "code_hash": "0" * 64,
-            "experiments": experiments,
-        }))
-        return old
-
-    def _bench(self, tmp_path, *extra):
-        return ["bench", "--only", "fig17", "--smoke",
-                "--artifacts", str(tmp_path / "artifacts"),
-                "--output", str(tmp_path / "bench.json"), *extra]
-
-    def test_added_and_removed_experiments_listed(self, tmp_path, capsys):
-        old = self._old_payload(tmp_path, {
-            "fig17": {"duration_s": 100.0, "status": "ok"},
-            "legacy_exp": {"duration_s": 1.0, "status": "ok"},
-        })
-        argv = ["bench", "--only", "fig17,table2", "--smoke",
-                "--artifacts", str(tmp_path / "artifacts"),
-                "--output", str(tmp_path / "bench.json"),
-                "--compare", str(old)]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "added since BENCH_old.json: table2" in out
-        assert "removed vs BENCH_old.json: legacy_exp" in out
-        assert "fig17" in out and "total" in out
-
-    def test_failed_experiments_excluded_and_listed(self, tmp_path, capsys):
-        old = self._old_payload(tmp_path, {
-            "fig17": {"duration_s": 100.0, "status": "error"},
-        })
-        assert main(self._bench(tmp_path, "--compare", str(old))) == 0
-        out = capsys.readouterr().out
-        assert "failed (excluded from totals): fig17" in out
-        assert "->" not in out  # no timed rows, no total row
-
-    def test_gate_passes_when_within_budget(self, tmp_path, capsys):
-        old = self._old_payload(tmp_path, {
-            "fig17": {"duration_s": 1e6, "status": "ok"},
-        })
-        argv = self._bench(tmp_path, "--compare", str(old), "--gate", "2.0")
-        assert main(argv) == 0
-        assert "bench gate ok" in capsys.readouterr().out
-
-    def test_gate_exit_code_on_regression(self, tmp_path, capsys):
-        old = self._old_payload(tmp_path, {
-            "fig17": {"duration_s": 1e-9, "status": "ok"},
-        })
-        argv = self._bench(tmp_path, "--compare", str(old), "--gate", "2.0")
-        assert main(argv) == 3
-        assert "bench gate FAILED" in capsys.readouterr().err
-
-    def test_gate_with_no_timed_overlap_is_an_error(self, tmp_path, capsys):
-        old = self._old_payload(tmp_path, {
-            "fig17": {"duration_s": 100.0, "status": "error"},
-        })
-        argv = self._bench(tmp_path, "--compare", str(old), "--gate", "2.0")
-        assert main(argv) == 2
-        assert "no shared passing experiments" in capsys.readouterr().err
-
-    def test_gate_requires_compare(self, tmp_path, capsys):
-        assert main(self._bench(tmp_path, "--gate", "2.0")) == 2
-        assert "--gate requires --compare" in capsys.readouterr().err
-
-    def test_nonpositive_gate_rejected(self, tmp_path, capsys):
-        old = self._old_payload(tmp_path, {})
-        argv = self._bench(tmp_path, "--compare", str(old), "--gate", "0")
-        assert main(argv) == 2
-        assert "--gate must be > 0" in capsys.readouterr().err
-
-    def test_compare_file_missing(self, tmp_path, capsys):
-        argv = self._bench(tmp_path, "--compare", str(tmp_path / "nope.json"))
-        assert main(argv) == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_compare_file_not_json(self, tmp_path, capsys):
-        old = tmp_path / "BENCH_old.json"
-        old.write_text("not json {")
-        assert main(self._bench(tmp_path, "--compare", str(old))) == 2
-        assert "BENCH_old.json" in capsys.readouterr().err
-
-    def test_compare_file_not_a_bench_payload(self, tmp_path, capsys):
-        old = tmp_path / "BENCH_old.json"
-        old.write_text(json.dumps(["just", "a", "list"]))
-        assert main(self._bench(tmp_path, "--compare", str(old))) == 2
-        assert "not a bench payload" in capsys.readouterr().err
-
-    def test_compare_file_without_experiments_table(self, tmp_path, capsys):
-        old = tmp_path / "BENCH_old.json"
-        old.write_text(json.dumps({"generated_at": "?"}))
-        assert main(self._bench(tmp_path, "--compare", str(old))) == 2
-        assert "no experiments table" in capsys.readouterr().err
-
-    def test_compare_malformed_entry(self, tmp_path, capsys):
-        old = self._old_payload(tmp_path, {"fig17": "whoops"})
-        assert main(self._bench(tmp_path, "--compare", str(old))) == 2
-        assert "is not an object" in capsys.readouterr().err
-
-    def test_compare_non_numeric_duration(self, tmp_path, capsys):
-        old = self._old_payload(tmp_path, {
-            "fig17": {"duration_s": "slow", "status": "ok"},
-        })
-        assert main(self._bench(tmp_path, "--compare", str(old))) == 2
-        assert "non-numeric duration_s" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -31,10 +31,6 @@ GOLDEN = {
         "artifacts": ARTIFACTS, "command": "sweep", "experiment": "fig6",
         "force": False, "jobs": 1, "output": None, "param": [], "seed": None,
     },
-    ("bench",): {
-        "artifacts": ARTIFACTS, "command": "bench", "compare": None,
-        "gate": None, "jobs": 1, "only": None, "output": None, "smoke": False,
-    },
     ("compile", "model4"): {
         "bs_n": 4, "bs_t": 2, "chip": "standard", "command": "compile",
         "dram_gbps": None, "dump": None, "model": "model4", "no_cache": False,
