@@ -20,7 +20,7 @@ from repro.arch.engine.fastpath import FastSchedule
 from repro.bundles import BundleSpec
 from repro.compiler.emit import measure_timings, measure_timings_kernel
 from repro.harness.synthetic import PROFILES, synthetic_trace
-from repro.model import model_config
+from repro.model import MODEL_ZOO, model_config
 
 APPROX = dict(rel=1e-9, abs=1e-12)
 
@@ -224,6 +224,71 @@ class TestFastScheduleMemoization:
         )
         expected = sum(t.sparse_s for t in timings) / total
         assert schedule.sparse_core_share == pytest.approx(expected, **APPROX)
+
+
+class TestServingProfileEquivalence:
+    """The timings the serving layer replays (``request_profile``) agree
+    with the kernel to the speedup test's 1e-9 bound for every zoo model
+    and pass set, and the synthesized serial run carries that makespan."""
+
+    @pytest.mark.parametrize("passes", ["all", "packing+stratify+ecp", "none"])
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_makespans_match_kernel(self, model, passes):
+        from repro.serve import request_profile
+
+        timings = request_profile(model, passes=passes).timings
+        schedule = schedule_for(timings)
+        kernel_serial = measure_timings_kernel(timings, scheduled=False)
+        kernel_scheduled = measure_timings_kernel(timings, scheduled=True)
+        fast_serial = schedule.serial_makespan()
+        assert abs(fast_serial - kernel_serial) <= 1e-9 * kernel_serial
+        assert abs(schedule.scheduled_makespan() - kernel_scheduled) <= (
+            1e-9 * kernel_scheduled
+        )
+        assert schedule.serial_run(label=model).makespan_s == pytest.approx(
+            fast_serial, **APPROX
+        )
+
+    @pytest.mark.parametrize("bs_t, bs_n", [(1, 2), (4, 4), (4, 14)])
+    def test_bundle_shapes_match_kernel(self, bs_t, bs_n):
+        from repro.serve import request_profile
+
+        timings = request_profile("model4", bs_t=bs_t, bs_n=bs_n).timings
+        schedule = schedule_for(timings)
+        for batch in (1, 4):
+            kernel_serial = measure_timings_kernel(
+                timings, scheduled=False, batch=batch
+            )
+            kernel_scheduled = measure_timings_kernel(
+                timings, scheduled=True, batch=batch
+            )
+            assert abs(schedule.serial_makespan(batch) - kernel_serial) <= (
+                1e-9 * kernel_serial
+            )
+            assert abs(schedule.scheduled_makespan(batch) - kernel_scheduled) <= (
+                1e-9 * kernel_scheduled
+            )
+
+
+class TestReplayEquivalenceZoo:
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_makespan_energy_and_busy_match(self, model, monkeypatch):
+        spec = BundleSpec(2, 4)
+        config = BishopConfig(bundle_spec=spec)
+        trace = synthetic_trace(model_config(model), PROFILES[model], spec, seed=0)
+        report = BishopAccelerator(config).run_trace(trace, simulate_events=False)
+        runs = {}
+        for mode in ("fast", "kernel"):
+            monkeypatch.setenv("REPRO_ENGINE", mode)
+            runs[mode] = simulate_inference(report, config, EnergyModel())
+        fast, kernel = runs["fast"], runs["kernel"]
+        assert fast.makespan_s == pytest.approx(kernel.makespan_s, **APPROX)
+        assert fast.energy_pj == pytest.approx(kernel.energy_pj, **APPROX)
+        assert set(fast.resource_stats) == set(kernel.resource_stats)
+        for name, stats in kernel.resource_stats.items():
+            assert fast.resource_stats[name].busy_s == pytest.approx(
+                stats.busy_s, **APPROX
+            ), name
 
 
 @pytest.mark.slow

@@ -10,6 +10,7 @@ from repro.cluster import (
     ChipSpec,
     FleetSpec,
     ShardingConfig,
+    auto_window_s,
     homogeneous_fleet,
     partition_fleet,
     simulate_cluster,
@@ -115,6 +116,39 @@ class TestConformance:
             assert report.latency_percentiles_ms[key] == pytest.approx(
                 exact, rel=0.01
             )
+
+    @pytest.mark.parametrize("chips, shards, rho, max_batch", [
+        (64, 2, 0.7, 1),
+        (64, 8, 0.7, 1),
+        (16, 8, 0.7, 1),
+        (12, 3, 0.7, 1),
+        (6, 6, 0.7, 1),
+        (32, 4, 1.2, 1),
+        (8, 4, 1.5, 2),
+        (9, 3, 0.4, 4),
+    ])
+    def test_auto_window_conformance_grid(
+        self, capacity, chips, shards, rho, max_batch
+    ):
+        """Fleet-relative load with the auto window (trace span / 16): the
+        per-chip assignment is identical and every percentile is within
+        the 1% sketch bound of the single-process run."""
+        fleet = homogeneous_fleet(chips)
+        stream = poisson_arrivals(200, rho * chips * capacity, MODEL, seed=0)
+        window_s = auto_window_s(0.0, stream[-1].arrival_s, 16)
+        scheduler = SchedulerConfig(max_batch=max_batch, max_inflight=2)
+        single = simulate_cluster(stream, fleet, scheduler, policy="round_robin")
+        report = sharded(
+            stream, fleet, scheduler, shards=shards, window_s=window_s,
+            policy="round_robin",
+        )
+        assert report.served == single.served == 200
+        for name, chip in single.chips.items():
+            assert report.chips[name].requests_served == chip.requests_served
+        for key, exact in single.latency_percentiles_ms.items():
+            assert report.latency_percentiles_ms[key] == pytest.approx(
+                exact, rel=0.01
+            ), key
 
     def test_window_size_does_not_change_the_outcome(self, capacity):
         fleet = homogeneous_fleet(4)

@@ -84,7 +84,13 @@ class TestCompileCommand:
         (["--theta-q", "nan", "--theta-k", "6"], "--theta-q"),
         (["--theta-q", "6", "--theta-k=-inf"], "--theta-k"),
         (["--theta-q", "inf", "--theta-k", "inf"], "--theta-q"),
-    ], ids=["dram-nan", "dram-inf", "theta-q-nan", "theta-k-neg-inf", "both-inf"])
+        (["--dram-gbps=-inf"], "--dram-gbps"),
+        (["--dram-gbps", "1e309"], "--dram-gbps"),
+        (["--theta-q", "6", "--theta-k", "nan"], "--theta-k"),
+    ], ids=[
+        "dram-nan", "dram-inf", "theta-q-nan", "theta-k-neg-inf", "both-inf",
+        "dram-neg-inf", "dram-overflow", "theta-k-nan",
+    ])
     def test_non_finite_float_exits_2_naming_the_flag(self, argv, flag, capsys):
         # `nan <= 0` is False: without the finite-float cast a NaN
         # bandwidth would compile with "DRAM traffic 0.00 MB"

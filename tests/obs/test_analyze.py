@@ -127,6 +127,27 @@ class TestCriticalPathZoo:
             # Work-conserving single-request replay: nothing should idle.
             assert IDLE not in shares, (model, mode)
 
+    @pytest.mark.parametrize("mode", ["fast", "kernel"])
+    @pytest.mark.parametrize("bs_t, bs_n", [(1, 2), (4, 4), (4, 14)])
+    def test_path_tiles_makespan_across_bundle_shapes(
+        self, bs_t, bs_n, mode, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_ENGINE", mode)
+        spec = BundleSpec(bs_t, bs_n)
+        config = BishopConfig(bundle_spec=spec)
+        trace = synthetic_trace(
+            model_config("model4"), PROFILES["model4"], spec, seed=0
+        )
+        report = BishopAccelerator(config).run_trace(
+            trace, simulate_events=False
+        )
+        run = simulate_inference(report, config, EnergyModel())
+        path = critical_path(run)
+        assert path.total_s == pytest.approx(run.makespan_s, rel=1e-9)
+        shares = path.blocking_shares()
+        assert math.fsum(shares.values()) == pytest.approx(1.0, abs=1e-9)
+        assert IDLE not in shares
+
 
 class TestTraceAnalysis:
     def doc(self):

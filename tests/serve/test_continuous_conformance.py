@@ -44,9 +44,11 @@ def degenerate(max_batch, max_inflight):
     )
 
 
-def assert_latency_conformance(model, max_batch=4, max_inflight=2, n=24):
+def assert_latency_conformance(
+    model, max_batch=4, max_inflight=2, n=24, load=1.5
+):
     profiles = {model: request_profile(model, passes=PASSES)}
-    rate = 1.5 / profiles[model].single_latency_s  # backlogged
+    rate = load / profiles[model].single_latency_s  # 1.5: backlogged
     requests = poisson_arrivals(n, rate, model, seed=11)
     static = simulate_serving(
         requests,
@@ -72,6 +74,13 @@ def test_conformance_across_scheduler_shapes(max_batch, max_inflight):
     assert_latency_conformance(
         "model4", max_batch=max_batch, max_inflight=max_inflight
     )
+
+
+@pytest.mark.parametrize("load", [0.3, 1.0, 1.5, 4.0])
+def test_conformance_across_offered_load(load):
+    """From mostly-idle lanes (singleton groups) to a deep backlog (full
+    groups on every dispatch) the residual stays at float precision."""
+    assert_latency_conformance("model4", n=60, load=load)
 
 
 def test_batch_membership_matches_take_batch(engine_mode_env):

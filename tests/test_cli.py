@@ -80,6 +80,27 @@ class TestRunAll:
         assert main(argv + ["--force"]) == 0
         assert "0 cache hits, 1 runs" in capsys.readouterr().out
 
+    def test_forced_smoke_manifest_times_every_run(self, tmp_path, capsys):
+        # CI's wall-time bound sums `runs[].duration_s` of a forced smoke
+        # run; a warm cache records 0.0 per hit, so --force must re-time all
+        argv = ["run-all", "--smoke", "--only", "table2,fig17",
+                "--artifacts", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        manifest = tmp_path / "smoke" / "manifest.json"
+        warm = json.loads(manifest.read_text())["runs"]
+        assert [run["duration_s"] for run in warm] == [0.0, 0.0]
+        capsys.readouterr()
+
+        assert main(argv + ["--force"]) == 0
+        assert "0 cache hits, 2 runs, 0 errors" in capsys.readouterr().out
+        runs = json.loads(manifest.read_text())["runs"]
+        assert {run["experiment"] for run in runs} == {"table2", "fig17"}
+        for run in runs:
+            assert run["status"] == "ok"
+            assert run["cache_hit"] is False
+            assert run["duration_s"] > 0.0
+
     def test_unknown_only_id(self, tmp_path, capsys):
         argv = ["run-all", "--only", "fig99", "--artifacts", str(tmp_path)]
         assert main(argv) == 2

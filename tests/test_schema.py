@@ -1,6 +1,7 @@
 """Signature-derived parameter schemas (``repro.schema``) and the
 registry's import-time validation of them."""
 
+import argparse
 import inspect
 import math
 from typing import Literal
@@ -39,6 +40,42 @@ class TestCast:
     def test_uncastable_names_the_kind(self):
         with pytest.raises(ValueError, match="expected int, got 'x'"):
             ParamSpec(int, 1).cast("x")
+
+
+class TestParseFlag:
+    """``parse_flag`` is ``cast`` as an argparse ``type``: the same values
+    pass, and a rejected one is a usage error rather than a crash."""
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_float_is_an_argument_type_error(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="finite float"):
+            ParamSpec(float, 1.0).parse_flag(text)
+
+    def test_uncastable_is_an_argument_type_error(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="expected int"):
+            ParamSpec(int, 1).parse_flag("x")
+
+    def test_agrees_with_cast(self):
+        for spec, text in [
+            (ParamSpec(float, 1.0), "2.5"),
+            (ParamSpec(float, 1.0), "-0.0"),
+            (ParamSpec(int, 1), "7"),
+            (ParamSpec(str, "a"), "model4"),
+        ]:
+            value = spec.parse_flag(text)
+            assert value == spec.cast(text)
+            assert type(value) is spec.kind
+
+    def test_parser_error_names_the_flag(self, capsys):
+        parser = argparse.ArgumentParser(prog="repro")
+        parser.add_argument("--rho", type=ParamSpec(float, 1.0).parse_flag)
+        assert parser.parse_args(["--rho", "0.5"]).rho == 0.5
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["--rho", "nan"])
+        assert exc.value.code == 2
+        assert "argument --rho: expected a finite float" in (
+            capsys.readouterr().err
+        )
 
 
 class TestSignatureParams:
