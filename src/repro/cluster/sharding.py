@@ -426,6 +426,10 @@ class ShardState:
 
     def finalize(self) -> ShardFinal:
         """End-of-run per-chip counters (called once, after the last step)."""
+        obs.inc(
+            "serve.scheduler.selects",
+            sum(chip.queue.selects for chip in self.chips),
+        )
         for resource in self.engine.resources.values():
             resource._integrate()
         chips = tuple(

@@ -214,6 +214,10 @@ class ClusterSimulation:
             self.engine.spawn(autoscaler.process(), name="autoscaler")
         self.engine.spawn(self._router(stream, policy), name="router")
         self.engine.run()
+        obs.inc(
+            "serve.scheduler.selects",
+            sum(chip.queue.selects for chip in self.chips),
+        )
 
         if not self.finished:  # pragma: no cover - engine invariant
             raise RuntimeError(

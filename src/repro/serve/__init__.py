@@ -17,7 +17,12 @@ Registered experiments: ``serve_latency_cdf`` and ``serve_batch_sweep``
 event model underneath.
 """
 
-from .continuous import ContinuousBatchScheduler, StageEntry, stage_serial_s
+from .continuous import (
+    ContinuousBatchScheduler,
+    ReadyPool,
+    StageEntry,
+    stage_serial_s,
+)
 from .profiles import RequestProfile, profile_config, request_profile
 from .report import LatencyStats, ServedRequest, ServingReport, latency_stats
 from .scheduler import SCHEDULER_MODES, SchedulerConfig, take_batch
@@ -47,6 +52,7 @@ __all__ = [
     "ContinuousBatchScheduler",
     "LatencySketch",
     "LatencyStats",
+    "ReadyPool",
     "Request",
     "RequestProfile",
     "SCHEDULER_MODES",

@@ -1,7 +1,7 @@
 """The chip's ready pool: static and continuous batching.
 
-Admitted requests wait in one admission-ordered pool; each lane of a
-:class:`~repro.serve.simulate.ChipServer` takes a group, runs one
+Admitted requests wait in one indexed :class:`ReadyPool`; each lane of
+a :class:`~repro.serve.simulate.ChipServer` takes a group, runs one
 quantum, and repeats.  In static mode the quantum is the whole compiled
 program and groups come from :func:`~repro.serve.scheduler.take_batch`.
 In continuous mode the quantum is one compiled ``Stage``
@@ -27,6 +27,30 @@ the next tenant by minimum virtual service time (cumulative serial
 stage-seconds served, divided by the tenant's weight) within the highest
 ready priority tier — the classic WFQ rule at stage granularity.
 
+**The indexed pool.**  Every decision costs O(log n) in the pool size n
+instead of the several O(n) list scans it once took:
+
+* the *head index* keeps a live count per priority tier and tenant, so
+  the top tier is a ``max`` over the tiers with ready work and WFQ a
+  ``min`` over that tier's tenants; each ``(tier, tenant)`` bucket is a
+  heap on ``(-completed, order)`` whose top is the bucket's head;
+* the *peer index* finds the head's group-mates: with joins on a heap on
+  ``order`` per ``(model, completed)``; with joins off a heap on
+  ``order`` per model over never-started entries (the group's first
+  dispatch, and every static ``take_batch``: its head is the lowest
+  ``order`` across these heaps) and a member set per cohort;
+* the **carry** — the lane's previous group minus its finished members,
+  at most ``max_batch`` entries — is never pooled while the lane
+  decides: it is checked beside the heaps (carried work wins its
+  bucket, and counts as a peer), and only the members left out of the
+  new group are inserted afterwards.
+
+Insert is O(log n); discard is O(1) and leaves lazily deleted heap items
+that are popped when they surface; ``len``, ``queue_depth`` and
+``empty`` are O(1).  The list-scan scheduler this replaced is kept as
+the test oracle (``tests/serve/reference_scheduler.py``): a Hypothesis
+property and whole serving runs require every decision to be ``==``.
+
 Degenerate conformance: with a single tenant, one priority tier, and
 ``allow_join=False`` / ``preempt=False``, stage-quantum selection
 reduces exactly to :func:`~repro.serve.scheduler.take_batch` order and
@@ -38,13 +62,17 @@ quantum to float precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from typing import Iterable, Iterator
 
 from ..arch.engine.machine import LayerTiming
 from .profiles import RequestProfile
 from .scheduler import SchedulerConfig
 from .workload import Request, TenantSpec
 
-__all__ = ["ContinuousBatchScheduler", "StageEntry", "stage_serial_s"]
+__all__ = [
+    "ContinuousBatchScheduler", "ReadyPool", "StageEntry", "stage_serial_s",
+]
 
 
 def stage_serial_s(timing: LayerTiming) -> float:
@@ -82,6 +110,156 @@ class StageEntry:
         return self.completed >= self.total_stages
 
 
+def _progress(entry: StageEntry) -> tuple[int, int]:
+    # Within a tier/tenant: the most-progressed entry first (drain WIP),
+    # then admission order (FIFO).
+    return (-entry.completed, entry.order)
+
+
+class ReadyPool:
+    """The chip's ready pool, indexed so each group decision is O(log n).
+
+    Holds the admitted entries that wait for a lane (never-started ones
+    and preempted ones); ``len`` and ``bool`` are O(1), and iteration
+    follows insertion order, like the list it replaces.
+    Two indexes sit over the entries:
+
+    * **head index** (continuous mode) — :attr:`tiers` maps each priority
+      tier with ready work to ``{tenant: live count}``, and each
+      ``(tier, tenant)`` bucket is a heap on ``(-completed, order)``;
+    * **peer index** — with joins on, ``(model, completed)`` → heap on
+      ``order``; otherwise ``model`` → heap on ``order`` over
+      never-started entries (the static lane draws from these too), and
+      ``cohort`` → members.
+
+    The heaps delete lazily: :meth:`discard` only drops the entry from the
+    live map, and a heap item whose stamp is not its entry's current one
+    is popped when it surfaces.  Entries are keyed by identity and never
+    change their keys while pooled (stages run outside the pool).
+    """
+
+    def __init__(self, config: SchedulerConfig):
+        self._heads = config.continuous
+        self._join = config.continuous and config.allow_join
+        self._live: dict[StageEntry, int] = {}   # entry -> insertion stamp
+        self._stamp = 0
+        self.tiers: dict[int, dict[str, int]] = {}
+        self._buckets: dict[tuple[int, str], list] = {}
+        self._stages: dict[tuple[str, int], list] = {}
+        self._fresh: dict[str, list] = {}
+        self._cohorts: dict[int, dict[StageEntry, None]] = {}
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def __bool__(self) -> bool:
+        return bool(self._live)
+
+    def __iter__(self) -> Iterator[StageEntry]:
+        return iter(self._live)
+
+    def insert(self, entry: StageEntry) -> None:
+        self._stamp += 1
+        stamp = self._stamp
+        self._live[entry] = stamp
+        request = entry.request
+        if self._heads:
+            tenants = self.tiers.setdefault(request.priority, {})
+            tenants[request.tenant] = tenants.get(request.tenant, 0) + 1
+            heappush(
+                self._buckets.setdefault((request.priority, request.tenant), []),
+                (-entry.completed, entry.order, stamp, entry),
+            )
+        if self._join:
+            heappush(
+                self._stages.setdefault((request.model, entry.completed), []),
+                (entry.order, stamp, entry),
+            )
+        elif entry.cohort is None:
+            heappush(
+                self._fresh.setdefault(request.model, []),
+                (entry.order, stamp, entry),
+            )
+        else:
+            self._cohorts.setdefault(entry.cohort, {})[entry] = None
+
+    def discard(self, entry: StageEntry) -> bool:
+        """Remove ``entry`` if pooled; returns whether it was."""
+        if self._live.pop(entry, None) is None:
+            return False
+        request = entry.request
+        if self._heads:
+            tenants = self.tiers[request.priority]
+            tenants[request.tenant] -= 1
+            if not tenants[request.tenant]:
+                del tenants[request.tenant]
+                if not tenants:
+                    del self.tiers[request.priority]
+        if not self._join and entry.cohort is not None:
+            members = self._cohorts[entry.cohort]
+            del members[entry]
+            if not members:
+                del self._cohorts[entry.cohort]
+        return True
+
+    def _top(self, heap) -> StageEntry | None:
+        """The live entry on top of ``heap`` (stale items popped), if any."""
+        live = self._live
+        while heap:
+            item = heap[0]
+            if live.get(item[-1]) == item[-2]:
+                return item[-1]
+            heappop(heap)
+        return None
+
+    def head(self, tier: int, tenant: str) -> StageEntry:
+        """The bucket's first entry by ``(-completed, order)``."""
+        return self._top(self._buckets[(tier, tenant)])
+
+    def oldest(self) -> StageEntry:
+        """The never-started entry with the lowest admission order."""
+        oldest = None
+        for heap in self._fresh.values():
+            entry = self._top(heap)
+            if entry is not None and (oldest is None or entry.order < oldest.order):
+                oldest = entry
+        return oldest
+
+    def take_stage(self, model, stage, skip, k, extra) -> list[StageEntry]:
+        """Up to ``k`` entries of ``model`` at checkpoint ``stage``."""
+        return self._take(self._stages.get((model, stage), ()), skip, k, extra)
+
+    def take_fresh(self, model, skip, k, extra=()) -> list[StageEntry]:
+        """Up to ``k`` never-started entries of ``model``."""
+        return self._take(self._fresh.get(model, ()), skip, k, extra)
+
+    def cohort(self, cohort: int) -> Iterable[StageEntry]:
+        """The pooled members of ``cohort`` (joins off)."""
+        return self._cohorts.get(cohort, ())
+
+    def _take(self, heap, skip, k, extra) -> list[StageEntry]:
+        # The first k by admission order from the heap's live entries
+        # (except ``skip``) merged with ``extra``, entries held outside
+        # the pool.  Taken heap items are popped; the caller discards the
+        # taken entries that are pooled.
+        extra = sorted(extra, key=lambda e: e.order)
+        taken: list[StageEntry] = []
+        i = 0
+        while len(taken) < k:
+            entry = self._top(heap)
+            if entry is not None and entry is skip:
+                heappop(heap)
+            elif i < len(extra) and (entry is None or extra[i].order < entry.order):
+                taken.append(extra[i])
+                i += 1
+            elif entry is None:
+                break
+            else:
+                heappop(heap)
+                taken.append(entry)
+        return taken
+
+
 class ContinuousBatchScheduler:
     """Ready pool + group selection for one chip.
 
@@ -91,7 +269,9 @@ class ContinuousBatchScheduler:
     static-mode lane takes groups from :attr:`pool` with
     :func:`~repro.serve.scheduler.take_batch` and reports them through
     :meth:`program_done`.  The scheduler owns all ordering decisions, the
-    lane owns the engine processes.
+    lane owns the engine processes.  :attr:`selects` counts group
+    decisions (every :meth:`select`, and every static ``take_batch`` the
+    lane reports).
     """
 
     def __init__(
@@ -103,10 +283,11 @@ class ContinuousBatchScheduler:
         self.config = config
         self.profiles = profiles
         self.weights = {t.name: t.weight for t in tenants}
-        self.pool: list[StageEntry] = []
+        self.pool = ReadyPool(config)
         self.service_s: dict[str, float] = {t.name: 0.0 for t in tenants}
         self.preemptions = 0
         self.joins = 0
+        self.selects = 0
         self._order = 0
         self._resumable = 0      # started (preempted) entries in the pool
         self._next_cohort = 0
@@ -120,7 +301,7 @@ class ContinuousBatchScheduler:
             order=self._order,
         )
         self._order += 1
-        self.pool.append(entry)
+        self.pool.insert(entry)
         return entry
 
     @property
@@ -146,57 +327,57 @@ class ContinuousBatchScheduler:
             self._serial[model] = cached
         return cached
 
-    def _entry_key(self, entry: StageEntry, carry: set):
-        # Within a tier/tenant: continue in-flight work first (avoids
-        # churn at equal priority), then the most-progressed entry (drain
-        # WIP), then admission order (FIFO).
-        return (0 if entry in carry else 1, -entry.completed, entry.order)
+    def _virtual_time(self, tenant: str) -> tuple[float, str]:
+        return (
+            self.service_s.get(tenant, 0.0) / self.weights.get(tenant, 1.0),
+            tenant,
+        )
 
-    def _pick_head(self, carry: set) -> StageEntry:
-        candidates = self.pool
-        if self.config.preempt or not carry:
-            top = max(e.request.priority for e in candidates)
-            candidates = [e for e in candidates if e.request.priority == top]
-        else:
+    def _pick_head(self, carry: list[StageEntry]) -> StageEntry:
+        tiers = self.pool.tiers
+        if carry and not self.config.preempt:
             # Preemption off: an in-flight group always continues; only
-            # fresh dispatches (empty carry) see the full pool.
-            candidates = [e for e in candidates if e in carry]
+            # fresh dispatches (empty carry) see the pool.
+            top, candidates = None, carry
+        else:
+            top = max([*tiers, *[e.request.priority for e in carry]])
+            candidates = [e for e in carry if e.request.priority == top]
         tenants = {e.request.tenant for e in candidates}
-        if len(tenants) > 1:
-            # WFQ: least virtual service per weight wins the boundary.
-            tenant = min(
-                tenants,
-                key=lambda t: (
-                    self.service_s.get(t, 0.0) / self.weights.get(t, 1.0), t
-                ),
-            )
-            candidates = [e for e in candidates if e.request.tenant == tenant]
-        return min(candidates, key=lambda e: self._entry_key(e, carry))
+        tenants.update(tiers.get(top, ()))
+        # WFQ: least virtual service per weight wins the boundary.
+        tenant = min(tenants, key=self._virtual_time)
+        candidates = [e for e in candidates if e.request.tenant == tenant]
+        if candidates:
+            # Carried work continues first (avoids churn at equal priority).
+            return min(candidates, key=_progress)
+        return self.pool.head(top, tenant)
 
     def select(
         self, prev: list[StageEntry]
     ) -> tuple[list[StageEntry], int, list[StageEntry], int]:
         """Re-form one lane's execution group at a stage boundary.
 
-        ``prev`` is the lane's previous group (unfinished members return
-        to the ready pool first, so the selection sees every runnable
-        request).  Returns ``(group, stage, preempted, joined)``: the
-        chosen group (empty when the pool is dry — the lane exits), the
-        stage index to execute, the ``prev`` members displaced by strictly
-        higher priority (their checkpoint is ``completed``), and how many
-        members merged in from other in-flight cohorts.
+        ``prev`` is the lane's previous group; its unfinished members (the
+        carry) compete beside the pooled entries, so the selection sees
+        every runnable request.  Returns ``(group, stage, preempted,
+        joined)``: the chosen group (empty when nothing is runnable — the
+        lane exits), the stage index to execute, the carried members
+        displaced by strictly higher priority, in ``prev`` order (their
+        checkpoint is ``completed``), and how many members merged in from
+        other in-flight cohorts.  Carried members left out of the group
+        return to the pool.
         """
-        carry = {e for e in prev if not e.done}
+        self.selects += 1
+        pool = self.pool
+        carry = [e for e in prev if not e.done]
         for entry in carry:
-            if entry not in self.pool:
-                self.pool.append(entry)
+            if not pool.discard(entry):
                 self._resumable += 1
-        if not self.pool:
+        if not carry and not pool:
             return [], 0, [], 0
         head = self._pick_head(carry)
         stage = head.completed
-        peers = self._peers(head, stage)
-        group = [head] + peers[: self.config.max_batch - 1]
+        group = [head, *self._peers(head, stage, carry)]
 
         preempted = [
             e for e in carry
@@ -216,36 +397,45 @@ class ContinuousBatchScheduler:
         )
         self.joins += joined
         for entry in group:
+            pool.discard(entry)
             entry.cohort = cohort
             if entry.started:
                 self._resumable -= 1
             entry.started = True
-            self.pool.remove(entry)
+        for entry in carry:
+            if entry not in group:
+                pool.insert(entry)
         return group, stage, preempted, joined
 
-    def _peers(self, head: StageEntry, stage: int) -> list[StageEntry]:
+    def _peers(
+        self, head: StageEntry, stage: int, carry: list[StageEntry]
+    ) -> list[StageEntry]:
+        # Up to max_batch - 1 runnable entries to run ``stage`` with the
+        # head, by (-completed, order); carried entries count as runnable.
+        k = self.config.max_batch - 1
+        model = head.request.model
         if self.config.allow_join:
-            peers = [
-                e for e in self.pool
+            extra = [
+                e for e in carry
                 if e is not head
-                and e.request.model == head.request.model
-                and e.completed == stage
+                and e.request.model == model and e.completed == stage
             ]
-        elif head.cohort is None:
+            return self.pool.take_stage(model, stage, head, k, extra)
+        if head.cohort is None:
             # Group formed once at stage 0 from never-started same-model
             # entries — take_batch semantics, pinned thereafter.
-            peers = [
-                e for e in self.pool
+            extra = [
+                e for e in carry
                 if e is not head and e.cohort is None
-                and e.request.model == head.request.model
+                and e.request.model == model
             ]
-        else:
-            peers = [
-                e for e in self.pool
-                if e is not head and e.cohort == head.cohort
-            ]
-        peers.sort(key=lambda e: self._entry_key(e, set()))
-        return peers
+            return self.pool.take_fresh(model, head, k, extra)
+        members = [
+            e for e in (*carry, *self.pool.cohort(head.cohort))
+            if e is not head and e.cohort == head.cohort
+        ]
+        members.sort(key=_progress)
+        return members[:k]
 
     # -- completion --------------------------------------------------------
     def stage_done(

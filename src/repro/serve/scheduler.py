@@ -28,11 +28,10 @@ contends for cores.  Three axes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .continuous import StageEntry
+    from .continuous import ReadyPool, StageEntry
 
 __all__ = ["SCHEDULER_MODES", "SchedulerConfig", "take_batch"]
 
@@ -71,21 +70,16 @@ class SchedulerConfig:
         return "fifo" if self.max_batch == 1 else "batch"
 
 
-def take_batch(pool: list["StageEntry"], max_batch: int) -> list["StageEntry"]:
-    """Remove and return the next static batch from an admission-ordered
-    pool: the head entry plus up to ``max_batch - 1`` later entries for
-    the *same model* (they can share weight streams).  Entries for other
-    models keep their pool positions.
+def take_batch(pool: "ReadyPool", max_batch: int) -> list["StageEntry"]:
+    """Remove and return the next static batch from the ready pool: the
+    entry with the lowest admission order plus up to ``max_batch - 1``
+    later entries for the *same model* (they can share weight streams),
+    in admission order.  Entries for other models keep their places.
     """
     if not pool:
         raise ValueError("no pending requests")
-    head = pool[0]
-    batch = [head]
-    for entry in islice(pool, 1, None):
-        if len(batch) == max_batch:
-            break
-        if entry.request.model == head.request.model:
-            batch.append(entry)
+    head = pool.oldest()
+    batch = [head, *pool.take_fresh(head.request.model, head, max_batch - 1)]
     for entry in batch:
-        pool.remove(entry)
+        pool.discard(entry)
     return batch

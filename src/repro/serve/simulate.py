@@ -215,9 +215,11 @@ class ChipServer:
         Profiles compiled with the scheduling pass replay under the
         depth-1 weight-prefetch schedule; others layer-serially.
         """
-        pool = self.queue.pool
+        sched = self.queue
+        pool = sched.pool
         while pool:
             group = take_batch(pool, self.scheduler.max_batch)
+            sched.selects += 1
             self._dispatch(group)
             size = len(group)
             profile = self.profiles[group[0].request.model]
@@ -234,7 +236,7 @@ class ChipServer:
             obs.inc("serve.batches")
             obs.observe("serve.batch_size", size)
             self.dynamic_energy_pj += profile.batch_dynamic_pj(size)
-            self._finish_entries(self.queue.program_done(group, self.engine.now))
+            self._finish_entries(sched.program_done(group, self.engine.now))
 
     def _stage_quanta(self):
         """Continuous mode: one compiled stage per scheduling decision.
@@ -365,6 +367,7 @@ def simulate_serving(
 
         engine.spawn(arrivals(), name="arrivals")
         engine.run()
+        obs.inc("serve.scheduler.selects", chip.queue.selects)
     if len(chip.served) != total:  # pragma: no cover - engine invariant
         raise RuntimeError(
             f"serving simulation stalled: {len(chip.served)}/{total} completed"

@@ -6,8 +6,16 @@ Scheduler-level tests drive :class:`ContinuousBatchScheduler` directly
 the cluster layer consume.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro import obs
+from repro.serve import simulate as serve_simulate
 from repro.serve import (
     ContinuousBatchScheduler,
     Request,
@@ -175,6 +183,68 @@ class TestPreemption:
         assert sched.preemptions == 0
 
 
+class TestPreemptOrder:
+    """``preempted`` follows the carried group's order, so the
+    ``serve.preempt`` spans are structurally deterministic."""
+
+    def test_displaced_carry_comes_back_in_prev_order(self, profiles):
+        sched = make_scheduler(profiles, max_batch=4)
+        low = [sched.add(request(i)) for i in range(3)]
+        group, stage, _, _ = sched.select([])
+        assert group == low
+        sched.stage_done(group, stage, 1.0)
+        sched.add(request(3, priority=1))
+        prev = [low[2], low[0], low[1]]
+        group, _, preempted, _ = sched.select(prev)
+        assert [e.request.index for e in group] == [3]
+        assert preempted == prev
+
+    # Allocation padding moves every later object to other addresses, so
+    # an order that followed ``id`` would differ between the two runs.
+    SCRIPT = """
+import json, sys
+pad = [bytearray(48 + 16 * (i % 13)) for i in range(int(sys.argv[1]))]
+from repro import obs, serve
+weights = serve.parse_model_mix("model2:0.3+model4:0.7")
+profiles = {
+    m: serve.request_profile(m, passes="packing+stratify+ecp") for m in weights
+}
+mean = sum(w * profiles[m].single_latency_s for m, w in weights.items())
+tenants = serve.parse_tenants("gold:3+silver:1")
+requests = serve.poisson_arrivals(300, 1.5 / mean, weights, 0)
+requests = serve.assign_priorities(requests, "0:0.8+1:0.2", seed=0)
+requests = serve.assign_tenants(requests, tenants, seed=0)
+config = serve.SchedulerConfig(max_batch=4, max_inflight=2, mode="continuous")
+sizes = []
+select = serve.ContinuousBatchScheduler.select
+def counted(self, prev):
+    result = select(self, prev)
+    sizes.append(len(result[2]))
+    return result
+serve.ContinuousBatchScheduler.select = counted
+obs.enable(metrics=False)
+serve.simulate_serving(requests, config, profiles=profiles, tenants=tenants)
+spans = [s.args["request"] for s in obs.tracer.spans if s.name == "serve.preempt"]
+print(json.dumps({"preempts": spans, "largest": max(sizes)}))
+"""
+
+    def test_preempt_spans_match_across_processes(self, tmp_path):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop(obs.TRACE_ENV, None)
+        runs = []
+        for padding in (0, 20_000):
+            out = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(padding)],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+                check=True,
+            )
+            runs.append(json.loads(out.stdout.splitlines()[-1]))
+        assert runs[0]["largest"] >= 2, "no boundary preempted two entries"
+        assert runs[0]["preempts"]
+        assert runs[0]["preempts"] == runs[1]["preempts"]
+
+
 class TestJoinLeave:
     def test_preempted_entry_joins_peer_group_at_same_stage(self, profiles):
         sched = make_scheduler(profiles, max_batch=2)
@@ -244,6 +314,72 @@ class TestWFQ:
         sched.add(request(0, tenant="walkin"))
         drain(sched)
         assert sched.service_s["walkin"] > 0
+
+
+class TestSelectsCounter:
+    """``serve.scheduler.selects`` counts every group decision: each
+    continuous ``select`` and each static ``take_batch``."""
+
+    @pytest.fixture
+    def metrics(self):
+        obs.disable()
+        obs.registry.reset()
+        obs.enable(trace=False, metrics=True)
+        yield obs.registry
+        obs.disable()
+        obs.registry.reset()
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        select = ContinuousBatchScheduler.select
+        take = serve_simulate.take_batch
+
+        def counted_select(self, prev):
+            counted.append("select")
+            return select(self, prev)
+
+        def counted_take(pool, max_batch):
+            counted.append("take_batch")
+            return take(pool, max_batch)
+
+        monkeypatch.setattr(ContinuousBatchScheduler, "select", counted_select)
+        monkeypatch.setattr(serve_simulate, "take_batch", counted_take)
+        return counted
+
+    @pytest.mark.parametrize("mode", ["static", "continuous"])
+    def test_counter_equals_decision_calls(self, metrics, calls, profiles, mode):
+        requests = [
+            Request(
+                index=r.index, model=r.model, arrival_s=r.arrival_s,
+                priority=r.index % 3 == 0,
+            )
+            for r in poisson_arrivals(30, 6000.0, MODEL, seed=5)
+        ]
+        config = SchedulerConfig(max_batch=2, max_inflight=2, mode=mode)
+        simulate_serving(requests, config, profiles=profiles)
+        expected = "select" if mode == "continuous" else "take_batch"
+        assert calls and set(calls) == {expected}
+        assert metrics.counter("serve.scheduler.selects").value == len(calls)
+
+    def test_cluster_runs_add_their_chips_decisions(self, metrics, calls):
+        from repro.cluster import (
+            ShardingConfig,
+            homogeneous_fleet,
+            simulate_cluster,
+            simulate_cluster_sharded,
+        )
+
+        requests = poisson_arrivals(40, 20000.0, MODEL, seed=2)
+        config = SchedulerConfig(max_batch=2, mode="continuous")
+        simulate_cluster(requests, homogeneous_fleet(2), config)
+        single = len(calls)
+        simulate_cluster_sharded(
+            requests, homogeneous_fleet(4), config,
+            sharding=ShardingConfig(num_shards=2, window_s=0.0005, jobs=1),
+        )
+        assert 0 < single < len(calls)
+        assert metrics.counter("serve.scheduler.selects").value == len(calls)
 
 
 class TestStageSerial:

@@ -2,19 +2,25 @@
 
 import pytest
 
-from repro.serve import Request, SchedulerConfig, StageEntry, take_batch
+from repro.serve import (
+    ReadyPool,
+    Request,
+    SchedulerConfig,
+    StageEntry,
+    take_batch,
+)
 
 
 def reqs(*models):
-    """An admission-ordered pool, as the chip's scheduler holds it."""
-    return [
-        StageEntry(
+    """A static-mode ready pool, as the chip's scheduler holds it."""
+    pool = ReadyPool(SchedulerConfig())
+    for i, m in enumerate(models):
+        pool.insert(StageEntry(
             request=Request(index=i, model=m, arrival_s=float(i)),
             total_stages=1,
             order=i,
-        )
-        for i, m in enumerate(models)
-    ]
+        ))
+    return pool
 
 
 def indices(entries):
@@ -61,4 +67,4 @@ class TestTakeBatch:
 
     def test_empty_queue_raises(self):
         with pytest.raises(ValueError):
-            take_batch([], max_batch=1)
+            take_batch(ReadyPool(SchedulerConfig()), max_batch=1)
