@@ -7,7 +7,7 @@ Walks the three cluster stories on one Poisson workload:
 2. **Routing** — a mixed-sparsity mix on a dense-heavy + sparse-heavy
    fleet under round-robin vs least-work vs sparsity-aware affinity;
 3. **Elasticity** — admission control shedding under overload, then the
-   reactive autoscaler growing the fleet instead.
+   autoscaler growing the fleet instead.
 
 Run:  PYTHONPATH=src python examples/cluster_serving.py [--requests N]
 """
@@ -17,10 +17,10 @@ import argparse
 from repro.cluster import (
     AdmissionConfig,
     AutoscaleConfig,
-    ClusterSimulation,
     fleet_capacity_rps,
     homogeneous_fleet,
     parse_fleet,
+    simulate_cluster_sharded,
 )
 from repro.serve import (
     SchedulerConfig,
@@ -45,9 +45,9 @@ def main() -> None:
     print(f"{'chips':>6} {'thr rps':>9} {'p50 ms':>8} {'p99 ms':>8}")
     base = None
     for size in (1, 2, 4):
-        report = ClusterSimulation(
-            homogeneous_fleet(size), scheduler, seed=args.seed
-        ).run(saturating)
+        report = simulate_cluster_sharded(
+            saturating, homogeneous_fleet(size), scheduler, seed=args.seed
+        )
         base = base or report.throughput_rps
         p = report.latency_percentiles_ms
         print(
@@ -63,9 +63,9 @@ def main() -> None:
     print("\nrouting: model2+model4 on dense_heavy:2+sparse_heavy:2 (rho 0.85)")
     print(f"{'policy':>12} {'p50 ms':>8} {'p99 ms':>8} {'thr rps':>9}")
     for policy in ("round_robin", "least_work", "sparsity"):
-        report = ClusterSimulation(
-            fleet, scheduler, policy=policy, seed=args.seed
-        ).run(stream)
+        report = simulate_cluster_sharded(
+            stream, fleet, scheduler, policy=policy, seed=args.seed
+        )
         p = report.latency_percentiles_ms
         print(
             f"{policy:>12} {p['p50']:>8.3f} {p['p99']:>8.3f}"
@@ -74,18 +74,23 @@ def main() -> None:
 
     # -- 3. elasticity: shed vs scale ---------------------------------------
     overload = poisson_arrivals(args.requests, 3.0 * capacity, model, args.seed)
-    shed = ClusterSimulation(
+    shed = simulate_cluster_sharded(
+        overload,
         homogeneous_fleet(1),
         scheduler,
         admission=AdmissionConfig(queue_capacity=8),
         seed=args.seed,
-    ).run(overload)
+    )
     autoscale = AutoscaleConfig(
         interval_s=20 * request_profile(model).single_latency_s, max_chips=4
     )
-    scaled = ClusterSimulation(
-        homogeneous_fleet(1), scheduler, autoscale=autoscale, seed=args.seed
-    ).run(overload)
+    scaled = simulate_cluster_sharded(
+        overload,
+        homogeneous_fleet(1),
+        scheduler,
+        autoscale=autoscale,
+        seed=args.seed,
+    )
     print(f"\nelasticity at 3x overload ({args.requests} requests):")
     print(
         f"  bounded queue (8):  served {shed.served}, shed {shed.shed},"

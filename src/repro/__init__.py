@@ -25,8 +25,8 @@ serve
     arrival streams, batch/queue schedulers, latency-percentile reports.
 cluster
     Multi-chip fleets behind a front-end router: chip kinds and model
-    placement, routing policies, admission control, reactive autoscaling
-    (docs/CLUSTER.md).
+    placement, routing policies, admission control, autoscaling, all in
+    one simulator of K shards stepped in windows (docs/CLUSTER.md).
 dse
     Design-space exploration: a typed parameter-space DSL over
     ``BishopConfig``, pluggable multi-objective search strategies, and

@@ -40,7 +40,6 @@ from .timeline import (
     TimelineEntry,
     entries_from_dicts,
     entries_to_dicts,
-    merge_timelines,
     use,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "entries_to_dicts",
     "inference_process",
     "layer_timings",
-    "merge_timelines",
     "schedule_for",
     "scheduled_inference_process",
     "simulate_inference",

@@ -21,7 +21,6 @@ __all__ = [
     "TimelineEntry",
     "entries_from_dicts",
     "entries_to_dicts",
-    "merge_timelines",
     "use",
 ]
 
@@ -55,20 +54,6 @@ class TimelineEntry:
             start_s=float(payload["start_s"]),
             end_s=float(payload["end_s"]),
         )
-
-
-def merge_timelines(*timelines: list[TimelineEntry]) -> list[TimelineEntry]:
-    """Merge per-machine timelines into one deterministic total order.
-
-    Entries are ordered by ``(start_s, end_s, resource, label)``: when two
-    chips emit events at the same timestamp, the namespaced resource name
-    (``chip0.dense_core`` < ``chip1.dense_core``) breaks the tie, so the
-    merged order is a pure function of the entries — independent of which
-    machine's timeline was recorded or passed first.
-    """
-    merged = [entry for timeline in timelines for entry in timeline]
-    merged.sort(key=lambda e: (e.start_s, e.end_s, e.resource, e.label))
-    return merged
 
 
 def entries_to_dicts(entries: list[TimelineEntry]) -> list[dict]:

@@ -774,7 +774,7 @@ def _run_cluster(
     ] = "poisson",
     period_s: float = 0.0,
     regions: str = "us:0.5@0.0+eu:0.3@0.33+apac:0.2@0.66",
-    shards: int = 0,
+    shards: int = 1,
     window_ms: float = 0.0,
     shard_jobs: int = 1,
     shard_policy: Literal["round_robin", "least_backlog"] = "round_robin",
@@ -796,10 +796,12 @@ def _run_cluster(
     from .cluster import (
         AdmissionConfig,
         AutoscaleConfig,
-        ClusterSimulation,
+        ShardingConfig,
+        auto_window_s,
         fleet_capacity_rps,
         homogeneous_fleet,
         parse_fleet,
+        simulate_cluster_sharded,
     )
     from .serve import (
         SchedulerConfig,
@@ -811,10 +813,8 @@ def _run_cluster(
         parse_tenants,
     )
 
-    if alerts and not shards:
-        raise ValueError(
-            "--alerts needs the windowed coordinator: add --shards K"
-        )
+    if shards < 1:
+        raise ValueError(f"--shards must be >= 1, got {shards}")
     for flag, value in (("--window-ms", window_ms), ("--period-s", period_s)):
         if value < 0:
             raise ValueError(f"{flag} must be >= 0 (0 = auto), got {value:g}")
@@ -861,47 +861,32 @@ def _run_cluster(
         max_inflight=max_inflight,
         mode="continuous" if scheduler == "continuous" else "static",
     )
-    admission = AdmissionConfig(queue_capacity=queue_capacity or None)
-    if shards:
-        from .cluster import (
-            ShardingConfig,
-            auto_window_s,
-            simulate_cluster_sharded,
-        )
-
+    if window_ms == 0 and autoscale is not None:
+        # Every autoscale tick lands on a window edge.
+        window_s = autoscale.interval_s
+    else:
         span = stream[-1].arrival_s if stream else 0.0
         window_s = auto_window_s(window_ms, span, 32)
-        report = simulate_cluster_sharded(
-            stream,
-            chip_fleet,
-            scheduler_config,
-            policy=policy,
-            admission=admission,
-            autoscale=autoscale,
-            sharding=ShardingConfig(
-                num_shards=shards,
-                window_s=window_s,
-                jobs=shard_jobs,
-                shard_policy=shard_policy,
-            ),
-            seed=seed,
-            passes=passes,
-            slo_ms=slo_ms or None,
-            slo_target=slo_target,
-            alerts=alerts,
-            tenants=tenant_specs,
-        )
-    else:
-        report = ClusterSimulation(
-            chip_fleet,
-            scheduler_config,
-            policy=policy,
-            admission=admission,
-            autoscale=autoscale,
-            seed=seed,
-            passes=passes,
-            tenants=tenant_specs,
-        ).run(stream)
+    report = simulate_cluster_sharded(
+        stream,
+        chip_fleet,
+        scheduler_config,
+        policy=policy,
+        admission=AdmissionConfig(queue_capacity=queue_capacity or None),
+        autoscale=autoscale,
+        sharding=ShardingConfig(
+            num_shards=shards,
+            window_s=window_s,
+            jobs=shard_jobs,
+            shard_policy=shard_policy,
+        ),
+        seed=seed,
+        passes=passes,
+        slo_ms=slo_ms or None,
+        slo_target=slo_target,
+        alerts=alerts,
+        tenants=tenant_specs,
+    )
 
     p = report.latency_percentiles_ms
     print(

@@ -1,4 +1,4 @@
-"""Multi-chip cluster serving: sharded Bishop fleets on one engine clock.
+"""Multi-chip cluster serving: Bishop fleets in shards stepped in windows.
 
 ``fleet``
     Chip kinds (standard / sparse-heavy / dense-heavy), model placement,
@@ -9,27 +9,25 @@
 ``admission``
     Bounded per-chip queues and load shedding.
 ``autoscale``
-    Reactive replica scaling from queue-pressure signals.
-``simulate``
-    :class:`ClusterSimulation`: N chips + router (+ autoscaler) on one
-    shared discrete-event engine.
+    Replica-scaling parameters and the scaling-event record.
+``sharding``
+    :func:`simulate_cluster_sharded`, the fleet simulator: chips dealt to
+    K shards (default one), each a private discrete-event engine with
+    its own router, stepped in coordination windows that drive
+    cross-shard routing, the autoscaler and streaming SLO monitoring.
 ``report``
     Fleet-aggregate and per-chip statistics, reusing the serving layer's
     percentile machinery.
 
-Registered experiments: ``cluster_scaling_curve`` and
-``cluster_routing_ablation`` (see ``repro.harness.experiments``);
+Registered experiments: ``cluster_scaling_curve``,
+``cluster_routing_ablation``, ``cluster_multitenant_fairness`` and
+``cluster_planet_scale`` (see ``repro.harness.experiments``);
 docs/CLUSTER.md describes the fleet model, routing policies, and
 autoscaler semantics.
 """
 
-from .admission import (
-    AdmissionConfig,
-    ShedRecord,
-    TenantAdmission,
-    eligible_chips,
-)
-from .autoscale import AutoscaleConfig, Autoscaler, ScalingEvent
+from .admission import AdmissionConfig, TenantAdmission, eligible_chips
+from .autoscale import AutoscaleConfig, ScalingEvent
 from .fleet import (
     CHIP_KINDS,
     ChipSpec,
@@ -46,7 +44,6 @@ from .report import (
     ClusterReport,
     ShardChipStats,
     WindowStats,
-    build_cluster_report,
     build_sharded_cluster_report,
     tenant_report,
 )
@@ -68,17 +65,14 @@ from .sharding import (
     partition_fleet,
     simulate_cluster_sharded,
 )
-from .simulate import ClusterSimulation, simulate_cluster
 
 __all__ = [
     "AdmissionConfig",
     "AutoscaleConfig",
-    "Autoscaler",
     "CHIP_KINDS",
     "ChipReport",
     "ChipSpec",
     "ClusterReport",
-    "ClusterSimulation",
     "FleetSpec",
     "LeastOutstanding",
     "POLICIES",
@@ -90,12 +84,11 @@ __all__ = [
     "ShardInit",
     "ShardState",
     "ShardingConfig",
-    "ShedRecord",
     "SparsityAffinity",
     "TenantAdmission",
     "WindowDigest",
     "WindowStats",
-    "build_cluster_report",
+    "auto_window_s",
     "build_sharded_cluster_report",
     "chip_config",
     "eligible_chips",
@@ -106,7 +99,6 @@ __all__ = [
     "parse_fleet",
     "partition_fleet",
     "register_chip_kind",
-    "simulate_cluster",
     "simulate_cluster_sharded",
     "tenant_report",
 ]

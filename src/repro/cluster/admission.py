@@ -3,8 +3,9 @@
 Every chip's pending queue is bounded by ``queue_capacity``; a request is
 only routable to chips with a free slot.  When *no* eligible chip exists
 — every replica of the model is full (or draining) — the request is shed
-at the front door instead of growing an unbounded backlog, and the
-cluster report accounts for it (``shed`` count and per-model breakdown).
+at the shard's front door instead of growing an unbounded backlog, and
+the cluster report accounts for it (``shed`` count and per-model
+breakdown).
 ``queue_capacity=None`` disables shedding (unbounded queues), which is
 what capacity-measurement experiments use.
 
@@ -25,7 +26,6 @@ from ..serve.workload import Request, TenantSpec
 
 __all__ = [
     "AdmissionConfig",
-    "ShedRecord",
     "TenantAdmission",
     "eligible_chips",
 ]
@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Front-door policy of the cluster router."""
+    """Front-door policy of every shard's router."""
 
     queue_capacity: int | None = None   # per-chip pending bound; None = unbounded
 
@@ -42,25 +42,15 @@ class AdmissionConfig:
             raise ValueError("queue_capacity must be >= 1 (or None: unbounded)")
 
 
-@dataclass(frozen=True)
-class ShedRecord:
-    """One request rejected by admission control."""
-
-    index: int
-    model: str
-    arrival_s: float
-    tenant: str = ""
-
-
 class TenantAdmission:
     """Per-tenant outstanding-request quota tracker (front-door side).
 
     ``admit`` reserves a slot when the tenant is under quota; ``release``
     returns it on completion.  Tenants without a declared quota (or
-    requests with no tenant tag) are always admitted.  Both the
-    single-process router and each shard's feed loop enforce quotas
-    through one of these — in sharded runs the quota is per shard, since
-    shards admit independently between coordination windows.
+    requests with no tenant tag) are always admitted.  Each shard's feed
+    loop enforces quotas through one of these — with several shards the
+    quota is per shard, since shards admit independently between
+    coordination windows.
     """
 
     def __init__(self, tenants: tuple[TenantSpec, ...] = ()):

@@ -1,36 +1,34 @@
-"""Reactive autoscaling: grow and drain chip replicas from load signals.
+"""Autoscaling: grow and drain chip replicas from load signals.
 
-The autoscaler is one more engine process: every ``interval_s`` of
-simulated time it samples the fleet's **queue pressure** — outstanding
-estimated work per accepting chip, normalized by the sampling interval
-(pressure 1.0 ≡ each chip is backlogged by a full interval of work) — and
-reacts:
+The fleet coordinator (:func:`repro.cluster.simulate_cluster_sharded`)
+runs the control loop at window edges: when an ``interval_s`` tick is
+due it samples the fleet's **queue pressure** — outstanding estimated
+work per accepting chip, normalized by the interval (pressure 1.0 ≡ each
+chip is backlogged by a full interval of work) — and makes one decision:
 
 * pressure above ``high_pressure`` and headroom under ``max_chips`` →
   **add** a fully-replicated chip of the template ``kind`` (a fresh
-  :class:`~repro.arch.engine.machine.BishopMachine` joins the shared
+  :class:`~repro.arch.engine.machine.BishopMachine` joins a shard's
   engine clock mid-run);
 * pressure below ``low_pressure`` with more than ``min_chips`` accepting →
   **drain** the least-loaded removable chip: it stops accepting new work,
   finishes its queue, and from then on accrues no static energy.
 
 A chip is only drainable if every model it hosts stays available on some
-other accepting chip, so scaling down never strands a placement.
+other accepting chip of its shard, so scaling down never strands a
+placement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..arch.engine.kernel import Hold
-from ..serve.simulate import ChipServer
-
-__all__ = ["AutoscaleConfig", "Autoscaler", "ScalingEvent"]
+__all__ = ["AutoscaleConfig", "ScalingEvent"]
 
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
-    """Control-loop parameters of the reactive autoscaler."""
+    """Control-loop parameters of the autoscaler."""
 
     interval_s: float
     high_pressure: float = 1.0
@@ -66,70 +64,3 @@ class ScalingEvent:
             "pressure": self.pressure,
             "accepting_chips": self.accepting_chips,
         }
-
-
-class Autoscaler:
-    """The reactive control loop, bound to one cluster simulation."""
-
-    def __init__(self, config: AutoscaleConfig, cluster):
-        self.config = config
-        self.cluster = cluster
-        self.events: list[ScalingEvent] = []
-
-    def _pressure(self, accepting: list[ChipServer]) -> float:
-        if not accepting:
-            return 0.0
-        outstanding = sum(chip.outstanding_s for chip in accepting)
-        return outstanding / (len(accepting) * self.config.interval_s)
-
-    def _drainable(self, accepting: list[ChipServer]) -> list[ChipServer]:
-        """Chips whose hosted models all remain covered elsewhere."""
-        candidates = []
-        for chip in accepting:
-            others = [c for c in accepting if c is not chip]
-            covered = all(
-                any(other.hosts(model) for other in others)
-                for model in chip.profiles
-            )
-            if covered:
-                candidates.append(chip)
-        return candidates
-
-    def process(self):
-        """The engine process: sample every interval, act, stop when done."""
-        config = self.config
-        while True:
-            yield Hold(config.interval_s)
-            if self.cluster.finished:
-                return
-            # Both actions are gated on arrivals still flowing: once the
-            # router closed the chips, add/drain decisions would only add
-            # post-traffic noise to the report.
-            accepting = [c for c in self.cluster.chips if c.accepting]
-            pressure = self._pressure(accepting)
-            now = self.cluster.engine.now
-            if (
-                pressure > config.high_pressure
-                and len(accepting) < config.max_chips
-                and not self.cluster.arrivals_done
-            ):
-                chip = self.cluster.add_replica(config.kind)
-                self.events.append(ScalingEvent(
-                    t_s=now, action="add", chip=chip.name,
-                    pressure=pressure, accepting_chips=len(accepting) + 1,
-                ))
-            elif (
-                pressure < config.low_pressure
-                and len(accepting) > config.min_chips
-                and not self.cluster.arrivals_done
-            ):
-                drainable = self._drainable(accepting)
-                if not drainable:
-                    continue
-                victim = min(drainable, key=lambda c: c.outstanding_s)
-                victim.accepting = False
-                victim.close()
-                self.events.append(ScalingEvent(
-                    t_s=now, action="drain", chip=victim.name,
-                    pressure=pressure, accepting_chips=len(accepting) - 1,
-                ))

@@ -1,23 +1,19 @@
 """Cluster-level results: per-chip and fleet-aggregate statistics.
 
 Reuses the serving layer's percentile machinery
-(:func:`repro.serve.report.latency_stats`) so single-chip and cluster
-reports quote identical statistics, and stays well-defined on degenerate
-outcomes (a fully-shed stream reports zeros, not errors).
+(:func:`repro.serve.report.latency_stats`, over mergeable latency
+sketches) so single-chip and cluster reports quote the same statistics,
+and stays well-defined on degenerate outcomes (a fully-shed stream
+reports zeros, not errors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..arch.engine.timeline import EngineRun
-from ..serve.report import ServedRequest, latency_stats, slo_block
-from ..serve.simulate import ChipServer
+from ..serve.report import latency_stats, slo_block
 from ..serve.sketch import LatencySketch
 from ..serve.workload import TenantSpec
-from .admission import ShedRecord
 from .autoscale import ScalingEvent
 
 __all__ = [
@@ -25,7 +21,6 @@ __all__ = [
     "ClusterReport",
     "ShardChipStats",
     "WindowStats",
-    "build_cluster_report",
     "build_sharded_cluster_report",
     "tenant_report",
 ]
@@ -109,9 +104,9 @@ def tenant_report(
 class ShardChipStats:
     """One chip's summary counters, as shipped in a shard's final digest.
 
-    The sharded simulation never moves ``ServedRequest`` lists between
-    processes; these counters (plus the shard's latency sketches) are all
-    the coordinator needs to build :class:`ChipReport`-equivalent rows.
+    Shards never move per-request records between processes; these
+    counters (plus the shard's latency sketches) are all the coordinator
+    needs to build :class:`ChipReport` rows.
     """
 
     name: str
@@ -135,7 +130,7 @@ class ShardChipStats:
 
 @dataclass(frozen=True)
 class WindowStats:
-    """One coordination window of a sharded run, fleet-aggregated."""
+    """One coordination window of a fleet run, fleet-aggregated."""
 
     index: int
     start_s: float
@@ -153,6 +148,9 @@ class WindowStats:
     pending: int | None = None           # queued-only (backlog minus in-flight)
     budget_remaining: float | None = None
     burn_rate: float | None = None
+    # This window's completions per tenant; in memory only (not emitted
+    # by to_dict, so window payloads keep their shape).
+    tenant_served: dict[str, int] = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
         payload = {
@@ -198,10 +196,6 @@ class ClusterReport:
     scaling_events: tuple[ScalingEvent, ...]
     dynamic_energy_mj: float
     static_energy_mj: float
-    requests: tuple[ServedRequest, ...] = field(default_factory=tuple, repr=False)
-    shed_records: tuple[ShedRecord, ...] = field(default_factory=tuple, repr=False)
-    run: EngineRun | None = field(default=None, repr=False)
-    # Sharded runs only (defaults keep the single-process path unchanged).
     num_shards: int = 1
     window_s: float | None = None
     windows: tuple[WindowStats, ...] = field(default_factory=tuple, repr=False)
@@ -226,7 +220,8 @@ class ClusterReport:
         return (self.dynamic_energy_mj + self.static_energy_mj) / self.served
 
     def to_dict(self) -> dict:
-        """JSON-ready payload (drops raw request records and the timeline)."""
+        """JSON-ready payload (drops the sketches and per-tenant window
+        counts)."""
         payload = {
             "num_requests": self.num_requests,
             "served": self.served,
@@ -276,107 +271,6 @@ class ClusterReport:
         return payload
 
 
-def _chip_report(chip: ChipServer, horizon_s: float, static_pj_per_s: float) -> ChipReport:
-    span = chip.active_span_s(horizon_s)
-    batch_sizes = [r.batch_size for r in chip.served]
-    return ChipReport(
-        name=chip.name or "chip",
-        kind=chip.kind,
-        models=tuple(sorted(chip.profiles)),
-        requests_served=len(chip.served),
-        mean_batch_size=float(np.mean(batch_sizes)) if batch_sizes else 0.0,
-        utilization={
-            unit: resource.stats.utilization(span, resource.capacity)
-            for unit, resource in chip.machine.resources.items()
-        },
-        dynamic_energy_mj=chip.dynamic_energy_pj * 1e-9,
-        static_energy_mj=static_pj_per_s * span * 1e-9,
-        active_span_s=span,
-        added_s=chip.started_s,
-        drained=chip.drained_s is not None and not chip.accepting,
-    )
-
-
-def build_cluster_report(
-    chips: list[ChipServer],
-    shed: list[ShedRecord],
-    offered_rps: float,
-    policy: str,
-    queue_capacity: int | None,
-    initial_chips: int,
-    scaling_events: list[ScalingEvent],
-    static_pj_per_s: float,
-    run: EngineRun | None = None,
-    tenants: tuple[TenantSpec, ...] = (),
-    tenant_shed: dict[str, int] | None = None,
-) -> ClusterReport:
-    served = sorted(
-        (r for chip in chips for r in chip.served), key=lambda r: r.index
-    )
-    tenant_shed = dict(tenant_shed or {})
-    tenant_sketches: dict[str, LatencySketch] = {
-        spec.name: LatencySketch() for spec in tenants
-    }
-    tenant_service: dict[str, float] = {
-        spec.name: 0.0 for spec in tenants
-    }
-    for chip in chips:
-        for tenant, service in chip.tenant_service_s.items():
-            if tenant:
-                tenant_service[tenant] = (
-                    tenant_service.get(tenant, 0.0) + service
-                )
-    for record in served:
-        if record.tenant:
-            sketch = tenant_sketches.setdefault(record.tenant, LatencySketch())
-            sketch.add(record.latency_s)
-    tenant_blocks = (
-        tenant_report(tenants, tenant_sketches, tenant_shed, tenant_service)
-        if tenants or tenant_sketches or tenant_shed
-        else {}
-    )
-    stats = latency_stats([r.latency_s for r in served])
-    waits = np.array([r.queue_wait_s for r in served])
-    horizon = max((r.finish_s for r in served), default=0.0)
-    chip_reports = {
-        report.name: report
-        for report in (
-            _chip_report(chip, horizon, static_pj_per_s) for chip in chips
-        )
-    }
-    shed_by_model: dict[str, int] = {}
-    for record in shed:
-        shed_by_model[record.model] = shed_by_model.get(record.model, 0) + 1
-    return ClusterReport(
-        num_requests=len(served) + len(shed),
-        served=len(served),
-        shed=len(shed),
-        offered_rps=offered_rps,
-        horizon_s=horizon,
-        throughput_rps=len(served) / horizon if horizon > 0 else 0.0,
-        latency_percentiles_ms=stats.percentiles_ms,
-        latency_mean_ms=stats.mean_ms,
-        latency_max_ms=stats.max_ms,
-        queue_wait_mean_ms=float(waits.mean()) * 1e3 if served else 0.0,
-        policy=policy,
-        queue_capacity=queue_capacity,
-        initial_chips=initial_chips,
-        final_accepting_chips=sum(1 for chip in chips if chip.accepting),
-        chips=chip_reports,
-        shed_by_model=shed_by_model,
-        scaling_events=tuple(scaling_events),
-        dynamic_energy_mj=sum(chip.dynamic_energy_pj for chip in chips) * 1e-9,
-        static_energy_mj=sum(
-            report.static_energy_mj for report in chip_reports.values()
-        ),
-        requests=tuple(served),
-        shed_records=tuple(shed),
-        run=run,
-        tenants=tenant_blocks,
-        tenant_sketches=tenant_sketches,
-    )
-
-
 def _sharded_chip_report(
     stats: ShardChipStats, horizon_s: float, static_pj_per_s: float
 ) -> ChipReport:
@@ -405,7 +299,6 @@ def build_sharded_cluster_report(
     chip_stats: list[ShardChipStats],
     shed_total: int,
     shed_by_model: dict[str, int],
-    shed_records: list[ShedRecord],
     latency: LatencySketch,
     wait: LatencySketch,
     *,
@@ -427,15 +320,13 @@ def build_sharded_cluster_report(
     tenant_shed: dict[str, int] | None = None,
     tenant_service_s: dict[str, float] | None = None,
 ) -> ClusterReport:
-    """The sharded counterpart of :func:`build_cluster_report`.
+    """The fleet report, built from merged shard digests.
 
-    Built from merged shard digests instead of ``ServedRequest`` lists:
-    latency statistics come from the fleet's merged
+    Latency statistics come from the fleet's merged
     :class:`~repro.serve.sketch.LatencySketch` (bounded-error
     percentiles, exact count/mean/max), per-chip rows from
-    :class:`ShardChipStats` counters.  ``shed_records`` carries only the
-    coordinator-level sheds (models no accepting shard hosts);
-    shard-level sheds are counted in ``shed_total`` / ``shed_by_model``.
+    :class:`ShardChipStats` counters, and sheds from the shards' front
+    doors (``shed_total`` / ``shed_by_model``).
     """
     stats = latency_stats(latency)
     served = stats.count
@@ -500,7 +391,6 @@ def build_sharded_cluster_report(
         static_energy_mj=sum(
             report.static_energy_mj for report in chip_reports.values()
         ),
-        shed_records=tuple(shed_records),
         num_shards=num_shards,
         window_s=window_s,
         windows=tuple(windows),

@@ -1,7 +1,7 @@
 """Front-end routing policies: which chip serves the next request.
 
-The router consults a policy with the request and the *eligible* chips
-(active, accepting, hosting the model, queue not full — see
+Each shard's router consults a policy with the request and the
+*eligible* chips (accepting, hosting the model, queue not full — see
 ``repro.cluster.admission``).  Policies are deterministic: given the same
 stream and fleet they always produce the same assignment, which keeps
 cluster experiments cacheable by the runtime.
@@ -47,10 +47,6 @@ class RoutingPolicy:
     ) -> ChipServer | None:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Clear any routing state; called at the start of every run so a
-        reused policy instance routes each stream identically."""
-
 
 class RoundRobin(RoutingPolicy):
     """Cycle through eligible chips in fleet order."""
@@ -58,9 +54,6 @@ class RoundRobin(RoutingPolicy):
     name = "round_robin"
 
     def __init__(self):
-        self._turn = 0
-
-    def reset(self):
         self._turn = 0
 
     def choose(self, request, eligible):
@@ -105,10 +98,8 @@ POLICIES: dict[str, type[RoutingPolicy]] = {
 }
 
 
-def make_policy(policy: str | RoutingPolicy) -> RoutingPolicy:
-    """Resolve a policy name (or pass an instance through)."""
-    if isinstance(policy, RoutingPolicy):
-        return policy
+def make_policy(policy: str) -> RoutingPolicy:
+    """A fresh policy instance from its name."""
     try:
         return POLICIES[policy]()
     except KeyError:

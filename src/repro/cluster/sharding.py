@@ -1,10 +1,9 @@
-"""Sharded fleet simulation: planet-scale clusters in bounded time windows.
+"""The fleet simulator: chips partitioned into shards, stepped in windows.
 
-The single-process :class:`~repro.cluster.simulate.ClusterSimulation`
-shares one engine clock across every chip, so fleet size is bounded by
-one core's event throughput — and its front-end router scans the whole
-fleet per request.  This module partitions the fleet into **shards** that
-advance independently:
+One engine clock across every chip bounds fleet size by one core's event
+throughput, and one front-end router would scan the whole fleet per
+request.  This module partitions the fleet into **shards** that advance
+independently (one shard, the default, is the whole fleet on one clock):
 
 * :func:`partition_fleet` deals chips to shards round-robin (chip ``i``
   → shard ``i % num_shards``), preserving global chip names;
@@ -18,13 +17,13 @@ advance independently:
   arrival stream window by window, assigns each request to a shard
   (:data:`SHARD_POLICIES`), dispatches the window to every busy shard
   through the :class:`~repro.runtime.executor.ShardPool` actor pool, and
-  merges the digests — driving the windowed autoscaler and the
-  SLO-attainment report between windows.
+  merges the digests — driving the autoscaler (one decision per window)
+  and the SLO-attainment report between windows.
 
 Chips are dealt round-robin (not in contiguous blocks) so that, with
 ``num_shards`` dividing the fleet size, shard-level round-robin over
-round-robin shards reproduces the global round-robin assignment *request
-for request* — the conformance anchor the sharded path is tested
+round-robin shards reproduces the one-shard round-robin assignment
+*request for request* — the conformance anchor K-shard runs are tested
 against.  In-flight batches cross window boundaries naturally because a
 shard's engine state persists in its worker process between calls.
 
@@ -41,6 +40,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .. import obs
 from ..arch.engine.kernel import Engine, Hold
@@ -51,12 +51,7 @@ from ..serve.scheduler import SchedulerConfig
 from ..serve.simulate import ChipServer
 from ..serve.sketch import LatencySketch
 from ..serve.workload import Request, TenantSpec
-from .admission import (
-    AdmissionConfig,
-    ShedRecord,
-    TenantAdmission,
-    eligible_chips,
-)
+from .admission import AdmissionConfig, TenantAdmission, eligible_chips
 from .autoscale import AutoscaleConfig, ScalingEvent
 from .fleet import ChipSpec, FleetSpec, chip_config
 from .report import (
@@ -94,10 +89,10 @@ class ShardingConfig:
     autoscaling happen only at window edges, so smaller windows track
     load faster while larger ones amortize per-window dispatch cost.
     ``jobs`` sizes the actor pool (``1`` = run shards inline, ``0`` =
-    one worker per core).
+    one worker per core).  One shard is the whole fleet on one engine.
     """
 
-    num_shards: int = 4
+    num_shards: int = 1
     window_s: float = 0.25
     jobs: int = 1
     shard_policy: str = "round_robin"
@@ -191,13 +186,14 @@ class WindowDigest:
     delivered: int                # cumulative requests fed to this shard
     pending: int                  # queued across chips at window end
     inflight: int
-    outstanding_s: float
+    outstanding_s: float          # estimated work on accepting chips
     accepting_chips: int
     hosted_models: tuple[str, ...]
     latency: LatencySketch
     wait: LatencySketch
     applied: tuple[tuple[str, str | None], ...] = ()   # command acks
     wall_s: float = 0.0           # worker wall time spent in this step
+    tenant_served: dict[str, int] = field(default_factory=dict)  # this window
 
     @property
     def busy(self) -> bool:
@@ -236,7 +232,6 @@ class ShardState:
         self.init = init
         self.engine = Engine()
         self.policy = make_policy(init.policy)
-        self.policy.reset()
         self.chips: list[ChipServer] = []
         self.served = 0
         self.shed = 0
@@ -255,6 +250,7 @@ class ShardState:
         self._window_waits: list[float] = []
         self._window_served = 0
         self._window_shed = 0
+        self._window_tenant_served: dict[str, int] = {}
         for name, kind, models in zip(
             init.chip_names, init.chip_kinds, init.chip_models
         ):
@@ -310,6 +306,9 @@ class ShardState:
                 request.tenant, LatencySketch()
             )
             sketch.add(finish_s - request.arrival_s)
+            self._window_tenant_served[request.tenant] = (
+                self._window_tenant_served.get(request.tenant, 0) + 1
+            )
         self.tenant_admission.release(request)
 
     # -- window advance ----------------------------------------------------
@@ -340,9 +339,12 @@ class ShardState:
             self.delivered += 1
 
     def _apply(self, command: tuple) -> tuple[str, str | None]:
-        action = command[0]
+        action, at_s = command[:2]
+        # A shard with no work is not stepped, so its clock may trail the
+        # window start the command was decided for: catch it up first.
+        self.engine.run(until=at_s)
         if action == "add":
-            _, kind, name = command
+            _, _, kind, name = command
             chip = self._add_chip(name, kind, tuple(self.init.workload_models))
             return ("add", chip.name)
         if action == "drain":
@@ -355,7 +357,8 @@ class ShardState:
         raise ValueError(f"unknown shard command {command!r}")
 
     def _drainable_victim(self) -> ChipServer | None:
-        """Least-loaded accepting chip whose models stay covered in-shard."""
+        """Least-loaded accepting chip whose models stay covered in-shard
+        (ties go to the earliest chip in fleet order)."""
         accepting = [chip for chip in self.chips if chip.accepting]
         candidates = []
         for chip in accepting:
@@ -367,7 +370,7 @@ class ShardState:
                 candidates.append(chip)
         if not candidates:
             return None
-        return min(candidates, key=lambda c: (c.outstanding_s, c.name))
+        return min(candidates, key=lambda c: c.outstanding_s)
 
     def step(
         self,
@@ -377,15 +380,17 @@ class ShardState:
     ) -> WindowDigest:
         """Advance this shard exactly to ``until``; returns the digest.
 
-        Commands (autoscaler add/drain decisions from the coordinator)
-        apply at the window start, before any of the window's arrivals.
+        Commands (autoscaler add/drain decisions from the coordinator,
+        ``(action, at_s, ...)``) apply at the window start ``at_s``,
+        before any of the window's arrivals.
         """
         wall_start = time.perf_counter()
-        applied = tuple(self._apply(command) for command in commands)
         self._window_latencies = []
         self._window_waits = []
         self._window_served = 0
         self._window_shed = 0
+        self._window_tenant_served = {}
+        applied = tuple(self._apply(command) for command in commands)
         with obs.span(
             "cluster.shard.step", cat="cluster",
             shard=self.init.shard, arrivals=len(requests),
@@ -415,13 +420,14 @@ class ShardState:
             delivered=self.delivered,
             pending=sum(chip.queue_depth for chip in self.chips),
             inflight=sum(chip.inflight for chip in self.chips),
-            outstanding_s=sum(chip.outstanding_s for chip in self.chips),
+            outstanding_s=sum(chip.outstanding_s for chip in accepting),
             accepting_chips=len(accepting),
             hosted_models=tuple(sorted(hosted)),
             latency=latency,
             wait=wait,
             applied=applied,
             wall_s=time.perf_counter() - wall_start,
+            tenant_served=self._window_tenant_served,
         )
 
     def finalize(self) -> ShardFinal:
@@ -488,11 +494,16 @@ class _ShardRouter:
 
     ``round_robin`` cycles the eligible shards per request — with
     interleaved partitioning and chip-level round-robin this reproduces
-    the global round-robin assignment exactly (the conformance mode).
+    the one-shard round-robin assignment exactly (the conformance mode).
     ``least_backlog`` sends each request to the eligible shard with the
     least estimated outstanding work per accepting chip, where the
     estimate is the last digest's outstanding plus this window's
     assignments so far.
+
+    Eligible shards host the model with queue room at the last window
+    edge; when none has room, every shard the model is placed on is
+    eligible, and the shard's front door admits or sheds at arrival time
+    — a queue-full snapshot goes stale within the window.
     """
 
     def __init__(
@@ -511,11 +522,11 @@ class _ShardRouter:
         requests: list[Request],
         digests: dict[int, WindowDigest],
         hosted: list[set[str]],
+        placed: list[set[str]],
         accepting: list[int],
-    ) -> tuple[dict[int, list[Request]], list[Request]]:
-        """Split ``requests`` across shards; returns (per-shard, unroutable)."""
+    ) -> dict[int, list[Request]]:
+        """Split ``requests`` across shards."""
         per_shard: dict[int, list[Request]] = {}
-        unroutable: list[Request] = []
         backlog = {
             shard: digests[shard].outstanding_s if shard in digests else 0.0
             for shard in range(self.num_shards)
@@ -525,10 +536,11 @@ class _ShardRouter:
                 shard
                 for shard in range(self.num_shards)
                 if request.model in hosted[shard]
+            ] or [
+                shard
+                for shard in range(self.num_shards)
+                if request.model in placed[shard]
             ]
-            if not eligible:
-                unroutable.append(request)
-                continue
             if self.policy == "round_robin":
                 shard = eligible[self._turn % len(eligible)]
                 self._turn += 1
@@ -541,7 +553,7 @@ class _ShardRouter:
                 )
             backlog[shard] += self.estimates.get(request.model, 0.0)
             per_shard.setdefault(shard, []).append(request)
-        return per_shard, unroutable
+        return per_shard
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +563,7 @@ def simulate_cluster_sharded(
     requests: list[Request],
     fleet: FleetSpec,
     scheduler: SchedulerConfig | None = None,
-    policy: str = "round_robin",
+    policy: str = "least_work",
     admission: AdmissionConfig | None = None,
     autoscale: AutoscaleConfig | None = None,
     sharding: ShardingConfig | None = None,
@@ -568,16 +580,17 @@ def simulate_cluster_sharded(
     detectors: list | None = None,
     tenants: tuple[TenantSpec, ...] = (),
 ) -> ClusterReport:
-    """Serve ``requests`` on a sharded fleet; returns the cluster report.
+    """Serve ``requests`` on ``fleet``; returns the cluster report.
 
-    The sharded counterpart of :func:`repro.cluster.simulate_cluster`:
-    same fleet/scheduler/admission semantics, but chips are partitioned
-    into ``sharding.num_shards`` independent engines coordinated at
-    ``sharding.window_s`` boundaries on the actor pool.  ``policy`` (a
-    name — instances don't cross process boundaries) routes *within*
-    a shard; ``sharding.shard_policy`` routes *across* shards.  The
-    optional ``autoscale`` control loop runs at window granularity on
-    digest pressure.
+    Chips are partitioned into ``sharding.num_shards`` independent
+    engines (default one: the whole fleet on one clock) coordinated at
+    ``sharding.window_s`` boundaries on the actor pool.  ``policy``
+    (``round_robin`` / ``least_work`` / ``sparsity``) routes *within* a
+    shard; ``sharding.shard_policy`` routes *across* shards.  The
+    optional ``autoscale`` control loop makes one decision per window
+    with a due tick, on digest pressure; without an explicit
+    ``sharding`` the window is ``autoscale.interval_s``, so each tick
+    lands on a window edge.
 
     With ``slo_ms`` an :class:`~repro.obs.slo.SLOMonitor` runs
     *streaming* in the coordinator loop — each window's merged latency
@@ -589,14 +602,14 @@ def simulate_cluster_sharded(
     for queue growth, shedding, saturation, and latency drift; all
     alert transitions land in ``report.alerts``.
     """
-    if not isinstance(policy, str):
-        raise TypeError(
-            "sharded simulation needs a routing policy *name*"
-            " (policy instances cannot cross process boundaries)"
-        )
     scheduler = scheduler or SchedulerConfig()
     admission = admission or AdmissionConfig()
-    sharding = sharding or ShardingConfig()
+    if sharding is None:
+        sharding = (
+            ShardingConfig(window_s=autoscale.interval_s)
+            if autoscale is not None
+            else ShardingConfig()
+        )
     energy = energy or EnergyModel()
     # Imported here: repro.runtime imports the harness registry, which
     # imports this package — runtime access must be deferred to call time.
@@ -627,9 +640,9 @@ def simulate_cluster_sharded(
         )
         for index, shard in enumerate(shards)
     ]
-    # Static hosting sets; updated from digests (queue-full shards drop
-    # out until a window frees capacity, drained chips stop counting).
-    hosted: list[set[str]] = [
+    # Models each shard's chips host (grown by added replicas), and the
+    # subset with queue room at the last window edge (from digests).
+    placed: list[set[str]] = [
         {
             model
             for (_, spec) in shard
@@ -638,12 +651,11 @@ def simulate_cluster_sharded(
         }
         for shard in shards
     ]
+    hosted = [set(shard_models) for shard_models in placed]
     accepting = [len(shard) for shard in shards]
     estimates = _service_estimates(fleet, models, bs_t, bs_n, seed, passes)
     router = _ShardRouter(sharding.shard_policy, num_shards, estimates)
 
-    shed_records: list[ShedRecord] = []
-    shed_by_model: dict[str, int] = {}
     scaling_events: list[ScalingEvent] = []
     windows: list[WindowStats] = []
     # Streaming analysis: the SLO monitor consumes each window's merged
@@ -664,10 +676,9 @@ def simulate_cluster_sharded(
     total_latency = LatencySketch()
     total_wait = LatencySketch()
     digests: dict[int, WindowDigest] = {}
-    pending_commands: dict[int, list[tuple]] = {}
+    decision: _Decision | None = None   # awaiting its shard's ack
     next_chip = len(fleet)
     next_scale_check = autoscale.interval_s if autoscale else None
-    arrivals_done = False
     stalled = 0
 
     jobs = sharding.jobs if sharding.jobs else (os.cpu_count() or 1)
@@ -698,20 +709,13 @@ def simulate_cluster_sharded(
                 batch.append(stream[position])
                 position += 1
             arrivals_done = position >= len(stream)
-            per_shard, unroutable = router.assign(
-                batch, digests, hosted, accepting
+            per_shard = router.assign(
+                batch, digests, hosted, placed, accepting
             )
-            for request in unroutable:
-                shed_records.append(ShedRecord(
-                    request.index, request.model, request.arrival_s,
-                    tenant=request.tenant,
-                ))
-                shed_by_model[request.model] = (
-                    shed_by_model.get(request.model, 0) + 1
-                )
-            step_shards = sorted(
-                busy | set(per_shard) | set(pending_commands)
+            commands = (
+                {decision.shard: (decision.command,)} if decision else {}
             )
+            step_shards = sorted(busy | set(per_shard) | set(commands))
             window_span = obs.span(
                 "cluster.window", cat="cluster",
                 window=window, shards=len(step_shards), arrivals=len(batch),
@@ -724,13 +728,14 @@ def simulate_cluster_sharded(
                         "step",
                         tuple(per_shard.get(shard, ())),
                         until,
-                        tuple(pending_commands.get(shard, ())),
+                        commands.get(shard, ()),
                     )
                     for shard in step_shards
                 }
-                pending_commands = {}
+                window_latency = LatencySketch()
                 window_served = 0
                 window_shed = 0
+                tenant_served: dict[str, int] = {}
                 progressed = False
                 for shard in step_shards:
                     digest = futures[shard].result()
@@ -740,40 +745,38 @@ def simulate_cluster_sharded(
                     obs.observe("cluster.shard_window_s", digest.wall_s)
                     total_latency.update(digest.latency)
                     total_wait.update(digest.wait)
+                    window_latency.update(digest.latency)
                     window_served += digest.window_served
                     window_shed += digest.window_shed
+                    for tenant, count in digest.tenant_served.items():
+                        tenant_served[tenant] = (
+                            tenant_served.get(tenant, 0) + count
+                        )
                     hosted[shard] = set(digest.hosted_models)
                     accepting[shard] = digest.accepting_chips
                     if digest.window_served or digest.window_shed:
                         progressed = True
                     for action, chip_name in digest.applied:
-                        if chip_name is not None:
-                            scaling_events.append(ScalingEvent(
-                                t_s=start_s,
-                                action=action,
-                                chip=chip_name,
-                                pressure=_pressure(
-                                    digests, accepting, sharding.window_s
-                                ),
-                                accepting_chips=sum(accepting),
-                            ))
-            window_shed += len(unroutable)
+                        if chip_name is None:
+                            continue
+                        if action == "add":
+                            placed[shard].update(models)
+                        scaling_events.append(ScalingEvent(
+                            t_s=start_s,
+                            action=action,
+                            chip=chip_name,
+                            pressure=decision.pressure,
+                            accepting_chips=decision.accepting_after,
+                        ))
+            decision = None
+            obs.inc("serve.shed", window_shed)
             backlog = sum(d.pending + d.inflight for d in digests.values())
-            window_p99 = (
-                _window_percentile(digests, step_shards, 99.0) * 1e3
-            )
-            window_mean = (
-                _window_mean(digests, step_shards) * 1e3
-            )
             attainment = None
             budget_remaining = None
             burn_rate = None
             if slo_monitor is not None:
-                merged = LatencySketch()
-                for shard in step_shards:
-                    merged.update(digests[shard].latency)
                 state = slo_monitor.observe_window(
-                    window, start_s, until, merged
+                    window, start_s, until, window_latency
                 )
                 attainment = state.attainment
                 budget_remaining = state.budget_remaining
@@ -786,8 +789,12 @@ def simulate_cluster_sharded(
                 served=window_served,
                 shed=window_shed,
                 backlog=backlog,
-                p99_ms=window_p99,
-                mean_ms=window_mean,
+                p99_ms=(
+                    window_latency.percentile(99.0) * 1e3
+                    if window_latency.count
+                    else 0.0
+                ),
+                mean_ms=window_latency.mean_s * 1e3,
                 slo_attainment=attainment,
                 pressure=(
                     _pressure(digests, accepting, sharding.window_s)
@@ -801,21 +808,25 @@ def simulate_cluster_sharded(
                 ),
                 budget_remaining=budget_remaining,
                 burn_rate=burn_rate,
+                tenant_served=tenant_served,
             )
             windows.append(stats)
             if monitor is not None:
                 monitor.observe_window(stats)
-            if autoscale is not None and not arrivals_done:
+            if (
+                autoscale is not None
+                and not arrivals_done
+                and next_scale_check <= until
+            ):
+                # Every tick due by this edge sees the same digests: one
+                # decision, applied at the next window's start.
                 while next_scale_check <= until:
                     next_scale_check += autoscale.interval_s
-                    command, target = _autoscale_decision(
-                        autoscale, digests, accepting, sharding.window_s,
-                        next_chip,
-                    )
-                    if command is not None:
-                        pending_commands.setdefault(target, []).append(command)
-                        if command[0] == "add":
-                            next_chip += 1
+                decision = _autoscale_decision(
+                    autoscale, digests, accepting, until, next_chip
+                )
+                if decision is not None and decision.command[0] == "add":
+                    next_chip += 1
             if busy and not progressed and not batch:
                 stalled += 1
                 if stalled > _STALL_WINDOWS:
@@ -840,7 +851,8 @@ def simulate_cluster_sharded(
         run_span.__exit__(None, None, None)
 
     served = sum(final.served for final in finals)
-    shard_shed = sum(final.shed for final in finals)
+    total_shed = sum(final.shed for final in finals)
+    shed_by_model: dict[str, int] = {}
     tenant_latency: dict[str, LatencySketch] = {
         spec.name: LatencySketch() for spec in tenants
     }
@@ -860,12 +872,6 @@ def simulate_cluster_sharded(
             tenant_service_totals[tenant] = (
                 tenant_service_totals.get(tenant, 0.0) + service
             )
-    for record in shed_records:
-        if record.tenant:
-            tenant_shed_totals[record.tenant] = (
-                tenant_shed_totals.get(record.tenant, 0) + 1
-            )
-    total_shed = shard_shed + len(shed_records)
     if served + total_shed != len(stream):  # pragma: no cover - invariant
         raise RuntimeError(
             f"sharded simulation lost requests: {served} served +"
@@ -888,7 +894,6 @@ def simulate_cluster_sharded(
         chip_stats,
         total_shed,
         shed_by_model,
-        shed_records,
         total_latency,
         total_wait,
         offered_rps=offered,
@@ -938,70 +943,52 @@ def _service_estimates(
 def _pressure(
     digests: dict[int, WindowDigest],
     accepting: list[int],
-    window_s: float,
+    period_s: float,
 ) -> float:
+    """Outstanding work on accepting chips per accepting chip, in units of
+    ``period_s`` (1.0 ≡ every chip backlogged by a full period)."""
     chips = sum(accepting)
     if not chips:
         return 0.0
     outstanding = sum(d.outstanding_s for d in digests.values())
-    return outstanding / (chips * window_s)
+    return outstanding / (chips * period_s)
 
 
-def _window_percentile(
-    digests: dict[int, WindowDigest], shards: list[int], q: float
-) -> float:
-    merged = LatencySketch()
-    for shard in shards:
-        merged.update(digests[shard].latency)
-    return merged.percentile(q) if merged.count else 0.0
+class _Decision(NamedTuple):
+    """One autoscaler decision, sent to ``shard`` as ``command``."""
 
-
-def _window_mean(
-    digests: dict[int, WindowDigest], shards: list[int]
-) -> float:
-    merged = LatencySketch()
-    for shard in shards:
-        merged.update(digests[shard].latency)
-    return merged.mean_s
+    shard: int
+    command: tuple
+    pressure: float
+    accepting_after: int      # accepting chips fleet-wide after the action
 
 
 def _autoscale_decision(
     config: AutoscaleConfig,
     digests: dict[int, WindowDigest],
     accepting: list[int],
-    window_s: float,
+    at_s: float,
     next_chip: int,
-) -> tuple[tuple | None, int]:
-    """One windowed control-loop tick: returns (command, target shard).
+) -> _Decision | None:
+    """One control-loop decision on window-edge digests, or ``None``.
 
-    The same pressure signal as the single-process
-    :class:`~repro.cluster.autoscale.Autoscaler`, but normalized by the
-    *autoscale interval* and evaluated on window-edge digests: add a
-    replica to the emptiest shard under high pressure, drain from the
-    least-loaded shard under low pressure (the shard itself picks — and
-    may refuse — the placement-safe victim).
+    Pressure is normalized by the *autoscale interval*: add a
+    replica to the shard with the fewest accepting chips under high
+    pressure, drain from the least-loaded shard under low pressure (the
+    shard itself picks — and may refuse — the placement-safe victim).
     """
-    total_accepting = sum(accepting)
-    if not total_accepting or not digests:
-        return None, 0
-    outstanding = sum(d.outstanding_s for d in digests.values())
-    pressure = outstanding / (total_accepting * config.interval_s)
-    if pressure > config.high_pressure and total_accepting < config.max_chips:
-        target = min(
-            range(len(accepting)), key=lambda s: (accepting[s], s)
-        )
-        return ("add", config.kind, f"chip{next_chip}"), target
-    if pressure < config.low_pressure and total_accepting > config.min_chips:
-        candidates = [
-            shard for shard, count in enumerate(accepting) if count > 0
-        ]
-        if not candidates:
-            return None, 0
-        target = min(
-            candidates,
+    total = sum(accepting)
+    pressure = _pressure(digests, accepting, config.interval_s)
+    if pressure > config.high_pressure and total < config.max_chips:
+        shard = min(range(len(accepting)), key=lambda s: (accepting[s], s))
+        command = ("add", at_s, config.kind, f"chip{next_chip}")
+        return _Decision(shard, command, pressure, total + 1)
+    if pressure < config.low_pressure and total > config.min_chips:
+        shard = min(
+            (s for s, count in enumerate(accepting) if count),
             key=lambda s: (
                 digests[s].outstanding_s if s in digests else 0.0, s
             ),
         )
-        return ("drain",), target
-    return None, 0
+        return _Decision(shard, ("drain", at_s), pressure, total - 1)
+    return None

@@ -755,9 +755,9 @@ def experiment_cluster_multitenant_fairness(
     demonstrating per-tenant shedding in the report block.
     """
     from ..cluster import (
-        AdmissionConfig,
-        ClusterSimulation,
+        ShardingConfig,
         homogeneous_fleet,
+        simulate_cluster_sharded,
     )
     from ..serve import (
         SchedulerConfig,
@@ -779,32 +779,29 @@ def experiment_cluster_multitenant_fairness(
         specs,
         seed=seed,
     )
-    sim = ClusterSimulation(
+    # A finite run-to-completion stream serves *everything*, so the
+    # full-run service share converges to the offered share (uniform)
+    # regardless of weights.  WFQ's signature shows while the backlog
+    # lasts: served share inside the saturated window (finishes by the
+    # last arrival), and the per-tenant latency ordering.  The first
+    # coordination window ends at the last arrival, so its per-tenant
+    # completions are exactly that count.
+    window_end = max((r.arrival_s for r in stream), default=0.0)
+    report = simulate_cluster_sharded(
+        stream,
         homogeneous_fleet(fleet_size),
         SchedulerConfig(
             max_batch=max_batch, max_inflight=max_inflight, mode="continuous"
         ),
-        admission=AdmissionConfig(),
+        sharding=ShardingConfig(window_s=max(window_end, 1e-9)),
         bs_t=bs_t,
         bs_n=bs_n,
         seed=seed,
         passes=passes,
         tenants=specs,
     )
-    report = sim.run(stream)
-    # A finite run-to-completion stream serves *everything*, so the
-    # full-run service share converges to the offered share (uniform)
-    # regardless of weights.  WFQ's signature shows while the backlog
-    # lasts: served share inside the saturated window (finishes before
-    # the last arrival), and the per-tenant latency ordering.
-    window_end = max((r.arrival_s for r in stream), default=0.0)
     window_counts: dict[str, int] = {spec.name: 0 for spec in specs}
-    for chip in sim.chips:
-        for record in chip.served:
-            if record.tenant and record.finish_s <= window_end:
-                window_counts[record.tenant] = (
-                    window_counts.get(record.tenant, 0) + 1
-                )
+    window_counts.update(report.windows[0].tenant_served)
     window_total = sum(window_counts.values())
     total_weight = sum(spec.weight for spec in specs)
     fairness = {
@@ -1106,7 +1103,7 @@ def experiment_cluster_scaling_curve(
     simulation of that stream — on the same kind's profiles — is included
     as the reference (the N=1 fleet must match it).
     """
-    from ..cluster import ClusterSimulation, chip_config, homogeneous_fleet
+    from ..cluster import chip_config, homogeneous_fleet, simulate_cluster_sharded
     from ..serve import (
         SchedulerConfig,
         parse_model_mix,
@@ -1135,7 +1132,8 @@ def experiment_cluster_scaling_curve(
     )
     points = {}
     for size in sizes:
-        report = ClusterSimulation(
+        report = simulate_cluster_sharded(
+            requests,
             homogeneous_fleet(size, kind),
             scheduler,
             policy=policy,
@@ -1143,7 +1141,7 @@ def experiment_cluster_scaling_curve(
             bs_n=bs_n,
             seed=seed,
             passes=passes,
-        ).run(requests)
+        )
         points[str(size)] = {
             "throughput_rps": report.throughput_rps,
             "p50_latency_ms": report.latency_percentiles_ms["p50"],
@@ -1196,10 +1194,10 @@ def experiment_cluster_routing_ablation(
     from ..cluster import (
         POLICIES,
         AdmissionConfig,
-        ClusterSimulation,
         chip_config,
         fleet_capacity_rps,
         parse_fleet,
+        simulate_cluster_sharded,
     )
     from ..serve import SchedulerConfig, parse_model_mix, request_profile
 
@@ -1215,7 +1213,8 @@ def experiment_cluster_routing_ablation(
     admission = AdmissionConfig(queue_capacity=queue_capacity or None)
     results = {}
     for name in names:
-        report = ClusterSimulation(
+        report = simulate_cluster_sharded(
+            requests,
             fleet_spec,
             scheduler,
             policy=name,
@@ -1224,7 +1223,7 @@ def experiment_cluster_routing_ablation(
             bs_n=bs_n,
             seed=seed,
             passes=passes,
-        ).run(requests)
+        )
         results[name] = {
             "throughput_rps": report.throughput_rps,
             "p50_latency_ms": report.latency_percentiles_ms["p50"],

@@ -71,12 +71,13 @@ HELP: dict[str, str] = {
     "alerts": "run the detector rule engine (queue-growth, shed-rate,"
     " saturation, latency-drift) streaming in the shard coordinator,"
     " alongside the always-on burn-rate monitor (experiments: 1 = on;"
-    " `repro cluster` needs shards and writes INCIDENT_cluster.json)",
+    " `repro cluster` writes INCIDENT_cluster.json)",
     "arrival": "arrival process: poisson | bursty; `repro cluster` also"
     " takes the planet-scale traces diurnal | flash_crowd | regional,"
     " with rho applied at the trace peak",
-    "autoscale_max": "enable the reactive autoscaler up to N chips"
-    " (0 = off); replicas clone the fleet's first chip kind",
+    "autoscale_max": "enable the autoscaler up to N chips (0 = off);"
+    " replicas clone the fleet's first chip kind, and the auto window"
+    " is its interval",
     "batch_sizes": "'+'-separated batch sizes",
     "bs_n": "bundle token extent BS_n",
     "bs_t": "bundle timestep extent BS_t",
@@ -121,7 +122,7 @@ HELP: dict[str, str] = {
     "shard_policy": "cross-shard request routing: round_robin |"
     " least_backlog (within-shard routing is the policy)",
     "shards": "independent shard engines coordinated in windows"
-    " (`repro cluster`: 0 = single-process simulation)",
+    " (1 = the whole fleet on one engine)",
     "slo_ms": "latency SLO (ms) for the streaming attainment / error-budget"
     " / burn-rate report; 0 = 20x the mean single-request latency"
     " (`repro cluster`: 0 = off)",

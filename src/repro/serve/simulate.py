@@ -11,16 +11,14 @@ pool is dry.  Static mode's quantum is the whole program; continuous
 mode's is one stage.
 
 :func:`simulate_serving` wires ONE chip server to an arrival stream — the
-N=1 special case of the cluster simulation (``repro.cluster``), which
-routes the same streams across many chip servers sharing one engine
-clock.  The output is a :class:`~repro.serve.report.ServingReport`:
+N=1 special case of the fleet simulation (``repro.cluster``), which
+routes the same streams across many chip servers on shard engine
+clocks.  The output is a :class:`~repro.serve.report.ServingReport`:
 latency percentiles, throughput, queue waits, per-resource utilization,
 and chip energy (dynamic per work done + static over the horizon).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .. import obs
 from ..arch.engine.kernel import Engine, Hold, WaitFor
@@ -64,7 +62,6 @@ class ChipServer:
         kind: str = "standard",
         queue_capacity: int | None = None,
         timeline: list[TimelineEntry] | None = None,
-        on_complete: Callable[[list[Request]], None] | None = None,
         recorder: "object | None" = None,
         tenants: tuple[TenantSpec, ...] = (),
     ):
@@ -78,11 +75,10 @@ class ChipServer:
         self.kind = kind
         self.queue_capacity = queue_capacity
         self.timeline = timeline
-        self.on_complete = on_complete
         # A recorder replaces the per-request `served` list with streaming
         # observation (``recorder.observe(request, start_s, finish_s,
-        # batch_size, chip)``) — how sharded fleet runs keep memory
-        # bounded.  The summary counters below are maintained either way.
+        # batch_size, chip)``) — how fleet runs keep memory bounded.
+        # The summary counters below are maintained either way.
         self.recorder = recorder
         self.tenants = tuple(tenants)
 
@@ -156,15 +152,6 @@ class ChipServer:
         if not self.served_count:
             return 0.0
         return self.batch_size_weighted / self.served_count
-
-    def active_span_s(self, horizon_s: float) -> float:
-        """Seconds this chip was powered: creation until the run's horizon,
-        or until it finished draining if the autoscaler removed it (an idle
-        but accepting chip still burns static power)."""
-        end = horizon_s
-        if not self.accepting and self.drained_s is not None:
-            end = self.drained_s
-        return max(0.0, end - self.started_s)
 
     # -- serving processes -------------------------------------------------
     def _schedule_loop(self):
@@ -284,7 +271,6 @@ class ChipServer:
     def _finish_entries(self, finished: list[StageEntry]) -> None:
         now = self.engine.now
         self.last_finish_s = max(self.last_finish_s, now)
-        completed: list[Request] = []
         for entry in finished:
             request = entry.request
             size = entry.max_group
@@ -308,9 +294,6 @@ class ChipServer:
                     request, entry.start_s, now, size, self.name or ""
                 )
             self.outstanding_s -= self.service_estimate_s(request.model)
-            completed.append(request)
-        if self.on_complete is not None:
-            self.on_complete(completed)
 
 
 def simulate_serving(

@@ -1,10 +1,8 @@
-"""Timeline merge/serialization across multiple machines.
+"""Machine namespacing on a shared engine, and timeline serialization.
 
-The cluster layer records every chip's occupancy into per-machine (or one
-shared) timeline lists and merges them for the run report; the merge must
-be a pure function of the entries — in particular, when two chips emit
-events at the same timestamp, the order must not depend on which machine's
-timeline was recorded or passed first.
+Several :class:`BishopMachine` instances share one engine under distinct
+resource namespaces (``chip0.dense_core`` …) — how a shard hosts many
+chips — and timelines round-trip through JSON unchanged.
 """
 
 import json
@@ -15,8 +13,6 @@ from repro.arch.engine import (
     TimelineEntry,
     entries_from_dicts,
     entries_to_dicts,
-    merge_timelines,
-    use,
 )
 
 
@@ -42,65 +38,6 @@ class TestMachineNamespacing:
         machine = BishopMachine(engine)
         assert set(engine.resources) == set(BishopMachine.RESOURCE_NAMES)
         assert set(machine.resources) == set(BishopMachine.RESOURCE_NAMES)
-
-
-class TestMergeOrdering:
-    def test_same_timestamp_orders_by_resource_name(self):
-        a = [entry("chip1.dense_core", "x", 0.0)]
-        b = [entry("chip0.dense_core", "y", 0.0)]
-        merged = merge_timelines(a, b)
-        assert [e.resource for e in merged] == [
-            "chip0.dense_core", "chip1.dense_core",
-        ]
-
-    def test_merge_is_argument_order_invariant(self):
-        a = [entry("chip0.dram", "a", 2.0), entry("chip0.dense_core", "b", 0.0)]
-        b = [entry("chip1.dense_core", "c", 0.0), entry("chip1.dram", "d", 1.0)]
-        assert merge_timelines(a, b) == merge_timelines(b, a)
-
-    def test_merge_sorts_by_start_then_end(self):
-        long = entry("r", "long", 0.0, 5.0)
-        short = entry("r", "short", 0.0, 1.0)
-        later = entry("r", "later", 2.0, 3.0)
-        assert merge_timelines([long], [short, later]) == [short, long, later]
-
-    def test_zero_width_entries_merge_deterministically(self):
-        """Zero-cost work records zero-width entries; they sort stably at
-        their timestamp (before anything longer that starts there) and the
-        merge stays argument-order invariant."""
-        engine = Engine()
-        chip0 = BishopMachine(engine, name="chip0")
-        chip1 = BishopMachine(engine, name="chip1")
-        t0: list[TimelineEntry] = []
-        t1: list[TimelineEntry] = []
-        engine.spawn(use(engine, chip0.spike_gen, 0.0, t0, "free0"))
-        engine.spawn(use(engine, chip1.spike_gen, 2.0, t1, "paid1"))
-        engine.run()
-        assert t0 == [TimelineEntry("chip0.spike_gen", "free0", 0.0, 0.0)]
-        merged = merge_timelines(t0, t1)
-        assert merged == merge_timelines(t1, t0)
-        assert [e.label for e in merged] == ["free0", "paid1"]
-        assert merged[0].duration_s == 0.0
-
-    def test_two_chips_emitting_simultaneously_on_one_engine(self):
-        """Engine-produced ties across machines merge deterministically."""
-        engine = Engine()
-        chip0 = BishopMachine(engine, name="chip0")
-        chip1 = BishopMachine(engine, name="chip1")
-        t0: list[TimelineEntry] = []
-        t1: list[TimelineEntry] = []
-        # identical work on both chips: every occupancy tick coincides
-        engine.spawn(use(engine, chip0.dense_core, 4.0, t0, "req0", chunks=4))
-        engine.spawn(use(engine, chip1.dense_core, 4.0, t1, "req1", chunks=4))
-        engine.run()
-        merged = merge_timelines(t0, t1)
-        assert merged == merge_timelines(t1, t0)
-        assert len(merged) == 8
-        # at every shared timestamp chip0 sorts before chip1
-        for first, second in zip(merged[::2], merged[1::2]):
-            assert first.start_s == second.start_s
-            assert first.resource == "chip0.dense_core"
-            assert second.resource == "chip1.dense_core"
 
 
 class TestSerialization:

@@ -1,14 +1,18 @@
-"""Reactive autoscaler: growth under pressure, drain when idle, bounds."""
+"""Autoscaler: growth under pressure, drain when idle, bounds.
+
+Without an explicit ``sharding`` the coordination window is the
+autoscale interval, so every control tick lands on a window edge.
+"""
 
 import pytest
 
 from repro.cluster import (
     AutoscaleConfig,
     ChipSpec,
-    ClusterSimulation,
     FleetSpec,
+    ShardingConfig,
     homogeneous_fleet,
-    simulate_cluster,
+    simulate_cluster_sharded,
 )
 from repro.serve import SchedulerConfig, poisson_arrivals, request_profile
 
@@ -41,8 +45,8 @@ class TestScaleUp:
         cap = 1.0 / single_latency
         stream = poisson_arrivals(400, 3.0 * cap, MODEL, seed=0)
         scheduler = SchedulerConfig(max_inflight=2)
-        fixed = simulate_cluster(stream, homogeneous_fleet(1), scheduler)
-        scaled = simulate_cluster(
+        fixed = simulate_cluster_sharded(stream, homogeneous_fleet(1), scheduler)
+        scaled = simulate_cluster_sharded(
             stream,
             homogeneous_fleet(1),
             scheduler,
@@ -56,7 +60,7 @@ class TestScaleUp:
     def test_never_exceeds_max_chips(self, single_latency):
         cap = 1.0 / single_latency
         stream = poisson_arrivals(300, 10.0 * cap, MODEL, seed=0)
-        report = simulate_cluster(
+        report = simulate_cluster_sharded(
             stream,
             homogeneous_fleet(1),
             SchedulerConfig(max_inflight=2),
@@ -67,7 +71,7 @@ class TestScaleUp:
     def test_replicas_host_the_full_workload(self, single_latency):
         cap = 1.0 / single_latency
         stream = poisson_arrivals(300, 4.0 * cap, MODEL, seed=0)
-        report = simulate_cluster(
+        report = simulate_cluster_sharded(
             stream,
             homogeneous_fleet(1),
             SchedulerConfig(max_inflight=2),
@@ -82,7 +86,7 @@ class TestDrain:
         cap = 1.0 / single_latency
         # sparse trickle: far below what even one chip needs
         stream = poisson_arrivals(60, 0.05 * cap, MODEL, seed=0)
-        report = simulate_cluster(
+        report = simulate_cluster_sharded(
             stream,
             homogeneous_fleet(3),
             SchedulerConfig(max_inflight=2),
@@ -96,7 +100,7 @@ class TestDrain:
     def test_drained_chips_stop_accruing_static_energy(self, single_latency):
         cap = 1.0 / single_latency
         stream = poisson_arrivals(60, 0.05 * cap, MODEL, seed=0)
-        report = simulate_cluster(
+        report = simulate_cluster_sharded(
             stream,
             homogeneous_fleet(3),
             SchedulerConfig(max_inflight=2),
@@ -127,7 +131,7 @@ class TestDrain:
             )
             for i in range(3)
         ]
-        report = simulate_cluster(
+        report = simulate_cluster_sharded(
             requests,
             fleet,
             SchedulerConfig(max_inflight=2),
@@ -135,3 +139,63 @@ class TestDrain:
         )
         assert report.shed == 0
         assert report.chips["chip0"].requests_served == 3
+
+
+class TestWindowedDecisions:
+    """One decision per window, recorded with the pressure it acted on."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_windows_longer_than_the_interval_respect_max_chips(
+        self, single_latency, shards
+    ):
+        # Several ticks fall due in each window; they all see the same
+        # digests, so acting on each would add a replica per tick.
+        cap = 1.0 / single_latency
+        stream = poisson_arrivals(600, 10.0 * cap, MODEL, seed=0)
+        report = simulate_cluster_sharded(
+            stream,
+            homogeneous_fleet(2 if shards == 2 else 1),
+            SchedulerConfig(max_inflight=2),
+            autoscale=autoscale(
+                single_latency, interval_s=5 * single_latency, max_chips=3
+            ),
+            sharding=ShardingConfig(
+                num_shards=shards, window_s=40 * single_latency
+            ),
+        )
+        assert [e.action for e in report.scaling_events].count("add") >= 1
+        assert len(report.chips) <= 3
+        assert all(e.accepting_chips <= 3 for e in report.scaling_events)
+
+    def test_events_carry_the_pressure_they_acted_on(self, single_latency):
+        cap = 1.0 / single_latency
+        stream = poisson_arrivals(300, 3.0 * cap, MODEL, seed=1)
+        stream += [
+            type(stream[0])(
+                index=len(stream) + i,
+                model=MODEL,
+                arrival_s=stream[-1].arrival_s + (i + 1) * 40 * single_latency,
+            )
+            for i in range(4)
+        ]
+        config = autoscale(
+            single_latency, high_pressure=0.5, low_pressure=0.05
+        )
+        report = simulate_cluster_sharded(
+            stream,
+            homogeneous_fleet(1),
+            SchedulerConfig(max_inflight=2),
+            autoscale=config,
+        )
+        actions = [e.action for e in report.scaling_events]
+        assert "add" in actions and "drain" in actions
+        accepting = 1
+        for event in report.scaling_events:
+            if event.action == "add":
+                assert event.pressure > config.high_pressure
+                accepting += 1
+            else:
+                assert event.pressure < config.low_pressure
+                accepting -= 1
+            assert event.accepting_chips == accepting
+        assert report.final_accepting_chips == accepting

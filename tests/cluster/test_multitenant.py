@@ -2,8 +2,9 @@
 
 Admission quotas bound each tenant's outstanding requests at the front
 door; per-tenant latency sketches and WFQ service accounting flow into
-``ClusterReport.tenants``; the sharded path merges all three per-tenant
-dicts (latency / shed / service) across worker digests.
+``ClusterReport.tenants``; with several shards the coordinator merges
+all three per-tenant dicts (latency / shed / service) across worker
+digests, and every window counts its completions per tenant.
 """
 
 import json
@@ -11,7 +12,6 @@ import json
 import pytest
 
 from repro.cluster import (
-    ClusterSimulation,
     ShardingConfig,
     TenantAdmission,
     homogeneous_fleet,
@@ -60,16 +60,17 @@ class TestTenantAdmission:
         assert admission.outstanding.get("", 0) == 0
 
 
-class TestSingleProcess:
+class TestOneShard:
     def run(self, stream, tenants, fleet_size=2, **scheduler):
         scheduler.setdefault("mode", "continuous")
         scheduler.setdefault("max_inflight", 2)
-        return ClusterSimulation(
+        return simulate_cluster_sharded(
+            stream,
             homogeneous_fleet(fleet_size),
             SchedulerConfig(**scheduler),
             tenants=tenants,
             passes=PASSES,
-        ).run(stream)
+        )
 
     def test_quota_sheds_are_per_tenant(self):
         specs = parse_tenants("tight:1@1+loose:1")
@@ -146,6 +147,30 @@ class TestSingleProcess:
         assert set(payload["tenants"]) == {"a", "idle"}
         assert payload["tenants"]["idle"]["served"] == 0
         assert payload["tenants"]["a"]["quota"] == 16
+        # per-tenant window counts stay in memory, out of the payload
+        for window in payload["sharding"]["windows"]:
+            assert "tenant_served" not in window
+
+    def test_window_tenant_counts_sum_to_tenant_served(self):
+        specs = parse_tenants("gold:3@8+silver:1@8")
+        stream = assign_tenants(
+            poisson_arrivals(120, 4000.0, MODEL, seed=2), specs, seed=2
+        )
+        report = simulate_cluster_sharded(
+            stream,
+            homogeneous_fleet(2),
+            SchedulerConfig(mode="continuous", max_inflight=2),
+            sharding=ShardingConfig(window_s=2e-3),
+            tenants=specs,
+            passes=PASSES,
+        )
+        assert len(report.windows) > 1
+        for name in ("gold", "silver"):
+            assert sum(
+                w.tenant_served.get(name, 0) for w in report.windows
+            ) == report.tenants[name]["served"]
+        for window in report.windows:
+            assert sum(window.tenant_served.values()) == window.served
 
 
 class TestSharded:
@@ -171,6 +196,9 @@ class TestSharded:
         ]
         a, b = (r.to_dict()["tenants"] for r in reports)
         assert a == b
+        assert [w.tenant_served for w in reports[0].windows] == [
+            w.tenant_served for w in reports[1].windows
+        ]
 
     def test_merged_tenant_counts_conserve_offered(self):
         specs = parse_tenants("gold:3@16+silver:1@16")
@@ -197,7 +225,7 @@ class TestSharded:
         assert block["latency_ms"]["p99"] == 0.0
         assert report.tenant_sketches["idle"].count == 0
 
-    def test_matches_single_process_tenant_totals(self):
+    def test_matches_one_shard_tenant_totals(self):
         """Sharding changes routing, not accounting: served + shed per
         tenant is conserved in both topologies."""
         specs = parse_tenants("a+b")
@@ -205,12 +233,7 @@ class TestSharded:
             poisson_arrivals(60, 8000.0, MODEL, seed=9), specs, seed=9
         )
         sharded = self.run(stream, specs, shards=2, fleet_size=4)
-        single = ClusterSimulation(
-            homogeneous_fleet(4),
-            SchedulerConfig(mode="continuous", max_inflight=2),
-            tenants=specs,
-            passes=PASSES,
-        ).run(stream)
+        single = self.run(stream, specs, shards=1, fleet_size=4)
         for name in ("a", "b"):
             assert (
                 sharded.tenants[name]["served"] + sharded.tenants[name]["shed"]

@@ -130,9 +130,9 @@ class TestFleetExport:
     def test_export_registers_and_simulates_two_chip_cluster(self, tmp_path):
         from repro.cluster import (
             CHIP_KINDS,
-            ClusterSimulation,
             load_chip_kinds,
             parse_fleet,
+            simulate_cluster_sharded,
         )
         from repro.serve import SchedulerConfig, poisson_arrivals, request_profile
 
@@ -155,9 +155,9 @@ class TestFleetExport:
             fleet = parse_fleet(f"{name}:2")
             rate = 0.5 / request_profile(MODEL).single_latency_s
             stream = poisson_arrivals(40, rate, MODEL, seed=0)
-            result = ClusterSimulation(
-                fleet, SchedulerConfig(max_inflight=2), seed=0
-            ).run(stream)
+            result = simulate_cluster_sharded(
+                stream, fleet, SchedulerConfig(max_inflight=2), seed=0
+            )
             assert result.served == 40
             assert len(result.chips) == 2
             assert all(c.kind == name for c in result.chips.values())

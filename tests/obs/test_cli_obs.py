@@ -316,9 +316,16 @@ class TestAlertsFlags:
         assert block["alerts_fired"] == 0
         assert block["rules"] == [] and block["events"] == []
 
-    def test_cluster_alerts_requires_shards(self, capsys):
-        assert main(["cluster", "--alerts"]) == 2
-        assert "--shards" in capsys.readouterr().err
+    def test_cluster_alerts_run_on_the_default_single_shard(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "cluster", "--fleet", "standard:2", "--requests", "40",
+            "--slo-ms", "5", "--alerts",
+        ]) == 0
+        assert "incident report" in capsys.readouterr().out
+        assert (tmp_path / "INCIDENT_cluster.json").exists()
 
     def test_cluster_alerts_writes_incident_report(
         self, tmp_path, monkeypatch, capsys

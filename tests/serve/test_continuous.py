@@ -366,13 +366,12 @@ class TestSelectsCounter:
         from repro.cluster import (
             ShardingConfig,
             homogeneous_fleet,
-            simulate_cluster,
             simulate_cluster_sharded,
         )
 
         requests = poisson_arrivals(40, 20000.0, MODEL, seed=2)
         config = SchedulerConfig(max_batch=2, mode="continuous")
-        simulate_cluster(requests, homogeneous_fleet(2), config)
+        simulate_cluster_sharded(requests, homogeneous_fleet(2), config)
         single = len(calls)
         simulate_cluster_sharded(
             requests, homogeneous_fleet(4), config,

@@ -178,7 +178,7 @@ class TestZeroServedTenant:
     its sketch is empty, and merging empty sketches stays associative."""
 
     def _run(self, tenants, requests=6, fleet_size=1):
-        from repro.cluster import ClusterSimulation, homogeneous_fleet
+        from repro.cluster import homogeneous_fleet, simulate_cluster_sharded
         from repro.serve import Request, SchedulerConfig
 
         stream = [
@@ -187,12 +187,13 @@ class TestZeroServedTenant:
             )
             for i in range(requests)
         ]
-        return ClusterSimulation(
+        return simulate_cluster_sharded(
+            stream,
             homogeneous_fleet(fleet_size),
             SchedulerConfig(mode="continuous"),
             tenants=tenants,
             passes="packing+stratify+ecp",
-        ).run(stream)
+        )
 
     def test_idle_tenant_block_is_zeros_not_keyerror(self):
         from repro.serve import TenantSpec

@@ -1,10 +1,10 @@
 """Static serving pinned to recorded results, compared with ``==``.
 
 Static mode runs the whole compiled program as one quantum of the serving
-lane.  ``static_golden.json`` records, for single-chip and fleet
-scenarios, every request's ``(index, start_s, finish_s, batch_size,
-chip)``, the report payload (energy, tenants, per-chip blocks, windows)
-and the shed indices.  Any change to static dispatch order, batch
+lane.  ``static_golden.json`` records the report payload (energy,
+tenants, per-chip blocks, windows) of single-chip and fleet scenarios,
+and for single-chip runs every request's ``(index, start_s, finish_s,
+batch_size, chip)``.  Any change to static dispatch order, batch
 membership, engine event order or accounting shows up here as an exact
 mismatch — there is no tolerance.
 
@@ -21,7 +21,6 @@ import pytest
 from repro.cluster import (
     AdmissionConfig,
     AutoscaleConfig,
-    ClusterSimulation,
     ShardingConfig,
     homogeneous_fleet,
     simulate_cluster_sharded,
@@ -54,11 +53,9 @@ def _serving(report) -> dict:
 
 
 def _cluster(report) -> dict:
-    return {
-        "requests": _records(report.requests),
-        "shed": sorted(record.index for record in report.shed_records),
-        "report": report.to_dict(),
-    }
+    # Fleet runs keep no per-request records and count sheds at the
+    # shards' front doors; the empty lists keep the entries' layout.
+    return {"requests": [], "shed": [], "report": report.to_dict()}
 
 
 def _tagged(stream, seed):
@@ -83,29 +80,51 @@ def _tenants_and_priorities():
     ))
 
 
-def _cluster_admission():
-    stream = _tagged(poisson_arrivals(60, 9000.0, MIX, seed=3), seed=3)
-    return _cluster(ClusterSimulation(
+def _admission_stream():
+    return _tagged(poisson_arrivals(60, 9000.0, MIX, seed=3), seed=3)
+
+
+def _run_admission(stream):
+    return simulate_cluster_sharded(
+        stream,
         homogeneous_fleet(3),
         SchedulerConfig(max_batch=2, max_inflight=1),
         admission=AdmissionConfig(queue_capacity=2),
         tenants=parse_tenants(TENANTS),
-    ).run(stream))
+    )
 
 
-def _cluster_autoscale():
-    stream = flash_crowd_arrivals(
+def _autoscale_stream():
+    return flash_crowd_arrivals(
         160, 1600.0, "model4", seed=4,
         spike_at_s=0.005, spike_duration_s=0.005, spike_factor=8.0,
     )
-    return _cluster(ClusterSimulation(
+
+
+def _run_autoscale(stream):
+    return simulate_cluster_sharded(
+        stream,
         homogeneous_fleet(1),
         SchedulerConfig(max_inflight=2),
         autoscale=AutoscaleConfig(
             interval_s=0.005, high_pressure=0.5, low_pressure=0.05,
             max_chips=4,
         ),
-    ).run(stream))
+    )
+
+
+# One-shard fleet runs, (stream, run) pairs.  The scenarios were first
+# recorded from a single-engine simulator; those records are the oracle
+# of tests/cluster/test_single_process_oracle.py.
+FLEET_SCENARIOS = {
+    "cluster_admission": (_admission_stream, _run_admission),
+    "cluster_autoscale": (_autoscale_stream, _run_autoscale),
+}
+
+
+def _fleet(name):
+    stream, run = FLEET_SCENARIOS[name]
+    return lambda: _cluster(run(stream()))
 
 
 def _sharded():
@@ -127,8 +146,8 @@ SCENARIOS = {
     "static_1x1_stage_serial": _single_chip(1, 1, STAGE_SERIAL),
     "static_4x2_stage_serial": _single_chip(4, 2, STAGE_SERIAL),
     "static_tenants_priorities": _tenants_and_priorities,
-    "cluster_admission": _cluster_admission,
-    "cluster_autoscale": _cluster_autoscale,
+    "cluster_admission": _fleet("cluster_admission"),
+    "cluster_autoscale": _fleet("cluster_autoscale"),
     "sharded_4": _sharded,
 }
 
@@ -161,7 +180,7 @@ def test_static_results_match_golden(golden, name):
 def test_scenarios_exercise_what_they_pin(golden):
     """Batching, admission shedding and both autoscaler actions occur."""
     assert max(r[3] for r in golden["static_4x2_all"]["requests"]) > 1
-    assert golden["cluster_admission"]["shed"]
+    assert golden["cluster_admission"]["report"]["shed"] > 0
     actions = {
         event["action"]
         for event in golden["cluster_autoscale"]["report"]["autoscaler_events"]

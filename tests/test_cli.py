@@ -252,6 +252,28 @@ class TestCluster:
         assert main(argv) == 2
         assert "cannot split" in capsys.readouterr().err
 
+    def test_cluster_rejects_zero_shards(self, capsys):
+        argv = ["cluster", "--requests", "5", "--shards", "0"]
+        assert main(argv) == 2
+        assert "--shards must be >= 1" in capsys.readouterr().err
+
+    def test_cluster_autoscale_window_is_the_interval(self, tmp_path):
+        from repro.cluster import fleet_capacity_rps, homogeneous_fleet
+
+        target = tmp_path / "scaled.json"
+        argv = ["cluster", "--fleet", "standard:1", "--requests", "80",
+                "--rho", "3.0", "--autoscale-max", "3",
+                "--output", str(target)]
+        assert main(argv) == 0
+        payload = json.loads(target.read_text())
+        interval = 20 * (
+            1.0 / fleet_capacity_rps(homogeneous_fleet(1), {"model4": 1.0})
+        )
+        assert payload["sharding"]["num_shards"] == 1
+        assert payload["sharding"]["window_s"] == interval
+        assert payload["autoscaler_events"]
+        assert payload["served"] + payload["shed"] == 80
+
     def test_cluster_continuous_multitenant_run(self, tmp_path, capsys):
         target = tmp_path / "tenants.json"
         argv = ["cluster", "--fleet", "standard:2", "--requests", "40",

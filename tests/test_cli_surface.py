@@ -44,7 +44,7 @@ GOLDEN = {
         "priority_mix": "", "queue_capacity": 0,
         "regions": "us:0.5@0.0+eu:0.3@0.33+apac:0.2@0.66", "requests": 400,
         "rho": 0.7, "scheduler": "auto", "seed": 0, "shard_jobs": 1,
-        "shard_policy": "round_robin", "shards": 0, "slo_ms": 0.0,
+        "shard_policy": "round_robin", "shards": 1, "slo_ms": 0.0,
         "slo_target": 0.99, "tenants": "", "trace": False, "window_ms": 0.0,
     },
     ("dse", "model4"): {
