@@ -1,87 +1,20 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-list
-    Show every registered experiment with its paper artifact, cost tier,
-    and parameter schema.
-run <experiment-id> [--param k=v ...] [--output FILE]
-    Run one experiment and print (or write) its JSON result.
-run-all [--jobs N] [--force] [--only a,b,...] [--smoke] [--artifacts DIR]
-    Run every experiment through the parallel runtime: process-pool
-    execution, content-addressed result cache, ``artifacts/<id>.json``
-    plus a ``manifest.json`` with timings and cache hits.
-    ``--jobs 0`` resolves to one worker per CPU core.
-sweep <experiment-id> --param k=v1,v2,... [--jobs N] [--output FILE]
-    Cartesian-product parameter sweep of one experiment.
-compile <model> [--chip KIND] [--passes SPEC] [--dump FILE]
-    Compile one Table-2 model through the pass pipeline
-    (``repro.compiler``) and print the program summary: stages, tile
-    counts per core class, bundle occupancy, estimated makespans.
-    ``--dump`` writes the IR as JSON (``-`` for stdout).
-cluster [--fleet SPEC] [--policy P] [--mix MIX] [--rho R] [--seed N]
-        [--passes SPEC] [--kinds-file FILE] ...
-    Simulate a multi-chip fleet behind the front-end router directly
-    (no registry round-trip): prints the fleet summary and per-chip
-    breakdown, optionally writing the full report JSON.
-    ``--kinds-file`` registers extra chip kinds (e.g. a DSE fleet
-    export) before the fleet spec is parsed.  ``--shards K`` partitions
-    the fleet into K windowed shard engines on the actor pool (the
-    planet-scale path); ``--arrival diurnal|flash_crowd|regional``
-    selects the trace-driven workloads and ``--slo-ms`` adds an
-    SLO-attainment report.  ``--scheduler continuous`` switches chips
-    to continuous batching (stage-boundary join/leave + preemption);
-    ``--tenants 'gold:3@64+silver:1'`` enables multi-tenant WFQ with
-    admission quotas and a per-tenant report block, and
-    ``--priority-mix '0:0.8+1:0.2'`` tags priority tiers.
-dse <model> [--strategy S] [--budget N] [--objectives SPEC] [--seed N]
-    [--jobs N] [--export-fleet FILE] [--output FILE]
-    Multi-objective design-space exploration over Bishop chip
-    configurations (``repro.dse``): every candidate compiles through
-    the pass pipeline and replays on the event engine, evaluated as
-    ``dse_point`` experiments through the parallel cached runtime —
-    re-runs are served from the result/program caches.  Prints the
-    Pareto frontier and where the paper's chip lands relative to it;
-    ``--export-fleet`` writes frontier chips as cluster kind profiles.
-cache ls|gc
-    Inspect or garbage-collect the runtime's content-addressed result
-    cache (``artifacts/cache``); ``gc --keep-latest N`` bounds long
-    sweep campaigns.  ``ls --stats`` adds a per-store summary line
-    (entry counts and bytes for the result and program caches).
-trace <experiment-id> [--param k=v ...] [--smoke] [--output FILE]
-    Run one experiment with telemetry on and write a Chrome trace-event
-    JSON (wall-clock spans plus simulated-time tracks) loadable at
-    https://ui.perfetto.dev.  ``run``/``run-all``/``cluster``/``dse``
-    accept ``--trace`` to do the same alongside their normal output.
-metrics <experiment-id> | --manifest FILE
-    Dump the metrics registry (counters, gauges, sketch-backed
-    histograms): either run one experiment with metrics on, or read the
-    ``metrics`` block a ``run-all --trace`` recorded in its manifest.
-analyze <trace|artifact> [--critical-path] [--self-time] [--diff OTHER]
-    Offline analysis of a saved trace or experiment artifact (a file
-    path or an artifact id under ``--artifacts``): ``--critical-path``
-    extracts the binding-resource chain whose durations sum exactly to
-    the makespan (per-resource blocking attribution), ``--self-time``
-    rolls the span tree up per name, ``--diff OTHER`` localizes a
-    regression to the spans that slowed down (OTHER is the baseline).
-    With no mode flags, every analysis that applies to the input runs.
-slo <artifact> [--slo-ms MS] [--target T]
-    Replay the saved window series of a cluster artifact through the
-    SLO monitor: attainment, error-budget burn-down, and burn-rate
-    alert transitions, window by window.
-zoo
-    Print the Table-2 model zoo.
+Commands: ``list``, ``run``, ``run-all``, ``sweep``, ``compile``,
+``cluster``, ``dse``, ``cache ls|gc``, ``trace``, ``metrics``,
+``analyze``, ``slo`` and ``zoo``; ``repro <command> --help`` lists each
+one's arguments.  Every command is one handler ``_cmd_<name>`` whose
+signature is its command line (``repro.schema.add_signature``): the
+parameters before ``*`` are positional arguments, the keyword-only ones
+``--kebab-case`` flags typed and defaulted by the signature, with help
+text from ``repro.schema.HELP``; the first docstring line is the
+command's help.  A handler's ``KeyError`` or ``ValueError`` is a usage
+error (exit 2); exit 1 is an experiment that failed at runtime.
 
-Alerting: ``cluster --alerts`` runs the detector rule engine
-(queue-growth, shed-rate, saturation, latency-drift) streaming in the
-shard coordinator and writes a JSON incident report;
-``run-all --alerts`` records registry health rules and experiment
-failures as an ``alerts`` block in the manifest.
-
-Reproducibility: ``run``/``sweep``/``cluster`` accept ``--seed N``,
-threaded end-to-end into workload generation and synthetic traces (for
-registry experiments it sets the ``seed`` parameter unless one is given
-explicitly via ``--param``).
+Reproducibility: ``run``/``sweep``/``trace``/``metrics``/``cluster``
+accept ``--seed N``, threaded end-to-end into workload generation and
+synthetic traces (for registry experiments it sets the ``seed``
+parameter unless one is given explicitly via ``--param``).
 
 Observability: see docs/OBSERVABILITY.md for the span/metric naming
 convention and the ``repro.obs`` API the instrumented layers use.
@@ -94,6 +27,7 @@ the change and fails on a regressed verdict from ``perf/compare.py``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -110,308 +44,14 @@ from .runtime import (
     canonical_json,
     parse_param_specs,
 )
-from .schema import ParamSpec, add_flags, signature_params
+from .schema import add_signature
 
-__all__ = ["main", "build_parser"]
-
-
-def _shared_flag(*names: str, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser holding one flag that several subcommands share."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*names, **kwargs)
-    return parent
+__all__ = ["COMMANDS", "build_parser", "main"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Bishop (ISCA 2025) reproduction: run paper experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    artifacts = _shared_flag(
-        "--artifacts", type=Path, default=Path("artifacts"), metavar="DIR",
-        help="artifact/cache root (default: ./artifacts)",
-    )
-    param = _shared_flag(
-        "--param", action="append", default=[], metavar="K=V",
-        help="override one experiment parameter (repeatable); `sweep`"
-        " takes comma-separated values per axis, K=V1,V2,...",
-    )
-    smoke = _shared_flag(
-        "--smoke", action="store_true",
-        help="start from each experiment's cheap smoke params (CI)",
-    )
-    jobs = _shared_flag(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default: 1; 0 = one per core)",
-    )
-    force = _shared_flag(
-        "--force", action="store_true",
-        help="ignore and overwrite cached results",
-    )
-    as_json = _shared_flag(
-        "--json", action="store_true", help="print the full payload as JSON"
-    )
-
-    sub.add_parser("list", help="list registered experiment ids")
-
-    run = sub.add_parser("run", help="run one experiment", parents=[param])
-    run.add_argument("experiment", help="experiment id (see `repro list`)")
-    run.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="set the experiment's seed parameter (reproducible workloads)",
-    )
-    run.add_argument(
-        "--output", type=Path, default=None, help="write JSON here instead of stdout"
-    )
-    run.add_argument(
-        "--trace", action="store_true",
-        help="run with telemetry on and write TRACE_<experiment>.json",
-    )
-
-    run_all = sub.add_parser(
-        "run-all", help="run every experiment via the parallel cached runtime",
-        parents=[jobs, force, smoke, artifacts],
-    )
-    run_all.add_argument(
-        "--only", default=None, metavar="ID,ID,...",
-        help="comma-separated subset of experiment ids",
-    )
-    run_all.add_argument(
-        "--trace", action="store_true",
-        help="run with telemetry on: write trace.json under the artifact"
-        " root and record the metrics registry in the manifest",
-    )
-    run_all.add_argument(
-        "--alerts", action="store_true",
-        help="record an alerts block in the manifest: registry health"
-        " rules (dropped spans, corrupt cache entries), failed"
-        " experiments, and alerts fired inside simulated runs",
-    )
-
-    sweep = sub.add_parser(
-        "sweep", help="parameter sweep of one experiment",
-        parents=[param, jobs, force, artifacts],
-    )
-    sweep.add_argument("experiment", help="experiment id (see `repro list`)")
-    sweep.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="set the experiment's seed parameter on every grid point",
-    )
-    sweep.add_argument(
-        "--output", type=Path, default=None,
-        help="also write the sweep payload JSON here",
-    )
-
-    compile_cmd = sub.add_parser(
-        "compile", help="compile one zoo model into a chip program"
-    )
-    compile_cmd.add_argument("model", help="Table-2 model id (see `repro zoo`)")
-    compile_cmd.add_argument(
-        "--chip", default="standard",
-        help="chip kind: standard | sparse_heavy | dense_heavy",
-    )
-    compile_cmd.add_argument("--bs-t", type=int, default=2, metavar="N")
-    compile_cmd.add_argument("--bs-n", type=int, default=4, metavar="N")
-    compile_cmd.add_argument(
-        "--passes", default="all", metavar="SPEC",
-        help="compiler passes: all | none | '+'-joined subset of"
-        " packing,stratify,ecp,schedule",
-    )
-    compile_cmd.add_argument("--seed", type=int, default=0, metavar="N")
-    # The schema's finite-float cast: nan/inf are usage errors (exit 2).
-    finite_float = ParamSpec(float, 0.0).parse_flag
-    compile_cmd.add_argument(
-        "--dram-gbps", type=finite_float, default=None, metavar="G",
-        help="override the chip's DRAM bandwidth (GB/s)",
-    )
-    compile_cmd.add_argument(
-        "--theta-q", type=finite_float, default=None, metavar="T",
-        help="enable ECP with this Q threshold (requires --theta-k)",
-    )
-    compile_cmd.add_argument(
-        "--theta-k", type=finite_float, default=None, metavar="T",
-        help="enable ECP with this K threshold (requires --theta-q)",
-    )
-    compile_cmd.add_argument(
-        "--dump", type=Path, default=None, metavar="FILE",
-        help="write the program IR as JSON ('-' for stdout)",
-    )
-    compile_cmd.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk program cache",
-    )
-
-    cluster = sub.add_parser(
-        "cluster", help="simulate a multi-chip fleet behind the router"
-    )
-    add_flags(cluster, signature_params(
-        _run_cluster,
-        {"rho": "offered load vs fleet aggregate capacity (at the trace"
-         " peak for diurnal/flash_crowd/regional)"},
-        kinds=(bool, int, float, str), keyword_only=True,
-    ))
-    cluster.add_argument(
-        "--kinds-file", type=Path, default=None, metavar="FILE",
-        help="register chip kinds from a JSON kinds file (e.g. a"
-        " `repro dse --export-fleet` export) before parsing --fleet",
-    )
-    cluster.add_argument(
-        "--output", type=Path, default=None, metavar="FILE",
-        help="also write the full cluster report JSON here",
-    )
-    cluster.add_argument(
-        "--trace", action="store_true",
-        help="run with telemetry on and write TRACE_cluster.json"
-        " (wall-clock spans plus simulated-time window tracks)",
-    )
-
-    dse = sub.add_parser(
-        "dse", help="Pareto search over Bishop chip configurations",
-        parents=[jobs, force, artifacts],
-    )
-    dse.add_argument("model", help="Table-2 model id (see `repro zoo`)")
-    dse.add_argument(
-        "--strategy", default="random",
-        help="search strategy: grid | random | evolutionary",
-    )
-    dse.add_argument(
-        "--budget", type=int, default=64, metavar="N",
-        help="searched candidate chips (the paper chip is always evaluated"
-        " in addition)",
-    )
-    dse.add_argument(
-        "--objectives", default="latency_ms+energy_mj+area_mm2", metavar="SPEC",
-        help="'+'-separated frontier axes: latency_ms, energy_mj,"
-        " edp_uj_ms, area_mm2",
-    )
-    dse.add_argument("--seed", type=int, default=0, metavar="N")
-    dse.add_argument(
-        "--batch", type=int, default=16, metavar="N",
-        help="proposal batch size (the parallelism grain)",
-    )
-    dse.add_argument(
-        "--top", type=int, default=8, metavar="N",
-        help="frontier rows to print (default: 8)",
-    )
-    dse.add_argument(
-        "--export-fleet", type=Path, default=None, metavar="FILE",
-        help="write frontier chips as cluster chip-kind profiles",
-    )
-    dse.add_argument(
-        "--output", type=Path, default=None, metavar="FILE",
-        help="write the full frontier report JSON here",
-    )
-    dse.add_argument(
-        "--trace", action="store_true",
-        help="run with telemetry on and write TRACE_dse_<model>.json",
-    )
-
-    cache = sub.add_parser(
-        "cache", help="inspect / garbage-collect the result cache"
-    )
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_ls = cache_sub.add_parser(
-        "ls", help="list cache entries, newest first", parents=[artifacts]
-    )
-    cache_ls.add_argument(
-        "--stats", action="store_true",
-        help="append a per-store summary line (result vs program cache)",
-    )
-    cache_gc = cache_sub.add_parser(
-        "gc", help="delete all but the most recent entries", parents=[artifacts]
-    )
-    cache_gc.add_argument(
-        "--keep-latest", type=int, required=True, metavar="N",
-        help="number of most-recent entries to keep",
-    )
-
-    trace = sub.add_parser(
-        "trace", help="run one experiment with tracing on; write Perfetto JSON",
-        parents=[param, smoke],
-    )
-    trace.add_argument("experiment", help="experiment id (see `repro list`)")
-    trace.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="set the experiment's seed parameter (reproducible workloads)",
-    )
-    trace.add_argument(
-        "--output", type=Path, default=None, metavar="FILE",
-        help="trace path (default: ./TRACE_<experiment>.json)",
-    )
-
-    metrics = sub.add_parser(
-        "metrics", help="dump the metrics registry from a run or a manifest",
-        parents=[param, smoke, as_json],
-    )
-    metrics.add_argument(
-        "experiment", nargs="?", default=None,
-        help="experiment id to run with metrics on (see `repro list`)",
-    )
-    metrics.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="set the experiment's seed parameter (reproducible workloads)",
-    )
-    metrics.add_argument(
-        "--manifest", type=Path, default=None, metavar="FILE",
-        help="read the metrics block out of a `run-all --trace` manifest"
-        " instead of running an experiment",
-    )
-
-    analyze = sub.add_parser(
-        "analyze", help="analyze a saved trace or artifact offline",
-        parents=[artifacts, as_json],
-    )
-    analyze.add_argument(
-        "target",
-        help="trace/artifact JSON path, or an artifact id under --artifacts",
-    )
-    analyze.add_argument(
-        "--critical-path", action="store_true",
-        help="extract the binding-resource chain (durations sum to the"
-        " makespan) with per-resource blocking attribution",
-    )
-    analyze.add_argument(
-        "--self-time", action="store_true",
-        help="span-tree rollup: wall-clock total and self time per span name",
-    )
-    analyze.add_argument(
-        "--diff", default=None, metavar="OTHER",
-        help="diff self-times against a baseline trace (path or artifact"
-        " id): localizes a regression to specific spans",
-    )
-    analyze.add_argument(
-        "--top", type=int, default=12, metavar="N",
-        help="rows to print per table (default: 12)",
-    )
-
-    slo = sub.add_parser(
-        "slo", help="replay a cluster artifact's window series through the"
-        " SLO monitor", parents=[artifacts, as_json],
-    )
-    slo.add_argument(
-        "artifact",
-        help="cluster report JSON path, or an artifact id under --artifacts",
-    )
-    slo.add_argument(
-        "--slo-ms", type=float, default=0.0, metavar="MS",
-        help="latency SLO override (default: the artifact's slo block)",
-    )
-    slo.add_argument(
-        "--target", type=float, default=0.0, metavar="T",
-        help="attainment target override in (0,1) (default: the"
-        " artifact's, else 0.99)",
-    )
-
-    sub.add_parser("zoo", help="print the Table-2 model zoo")
-    return parser
-
-
-def _parse_only(raw: str | None) -> list[str] | None:
-    if raw is None:
-        return None
-    return [name.strip() for name in raw.split(",") if name.strip()]
+def _check_model(model: str) -> None:
+    if model not in MODEL_ZOO:
+        raise ValueError(f"unknown model {model!r}; options {sorted(MODEL_ZOO)}")
 
 
 def _parse_single_params(name: str, specs: list[str], seed: int | None = None) -> dict:
@@ -473,72 +113,205 @@ def _write_trace(path: Path, extra_events: list | None = None) -> None:
     print(f"trace: {path} ({spans} spans; open at https://ui.perfetto.dev)")
 
 
-def _traced_params(args) -> dict:
-    """Params for `trace`/`metrics`: the experiment's smoke params (when
-    ``--smoke``) under any explicit ``--param``/``--seed`` overrides."""
-    params = _parse_single_params(args.experiment, args.param, args.seed)
-    if args.smoke:
-        params = {**get_experiment(args.experiment).smoke_params, **params}
-    return params
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=float)
 
 
-def _run_traced_experiment(args):
-    """Run one experiment uncached with telemetry on.
+def _run_one(
+    experiment: str, param: list[str], seed: int | None,
+    *, smoke: bool = False, trace: bool = True,
+):
+    """Run one experiment uncached, with telemetry on when ``trace``.
 
-    Returns the outcome, or ``None`` (error already printed).  Bypassing
-    the result cache matters: a cache hit would execute nothing and
-    record an empty trace.
+    ``smoke`` starts from the experiment's smoke params, under any
+    explicit ``--param``/``--seed`` overrides.  Returns the outcome, or
+    ``None`` (error already printed).  Bypassing the result cache
+    matters: a cache hit would execute nothing and record an empty trace.
     """
-    params = _traced_params(args)
-    obs.enable()
-    outcome = ExperimentRunner(artifacts_root=None).run(args.experiment, params)
+    params = _parse_single_params(experiment, param, seed)
+    if smoke:
+        params = {**get_experiment(experiment).smoke_params, **params}
+    if trace:
+        obs.enable()
+    outcome = ExperimentRunner(artifacts_root=None).run(experiment, params)
     if not outcome.ok:
         print(outcome.error, file=sys.stderr)
         return None
     return outcome
 
 
-def _run_trace(args) -> int:
-    """The `repro trace` body: one traced run, one Perfetto JSON out."""
-    outcome = _run_traced_experiment(args)
+def _cmd_list() -> int:
+    """list registered experiment ids
+
+    One line per experiment: id, paper artifact, cost tier, parameter
+    names and description.
+    """
+    width = max(len(name) for name in EXPERIMENTS)
+    for name in sorted(EXPERIMENTS):
+        experiment = EXPERIMENTS[name]
+        params = ",".join(sorted(experiment.params)) or "-"
+        print(
+            f"{name:<{width}}  {experiment.artifact:<9} {experiment.cost:<7}"
+            f" params:{params:<24} {experiment.description}"
+        )
+    return 0
+
+
+def _cmd_run(
+    experiment: str,
+    *,
+    param: tuple[str, ...] = (),
+    seed: int | None = None,
+    output: Path | None = None,
+    trace: bool = False,
+) -> int:
+    """run one experiment
+
+    Prints its JSON result (or writes it to --output); --trace also
+    writes TRACE_<experiment>.json.
+    """
+    outcome = _run_one(experiment, param, seed, trace=trace)
     if outcome is None:
         return 1
-    output = args.output or Path(f"TRACE_{args.experiment}.json")
+    text = _json_text(outcome.result)
+    if output is not None:
+        output.write_text(text)
+        print(f"wrote {output}")
+    else:
+        print(text)
+    if trace:
+        _write_trace(
+            Path(f"TRACE_{experiment}.json"), obs.result_events(outcome.result)
+        )
+    return 0
+
+
+def _cmd_run_all(
+    *,
+    only: str | None = None,
+    smoke: bool = False,
+    jobs: int = 1,
+    force: bool = False,
+    artifacts: Path = Path("artifacts"),
+    trace: bool = False,
+    alerts: bool = False,
+) -> int:
+    """run every experiment via the parallel cached runtime
+
+    Process-pool execution, a content-addressed result cache, and
+    <artifacts>/<id>.json plus a manifest.json with timings and cache
+    hits.
+    """
+    if trace:
+        obs.enable()
+    runner = ExperimentRunner(artifacts_root=artifacts, jobs=jobs, force=force)
+    summary = runner.run_all(
+        only=None if only is None else [
+            name.strip() for name in only.split(",") if name.strip()
+        ],
+        smoke=smoke, alerts=alerts,
+    )
+    _print_summary(summary)
+    if trace:
+        root = (
+            Path(summary.manifest_path).parent
+            if summary.manifest_path
+            else artifacts
+        )
+        _write_trace(root / "trace.json")
+    return 0 if summary.ok else 1
+
+
+def _cmd_sweep(
+    experiment: str,
+    *,
+    param: tuple[str, ...] = (),
+    seed: int | None = None,
+    jobs: int = 1,
+    force: bool = False,
+    artifacts: Path = Path("artifacts"),
+    output: Path | None = None,
+) -> int:
+    """parameter sweep of one experiment
+
+    The Cartesian product of the comma-separated --param values, through
+    the parallel cached runtime; the sweep payload lands under
+    <artifacts>/sweeps/.
+    """
+    runner = ExperimentRunner(artifacts_root=artifacts, jobs=jobs, force=force)
+    spec = get_experiment(experiment)
+    grid = parse_param_specs(spec, param)
+    if _seed_applies(spec, "seed" in grid, seed):
+        grid = {**grid, "seed": [seed]}
+    summary = runner.sweep(experiment, grid)
+    _print_summary(summary)
+    sweep_path = runner.store.sweep_path(experiment)
+    print(f"sweep: {sweep_path}")
+    if output is not None:
+        output.write_text(sweep_path.read_text())
+        print(f"wrote {output}")
+    return 0 if summary.ok else 1
+
+
+def _cmd_trace(
+    experiment: str,
+    *,
+    param: tuple[str, ...] = (),
+    seed: int | None = None,
+    smoke: bool = False,
+    output: Path | None = None,
+) -> int:
+    """run one experiment with tracing on; write Perfetto JSON
+
+    The Chrome trace-event JSON holds wall-clock spans plus simulated-time
+    tracks, loadable at https://ui.perfetto.dev.
+    """
+    outcome = _run_one(experiment, param, seed, smoke=smoke)
+    if outcome is None:
+        return 1
+    output = output or Path(f"TRACE_{experiment}.json")
     _write_trace(output, obs.result_events(outcome.result))
     return 0
 
 
-def _run_metrics(args) -> int:
-    """The `repro metrics` body: dump a registry snapshot, live or saved."""
-    if args.manifest is not None:
-        try:
-            payload = json.loads(args.manifest.read_text())
-        except FileNotFoundError:
-            print(f"--manifest: {args.manifest} not found", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as error:
-            print(f"--manifest: {args.manifest}: {error}", file=sys.stderr)
-            return 2
+def _cmd_metrics(
+    experiment: str | None = None,
+    *,
+    param: tuple[str, ...] = (),
+    seed: int | None = None,
+    smoke: bool = False,
+    manifest: Path | None = None,
+    json: bool = False,
+) -> int:
+    """dump the metrics registry from a run or a manifest
+
+    Counters, gauges and sketch-backed histograms: either run one
+    experiment with metrics on, or read the metrics block a
+    `run-all --trace` recorded in its manifest.
+    """
+    if (experiment is None) == (manifest is None):
+        raise ValueError(
+            "metrics: give an experiment id or --manifest FILE"
+            + (", not both" if manifest else "")
+        )
+    if manifest is not None:
+        if not manifest.is_file():
+            raise ValueError(f"--manifest: {manifest} not found")
+        payload = _load_json(manifest)
         snapshot = payload.get("metrics") if isinstance(payload, dict) else None
         if not snapshot:
             print(
-                f"{args.manifest}: no metrics block (record one with"
+                f"{manifest}: no metrics block (record one with"
                 " `repro run-all --trace`)",
                 file=sys.stderr,
             )
             return 1
     else:
-        if args.experiment is None:
-            print(
-                "metrics: give an experiment id or --manifest FILE",
-                file=sys.stderr,
-            )
-            return 2
-        if _run_traced_experiment(args) is None:
+        if _run_one(experiment, param, seed, smoke=smoke) is None:
             return 1
         snapshot = obs.registry.to_dict()
-    if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True, default=float))
+    if json:
+        print(_json_text(snapshot))
     else:
         for line in obs.format_metrics(snapshot):
             print(line)
@@ -600,16 +373,32 @@ def _print_critical_path(label: str, cp, top: int) -> None:
         print(f"    ... {len(cp.segments) - top} more segments (--top N)")
 
 
-def _run_analyze(args) -> int:
-    """The `repro analyze` body: critical path / self time / trace diff."""
-    path = _resolve_artifact(args.target, args.artifacts)
+def _cmd_analyze(
+    target: str,
+    *,
+    critical_path: bool = False,
+    self_time: bool = False,
+    diff: str | None = None,
+    top: int = 12,
+    artifacts: Path = Path("artifacts"),
+    json: bool = False,
+) -> int:
+    """analyze a saved trace or artifact offline
+
+    --critical-path extracts the binding-resource chain whose durations
+    sum exactly to the makespan, --self-time rolls the span tree up per
+    name, and --diff OTHER localizes a regression to the spans that
+    slowed down (OTHER is the baseline).  With no mode flag, every
+    analysis that applies to the input runs.
+    """
+    path = _resolve_artifact(target, artifacts)
     doc = _load_json(path)
     is_trace = isinstance(doc, dict) and isinstance(doc.get("traceEvents"), list)
     modes = [
         mode for mode, wanted in (
-            ("critical-path", args.critical_path),
-            ("self-time", args.self_time),
-            ("diff", args.diff is not None),
+            ("critical-path", critical_path),
+            ("self-time", self_time),
+            ("diff", diff is not None),
         ) if wanted
     ]
     if not modes:        # default: everything that applies to the input
@@ -634,9 +423,9 @@ def _run_analyze(args) -> int:
         payload["critical_path"] = {
             label: cp.to_dict() for label, cp in paths
         }
-        if not args.json:
+        if not json:
             for label, cp in paths:
-                _print_critical_path(label, cp, args.top)
+                _print_critical_path(label, cp, top)
 
     if "self-time" in modes:
         if not is_trace:
@@ -646,10 +435,10 @@ def _run_analyze(args) -> int:
             )
         rows = obs.self_time(doc)
         payload["self_time"] = rows
-        if not args.json:
+        if not json:
             print(f"self time [{path.name}]: {len(rows)} span names")
-            width = max((len(r["name"]) for r in rows[:args.top]), default=4)
-            for row in rows[:args.top]:
+            width = max((len(r["name"]) for r in rows[:top]), default=4)
+            for row in rows[:top]:
                 print(
                     f"  {row['name']:<{width}}  x{row['count']:<5}"
                     f" self {row['self_us'] / 1e3:10.3f} ms"
@@ -657,7 +446,7 @@ def _run_analyze(args) -> int:
                 )
 
     if "diff" in modes:
-        other = _resolve_artifact(args.diff, args.artifacts)
+        other = _resolve_artifact(diff, artifacts)
         old_doc = _load_json(other)
         if not is_trace or not isinstance(old_doc.get("traceEvents"), list):
             raise ValueError(
@@ -666,10 +455,10 @@ def _run_analyze(args) -> int:
             )
         rows = obs.diff_traces(old_doc, doc)
         payload["diff"] = {"baseline": str(other), "rows": rows}
-        if not args.json:
+        if not json:
             print(f"trace diff [{other.name} -> {path.name}]:")
-            width = max((len(r["name"]) for r in rows[:args.top]), default=4)
-            for row in rows[:args.top]:
+            width = max((len(r["name"]) for r in rows[:top]), default=4)
+            for row in rows[:top]:
                 delta_ms = row["delta_self_us"] / 1e3
                 print(
                     f"  {row['name']:<{width}}  {delta_ms:+10.3f} ms self"
@@ -677,14 +466,25 @@ def _run_analyze(args) -> int:
                     f" {row['new_self_us'] / 1e3:.3f} ms) {row['status']}"
                 )
 
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    if json:
+        print(_json_text(payload))
     return 0
 
 
-def _run_slo(args) -> int:
-    """The `repro slo` body: offline SLO replay over a saved window series."""
-    path = _resolve_artifact(args.artifact, args.artifacts)
+def _cmd_slo(
+    artifact: str,
+    *,
+    slo_ms: float = 0.0,
+    target: float = 0.0,
+    artifacts: Path = Path("artifacts"),
+    json: bool = False,
+) -> int:
+    """replay a cluster artifact's window series through the SLO monitor
+
+    Attainment, error-budget burn-down, and burn-rate alert transitions,
+    window by window.
+    """
+    path = _resolve_artifact(artifact, artifacts)
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a cluster report payload")
@@ -697,12 +497,12 @@ def _run_slo(args) -> int:
             " one; run `repro cluster --shards K --slo-ms MS --output ...`)"
         )
     saved = doc.get("slo") if isinstance(doc.get("slo"), dict) else {}
-    slo_ms = args.slo_ms or saved.get("slo_ms")
+    slo_ms = slo_ms or saved.get("slo_ms")
     if not slo_ms:
         raise ValueError(
             f"{path}: no SLO in the artifact; pass --slo-ms MS"
         )
-    target = args.target or saved.get("target", 0.99)
+    target = target or saved.get("target", 0.99)
     monitor = obs.SLOMonitor(
         obs.SLOObjective(slo_ms=float(slo_ms), target=float(target))
     )
@@ -720,11 +520,10 @@ def _run_slo(args) -> int:
             good,
         )
     summary = monitor.summary()
-    if args.json:
-        print(json.dumps(
+    if json:
+        print(_json_text(
             {"input": str(path), "slo": summary,
-             "windows": [s.to_dict() for s in monitor.states]},
-            indent=2, sort_keys=True, default=float,
+             "windows": [s.to_dict() for s in monitor.states]}
         ))
         return 0
     budget = summary["budget"]
@@ -758,10 +557,7 @@ def _run_slo(args) -> int:
     return 0
 
 
-def _run_cluster(
-    kinds_file: Path | None,
-    output: Path | None,
-    trace: bool,
+def _cmd_cluster(
     *,
     fleet: str = "standard:4",
     policy: str = "least_work",
@@ -781,7 +577,7 @@ def _run_cluster(
     slo_ms: float = 0.0,
     slo_target: float = 0.99,
     alerts: bool = False,
-    scheduler: Literal["auto", "fifo", "batch", "continuous"] = "auto",
+    scheduler: Literal["static", "continuous"] = "static",
     tenants: str = "",
     priority_mix: str = "",
     max_batch: int = 1,
@@ -789,8 +585,19 @@ def _run_cluster(
     queue_capacity: int = 0,
     autoscale_max: int = 0,
     passes: str = "all",
+    kinds_file: Path | None = None,
+    output: Path | None = None,
+    trace: bool = False,
 ) -> int:
-    """The `repro cluster` body: build the fleet, serve the stream, print."""
+    """simulate a multi-chip fleet behind the router
+
+    Builds the fleet (chip kinds from --kinds-file, e.g. a DSE fleet
+    export, register first), serves the stream through the sharded fleet
+    simulator, and prints the fleet summary and per-chip breakdown.
+    --shards K partitions the fleet into K windowed shard engines, the
+    trace arrivals drive planet-scale workloads, --slo-ms adds the SLO
+    report, and --alerts writes INCIDENT_cluster.json.
+    """
     # Imported lazily: the cluster layer pulls the whole simulator stack,
     # which `repro list`/`repro cache` don't need.
     from .cluster import (
@@ -857,9 +664,7 @@ def _run_cluster(
             kind=template_kind,
         )
     scheduler_config = SchedulerConfig(
-        max_batch=1 if scheduler == "fifo" else max_batch,
-        max_inflight=max_inflight,
-        mode="continuous" if scheduler == "continuous" else "static",
+        max_batch=max_batch, max_inflight=max_inflight, mode=scheduler
     )
     if window_ms == 0 and autoscale is not None:
         # Every autoscale tick lands on a window edge.
@@ -1000,8 +805,26 @@ def _run_cluster(
     return 0
 
 
-def _run_compile(args) -> int:
-    """The `repro compile` body: compile one model, print the summary."""
+def _cmd_compile(
+    model: str,
+    *,
+    chip: str = "standard",
+    bs_t: int = 2,
+    bs_n: int = 4,
+    passes: str = "all",
+    seed: int = 0,
+    dram_gbps: float | None = None,
+    theta_q: float | None = None,
+    theta_k: float | None = None,
+    dump: Path | None = None,
+    no_cache: bool = False,
+) -> int:
+    """compile one zoo model into a chip program
+
+    Runs the pass pipeline (repro.compiler) and prints the program
+    summary: stages, tile counts per core class, bundle occupancy and
+    estimated makespans.  ECP needs --theta-q and --theta-k together.
+    """
     import dataclasses
 
     # Imported lazily, like the cluster layer: compilation pulls the full
@@ -1009,43 +832,35 @@ def _run_compile(args) -> int:
     from .algo import ECPConfig
     from .cluster import chip_config
     from .compiler import PassConfig, ProgramCache, compile_model, default_program_cache, program_key
-    from .model import MODEL_ZOO
 
-    if args.model not in MODEL_ZOO:
-        print(
-            f"unknown model {args.model!r}; options {sorted(MODEL_ZOO)}",
-            file=sys.stderr,
-        )
-        return 2
-    if (args.theta_q is None) != (args.theta_k is None):
-        print("--theta-q and --theta-k must be given together", file=sys.stderr)
-        return 2
-    config = chip_config(args.chip, args.bs_t, args.bs_n)
-    if args.dram_gbps is not None:
-        if args.dram_gbps <= 0:
-            print("--dram-gbps must be positive", file=sys.stderr)
-            return 2
+    _check_model(model)
+    if (theta_q is None) != (theta_k is None):
+        raise ValueError("--theta-q and --theta-k must be given together")
+    config = chip_config(chip, bs_t, bs_n)
+    if dram_gbps is not None:
+        if dram_gbps <= 0:
+            raise ValueError("--dram-gbps must be positive")
         config = config.with_overrides(
             dram=dataclasses.replace(
-                config.dram, bandwidth_bytes_per_s=args.dram_gbps * 1e9
+                config.dram, bandwidth_bytes_per_s=dram_gbps * 1e9
             )
         )
     ecp = None
-    if args.theta_q is not None:
+    if theta_q is not None:
         ecp = ECPConfig(
-            theta_q=args.theta_q, theta_k=args.theta_k, spec=config.bundle_spec
+            theta_q=theta_q, theta_k=theta_k, spec=config.bundle_spec
         )
-    pass_config = PassConfig.parse(args.passes)
-    cache = ProgramCache(None) if args.no_cache else default_program_cache()
-    key = program_key(args.model, config, pass_config, seed=args.seed, ecp=ecp)
+    pass_config = PassConfig.parse(passes)
+    cache = ProgramCache(None) if no_cache else default_program_cache()
+    key = program_key(model, config, pass_config, seed=seed, ecp=ecp)
     # get(), not `in`: a corrupted on-disk entry is a miss (and self-heals).
     cached = cache.get(key) is not None
     program = compile_model(
-        args.model, config, seed=args.seed, ecp=ecp, passes=pass_config,
+        model, config, seed=seed, ecp=ecp, passes=pass_config,
         cache=cache,
     )
 
-    if args.dump is not None and str(args.dump) == "-":
+    if dump is not None and str(dump) == "-":
         print(canonical_json(program.to_dict()))
         return 0
 
@@ -1053,9 +868,9 @@ def _run_compile(args) -> int:
     phases = program.stage_counts()
     scheduled = program.scheduled_latency_s
     print(
-        f"{args.model} on {args.chip} chip (bs {args.bs_t}x{args.bs_n},"
-        f" seed {args.seed}), passes {pass_config.spec()}"
-        + (f", ecp θq={args.theta_q:g} θk={args.theta_k:g}" if ecp else "")
+        f"{model} on {chip} chip (bs {bs_t}x{bs_n},"
+        f" seed {seed}), passes {pass_config.spec()}"
+        + (f", ecp θq={theta_q:g} θk={theta_k:g}" if ecp else "")
     )
     print(f"  pipeline: {' -> '.join(program.passes)}")
     print(
@@ -1083,16 +898,38 @@ def _run_compile(args) -> int:
     )
     print(
         f"  program cache: {'hit' if cached else 'miss'} @{key[:12]}"
-        + (" (bypassed)" if args.no_cache else "")
+        + (" (bypassed)" if no_cache else "")
     )
-    if args.dump is not None:
-        args.dump.write_text(canonical_json(program.to_dict()))
-        print(f"wrote {args.dump}")
+    if dump is not None:
+        dump.write_text(canonical_json(program.to_dict()))
+        print(f"wrote {dump}")
     return 0
 
 
-def _run_dse(args) -> int:
-    """The `repro dse` body: search, print the frontier, export winners."""
+def _cmd_dse(
+    model: str,
+    *,
+    strategy: str = "random",
+    budget: int = 64,
+    objectives: str = "latency_ms+energy_mj+area_mm2",
+    seed: int = 0,
+    batch: int = 16,
+    top: int = 8,
+    jobs: int = 1,
+    force: bool = False,
+    artifacts: Path = Path("artifacts"),
+    export_fleet: Path | None = None,
+    output: Path | None = None,
+    trace: bool = False,
+) -> int:
+    """Pareto search over Bishop chip configurations
+
+    Every candidate (plus the paper chip) compiles through the pass
+    pipeline and replays on the event engine as a dse_point experiment
+    through the parallel cached runtime, so re-runs are served from the
+    result/program caches.  Prints the Pareto frontier and where the
+    paper's chip lands relative to it.
+    """
     # Imported lazily: the DSE layer pulls the compiler + engine stack,
     # which `repro list`/`repro cache` don't need.
     from .dse import (
@@ -1102,103 +939,100 @@ def _run_dse(args) -> int:
         parse_objectives,
         run_dse,
     )
-    from .model import MODEL_ZOO
 
-    if args.model not in MODEL_ZOO:
-        print(
-            f"unknown model {args.model!r}; options {sorted(MODEL_ZOO)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.trace:
+    _check_model(model)
+    if trace:
         obs.enable()
-    objectives = parse_objectives(args.objectives)
+    axes = parse_objectives(objectives)
     config = DSEConfig(
-        model=args.model,
-        strategy=args.strategy,
-        budget=args.budget,
-        objectives=objectives,
-        seed=args.seed,
-        batch=args.batch,
+        model=model,
+        strategy=strategy,
+        budget=budget,
+        objectives=axes,
+        seed=seed,
+        batch=batch,
     )
-    runner = ExperimentRunner(
-        artifacts_root=args.artifacts, jobs=args.jobs, force=args.force
-    )
+    runner = ExperimentRunner(artifacts_root=artifacts, jobs=jobs, force=force)
     started = time.perf_counter()
     report = run_dse(config, runner=runner)
     wall = time.perf_counter() - started
 
     print(
-        f"{args.model} dse: strategy {args.strategy}, budget {args.budget},"
-        f" seed {args.seed}, objectives {'+'.join(objectives)}"
+        f"{model} dse: strategy {strategy}, budget {budget},"
+        f" seed {seed}, objectives {'+'.join(axes)}"
     )
     print(
         f"  evaluated {report['evaluated']} chips"
         f" ({report['cache_hits']} cache hits) in {wall:.1f}s"
         f" with {runner.jobs} job(s); space size {report['space']['size']:,}"
     )
-    for line in format_frontier_report(report, top=args.top):
+    for line in format_frontier_report(report, top=top):
         print(f"  {line}")
-    if args.export_fleet is not None:
-        kinds = export_fleet_kinds(report, args.export_fleet)
+    if export_fleet is not None:
+        kinds = export_fleet_kinds(report, export_fleet)
         print(
-            f"  exported {len(kinds)} chip kind(s) to {args.export_fleet}"
-            f" (use: repro cluster --kinds-file {args.export_fleet}"
+            f"  exported {len(kinds)} chip kind(s) to {export_fleet}"
+            f" (use: repro cluster --kinds-file {export_fleet}"
             f" --fleet {next(iter(kinds))}:2)"
         )
-    if args.output is not None:
-        args.output.write_text(canonical_json(report))
-        print(f"wrote {args.output}")
-    if args.trace:
-        _write_trace(Path(f"TRACE_dse_{args.model}.json"))
+    if output is not None:
+        output.write_text(canonical_json(report))
+        print(f"wrote {output}")
+    if trace:
+        _write_trace(Path(f"TRACE_dse_{model}.json"))
     return 0
 
 
-def _run_cache(args) -> int:
-    """The `repro cache ls|gc` body.
-
-    Covers both content-addressed stores under the artifact root: the
+def _cache_stores(artifacts: Path) -> tuple:
+    """Both content-addressed stores under the artifact root: the
     experiment result cache (``cache/``) and the compiler's program cache
-    (``programs/``).
-    """
+    (``programs/``)."""
     from .compiler import ProgramCache
 
-    results = ResultCache(Path(args.artifacts) / "cache")
-    stores = (results, ProgramCache(Path(args.artifacts) / "programs"))
-    if args.cache_command == "ls":
-        for entry in results.list_entries():
-            age_s = max(0.0, time.time() - entry.mtime)
-            params = ",".join(
-                f"{k}={v}" for k, v in sorted(entry.params.items())
-            ) or "-"
-            if len(params) > 48:
-                params = params[:45] + "..."
-            print(
-                f"{entry.key[:12]}  {entry.experiment:<24}"
-                f" {entry.size_bytes:>9}B  {age_s:>8.0f}s ago  {params}"
+    return ResultCache(artifacts / "cache"), ProgramCache(artifacts / "programs")
+
+
+def _cmd_cache_ls(
+    *, artifacts: Path = Path("artifacts"), stats: bool = False
+) -> int:
+    """list cache entries, newest first"""
+    stores = _cache_stores(artifacts)
+    for entry in stores[0].list_entries():
+        age_s = max(0.0, time.time() - entry.mtime)
+        params = ",".join(
+            f"{k}={v}" for k, v in sorted(entry.params.items())
+        ) or "-"
+        if len(params) > 48:
+            params = params[:45] + "..."
+        print(
+            f"{entry.key[:12]}  {entry.experiment:<24}"
+            f" {entry.size_bytes:>9}B  {age_s:>8.0f}s ago  {params}"
+        )
+    all_stats = [store.stats() for store in stores]
+    for store, store_stats in zip(stores, all_stats):
+        print(
+            f"{store_stats.store}: {store_stats.entries} entries,"
+            f" {store_stats.total_bytes} bytes ({store.root})"
+        )
+    if stats:
+        print(
+            "stats: "
+            f"{sum(s.entries for s in all_stats)} entries,"
+            f" {sum(s.total_bytes for s in all_stats)} bytes"
+            + "".join(
+                f" | {s.store} {s.entries} / {s.total_bytes}B"
+                for s in all_stats
             )
-        all_stats = [store.stats() for store in stores]
-        for store, stats in zip(stores, all_stats):
-            print(
-                f"{stats.store}: {stats.entries} entries,"
-                f" {stats.total_bytes} bytes ({store.root})"
-            )
-        if args.stats:
-            print(
-                "stats: "
-                f"{sum(s.entries for s in all_stats)} entries,"
-                f" {sum(s.total_bytes for s in all_stats)} bytes"
-                + "".join(
-                    f" | {s.store} {s.entries} / {s.total_bytes}B"
-                    for s in all_stats
-                )
-            )
-        return 0
-    if args.keep_latest < 0:
-        print("--keep-latest must be >= 0", file=sys.stderr)
-        return 2
-    for store in stores:
-        result = store.gc(args.keep_latest)
+        )
+    return 0
+
+
+def _cmd_cache_gc(*, artifacts: Path = Path("artifacts"), keep_latest: int) -> int:
+    """delete all but the most recent entries"""
+    if keep_latest < 0:
+        raise ValueError("--keep-latest must be >= 0")
+    for store in _cache_stores(artifacts):
+        result = store.gc(keep_latest)
         print(
             f"{store.name}: kept {result.kept}, removed {result.removed},"
             f" freed {result.freed_bytes} bytes ({store.root})"
@@ -1206,162 +1040,100 @@ def _run_cache(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _cmd_zoo() -> int:
+    """print the Table-2 model zoo"""
+    for name, config in MODEL_ZOO.items():
+        print(
+            f"{name}: {config.name}  B={config.num_blocks} T={config.timesteps}"
+            f" N={config.num_tokens} D={config.embed_dim}"
+            f" ({config.input_kind})"
+        )
+    return 0
 
-    # Honour REPRO_TRACE/REPRO_METRICS from the environment for every
-    # command (the same contract as REPRO_ENGINE: strict values, an
-    # unrecognized spelling is exit 2, never a silent fall-through).
+
+# Every subcommand's handler, in `repro --help` order; a nested table is
+# a command with its own subcommands (`repro cache ls|gc`).
+COMMANDS: dict = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "run-all": _cmd_run_all,
+    "sweep": _cmd_sweep,
+    "compile": _cmd_compile,
+    "cluster": _cmd_cluster,
+    "dse": _cmd_dse,
+    "cache": {"ls": _cmd_cache_ls, "gc": _cmd_cache_gc},
+    "trace": _cmd_trace,
+    "metrics": _cmd_metrics,
+    "analyze": _cmd_analyze,
+    "slo": _cmd_slo,
+    "zoo": _cmd_zoo,
+}
+
+# Per-command wording of repro.schema.OVERRIDABLE_HELP names.
+HELP_OVERRIDES: dict[str, dict[str, str]] = {
+    "run": {"output": "write the JSON result here instead of stdout"},
+    "cluster": {
+        "rho": "offered load vs fleet aggregate capacity (at the trace peak"
+        " for diurnal/flash_crowd/regional)",
+    },
+    "trace": {"output": "trace path (default: ./TRACE_<experiment>.json)"},
+    "analyze": {
+        "target": "trace/artifact JSON path, or an artifact id under"
+        " --artifacts",
+    },
+}
+
+
+def _add_commands(
+    parser: argparse.ArgumentParser, table: dict, dest: str
+) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, entry in table.items():
+        if isinstance(entry, dict):
+            summary = "; ".join(
+                f"{child}: {inspect.getdoc(fn).splitlines()[0]}"
+                for child, fn in entry.items()
+            )
+            _add_commands(
+                sub.add_parser(name, help=summary), entry, f"{name}_command"
+            )
+            continue
+        doc = inspect.getdoc(entry)
+        command = sub.add_parser(
+            name, help=doc.splitlines()[0], description=doc,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        add_signature(command, entry, HELP_OVERRIDES.get(name))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The `repro` parser, generated from :data:`COMMANDS`."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Bishop (ISCA 2025) reproduction: run paper experiments.",
+    )
+    _add_commands(parser, COMMANDS, "command")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    options = vars(build_parser().parse_args(argv))
+    handler, dest = COMMANDS, "command"
+    while isinstance(handler, dict):
+        name = options.pop(dest)
+        handler, dest = handler[name], f"{name}_command"
     try:
+        # Honour REPRO_TRACE/REPRO_METRICS from the environment for every
+        # command (the same contract as REPRO_ENGINE: strict values, an
+        # unrecognized spelling is exit 2, never a silent fall-through).
         obs.enable_from_env()
+        return handler(**options)
+    except KeyError as error:
+        print(error.args[0], file=sys.stderr)
+        return 2
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-
-    if args.command == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name in sorted(EXPERIMENTS):
-            experiment = EXPERIMENTS[name]
-            params = ",".join(sorted(experiment.params)) or "-"
-            print(
-                f"{name:<{width}}  {experiment.artifact:<9} {experiment.cost:<7}"
-                f" params:{params:<24} {experiment.description}"
-            )
-        return 0
-
-    if args.command == "zoo":
-        for name, config in MODEL_ZOO.items():
-            print(
-                f"{name}: {config.name}  B={config.num_blocks} T={config.timesteps}"
-                f" N={config.num_tokens} D={config.embed_dim}"
-                f" ({config.input_kind})"
-            )
-        return 0
-
-    if args.command == "run":
-        try:
-            params = _parse_single_params(args.experiment, args.param, args.seed)
-        except KeyError as error:
-            print(error.args[0], file=sys.stderr)
-            return 2
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-        if args.trace:
-            obs.enable()
-        outcome = ExperimentRunner(artifacts_root=None).run(args.experiment, params)
-        if not outcome.ok:
-            print(outcome.error, file=sys.stderr)
-            return 1
-        text = json.dumps(outcome.result, indent=2, default=float, sort_keys=True)
-        if args.output is not None:
-            args.output.write_text(text)
-            print(f"wrote {args.output}")
-        else:
-            print(text)
-        if args.trace:
-            _write_trace(
-                Path(f"TRACE_{args.experiment}.json"),
-                obs.result_events(outcome.result),
-            )
-        return 0
-
-    if args.command == "run-all":
-        if args.trace:
-            obs.enable()
-        try:
-            runner = ExperimentRunner(
-                artifacts_root=args.artifacts, jobs=args.jobs, force=args.force
-            )
-            summary = runner.run_all(
-                only=_parse_only(args.only), smoke=args.smoke,
-                alerts=args.alerts,
-            )
-        except KeyError as error:
-            print(error.args[0], file=sys.stderr)
-            return 2
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-        _print_summary(summary)
-        if args.trace:
-            root = (
-                Path(summary.manifest_path).parent
-                if summary.manifest_path
-                else Path(args.artifacts)
-            )
-            _write_trace(root / "trace.json")
-        return 0 if summary.ok else 1
-
-    if args.command == "compile":
-        try:
-            return _run_compile(args)
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-
-    if args.command == "cluster":
-        try:
-            options = {k: v for k, v in vars(args).items() if k != "command"}
-            return _run_cluster(**options)
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-
-    if args.command == "dse":
-        try:
-            return _run_dse(args)
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-
-    if args.command == "cache":
-        return _run_cache(args)
-
-    if args.command in ("trace", "metrics", "analyze", "slo"):
-        handler = {
-            "trace": _run_trace,
-            "metrics": _run_metrics,
-            "analyze": _run_analyze,
-            "slo": _run_slo,
-        }[args.command]
-        try:
-            return handler(args)
-        except KeyError as error:
-            print(error.args[0], file=sys.stderr)
-            return 2
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-
-    if args.command == "sweep":
-        try:
-            runner = ExperimentRunner(
-                artifacts_root=args.artifacts, jobs=args.jobs, force=args.force
-            )
-            experiment = get_experiment(args.experiment)
-            grid = parse_param_specs(experiment, args.param)
-            if _seed_applies(experiment, "seed" in grid, args.seed):
-                grid = {**grid, "seed": [args.seed]}
-            summary = runner.sweep(args.experiment, grid)
-        except KeyError as error:
-            print(error.args[0], file=sys.stderr)
-            return 2
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-        _print_summary(summary)
-        if runner.store is not None:
-            sweep_path = runner.store.sweep_path(args.experiment)
-            print(f"sweep: {sweep_path}")
-            if args.output is not None:
-                args.output.write_text(sweep_path.read_text())
-                print(f"wrote {args.output}")
-        elif args.output is not None:  # pragma: no cover - store always set here
-            args.output.write_text(canonical_json([vars(o) for o in summary.outcomes]))
-        return 0 if summary.ok else 1
-
-    return 1  # pragma: no cover - argparse enforces the command set
 
 
 if __name__ == "__main__":  # pragma: no cover

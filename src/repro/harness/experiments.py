@@ -1589,6 +1589,7 @@ EXPERIMENTS: dict[str, Experiment] = _register((
         param_help={
             "policy": "in-shard routing policy",
             "num_requests": "requests in the trace",
+            "trace": "arrival trace: poisson | diurnal | flash_crowd | regional",
         },
         smoke_params={"chips": 64, "shards": 2, "num_requests": 240},
         description="sharded planet-scale fleet under trace-driven load"

@@ -140,8 +140,10 @@ class SLOObjective:
     name: str = "latency"
 
     def __post_init__(self) -> None:
-        if self.slo_ms <= 0:
-            raise ValueError("slo_ms must be positive")
+        if not (math.isfinite(self.slo_ms) and self.slo_ms > 0):
+            raise ValueError(
+                f"slo_ms must be finite and positive, got {self.slo_ms}"
+            )
         if not 0.0 < self.target < 1.0:
             raise ValueError("target must be in (0, 1)")
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro import obs
 from repro.cli import main
 
@@ -51,6 +53,13 @@ class TestMetricsCommand:
     def test_requires_experiment_or_manifest(self, capsys):
         assert main(["metrics"]) == 2
         assert "--manifest" in capsys.readouterr().err
+
+    def test_experiment_and_manifest_together_is_exit_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"metrics": {"counters": {}}}))
+        assert main(["metrics", "fig99", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "experiment id" in err and "--manifest" in err and "both" in err
 
     def test_missing_manifest_file(self, tmp_path, capsys):
         assert main(["metrics", "--manifest", str(tmp_path / "nope.json")]) == 2
@@ -264,6 +273,26 @@ class TestSloCommand:
         assert payload["slo"]["attainment"] == 0.75
         assert len(payload["windows"]) == 2
         assert payload["windows"][1]["budget_remaining"] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--slo-ms", "nan"], ["--slo-ms", "inf"], ["--target", "nan"],
+    ])
+    def test_non_finite_override_is_exit_2(self, tmp_path, argv, capsys):
+        path = self.artifact(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["slo", str(path), *argv])
+        assert exc.value.code == 2
+        assert f"argument {argv[0]}: expected a finite float" in (
+            capsys.readouterr().err
+        )
+
+    def test_non_finite_saved_slo_is_exit_2(self, tmp_path, capsys):
+        path = self.artifact(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["slo"]["slo_ms"] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert main(["slo", str(path)]) == 2
+        assert "slo_ms must be finite" in capsys.readouterr().err
 
     def test_artifact_without_windows_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "flat.json"

@@ -1,5 +1,7 @@
 """SLO objectives, error budgets, and burn-rate alerting."""
 
+import math
+
 import pytest
 
 from repro.obs import (
@@ -56,6 +58,7 @@ class TestSLOObjective:
 
     @pytest.mark.parametrize("kwargs", [
         {"slo_ms": 0.0}, {"slo_ms": -1.0},
+        {"slo_ms": math.nan}, {"slo_ms": math.inf},
         {"slo_ms": 1.0, "target": 0.0},
         {"slo_ms": 1.0, "target": 1.0},
         {"slo_ms": 1.0, "target": 1.5},

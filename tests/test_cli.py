@@ -310,17 +310,22 @@ class TestCluster:
         with pytest.raises(SystemExit):  # argparse choices
             main(argv)
 
-    def test_cluster_fifo_scheduler_forces_batch_one(self, tmp_path):
-        target = tmp_path / "fifo.json"
+    @pytest.mark.parametrize("max_batch", [1, 8])
+    def test_cluster_static_scheduler_batches_up_to_max_batch(
+        self, max_batch, tmp_path
+    ):
+        target = tmp_path / "static.json"
         argv = ["cluster", "--requests", "30", "--rho", "3.0",
-                "--scheduler", "fifo", "--max-batch", "8",
+                "--scheduler", "static", "--max-batch", str(max_batch),
                 "--output", str(target)]
         assert main(argv) == 0
         payload = json.loads(target.read_text())
-        chips = payload["fleet"]["chips"].values()
-        # --scheduler fifo overrides --max-batch: no batching even at
-        # a backlog-forming load
-        assert all(chip["mean_batch_size"] == 1.0 for chip in chips)
+        means = [c["mean_batch_size"] for c in payload["fleet"]["chips"].values()]
+        if max_batch == 1:
+            # FIFO: no batching even at a backlog-forming load
+            assert means == [1.0] * len(means)
+        else:
+            assert all(mean > 1.0 for mean in means), means
 
 
 class TestCacheCommands:

@@ -1,18 +1,20 @@
 """The CLI surface: every subcommand's parsed defaults, pinned.
 
 ``GOLDEN`` is ``vars(parse_args([cmd, *required]))`` per subcommand.  A
-change to a flag's spelling, default or presence shows up here; the
-``repro cluster`` flags are generated from ``_run_cluster``'s keyword
-signature (``repro.schema``), so this table also pins that derivation.
+change to a flag's spelling, default or presence shows up here; every
+subcommand's arguments are generated from its handler's signature
+(``repro.schema.add_signature``), so this table also pins that
+derivation.
 """
 
 import argparse
+import inspect
 from pathlib import Path
 
 import pytest
 
-from repro.cli import _run_cluster, build_parser, main
-from repro.schema import signature_params
+from repro.cli import COMMANDS, build_parser, main
+from repro.schema import CLI_KINDS, signature_params
 
 ARTIFACTS = Path("artifacts")
 
@@ -43,7 +45,7 @@ GOLDEN = {
         "passes": "all", "period_s": 0.0, "policy": "least_work",
         "priority_mix": "", "queue_capacity": 0,
         "regions": "us:0.5@0.0+eu:0.3@0.33+apac:0.2@0.66", "requests": 400,
-        "rho": 0.7, "scheduler": "auto", "seed": 0, "shard_jobs": 1,
+        "rho": 0.7, "scheduler": "static", "seed": 0, "shard_jobs": 1,
         "shard_policy": "round_robin", "shards": 1, "slo_ms": 0.0,
         "slo_target": 0.99, "tenants": "", "trace": False, "window_ms": 0.0,
     },
@@ -82,20 +84,54 @@ GOLDEN = {
 }
 
 
-def _subparsers() -> dict[str, argparse.ArgumentParser]:
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
     (action,) = [
-        action for action in build_parser()._actions
+        action for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
     return action.choices
 
 
-def _subparser(name: str) -> argparse.ArgumentParser:
-    return _subparsers()[name]
+# Every (sub)command path → its handler.
+HANDLERS = {
+    (name,) if child is None else (name, child): handler
+    for name, entry in COMMANDS.items()
+    for child, handler in (
+        entry if isinstance(entry, dict) else {None: entry}
+    ).items()
+}
+COMMAND_PATHS = sorted(HANDLERS)
+
+
+def _parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
+    parser = build_parser()
+    for name in path:
+        parser = _subparsers(parser)[name]
+    return parser
+
+
+def _minimal_argv(path: tuple[str, ...]) -> list[str]:
+    """The GOLDEN argv of ``path``: the command plus its required arguments."""
+    return list(next(argv for argv in GOLDEN if argv[:len(path)] == path))
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def test_every_subcommand_is_pinned():
-    assert {argv[0] for argv in GOLDEN} == set(_subparsers())
+    assert {argv[0] for argv in GOLDEN} == set(_subparsers(build_parser()))
+    pinned = {argv[:len(path)] for argv in GOLDEN for path in COMMAND_PATHS}
+    assert set(COMMAND_PATHS) <= pinned
+
+
+def test_command_help_is_the_handler_docstring_summary(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for path, handler in HANDLERS.items():
+        summary = inspect.getdoc(handler).splitlines()[0]
+        assert summary in text, path
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
@@ -103,41 +139,76 @@ def test_parsed_defaults(argv):
     assert vars(build_parser().parse_args(list(argv))) == GOLDEN[argv]
 
 
-class TestClusterFlags:
-    def test_generated_from_the_keyword_signature(self):
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+class TestGeneratedArguments:
+    def test_flags_are_the_keyword_signature(self, path):
         specs = signature_params(
-            _run_cluster, kinds=(bool, int, float, str), keyword_only=True
+            HANDLERS[path], kinds=CLI_KINDS, keyword_only=True
         )
-        assert len(specs) == 24
         flags = {
-            option for action in _subparser("cluster")._actions
+            option for action in _parser(path)._actions
             for option in action.option_strings
         }
-        assert {"--" + name.replace("_", "-") for name in specs} <= flags
-        assert flags - {"--" + n.replace("_", "-") for n in specs} == {
-            "-h", "--help", "--kinds-file", "--output", "--trace",
-        }
+        assert flags == {_flag(name) for name in specs} | {"-h", "--help"}
 
-    def test_help_is_non_empty_for_every_flag(self, capsys):
-        for action in _subparser("cluster")._actions:
-            assert action.help, action.option_strings
+    def test_positionals_are_the_parameters_before_the_star(self, path):
+        params = inspect.signature(HANDLERS[path]).parameters.values()
+        positionals = [
+            action.dest for action in _parser(path)._actions
+            if not action.option_strings
+        ]
+        assert positionals == [
+            p.name for p in params if p.kind is not p.KEYWORD_ONLY
+        ]
+
+    def test_help_is_non_empty_for_every_action(self, path, capsys):
+        actions = _parser(path)._actions
+        for action in actions:
+            assert action.help, action.option_strings or action.dest
         with pytest.raises(SystemExit):
-            main(["cluster", "--help"])
+            main([*path, "--help"])
         # argparse re-wraps help (also after hyphens): compare unspaced
         text = "".join(capsys.readouterr().out.split())
-        for action in _subparser("cluster")._actions:
+        for action in actions:
             assert "".join(action.help.split()) in text
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--rho", "nan"), ("--rho", "inf"), ("--slo-ms", "-inf")]
+
+FLOAT_FLAGS = sorted(
+    (path, _flag(name))
+    for path, handler in HANDLERS.items()
+    for name, spec in signature_params(
+        handler, kinds=CLI_KINDS, keyword_only=True
+    ).items()
+    if spec.kind is float
+)
+
+
+def test_float_flags_cover_every_command():
+    assert {
+        (("compile",), "--dram-gbps"), (("compile",), "--theta-q"),
+        (("compile",), "--theta-k"), (("slo",), "--slo-ms"),
+        (("slo",), "--target"), (("cluster",), "--rho"),
+    } <= set(FLOAT_FLAGS)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "path, flag", FLOAT_FLAGS, ids=[" ".join(p) + f" {f}" for p, f in FLOAT_FLAGS]
+)
+def test_non_finite_float_exits_2_naming_the_flag(path, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_minimal_argv(path), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite float" in (
+        capsys.readouterr().err
     )
-    def test_non_finite_float_exits_2_naming_the_flag(self, flag, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["cluster", "--requests", "5", f"{flag}={value}"])
-        assert exc.value.code == 2
-        assert f"argument {flag}: expected a finite float" in (
-            capsys.readouterr().err
-        )
+
+
+def test_required_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "gc"])
+    assert exc.value.code == 2
+    assert "--keep-latest" in capsys.readouterr().err
 
 
 def test_run_rejects_non_finite_param(capsys):

@@ -4,12 +4,19 @@ registry's import-time validation of them."""
 import argparse
 import inspect
 import math
+from pathlib import Path
 from typing import Literal
 
 import pytest
 
 from repro.harness import EXPERIMENTS, Experiment, run_experiment
-from repro.schema import HELP, ParamSpec, signature_params
+from repro.schema import (
+    CLI_KINDS,
+    HELP,
+    ParamSpec,
+    add_signature,
+    signature_params,
+)
 
 
 def _fn(seed: int = 0, rho: float = 0.5, mix: str = "model4") -> dict:
@@ -107,6 +114,69 @@ class TestSignatureParams:
         )
         assert list(specs) == ["seed", "alerts"]
         assert specs["alerts"].kind is bool
+
+
+class TestCommandLineKinds:
+    """The kinds only command-line handlers declare: paths, optional
+    (``X | None``), repeatable (``tuple[X, ...]``) and required flags."""
+
+    @staticmethod
+    def handler(
+        target: str,
+        *,
+        artifacts: Path = Path("artifacts"),
+        seed: int | None = None,
+        param: tuple[str, ...] = (),
+        keep_latest: int,
+    ) -> int:
+        return 0
+
+    def test_kinds_come_from_default_or_annotation(self):
+        specs = signature_params(
+            self.handler, kinds=CLI_KINDS, keyword_only=True
+        )
+        assert specs["artifacts"] == ParamSpec(
+            Path, Path("artifacts"), HELP["artifacts"]
+        )
+        assert specs["seed"] == ParamSpec(int, None, HELP["seed"])
+        assert specs["param"] == ParamSpec(str, (), HELP["param"])
+        assert specs["keep_latest"] == ParamSpec(
+            int, None, HELP["keep_latest"], required=True
+        )
+
+    def test_parser_from_the_signature(self, capsys):
+        parser = argparse.ArgumentParser(prog="repro")
+        add_signature(parser, self.handler)
+        args = parser.parse_args([
+            "x.json", "--artifacts", "a", "--seed", "3", "--param", "k=1",
+            "--param", "j=2", "--keep-latest", "0",
+        ])
+        assert vars(args) == {
+            "target": "x.json", "artifacts": Path("a"), "seed": 3,
+            "param": ["k=1", "j=2"], "keep_latest": 0,
+        }
+        defaults = parser.parse_args(["x.json", "--keep-latest", "1"])
+        assert (defaults.artifacts, defaults.seed, defaults.param) == (
+            Path("artifacts"), None, []
+        )
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["x.json"])
+        assert exc.value.code == 2
+        assert "--keep-latest" in capsys.readouterr().err
+
+    def test_required_parameter_before_the_star_has_no_default(self):
+        def fn(seed: int, *, rho: float = 0.5) -> None:
+            pass
+
+        with pytest.raises(ValueError, match="'seed' has no default"):
+            signature_params(fn, kinds=CLI_KINDS)
+
+    def test_none_default_without_annotation_is_rejected(self):
+        def fn(*, seed=None) -> None:
+            pass
+
+        with pytest.raises(ValueError, match="'seed' default None"):
+            signature_params(fn, kinds=CLI_KINDS, keyword_only=True)
 
 
 class TestRegistryValidation:
