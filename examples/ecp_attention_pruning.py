@@ -49,8 +49,9 @@ def main() -> None:
             q_keep = report.q_token_keep_fraction
             k_keep = report.k_token_keep_fraction
             s_frac = report.score_compute_fraction
-            before = np.einsum("tnd,tmd->tnm", q, k)
-            after = np.einsum("tnd,tmd->tnm", q_pruned, k_pruned)
+            # Integer scores: on bool spikes a plain einsum is a logical OR.
+            before = np.einsum("tnd,tmd->tnm", q, k, dtype=np.int64)
+            after = np.einsum("tnd,tmd->tnm", q_pruned, k_pruned, dtype=np.int64)
             max_err = float(np.abs(before - after).max())
             bound = report.error_bound
             assert max_err < bound, "certified bound violated!"

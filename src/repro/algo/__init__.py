@@ -8,6 +8,7 @@ from .ecp import (
     attach_ecp,
     bundle_row_keep_mask,
     detach_ecp,
+    ecp_plan,
     ecp_prune_qk,
     expand_row_mask,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "ECPAttentionPruner",
     "attach_ecp",
     "detach_ecp",
+    "ecp_plan",
     "ecp_prune_qk",
     "bundle_row_keep_mask",
     "expand_row_mask",

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bundles import BundleSpec, TTBGrid
+from ..bundles import BundleSpec, TTBGrid, as_grid
 
 __all__ = [
     "ECPConfig",
     "ECPReport",
     "bundle_row_keep_mask",
     "expand_row_mask",
+    "ecp_plan",
     "ecp_prune_qk",
     "ECPAttentionPruner",
     "attach_ecp",
@@ -85,15 +86,15 @@ class ECPReport:
 
 
 def bundle_row_keep_mask(
-    spikes: np.ndarray, theta: float, spec: BundleSpec
+    spikes: "np.ndarray | TTBGrid", theta: float, spec: BundleSpec
 ) -> np.ndarray:
-    """Keep mask over bundle rows ``(n_bt, n_bn)`` of a ``(T, N, D)`` tensor.
+    """Keep mask over bundle rows ``(n_bt, n_bn)`` of a ``(T, N, D)`` tensor
+    (or of its :class:`TTBGrid` at ``spec``).
 
     A row is pruned when its active-bundle count across features is strictly
     below ``theta`` — guaranteeing all its attention scores are ``< theta``.
     """
-    grid = TTBGrid(spikes, spec)
-    return grid.active_per_bundle_row >= theta
+    return as_grid(spikes, spec).active_per_bundle_row >= theta
 
 
 def expand_row_mask(
@@ -104,15 +105,8 @@ def expand_row_mask(
     return np.repeat(per_time, spec.bs_n, axis=1)[:, :tokens]
 
 
-def ecp_prune_qk(
-    q: np.ndarray, k: np.ndarray, config: ECPConfig
-) -> tuple[np.ndarray, np.ndarray, ECPReport]:
-    """Prune full-D binary Q and K tensors of shape ``(T, N, D)``.
-
-    Returns pruned copies plus the :class:`ECPReport`.  Pruning zeroes all
-    features of every token-time slot inside a pruned bundle row, which on
-    the accelerator means the bundle is never fetched or scheduled.
-    """
+def _plan(q, k, config: ECPConfig) -> tuple[ECPReport, np.ndarray, np.ndarray]:
+    """``(report, Q token mask, K token mask)`` of one Q/K pair."""
     if q.shape[:2] != k.shape[:2]:
         raise ValueError(f"Q/K token grids differ: {q.shape} vs {k.shape}")
     timesteps, tokens = q.shape[:2]
@@ -128,6 +122,27 @@ def ecp_prune_qk(
         theta_q=config.theta_q,
         theta_k=config.theta_k,
     )
+    return report, q_mask, k_mask
+
+
+def ecp_plan(
+    q: "np.ndarray | TTBGrid", k: "np.ndarray | TTBGrid", config: ECPConfig
+) -> ECPReport:
+    """The :class:`ECPReport` of full-D binary Q and K ``(T, N, D)`` tensors
+    (or their grids at ``config.spec``), without the pruned copies."""
+    return _plan(q, k, config)[0]
+
+
+def ecp_prune_qk(
+    q: np.ndarray, k: np.ndarray, config: ECPConfig
+) -> tuple[np.ndarray, np.ndarray, ECPReport]:
+    """Prune full-D binary Q and K tensors of shape ``(T, N, D)``.
+
+    Returns pruned copies plus the :class:`ECPReport`.  Pruning zeroes all
+    features of every token-time slot inside a pruned bundle row, which on
+    the accelerator means the bundle is never fetched or scheduled.
+    """
+    report, q_mask, k_mask = _plan(q, k, config)
     return q * q_mask[:, :, None], k * k_mask[:, :, None], report
 
 

@@ -14,6 +14,11 @@ Two-step spiking attention on binary Q/K/V:
 ECP (Sec. 5.1) runs ahead of the core: pruned Q bundle-rows and K rows are
 never fetched nor scheduled, so compute shrinks by the *product* of the two
 surviving fractions, V fetches shrink with K, and Y writebacks with Q.
+
+The model reads one :class:`TTBGrid` per merged-head Q, K and V tensor.
+Every keep mask — ECP's and the activity skip's — is a bundle-row mask, so
+the surviving tensors' active bundles are the grid's ``active`` restricted
+to the kept rows: no masked copy is re-bundled.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algo import ECPConfig, ecp_prune_qk
-from ..bundles import TTBGrid
+from ..algo import ECPConfig, ecp_plan, expand_row_mask
+from ..bundles import TTBGrid, as_grid
 from .config import BishopConfig
 from .energy import EnergyModel
 from .memory import TrafficLedger, bundle_storage_bytes
@@ -69,29 +74,32 @@ class AttentionCoreResult:
         return self.q_keep_fraction * self.k_keep_fraction
 
 
-def _row_survivors(
-    spikes_full: np.ndarray, config: BishopConfig, keep_rows: np.ndarray | None
+def _surviving_rows(
+    grid: TTBGrid, config: BishopConfig, keep_rows: np.ndarray | None
 ) -> np.ndarray:
-    """Token-time keep mask ``(T, N)``: ECP survivors ∧ bundle activity."""
-    grid = TTBGrid(spikes_full, config.bundle_spec)
-    rows = grid.active_per_bundle_row > 0 if config.skip_inactive_bundles else np.ones(
-        (grid.n_bt, grid.n_bn), dtype=bool
-    )
-    if keep_rows is not None:
-        rows = rows & keep_rows
-    spec = config.bundle_spec
-    per_time = np.repeat(rows, spec.bs_t, axis=0)[: spikes_full.shape[0]]
-    return np.repeat(per_time, spec.bs_n, axis=1)[:, : spikes_full.shape[1]]
+    """Bundle-row keep mask ``(n_bt, n_bn)``: ECP survivors ∧ bundle activity."""
+    if config.skip_inactive_bundles:
+        rows = grid.active_per_bundle_row > 0
+    else:
+        rows = np.ones((grid.n_bt, grid.n_bn), dtype=bool)
+    return rows if keep_rows is None else rows & keep_rows
+
+
+def _qkv_grid(x: "np.ndarray | TTBGrid", spec) -> TTBGrid:
+    """The merged-head grid of a ``(T, H, N, d)`` tensor (or the grid itself)."""
+    return as_grid(x if isinstance(x, TTBGrid) else merge_attention_heads(x), spec)
 
 
 def simulate_attention_core(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
+    q: "np.ndarray | TTBGrid",
+    k: "np.ndarray | TTBGrid",
+    v: "np.ndarray | TTBGrid",
     config: BishopConfig,
     ecp: ECPConfig | None = None,
 ) -> AttentionCoreResult:
-    """Simulate one SSA layer: ``q, k, v`` are binary ``(T, H, N, d)``.
+    """Simulate one SSA layer: ``q, k, v`` are binary ``(T, H, N, d)``
+    tensors, or each one's merged-head ``(T, N, H·d)`` :class:`TTBGrid`
+    (the compiler passes the grids it built for the stage).
 
     With ``ecp`` set, Q/K bundle-rows below the thresholds are pruned before
     scheduling (the certified-error path); without it, only intrinsically
@@ -99,20 +107,21 @@ def simulate_attention_core(
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise ValueError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    t, h, n, d = q.shape
-    features = h * d
+    spec = config.bundle_spec
+    q_grid, k_grid, v_grid = (_qkv_grid(x, spec) for x in (q, k, v))
+    t, n, features = q_grid.shape
     traffic = TrafficLedger()
 
-    q_full = merge_attention_heads(q)
-    k_full = merge_attention_heads(k)
     if ecp is not None:
-        _, _, report = ecp_prune_qk(q_full, k_full, ecp)
+        report = ecp_plan(q_grid, k_grid, ecp)
         q_keep_rows, k_keep_rows = report.q_row_keep, report.k_row_keep
     else:
         q_keep_rows = k_keep_rows = None
 
-    q_mask = _row_survivors(q_full, config, q_keep_rows)   # (T, N)
-    k_mask = _row_survivors(k_full, config, k_keep_rows)
+    q_rows = _surviving_rows(q_grid, config, q_keep_rows)   # (n_bt, n_bn)
+    k_rows = _surviving_rows(k_grid, config, k_keep_rows)
+    q_mask = expand_row_mask(q_rows, spec, t, n)            # (T, N)
+    k_mask = expand_row_mask(k_rows, spec, t, n)
 
     q_tokens_per_t = q_mask.sum(axis=1).astype(np.float64)
     k_tokens_per_t = k_mask.sum(axis=1).astype(np.float64)
@@ -131,14 +140,14 @@ def simulate_attention_core(
     k_keep = float(k_mask.mean())
 
     # ---- traffic ---------------------------------------------------------
-    spec = config.bundle_spec
-    q_grid = TTBGrid(q_full * q_mask[:, :, None], spec)
-    k_grid = TTBGrid(k_full * k_mask[:, :, None], spec)
-    v_grid = TTBGrid(merge_attention_heads(v) * k_mask[:, :, None], spec)
-
-    q_bytes = bundle_storage_bytes(q_grid.num_active_bundles, spec.volume, q_grid.num_bundles)
-    k_bytes = bundle_storage_bytes(k_grid.num_active_bundles, spec.volume, k_grid.num_bundles)
-    v_bytes = bundle_storage_bytes(v_grid.num_active_bundles, spec.volume, v_grid.num_bundles)
+    # Surviving active bundles: each grid's per-row counts over kept rows
+    # (V rows die with their K rows).
+    q_bytes, k_bytes, v_bytes = (
+        bundle_storage_bytes(
+            int(grid.active_per_bundle_row[rows].sum()), spec.volume, grid.num_bundles
+        )
+        for grid, rows in ((q_grid, q_rows), (k_grid, k_rows), (v_grid, k_rows))
+    )
 
     # Tiling: surviving Q bundle-rows across PE rows, K tokens across columns.
     q_rows_surviving = max(
@@ -161,7 +170,6 @@ def simulate_attention_core(
     y_bytes = q_keep * t * n * features * config.accumulator_bits / 8.0
     traffic.add("spad", "output", y_bytes)
 
-    dense_ops = 2.0 * t * n * n * features
     utilization = (
         (aac_ops + sac_ops)
         / ((mode1_cycles + mode2_cycles) * config.attn_throughput)

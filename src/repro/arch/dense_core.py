@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bundles import BundleSpec, TTBGrid
+from ..bundles import BundleSpec, TTBGrid, as_grid
 from .config import BishopConfig
 from .energy import EnergyModel
 from .memory import TrafficLedger, bundle_storage_bytes
@@ -122,7 +122,7 @@ def dense_core_cycles(
 
 
 def simulate_dense_core(
-    spikes: np.ndarray,
+    spikes: "np.ndarray | TTBGrid",
     out_features: int,
     config: BishopConfig,
     skip_inactive: bool | None = None,
@@ -130,8 +130,10 @@ def simulate_dense_core(
     """Simulate the dense core on ``spikes (T, N, D_dense)`` × ``(D_dense, O)``.
 
     ``spikes`` is the stratified dense partition (already restricted to the
-    dense feature set).  Returns cycles, SAC operation count, utilization,
-    and the GLB/spad traffic the pass generates.
+    dense feature set), as an array or as its :class:`TTBGrid` — the
+    compiler passes a feature slice of the layer's grid, so nothing is
+    re-bundled.  Returns cycles, SAC operation count, utilization, and the
+    GLB/spad traffic the pass generates.
     """
     if skip_inactive is None:
         skip_inactive = config.skip_inactive_bundles
@@ -141,7 +143,7 @@ def simulate_dense_core(
         return DenseCoreResult(0.0, 0.0, 0.0, 0.0, traffic)
 
     spec: BundleSpec = config.bundle_spec
-    grid = TTBGrid(spikes, spec)
+    grid = as_grid(spikes, spec)
     num_bundles = grid.n_bt * grid.n_bn
     active = grid.active.reshape(num_bundles, d_in)          # (B, D_in)
 
@@ -170,7 +172,9 @@ def simulate_dense_core(
     # Each active (bundle, feature) pair costs `volume` SAC lane-slots per
     # output feature; gated slots in occupied lockstep steps still pay the
     # clocked-idle toll (registers toggle, clock tree runs).
-    active_pairs = float(active.sum()) if skip_inactive else float(active.size)
+    active_pairs = (
+        float(np.count_nonzero(active)) if skip_inactive else float(active.size)
+    )
     sac_ops = active_pairs * spec.volume * out_features
     idle_slots = max(0.0, occupied_slots - sac_ops)
 
@@ -189,11 +193,7 @@ def simulate_dense_core(
     traffic.add("glb", "weight", weight_bytes)
     # Activation bundles are re-broadcast once per output tile; only active
     # payloads move (plus the tag bitmap).
-    act_bytes = bundle_storage_bytes(
-        active.sum() if skip_inactive else active.size,
-        spec.volume,
-        active.size,
-    )
+    act_bytes = bundle_storage_bytes(active_pairs, spec.volume, active.size)
     traffic.add("glb", "activation", act_bytes * col_tiles)
     # Output partial sums drain to the output buffer once per tile pass.
     psum_bytes = num_bundles * spec.volume * out_features * config.accumulator_bits / 8.0

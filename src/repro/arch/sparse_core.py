@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bundles import TTBGrid
+from ..bundles import TTBGrid, as_grid
 from .config import BishopConfig
 from .dense_core import psum_chunking
 from .energy import EnergyModel
@@ -73,18 +73,23 @@ def sparse_core_cycles(
 
 
 def simulate_sparse_core(
-    spikes: np.ndarray,
+    spikes: "np.ndarray | TTBGrid",
     out_features: int,
     config: BishopConfig,
 ) -> SparseCoreResult:
-    """Simulate the sparse core on ``spikes (T, N, D_sparse)`` × ``(D_sparse, O)``."""
+    """Simulate the sparse core on ``spikes (T, N, D_sparse)`` × ``(D_sparse, O)``.
+
+    ``spikes`` is the sparse partition as an array or as its
+    :class:`TTBGrid` (the compiler passes a feature slice of the layer's
+    grid).
+    """
     traffic = TrafficLedger()
     t, n, d_in = spikes.shape
-    if d_in == 0 or out_features == 0 or spikes.size == 0:
+    if d_in == 0 or out_features == 0 or t * n == 0:
         return SparseCoreResult(0.0, 0.0, 0.0, 0.0, traffic)
 
     spec = config.bundle_spec
-    grid = TTBGrid(spikes, spec)
+    grid = as_grid(spikes, spec)
     active_pairs = float(grid.num_active_bundles)
     if active_pairs == 0:
         return SparseCoreResult(0.0, 0.0, 0.0, 0.0, traffic)

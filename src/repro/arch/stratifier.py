@@ -12,9 +12,16 @@ approximately balances the two cores' latencies; :func:`balanced_theta`
 implements that search, and :func:`theta_for_dense_fraction` realizes the
 "targeted dense-to-sparse split ratio" strategies of Fig. 15.
 
+Grids: every function here takes a layer's spikes either as a ``(T, N, D)``
+array or as its :class:`TTBGrid` — the ``bool`` grid whose activity mask is
+an ``any`` over each bundle, built once from float input if need be.  The
+compiler passes the grid it built for the layer, so planning never
+re-bundles, and :meth:`StratifiedWorkload.split` cuts the dense and sparse
+partitions out of that grid's activity mask as feature slices.
+
 Closed-form scoring: the compiler (``compiler.lowering.plan_stratification``)
-builds one :class:`TTBGrid` per layer and reduces it to two per-feature
-vectors — ``counts`` (active bundles per feature) and ``tile_steps`` (dense
+reduces the layer's one :class:`TTBGrid` to two per-feature vectors —
+``counts`` (active bundles per feature) and ``tile_steps`` (dense
 row-tiles in which the feature is active).  Every candidate partition is
 cut from ``counts`` and scored from sums over those vectors through
 ``dense_core_cycles`` / ``sparse_core_cycles``, the same cycle formulas the
@@ -26,11 +33,11 @@ every score and the chosen θ_s are ``==`` to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bundles import BundleSpec, TTBGrid
+from ..bundles import BundleSpec, TTBGrid, as_grid
 
 __all__ = [
     "StratifiedWorkload",
@@ -48,6 +55,11 @@ class StratifiedWorkload:
     sparse_features: np.ndarray  # R_S: indices routed to the sparse core
     theta: float                 # θ_s actually applied
     active_per_feature: np.ndarray
+    # The layer grid the plan was cut from (None for a plan made from an
+    # array without counting), and how many balanced-θ candidates were
+    # scored to choose ``theta``.
+    grid: TTBGrid | None = field(default=None, repr=False, compare=False)
+    theta_candidates: int = 0
 
     @property
     def num_features(self) -> int:
@@ -57,14 +69,19 @@ class StratifiedWorkload:
     def dense_fraction(self) -> float:
         return len(self.dense_features) / self.num_features if self.num_features else 0.0
 
-    def split(self, spikes: np.ndarray, weights: np.ndarray | None = None):
+    def split(self, spikes: "np.ndarray | TTBGrid", weights: np.ndarray | None = None):
         """Partition ``spikes (T,N,D)`` (and optionally ``weights (D,O)``).
 
         Returns ``(x_dense, x_sparse)`` or, with weights,
-        ``(x_dense, w_dense, x_sparse, w_sparse)``.
+        ``(x_dense, w_dense, x_sparse, w_sparse)``.  A :class:`TTBGrid`
+        splits into two feature slices of its activity mask.
         """
-        x_dense = spikes[:, :, self.dense_features]
-        x_sparse = spikes[:, :, self.sparse_features]
+        if isinstance(spikes, TTBGrid):
+            x_dense = spikes.feature_slice(self.dense_features)
+            x_sparse = spikes.feature_slice(self.sparse_features)
+        else:
+            x_dense = spikes[:, :, self.dense_features]
+            x_sparse = spikes[:, :, self.sparse_features]
         if weights is None:
             return x_dense, x_sparse
         return (
@@ -76,11 +93,11 @@ class StratifiedWorkload:
 
 
 def _active_per_feature(spikes, spec, counts) -> np.ndarray:
-    return TTBGrid(spikes, spec).active_per_feature if counts is None else counts
+    return as_grid(spikes, spec).active_per_feature if counts is None else counts
 
 
 def stratify(
-    spikes: np.ndarray,
+    spikes: "np.ndarray | TTBGrid",
     spec: BundleSpec,
     theta: float,
     *,
@@ -91,8 +108,13 @@ def stratify(
 
     ``counts`` is the per-feature active-bundle count of ``spikes`` when the
     caller already has it (one grid per layer); otherwise it is computed.
+    The grid passed as ``spikes`` (or built to count) is kept as
+    ``workload.grid``.
     """
-    counts = _active_per_feature(spikes, spec, counts)
+    grid = spikes if isinstance(spikes, TTBGrid) else None
+    if counts is None:
+        grid = as_grid(spikes, spec)
+        counts = grid.active_per_feature
     dense = np.flatnonzero(counts > theta)
     sparse = np.flatnonzero(counts <= theta)
     return StratifiedWorkload(
@@ -100,11 +122,12 @@ def stratify(
         sparse_features=sparse,
         theta=float(theta),
         active_per_feature=counts,
+        grid=grid,
     )
 
 
 def theta_for_dense_fraction(
-    spikes: np.ndarray,
+    spikes: "np.ndarray | TTBGrid",
     spec: BundleSpec,
     dense_fraction: float,
     *,
@@ -127,7 +150,7 @@ def theta_for_dense_fraction(
 
 
 def balanced_theta(
-    spikes: np.ndarray,
+    spikes: "np.ndarray | TTBGrid",
     spec: BundleSpec,
     dense_time_fn,
     sparse_time_fn,

@@ -6,11 +6,12 @@ from .stats import (
     active_bundle_distribution,
     density_report,
 )
-from .ttb import BundleSpec, TTBGrid, pad_to_bundle_grid
+from .ttb import BundleSpec, TTBGrid, as_grid, pad_to_bundle_grid
 
 __all__ = [
     "BundleSpec",
     "TTBGrid",
+    "as_grid",
     "pad_to_bundle_grid",
     "ActiveBundleDistribution",
     "active_bundle_distribution",

@@ -6,6 +6,15 @@ splits into ``ceil(T/BS_t) × ceil(N/BS_n) × D`` bundles.  A bundle is *active*
 if it contains at least one spike (its Eq.-9 tag, the L0 norm of its
 contents, is nonzero); inactive bundles are skipped wholesale by the
 accelerator dataflow.
+
+Storage: spikes are binary by construction, so a :class:`TTBGrid` holds
+them as ``bool``.  ``bool`` input is kept as is — no copy, no check; float
+or integer 0/1 input (the training path's tensors, hand-written tests) is
+checked and converted once.  Bundle activity is an ``any`` reduction over
+each bundle's ``BS_t × BS_n`` slots; the Eq.-9 tags are integer counts,
+computed only when asked.  :meth:`TTBGrid.feature_slice` cuts a feature
+subset out of the activity mask without re-bundling spikes, so one grid per
+tensor serves every consumer.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["BundleSpec", "TTBGrid", "pad_to_bundle_grid"]
+__all__ = ["BundleSpec", "TTBGrid", "as_grid", "pad_to_bundle_grid"]
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,10 @@ class TTBGrid:
     ----------
     spikes:
         Binary array of shape ``(T, N, D)`` — time × tokens × features.
-        Batched inputs should construct one grid per sample (the accelerator
-        processes one inference at a time, as in the paper's evaluation).
+        ``bool`` arrays are kept without a copy; other dtypes must hold only
+        0/1 and are converted to ``bool`` once.  Batched inputs should
+        construct one grid per sample (the accelerator processes one
+        inference at a time, as in the paper's evaluation).
     spec:
         The bundle volume.
     """
@@ -78,12 +89,27 @@ class TTBGrid:
         spikes = np.asarray(spikes)
         if spikes.ndim != 3:
             raise ValueError(f"expected (T, N, D) spikes, got shape {spikes.shape}")
-        if not ((spikes == 0) | (spikes == 1)).all():
-            raise ValueError("spike tensor must be binary")
+        if spikes.dtype != np.bool_:
+            binary = spikes.astype(bool)
+            if not (binary == spikes).all():
+                raise ValueError("spike tensor must be binary")
+            spikes = binary
         self.spec = spec
         self.timesteps, self.tokens, self.features = spikes.shape
-        self.spikes = spikes.astype(np.float64, copy=False)
+        self.spikes = spikes
         self.n_bt, self.n_bn = spec.grid_shape(self.timesteps, self.tokens)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """``(T, N, D)`` of the bundled tensor."""
+        return (self.timesteps, self.tokens, self.features)
+
+    @cached_property
+    def spikes(self) -> np.ndarray:
+        """The ``bool`` spike tensor.  The constructor sets it; a feature
+        slice gathers it from its parent only when asked."""
+        parent, feature_indices = self._slice_of
+        return parent.spikes[:, :, feature_indices]
 
     # ------------------------------------------------------------------
     # Tags and masks
@@ -98,13 +124,14 @@ class TTBGrid:
 
     @cached_property
     def tags(self) -> np.ndarray:
-        """Eq. 9 activity tags ``Z[bt, bn, d]``: spikes (L0 norm) per bundle."""
-        return self.bundled.sum(axis=(1, 3))
+        """Eq. 9 activity tags ``Z[bt, bn, d]``: spikes (L0 norm) per bundle,
+        as integer counts."""
+        return self.bundled.sum(axis=(1, 3), dtype=np.int64)
 
     @cached_property
     def active(self) -> np.ndarray:
         """Boolean mask of active bundles, shape ``(n_bt, n_bn, D)``."""
-        return self.tags > 0
+        return self.bundled.any(axis=(1, 3))
 
     # ------------------------------------------------------------------
     # Scalar statistics
@@ -115,17 +142,23 @@ class TTBGrid:
 
     @property
     def num_active_bundles(self) -> int:
-        return int(self.active.sum())
+        return int(np.count_nonzero(self.active))
 
     @property
     def bundle_density(self) -> float:
         """Fraction of bundles that are active ("TTB density" in Fig. 6)."""
         return self.num_active_bundles / self.num_bundles if self.num_bundles else 0.0
 
+    @cached_property
+    def spike_count(self) -> int:
+        """Number of spikes in the tensor."""
+        return int(np.count_nonzero(self.spikes))
+
     @property
     def spike_density(self) -> float:
         """Fraction of nonzero entries ("density" in Fig. 6)."""
-        return float(self.spikes.mean()) if self.spikes.size else 0.0
+        size = self.timesteps * self.tokens * self.features
+        return self.spike_count / size if size else 0.0
 
     # ------------------------------------------------------------------
     # Aggregations used downstream
@@ -134,7 +167,7 @@ class TTBGrid:
     def active_per_feature(self) -> np.ndarray:
         """Active-bundle count per feature ``(D,)`` — the stratifier's and
         Fig. 5's per-feature statistic."""
-        return self.active.sum(axis=(0, 1)).astype(np.int64)
+        return self.active.sum(axis=(0, 1), dtype=np.int64)
 
     @cached_property
     def active_per_bundle_row(self) -> np.ndarray:
@@ -145,12 +178,32 @@ class TTBGrid:
         ``(bt, bn)`` has at most ``n_ab`` active features, which bounds every
         attention score in that row by ``n_ab``.
         """
-        return self.active.sum(axis=2).astype(np.int64)
+        return self.active.sum(axis=2, dtype=np.int64)
 
     def sparsity_loss_value(self) -> float:
         """Plain value of Eq. 10's inner sum for this tensor (L0 tags)."""
-        return float(self.tags.sum())
+        return float(self.spike_count)
 
     def feature_slice(self, feature_indices: np.ndarray) -> "TTBGrid":
-        """Grid restricted to a subset of features (stratifier output)."""
-        return TTBGrid(self.spikes[:, :, feature_indices], self.spec)
+        """Grid restricted to a subset of features (stratifier output).
+
+        The slice is cut from this grid's activity mask: no spikes are
+        re-bundled, and its ``spikes`` are gathered only if asked for.
+        """
+        view = object.__new__(TTBGrid)
+        view.spec = self.spec
+        view.timesteps, view.tokens = self.timesteps, self.tokens
+        view.n_bt, view.n_bn = self.n_bt, self.n_bn
+        view._slice_of = (self, feature_indices)
+        view.active = self.active[:, :, feature_indices]
+        view.features = view.active.shape[2]
+        return view
+
+
+def as_grid(spikes: "np.ndarray | TTBGrid", spec: BundleSpec) -> TTBGrid:
+    """``spikes`` itself when it is already a grid at ``spec``, else its grid."""
+    if isinstance(spikes, TTBGrid):
+        if spikes.spec != spec:
+            raise ValueError(f"grid is bundled at {spikes.spec}, not {spec}")
+        return spikes
+    return TTBGrid(spikes, spec)

@@ -16,14 +16,21 @@ The split of responsibilities:
 * :func:`stage_ops` — decompose a lowered report into the IR's
   :class:`~repro.compiler.ir.TileOp` occupancies (exact float round-trip
   with the engine's :func:`~repro.arch.engine.machine.layer_timing`).
+
+Each layer is bundled once: planning takes the layer's :class:`TTBGrid`
+(or builds it from the spikes), the plan carries it, and the core models
+read feature slices of it — the compiler's passes share the grids it
+built at ingest.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..algo.ecp import ECPConfig
-from ..arch.attention_core import simulate_attention_core
+from ..arch.attention_core import merge_attention_heads, simulate_attention_core
 from ..arch.config import BishopConfig
 from ..arch.dense_core import (
     dense_core_cycles,
@@ -42,7 +49,7 @@ from ..arch.stratifier import (
     stratify,
     theta_for_dense_fraction,
 )
-from ..bundles import BundleSpec, TTBGrid
+from ..bundles import BundleSpec, TTBGrid, as_grid
 from ..model.trace import LayerRecord
 from .ir import TileOp
 
@@ -55,19 +62,22 @@ __all__ = [
 ]
 
 
-def unstratified_workload(spikes: np.ndarray, spec: BundleSpec) -> StratifiedWorkload:
+def unstratified_workload(
+    spikes: "np.ndarray | TTBGrid", spec: BundleSpec
+) -> StratifiedWorkload:
     """Every feature on the dense core (stratify pass / flag off)."""
-    counts = TTBGrid(spikes, spec).active_per_feature
+    grid = as_grid(spikes, spec)
     return StratifiedWorkload(
-        dense_features=np.arange(spikes.shape[2]),
+        dense_features=np.arange(grid.features),
         sparse_features=np.array([], dtype=np.int64),
         theta=-1.0,
-        active_per_feature=counts,
+        active_per_feature=grid.active_per_feature,
+        grid=grid,
     )
 
 
 def plan_stratification(
-    spikes: np.ndarray, out_features: int, config: BishopConfig
+    spikes: "np.ndarray | TTBGrid", out_features: int, config: BishopConfig
 ) -> StratifiedWorkload:
     """Apply the configured θ_s policy to one layer's input spikes.
 
@@ -75,23 +85,26 @@ def plan_stratification(
     accelerator's config-driven path and the compiler's pass-driven path
     share one implementation.
 
-    The layer's bundle grid is built once.  Every θ_s candidate is scored in
-    closed form from two per-feature statistics of it: ``counts`` (active
-    bundles per feature; a sparse partition's active-pair count is their
-    sum) and ``tile_steps`` (dense row-tiles in which the feature needs a
-    lockstep step; a dense partition's steps are their sum).  The scores
-    equal the core simulators' cycles on the sliced partitions exactly.
+    ``spikes`` is the layer's grid, or an array to build it from; the plan
+    carries that grid.  Every θ_s candidate is scored in closed form from
+    two per-feature statistics of it: ``counts`` (active bundles per
+    feature; a sparse partition's active-pair count is their sum) and
+    ``tile_steps`` (dense row-tiles in which the feature needs a lockstep
+    step; a dense partition's steps are their sum).  The scores equal the
+    core simulators' cycles on the sliced partitions exactly.  The plan's
+    ``theta_candidates`` counts the candidates scored.
     """
     spec = config.bundle_spec
+    grid = as_grid(spikes, spec)
     if not config.use_stratifier:
-        return unstratified_workload(spikes, spec)
-    grid = TTBGrid(spikes, spec)
+        return unstratified_workload(grid, spec)
     counts = grid.active_per_feature
+    scored = 0
     if config.stratify_theta is not None:
         theta = config.stratify_theta
     elif config.stratify_dense_fraction is not None:
         theta = theta_for_dense_fraction(
-            spikes, spec, config.stratify_dense_fraction, counts=counts
+            grid, spec, config.stratify_dense_fraction, counts=counts
         )
     else:
         num_bundles = grid.n_bt * grid.n_bn
@@ -100,9 +113,10 @@ def plan_stratification(
             config,
             config.skip_inactive_bundles,
         ).sum(axis=0)
-        del grid  # only the per-feature vectors outlive the grid
 
         def dense_cycles(workload: StratifiedWorkload) -> float:
+            nonlocal scored
+            scored += 1
             return dense_core_cycles(
                 tile_steps[workload.dense_features].sum(),
                 len(workload.dense_features),
@@ -117,9 +131,11 @@ def plan_stratification(
             )
 
         theta = balanced_theta(
-            spikes, spec, dense_cycles, sparse_cycles, counts=counts
+            grid, spec, dense_cycles, sparse_cycles, counts=counts
         )
-    return stratify(spikes, spec, theta, counts=counts)
+    return replace(
+        stratify(grid, spec, theta, counts=counts), theta_candidates=scored
+    )
 
 
 def lower_matmul_layer(
@@ -132,13 +148,17 @@ def lower_matmul_layer(
 
     ``workload`` must be planned on ``record.input_spikes`` at
     ``config.bundle_spec``: its ``active_per_feature`` supplies the layer's
-    bundle statistics.
+    bundle statistics, and the cores read feature slices of its grid (built
+    here if the plan carries none).
     """
     spikes = record.input_spikes
     d_in, d_out = record.weight_shape
     timesteps, tokens, _ = spikes.shape
+    grid = as_grid(
+        spikes if workload.grid is None else workload.grid, config.bundle_spec
+    )
 
-    x_dense, x_sparse = workload.split(spikes)
+    x_dense, x_sparse = workload.split(grid)
     dense = simulate_dense_core(x_dense, d_out, config)
     sparse = simulate_sparse_core(x_sparse, d_out, config)
     spike_gen = simulate_spike_generator(timesteps, tokens, d_out, config)
@@ -213,7 +233,7 @@ def lower_matmul_layer(
             "sparse_tiles": sparse.waves,
             "sac_ops": dense.sac_ops,
             "sparse_ops": sparse.sparse_ops,
-            "spike_count": float(spikes.sum()),
+            "spike_count": float(grid.spike_count),
             "alive_features": float(alive_features),
             "bundle_occupancy": (
                 num_active_bundles / num_bundles if num_bundles else 0.0
@@ -227,9 +247,19 @@ def lower_attention_layer(
     config: BishopConfig,
     energy: EnergyModel,
     ecp: ECPConfig | None = None,
+    grids: tuple[TTBGrid, TTBGrid, TTBGrid] | None = None,
 ) -> LayerReport:
-    """Lower one SSA layer onto the attention core (Modes 1 + 2)."""
-    result = simulate_attention_core(record.q, record.k, record.v, config, ecp=ecp)
+    """Lower one SSA layer onto the attention core (Modes 1 + 2).
+
+    ``grids`` are the merged-head Q, K and V grids of ``record`` when the
+    caller already has them; otherwise they are built here.
+    """
+    if grids is None:
+        grids = tuple(
+            TTBGrid(merge_attention_heads(x), config.bundle_spec)
+            for x in (record.q, record.k, record.v)
+        )
+    result = simulate_attention_core(*grids, config, ecp=ecp)
     timesteps, heads, tokens, head_dim = record.q.shape
     features = heads * head_dim
     spike_gen = simulate_spike_generator(timesteps, tokens, features, config)
@@ -283,7 +313,7 @@ def lower_attention_layer(
             "attention_tiles": result.tiles,
             "aac_ops": result.aac_ops,
             "sac_ops": result.sac_ops,
-            "spike_count": float(record.q.sum() + record.k.sum() + record.v.sum()),
+            "spike_count": float(sum(grid.spike_count for grid in grids)),
         },
     )
 

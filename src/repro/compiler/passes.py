@@ -6,7 +6,9 @@ individually-testable passes over a mutable :class:`Compilation`:
 
 ``ingest``
     One :class:`StageDraft` per traced matmul/attention record, annotated
-    with raw workload statistics (spikes, MACs, shapes).
+    with raw workload statistics (spikes, MACs, shapes), and one
+    :class:`~repro.bundles.TTBGrid` per distinct input tensor — every later
+    pass and core model reads these grids instead of re-bundling spikes.
 ``packing``
     TTB bundle packing (Sec. 3): activity tags gate fetch and compute, so
     inactive bundles vanish.  Off → every bundle processed as if active.
@@ -158,6 +160,9 @@ class StageDraft:
     ecp: ECPConfig | None = None        # ECP plan (attention stages)
     report: LayerReport | None = None   # set by the lower pass
     ops: tuple[TileOp, ...] = ()
+    # Ingest's grids: (input,) for a matmul, merged-head (Q, K, V) for
+    # attention.  proj_q/k/v share one input array and so one grid.
+    grids: tuple[TTBGrid, ...] = ()
 
     @property
     def kind(self) -> str:
@@ -179,6 +184,9 @@ class Compilation:
     drafts: list[StageDraft] = field(default_factory=list)
     log: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    # Work counters, added to ``obs`` once per PassManager.run.
+    grid_builds: int = 0
+    theta_candidates: int = 0
 
     def lowering_config(self, draft: StageDraft) -> BishopConfig:
         """The chip config the core models see for ``draft``: the packing
@@ -203,29 +211,43 @@ class TraceIngestPass(CompilerPass):
     name = "ingest"
 
     def run(self, comp: Compilation) -> None:
+        spec = comp.config.bundle_spec
+        grids: dict[int, TTBGrid] = {}  # id(spike array) -> its one grid
+
+        def grid_of(spikes, per_head: bool = False) -> TTBGrid:
+            if id(spikes) not in grids:
+                full = merge_attention_heads(spikes) if per_head else spikes
+                grids[id(spikes)] = TTBGrid(full, spec)
+            return grids[id(spikes)]
+
         for record in comp.trace.records:
             if not (record.is_matmul or record.kind == "attention"):
                 continue  # tokenizer/head are outside Bishop's scope
             draft = StageDraft(index=len(comp.drafts), record=record)
             draft.annotations["macs"] = float(record.macs())
             if record.is_matmul:
-                t, n, d_in = record.input_spikes.shape
+                draft.grids = (grid_of(record.input_spikes),)
+                t, n, d_in = draft.grids[0].shape
                 draft.annotations.update(
                     timesteps=float(t), tokens=float(n),
                     in_features=float(d_in),
                     out_features=float(record.weight_shape[1]),
-                    spike_count=float(record.input_spikes.sum()),
+                    spike_count=float(draft.grids[0].spike_count),
                 )
             else:
+                draft.grids = tuple(
+                    grid_of(x, per_head=True) for x in (record.q, record.k, record.v)
+                )
                 t, h, n, d = record.q.shape
                 draft.annotations.update(
                     timesteps=float(t), tokens=float(n), heads=float(h),
                     in_features=float(h * d),
                     spike_count=float(
-                        record.q.sum() + record.k.sum() + record.v.sum()
+                        sum(grid.spike_count for grid in draft.grids)
                     ),
                 )
             comp.drafts.append(draft)
+        comp.grid_builds += len(grids)
 
 
 class BundlePackingPass(CompilerPass):
@@ -235,19 +257,17 @@ class BundlePackingPass(CompilerPass):
     name = "packing"
 
     def run(self, comp: Compilation) -> None:
-        spec = comp.config.bundle_spec
         for draft in comp.drafts:
             draft.packed = True
             if draft.is_matmul:
-                grid = TTBGrid(draft.record.input_spikes, spec)
+                (grid,) = draft.grids
                 draft.annotations.update(
                     num_bundles=float(grid.num_bundles),
                     active_bundles=float(grid.num_active_bundles),
                     bundle_occupancy=grid.bundle_density,
                 )
             else:
-                q_grid = TTBGrid(merge_attention_heads(draft.record.q), spec)
-                k_grid = TTBGrid(merge_attention_heads(draft.record.k), spec)
+                q_grid, k_grid, _ = draft.grids
                 total = q_grid.num_bundles + k_grid.num_bundles
                 active = q_grid.num_active_bundles + k_grid.num_active_bundles
                 draft.annotations.update(
@@ -296,8 +316,9 @@ class StratifyPass(CompilerPass):
                 continue
             config = comp.lowering_config(draft).with_overrides(use_stratifier=True)
             workload = plan_stratification(
-                draft.record.input_spikes, draft.record.weight_shape[1], config
+                draft.grids[0], draft.record.weight_shape[1], config
             )
+            comp.theta_candidates += workload.theta_candidates
             draft.workload = workload
             draft.annotations.update(
                 theta_s=workload.theta,
@@ -319,13 +340,14 @@ class LowerPass(CompilerPass):
             if draft.is_matmul:
                 workload = draft.workload
                 if workload is None:  # stratify pass off → everything dense
-                    workload = unstratified_workload(draft.record.input_spikes, spec)
+                    workload = unstratified_workload(draft.grids[0], spec)
                 report = lower_matmul_layer(
                     draft.record, workload, config, comp.energy
                 )
             else:
                 report = lower_attention_layer(
-                    draft.record, config, comp.energy, ecp=draft.ecp
+                    draft.record, config, comp.energy, ecp=draft.ecp,
+                    grids=draft.grids,
                 )
             draft.report = report
             ops, annotations = stage_ops(report, config, comp.energy)
@@ -380,6 +402,8 @@ class PassManager:
             ):
                 compiler_pass.run(comp)
             comp.log.append(compiler_pass.name)
+        obs.inc("compile.grid_builds", comp.grid_builds)
+        obs.inc("compile.theta_candidates", comp.theta_candidates)
         if any(draft.report is None for draft in comp.drafts):
             raise RuntimeError(
                 "pass pipeline finished without lowering every stage;"

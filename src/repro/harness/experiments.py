@@ -236,8 +236,9 @@ def experiment_fig8(seed: int = 0) -> dict:
     ecp = ECPConfig(theta_q=6, theta_k=6, spec=spec)
     q_pruned, k_pruned, report = ecp_prune_qk(q, k, ecp)
 
-    scores_before = np.einsum("tnd,tmd->tnm", q, k)
-    scores_after = np.einsum("tnd,tmd->tnm", q_pruned, k_pruned)
+    # Integer scores: on bool spikes a plain einsum is a logical OR.
+    scores_before = np.einsum("tnd,tmd->tnm", q, k, dtype=np.int64)
+    scores_after = np.einsum("tnd,tmd->tnm", q_pruned, k_pruned, dtype=np.int64)
     max_error = float(np.abs(scores_before - scores_after).max())
     total_mass = float(scores_before.sum())
     return {

@@ -23,8 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 from ..algo import ECPConfig, attach_ecp, detach_ecp
-from ..arch import BishopConfig, EnergyModel, simulate_attention_core
-from ..bundles import BundleSpec
+from ..arch import (
+    BishopConfig,
+    EnergyModel,
+    merge_attention_heads,
+    simulate_attention_core,
+)
+from ..bundles import BundleSpec, TTBGrid
 from ..model import SpikingTransformer, model_config, tiny_config
 from ..train import TrainConfig, Trainer, make_image_dataset
 from .synthetic import PROFILES, synthetic_trace
@@ -66,15 +71,18 @@ def ecp_hardware_sweep(
     trace = synthetic_trace(config, profile, spec, seed=seed)
     arch = BishopConfig(bundle_spec=spec)
     energy_model = EnergyModel()
-    attention_records = trace.layers(kind="attention")
+    # One merged-head Q/K/V grid per layer, shared by every θ_p.
+    qkv_grids = [
+        tuple(TTBGrid(merge_attention_heads(x), spec) for x in (r.q, r.k, r.v))
+        for r in trace.layers(kind="attention")
+    ]
 
     def run(theta: float):
         # Attention-core accounting only (the paper's Fig. 14 measures the
         # spiking self-attention layers, not the downstream spike generator).
         ecp = ECPConfig(theta, theta, spec) if theta > 0 else None
         results = [
-            simulate_attention_core(r.q, r.k, r.v, arch, ecp=ecp)
-            for r in attention_records
+            simulate_attention_core(*grids, arch, ecp=ecp) for grids in qkv_grids
         ]
         latency = sum(r.cycles for r in results) / arch.clock_hz
         energy = sum(

@@ -111,7 +111,7 @@ def synthetic_spikes(
     spec: BundleSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Binary ``(T, N, D)`` spikes with bundle-clustered structure.
+    """Binary ``(T, N, D)`` spikes, as ``bool``, with bundle-clustered structure.
 
     Per feature: bundles activate with probability ``p_d / within_bundle``;
     inside an active bundle, slots fire with probability ``within_bundle`` —
@@ -125,7 +125,7 @@ def synthetic_spikes(
     slots = rng.random(
         (n_bt, spec.bs_t, n_bn, spec.bs_n, num_features)
     ) < profile.within_bundle
-    spikes = (active[:, None, :, None, :] & slots).astype(np.float64)
+    spikes = active[:, None, :, None, :] & slots
     spikes = spikes.reshape(n_bt * spec.bs_t, n_bn * spec.bs_n, num_features)
     return spikes[:timesteps, :tokens]
 

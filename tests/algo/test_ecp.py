@@ -152,6 +152,37 @@ def test_property_certified_error_bound(seed, t, n, d, density, theta, bs_t, bs_
     assert np.abs(before - after).max(initial=0.0) < theta
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    t=st.integers(1, 6),
+    n=st.integers(1, 10),
+    d=st.integers(4, 24),
+    density=st.floats(0.0, 0.5),
+    theta_q=st.integers(1, 4),
+    theta_k=st.integers(1, 4),
+    bs_t=st.integers(1, 3),
+    bs_n=st.integers(1, 4),
+)
+def test_property_bool_scores_are_counts_within_bound(
+    seed, t, n, d, density, theta_q, theta_k, bs_t, bs_n
+):
+    """On ``bool`` Q/K the integer score error stays below the certified
+    bound, and scores are counts, not the logical product of a bool einsum:
+    a row kept by construction scores ``d > 1`` against itself."""
+    gen = np.random.default_rng(seed)
+    q = gen.random((t, n, d)) < density
+    k = gen.random((t, n, d)) < density
+    q[0, 0], k[0, 0] = True, True  # n_ab >= d >= θ: both rows survive
+    config = ECPConfig(theta_q=theta_q, theta_k=theta_k, spec=BundleSpec(bs_t, bs_n))
+    q_pruned, k_pruned, report = ecp_prune_qk(q, k, config)
+    assert q_pruned.dtype == bool and k_pruned.dtype == bool
+    before = np.einsum("tnd,tmd->tnm", q, k, dtype=np.int64)
+    after = np.einsum("tnd,tmd->tnm", q_pruned, k_pruned, dtype=np.int64)
+    assert np.abs(before - after).max() < report.error_bound
+    assert after.max() > 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),

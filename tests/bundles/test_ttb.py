@@ -1,5 +1,7 @@
 """Token-Time Bundle grid tests (Sec. 3 invariants)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,3 +170,72 @@ def test_property_row_counts_consistent(params, bs_t, bs_n):
     grid = TTBGrid(spikes, BundleSpec(bs_t, bs_n))
     assert grid.active_per_feature.sum() == grid.num_active_bundles
     assert grid.active_per_bundle_row.sum() == grid.num_active_bundles
+
+
+# ----------------------------------------------------------------------
+# Storage contract: bool spikes, float input converted once, slices
+# ----------------------------------------------------------------------
+GRID_FIELDS = (
+    "spec", "timesteps", "tokens", "features", "n_bt", "n_bn", "shape",
+    "spikes", "active", "tags", "active_per_feature", "active_per_bundle_row",
+    "num_bundles", "num_active_bundles", "bundle_density", "spike_count",
+    "spike_density",
+)
+
+
+def assert_same_grid(got, want):
+    for name in GRID_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        else:
+            assert a == b, name
+
+
+class TestStorageContract:
+    def test_bool_input_is_shared_not_copied(self, small_spikes, spec):
+        spikes = small_spikes.astype(bool)
+        grid = TTBGrid(spikes, spec)
+        assert grid.spikes is spikes
+        assert np.shares_memory(grid.spikes, spikes)
+
+    def test_float_input_matches_its_bool_twin(self, small_spikes, spec):
+        from_float = TTBGrid(small_spikes, spec)
+        from_bool = TTBGrid(small_spikes.astype(bool), spec)
+        assert from_float.spikes.dtype == bool
+        assert_same_grid(from_float, from_bool)
+        assert from_float.tags.dtype.kind == "i"
+
+    def test_int_input_matches_its_bool_twin(self, small_spikes, spec):
+        assert_same_grid(
+            TTBGrid(small_spikes.astype(np.int8), spec),
+            TTBGrid(small_spikes.astype(bool), spec),
+        )
+
+    @pytest.mark.parametrize("value", [0.5, np.nan])
+    def test_non_binary_float_raises(self, small_spikes, spec, value):
+        spikes = small_spikes.copy()
+        spikes[0, 0, 0] = value
+        with pytest.raises(ValueError, match="binary"):
+            TTBGrid(spikes, spec)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [np.array([0, 2, 5]), np.array([], dtype=np.int64), np.arange(16)[::-1]],
+        ids=["subset", "empty", "all-reversed"],
+    )
+    def test_feature_slice_equals_fresh_grid_and_builds_none(
+        self, small_spikes, spec, indices
+    ):
+        spikes = small_spikes[:5, :7].astype(bool)   # ragged (T, N)
+        grid = TTBGrid(spikes, spec)
+        grid.active  # the slice reads the parent's mask
+        with mock.patch.object(
+            TTBGrid, "__init__", autospec=True, side_effect=TTBGrid.__init__
+        ) as init:
+            sliced = grid.feature_slice(indices)
+            fields = {name: getattr(sliced, name) for name in GRID_FIELDS}
+        assert init.call_count == 0
+        assert fields  # every field was readable without a build
+        assert_same_grid(sliced, TTBGrid(spikes[:, :, indices], spec))

@@ -1,9 +1,14 @@
 """Synthetic workload generator tests — the trace statistics must hold."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.bundles import BundleSpec, TTBGrid
+from repro.harness.fig16 import INTRINSIC_CLUSTER_SPEC
 from repro.harness.synthetic import (
     PROFILES,
     DensityProfile,
@@ -13,12 +18,20 @@ from repro.harness.synthetic import (
 from repro.model import model_config
 
 
+# Per-record SHA-256 of np.packbits(spikes) (Q, K, V concatenated for
+# attention) of synthetic_trace(model3, seed 0, INTRINSIC_CLUSTER_SPEC),
+# recorded when the generator still returned float64.  The bool generator
+# draws the same values; do not regenerate this file.
+DRAWS_GOLDEN = Path(__file__).with_name("synthetic_draws_golden.json")
+
+
 class TestSyntheticSpikes:
     def test_binary_and_shape(self, rng, spec):
         profile = PROFILES["model1"]
         spikes = synthetic_spikes(10, 64, 96, profile, spec, rng)
         assert spikes.shape == (10, 64, 96)
         assert set(np.unique(spikes)) <= {0.0, 1.0}
+        assert spikes.dtype == bool
 
     def test_mean_density_on_target(self, rng, spec):
         profile = DensityProfile(0.2, 0.1, 0.5)
@@ -93,6 +106,30 @@ class TestSyntheticTrace:
             a.layers(kind="mlp1")[0].input_spikes,
             b.layers(kind="mlp1")[0].input_spikes,
         )
+
+    def test_records_are_bool(self, trace):
+        for record in trace.records:
+            arrays = (
+                (record.input_spikes,) if record.is_matmul
+                else (record.q, record.k, record.v)
+            )
+            assert all(a.dtype == bool for a in arrays), record.kind
+
+    def test_draws_match_recorded_digests(self):
+        trace = synthetic_trace(
+            model_config("model3"), PROFILES["model3"], INTRINSIC_CLUSTER_SPEC, seed=0
+        )
+        got = {}
+        for record in trace.records:
+            arrays = (
+                (record.input_spikes,) if record.is_matmul
+                else (record.q, record.k, record.v)
+            )
+            digest = hashlib.sha256()
+            for array in arrays:
+                digest.update(np.packbits(array).tobytes())
+            got[f"{record.block}/{record.kind}"] = digest.hexdigest()
+        assert got == json.loads(DRAWS_GOLDEN.read_text())
 
     def test_profiles_cover_zoo(self):
         assert set(PROFILES) == {"model1", "model2", "model3", "model4", "model5"}
