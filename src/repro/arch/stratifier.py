@@ -19,16 +19,22 @@ compiler passes the grid it built for the layer, so planning never
 re-bundles, and :meth:`StratifiedWorkload.split` cuts the dense and sparse
 partitions out of that grid's activity mask as feature slices.
 
-Closed-form scoring: the compiler (``compiler.lowering.plan_stratification``)
-reduces the layer's one :class:`TTBGrid` to two per-feature vectors —
-``counts`` (active bundles per feature) and ``tile_steps`` (dense
-row-tiles in which the feature is active).  Every candidate partition is
-cut from ``counts`` and scored from sums over those vectors through
-``dense_core_cycles`` / ``sparse_core_cycles``, the same cycle formulas the
-core simulators use, so no candidate re-bundles or re-simulates its slice.
-The per-candidate loop that sliced the spikes and ran both simulators
-survives as the test oracle (``tests/compiler/test_stratify_scorer.py``):
-every score and the chosen θ_s are ``==`` to it.
+Prefix-sum scoring: the partition at θ_s depends only on which count
+values are ``<= θ_s``, so :func:`balanced_theta` does its O(D) work once
+per layer — one histogram of ``counts`` (active bundles per feature) and
+one stable ``argsort`` — and cuts every candidate partition as two views
+of that order: ``order[:k]`` sparse, ``order[k:]`` dense, ``k`` the
+cumulative histogram at θ_s.  Candidate partitions therefore reach the
+scorers in count order, not index order (the same feature sets as
+:func:`stratify`, whose plans stay in ascending index order).  The compiler
+(``compiler.lowering.plan_stratification``) scores each candidate in O(1)
+from ``int64`` tables indexed by count value — features, Σ``counts`` and
+Σ``tile_steps`` (dense row-tiles each feature is active in) over the
+features ``<= θ`` — through ``dense_core_cycles`` / ``sparse_core_cycles``,
+the same cycle formulas the core simulators use.  The per-candidate loop
+that sliced the spikes and ran both simulators survives as the test oracle
+(``tests/compiler/test_stratify_scorer.py``): every score and the chosen
+θ_s are ``==`` to it.
 """
 
 from __future__ import annotations
@@ -92,8 +98,13 @@ class StratifiedWorkload:
         )
 
 
-def _active_per_feature(spikes, spec, counts) -> np.ndarray:
-    return as_grid(spikes, spec).active_per_feature if counts is None else counts
+def _grid_and_counts(spikes, spec, counts) -> tuple[TTBGrid | None, np.ndarray]:
+    """The grid ``spikes`` is (or the one built to count it) and ``counts``."""
+    grid = spikes if isinstance(spikes, TTBGrid) else None
+    if counts is None:
+        grid = as_grid(spikes, spec)
+        counts = grid.active_per_feature
+    return grid, counts
 
 
 def stratify(
@@ -111,10 +122,7 @@ def stratify(
     The grid passed as ``spikes`` (or built to count) is kept as
     ``workload.grid``.
     """
-    grid = spikes if isinstance(spikes, TTBGrid) else None
-    if counts is None:
-        grid = as_grid(spikes, spec)
-        counts = grid.active_per_feature
+    grid, counts = _grid_and_counts(spikes, spec, counts)
     dense = np.flatnonzero(counts > theta)
     sparse = np.flatnonzero(counts <= theta)
     return StratifiedWorkload(
@@ -137,13 +145,15 @@ def theta_for_dense_fraction(
 
     Implements the Fig.-15 "targeted dense-to-sparse split" strategies: the
     threshold is the (1 - fraction) quantile of the per-feature active-bundle
-    counts.
+    counts.  A layer without features gets θ_s = 0 below a fraction of 1.
     """
     if not 0.0 <= dense_fraction <= 1.0:
         raise ValueError(f"dense_fraction must be in [0, 1], got {dense_fraction}")
-    counts = _active_per_feature(spikes, spec, counts)
+    _, counts = _grid_and_counts(spikes, spec, counts)
     if dense_fraction >= 1.0:
         return -1.0                      # every feature is > -1 → all dense
+    if counts.size == 0:
+        return 0.0
     if dense_fraction <= 0.0:
         return float(counts.max())       # nothing exceeds the max → all sparse
     return float(np.quantile(counts, 1.0 - dense_fraction, method="lower"))
@@ -163,20 +173,38 @@ def balanced_theta(
     ``dense_time_fn(workload)`` / ``sparse_time_fn(workload)`` are callbacks
     supplied by the accelerator so the search uses the real cycle models;
     each is called once per candidate, in ascending θ_s order, and the first
-    strict minimum wins.  Candidates are quantiles of the per-feature
-    activity distribution; every candidate partition is cut from ``counts``
-    (computed from ``spikes`` if not given).
+    strict minimum wins.  Candidates are the ``method="lower"`` quantiles of
+    the distinct per-feature counts (``counts``: non-negative integers,
+    computed from ``spikes`` if not given).  Each candidate's workload holds
+    the :func:`stratify` feature sets as views of one stable count-order
+    ``argsort`` — in count order, not index order — so a candidate costs
+    O(1) beyond its callbacks.  A layer without features returns θ_s = 0
+    without calling them.
     """
-    counts = _active_per_feature(spikes, spec, counts)
-    unique = np.unique(counts)
+    grid, counts = _grid_and_counts(spikes, spec, counts)
+    if counts.size == 0:
+        return 0.0
+    histogram = np.bincount(counts)
+    unique = np.flatnonzero(histogram)
+    below = np.cumsum(histogram)         # features with count <= value
     if len(unique) > num_candidates:
+        # np.quantile(unique, linspace, method="lower") picks these indices
         quantiles = np.linspace(0.0, 1.0, num_candidates)
-        candidates = np.unique(np.quantile(unique, quantiles, method="lower"))
+        picks = np.floor((len(unique) - 1) * quantiles).astype(np.intp)
+        candidates = np.unique(unique[picks])
     else:
         candidates = unique
+    order = np.argsort(counts, kind="stable")
     best_theta, best_time = float(candidates[0]), np.inf
     for theta in candidates:
-        workload = stratify(spikes, spec, float(theta), counts=counts)
+        k = below[theta]
+        workload = StratifiedWorkload(
+            dense_features=order[k:],
+            sparse_features=order[:k],
+            theta=float(theta),
+            active_per_feature=counts,
+            grid=grid,
+        )
         bottleneck = max(dense_time_fn(workload), sparse_time_fn(workload))
         if bottleneck < best_time:
             best_time = bottleneck

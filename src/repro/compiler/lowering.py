@@ -90,8 +90,10 @@ def plan_stratification(
     two per-feature statistics of it: ``counts`` (active bundles per
     feature; a sparse partition's active-pair count is their sum) and
     ``tile_steps`` (dense row-tiles in which the feature needs a lockstep
-    step; a dense partition's steps are their sum).  The scores equal the
-    core simulators' cycles on the sliced partitions exactly.  The plan's
+    step; a dense partition's steps are their sum).  Both sums come from
+    ``int64`` prefix tables indexed by count value, built once per layer,
+    so each candidate costs O(1).  The scores equal the core simulators'
+    cycles on the sliced partitions exactly.  The plan's
     ``theta_candidates`` counts the candidates scored.
     """
     spec = config.bundle_spec
@@ -113,13 +115,22 @@ def plan_stratification(
             config,
             config.skip_inactive_bundles,
         ).sum(axis=0)
+        # Entry v: features, Σ counts and Σ tile_steps over count <= v.
+        features_le = np.bincount(counts)
+        pairs_le = features_le * np.arange(len(features_le))
+        steps_le = np.zeros_like(features_le)
+        np.add.at(steps_le, counts, tile_steps)
+        for table in (features_le, pairs_le, steps_le):
+            np.cumsum(table, out=table)
+        num_features, total_steps = len(counts), tile_steps.sum()
 
         def dense_cycles(workload: StratifiedWorkload) -> float:
             nonlocal scored
             scored += 1
+            theta = int(workload.theta)
             return dense_core_cycles(
-                tile_steps[workload.dense_features].sum(),
-                len(workload.dense_features),
+                total_steps - steps_le[theta],
+                num_features - int(features_le[theta]),
                 num_bundles,
                 out_features,
                 config,
@@ -127,7 +138,7 @@ def plan_stratification(
 
         def sparse_cycles(workload: StratifiedWorkload) -> float:
             return sparse_core_cycles(
-                counts[workload.sparse_features].sum(), out_features, config
+                pairs_le[int(workload.theta)], out_features, config
             )
 
         theta = balanced_theta(

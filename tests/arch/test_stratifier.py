@@ -116,3 +116,94 @@ def test_property_dense_features_are_denser(seed, theta):
     counts = workload.active_per_feature
     if len(workload.dense_features) and len(workload.sparse_features):
         assert counts[workload.dense_features].min() > counts[workload.sparse_features].max()
+
+
+class TestZeroFeatures:
+    """A ``(T, N, 0)`` layer has a defined θ_s and scores no candidate."""
+
+    def test_balanced_theta_skips_the_scorers(self, spec):
+        def never(workload):
+            raise AssertionError("no candidate to score")
+
+        assert balanced_theta(np.zeros((4, 8, 0), bool), spec, never, never) == 0.0
+
+    @pytest.mark.parametrize("fraction, want", [(0.0, 0.0), (0.5, 0.0), (1.0, -1.0)])
+    def test_fraction_targeting(self, spec, fraction, want):
+        spikes = np.zeros((4, 8, 0), bool)
+        theta = theta_for_dense_fraction(spikes, spec, fraction)
+        assert theta == want
+        assert stratify(spikes, spec, theta).num_features == 0
+
+
+# Count vectors the balanced-θ search must handle: all equal, one feature,
+# few distinct values with many zeros, more distinct values than
+# candidates, and values far beyond any layer's bundle count.
+count_vectors = st.one_of(
+    st.tuples(st.integers(0, 2**16), st.integers(1, 40)).map(
+        lambda value_d: [value_d[0]] * value_d[1]
+    ),
+    st.integers(0, 2**20).map(lambda value: [value]),
+    st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), min_size=1, max_size=60),
+    st.lists(st.integers(0, 300), min_size=17, max_size=120, unique=True),
+    st.lists(st.integers(0, 40), min_size=17, max_size=200),
+    st.lists(st.integers(0, 2**20), min_size=1, max_size=80),
+).map(lambda values: np.array(values, dtype=np.int64))
+
+
+def reference_candidates(counts, num_candidates):
+    """The θ_s candidates as ``np.quantile`` picks them."""
+    unique = np.unique(counts)
+    if len(unique) > num_candidates:
+        quantiles = np.linspace(0.0, 1.0, num_candidates)
+        return np.unique(np.quantile(unique, quantiles, method="lower"))
+    return unique
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=count_vectors, num_candidates=st.one_of(st.just(16), st.integers(1, 20)))
+def test_property_candidates_match_quantile_reference(counts, num_candidates):
+    """Candidate θs are ``==`` the quantile reference, each candidate
+    partition holds ``stratify``'s feature sets, the scorers are called
+    once each per candidate in ascending θ, and the chosen θ_s is the one
+    the per-candidate ``stratify`` loop picks."""
+    spec = BundleSpec(2, 4)
+    spikes = np.zeros((1, 1, len(counts)), bool)  # unread: counts are given
+    weights = np.arange(len(counts)) * 7919 % 101
+
+    def dense_time(workload):
+        return float(weights[workload.dense_features].sum())
+
+    def sparse_time(workload):
+        return float(counts[workload.sparse_features].sum()) / 64.0
+
+    calls = []
+
+    def recorded(core, score):
+        def scorer(workload):
+            calls.append((core, workload))
+            return score(workload)
+
+        return scorer
+
+    theta = balanced_theta(
+        spikes, spec,
+        recorded("dense", dense_time),
+        recorded("sparse", sparse_time),
+        num_candidates,
+        counts=counts,
+    )
+    candidates = reference_candidates(counts, num_candidates)
+    assert [core for core, _ in calls] == ["dense", "sparse"] * len(candidates)
+    scored = [w for _, w in calls[::2]]
+    assert all(w is s for w, (_, s) in zip(scored, calls[1::2]))
+    assert [w.theta for w in scored] == [float(c) for c in candidates]
+
+    best_theta, best_time = float(candidates[0]), np.inf
+    for workload in scored:
+        want = stratify(spikes, spec, workload.theta, counts=counts)
+        np.testing.assert_array_equal(np.sort(workload.dense_features), want.dense_features)
+        np.testing.assert_array_equal(np.sort(workload.sparse_features), want.sparse_features)
+        bottleneck = max(dense_time(want), sparse_time(want))
+        if bottleneck < best_time:
+            best_theta, best_time = workload.theta, bottleneck
+    assert theta == best_theta
