@@ -6,6 +6,9 @@
     Timeline records and the :class:`EngineRun` result container.
 ``machine``
     The Bishop chip as engine resources plus the per-layer task graph.
+``lanes``
+    Callback replays of a program or stage (one event per occupancy) —
+    the serving lanes of the ``REPRO_ENGINE=fast`` default.
 ``fastpath``
     Vectorized closed-form replay of uncontended task graphs (the
     ``REPRO_ENGINE=fast`` default; ``kernel`` selects the event heap).
@@ -16,6 +19,7 @@ See docs/ARCHITECTURE.md for the event model and how a core plugs in.
 from .fastpath import FastSchedule, engine_mode, schedule_for
 from .kernel import (
     Acquire,
+    Await,
     Command,
     Engine,
     Gate,
@@ -27,6 +31,7 @@ from .kernel import (
     ResourceStats,
     WaitFor,
 )
+from .lanes import ScheduledReplay, SerialReplay
 from .machine import (
     BishopMachine,
     LayerTiming,
@@ -45,6 +50,7 @@ from .timeline import (
 
 __all__ = [
     "Acquire",
+    "Await",
     "BishopMachine",
     "Command",
     "Engine",
@@ -58,6 +64,8 @@ __all__ = [
     "Release",
     "Resource",
     "ResourceStats",
+    "ScheduledReplay",
+    "SerialReplay",
     "TimelineEntry",
     "WaitFor",
     "engine_mode",

@@ -14,6 +14,17 @@ Work is expressed as *processes* — plain Python generators that yield
 ``WaitFor(gate)``
     Suspend until the gate is signalled (condition-variable style; the
     waiter must re-check its predicate after waking).
+``Await(start)``
+    Run a callback task: the kernel calls ``start(wake)`` at once and the
+    process sleeps until the task calls ``wake()``.
+
+Callback tasks (``repro.arch.engine.lanes``) drive resources without a
+process: :meth:`Resource.request` grants a free unit by calling the
+callback synchronously, or queues it in the same FIFO as process
+waiters, and :meth:`Resource.release` (what a ``Release`` command runs)
+grants the next waiter — a queued callback is called synchronously, a
+queued process is resumed.  Only the callbacks a task schedules with
+:meth:`Engine.schedule` (its holds) are events.
 
 Determinism: events fire in ``(time, sequence number)`` order, so a
 simulation is a pure function of its inputs — the property the result
@@ -38,7 +49,12 @@ Nothing in the per-event path may tie a :class:`Process` into a reference
 cycle (e.g. a wake-up closure cached on the process): a fleet keeps
 thousands of processes live, and cyclic garbage at that scale triggers
 costly full collections.  The per-event ``lambda`` a wake-up schedules is
-acyclic; the long-lived ``Resource`` ↔ command-object cycle is harmless.
+acyclic.  Two long-lived cycles remain by construction — ``Engine`` ↔
+``Resource`` and ``Resource`` ↔ its cached ``Acquire``/``Release``
+commands — and only a full collection frees them: a fleet of 1,000 chips
+leaves 5,000 resources in cycles per run.  :meth:`Engine.teardown` breaks
+them (and drops pending events and waiters) once a simulation's results
+have been read, so a finished engine is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -48,12 +64,14 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Generator
 
 from ... import obs
 
 __all__ = [
     "Acquire",
+    "Await",
     "Command",
     "Engine",
     "Gate",
@@ -114,6 +132,17 @@ class WaitFor(Command):
     gate: "Gate"
 
 
+@dataclass(frozen=True)
+class Await(Command):
+    """Run a callback task and sleep until it calls back.
+
+    The kernel calls ``start(wake)`` at once; ``wake()`` resumes the
+    process with one ready event (it may be called inside ``start``).
+    """
+
+    start: Callable[[Callable[[], None]], None]
+
+
 class Process:
     """A running generator, scheduled by the engine."""
 
@@ -165,7 +194,10 @@ class Resource:
     """A contended unit of hardware (core, DRAM channel, scheduler slot).
 
     ``capacity`` units may be held simultaneously; further acquirers queue
-    FIFO and are granted in order as units free up.
+    FIFO and are granted in order as units free up.  Processes acquire
+    with ``Acquire``/``Release`` commands, callback tasks with
+    :meth:`request`/:meth:`release`; both kinds of waiter share one queue
+    and one set of :class:`ResourceStats`.
     """
 
     def __init__(self, engine: "Engine", name: str, capacity: int = 1):
@@ -179,7 +211,8 @@ class Resource:
         # Built once: processes yield these for every acquire/release.
         self.acquire_command = Acquire(self)
         self.release_command = Release(self)
-        self._queue: deque[tuple[Process, float]] = deque()
+        # Waiters in arrival order: a Process, or a callback to call on grant.
+        self._queue: deque[tuple[Process | Callable[[], None], float]] = deque()
         self._last_change = engine.now
 
     def _integrate(self) -> None:
@@ -187,11 +220,14 @@ class Resource:
         self.stats.busy_s += self.in_use * (now - self._last_change)
         self._last_change = now
 
-    def _grant(self, process: Process) -> None:
+    def _grant(self, waiter: Process | Callable[[], None]) -> None:
         self._integrate()
         self.in_use += 1
         self.stats.acquisitions += 1
-        self.engine._resume(process)
+        if isinstance(waiter, Process):
+            self.engine._resume(waiter)
+        else:
+            waiter()
 
     def _acquire(self, process: Process) -> None:
         if self.in_use < self.capacity:
@@ -199,15 +235,24 @@ class Resource:
         else:
             self._queue.append((process, self.engine.now))
 
-    def _release(self) -> None:
+    def request(self, fn: Callable[[], None]) -> None:
+        """Claim one unit for a callback task: ``fn()`` runs as soon as
+        the unit is granted — synchronously, now, if one is free."""
+        if self.in_use < self.capacity:
+            self._grant(fn)
+        else:
+            self._queue.append((fn, self.engine.now))
+
+    def release(self) -> None:
+        """Give back one unit; the first waiter, if any, is granted now."""
         if self.in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         self._integrate()
         self.in_use -= 1
         if self._queue and self.in_use < self.capacity:
-            process, enqueued_at = self._queue.popleft()
+            waiter, enqueued_at = self._queue.popleft()
             self.stats.wait_s += self.engine.now - enqueued_at
-            self._grant(process)
+            self._grant(waiter)
 
     @property
     def queued(self) -> int:
@@ -215,7 +260,7 @@ class Resource:
 
 
 # The command types `Engine._step` dispatches on, in `isinstance` order.
-_COMMANDS = (Hold, Acquire, Release, Join, WaitFor)
+_COMMANDS = (Hold, Acquire, Release, Join, WaitFor, Await)
 
 
 class Engine:
@@ -299,6 +344,22 @@ class Engine:
         obs.inc("engine.events.ready", fired_ready)
         return self.now
 
+    def teardown(self) -> None:
+        """Break this finished engine's reference cycles.
+
+        Drops pending events and every resource's waiters and cached
+        commands, and forgets the resources (whose stats stay readable
+        through any other reference, e.g. a ``BishopMachine``).  Call it
+        once a simulation's results have been read: the engine cannot
+        run again, and reference counting frees what it held.
+        """
+        self._heap.clear()
+        self._ready.clear()
+        for resource in self.resources.values():
+            resource._queue.clear()
+            resource.acquire_command = resource.release_command = None
+        self.resources = {}
+
     # -- process stepping --------------------------------------------------
     def _resume(self, process: Process, value: object = None) -> None:
         self.schedule(0.0, lambda: self._step(process, value))
@@ -327,12 +388,14 @@ class Engine:
         elif kind is Acquire:
             command.resource._acquire(process)
         elif kind is Release:
-            command.resource._release()
+            command.resource.release()
             self._resume(process)
         elif kind is Join:
             if command.process.done:
                 self._resume(process, command.process)
             else:
                 command.process._joiners.append(process)
+        elif kind is Await:
+            command.start(partial(self._resume, process))
         else:
             command.gate._waiters.append(process)

@@ -12,6 +12,14 @@ For a single request the event schedule reproduces the closed-form
 ``Σ max(compute, dram)`` latency exactly (the regression-test oracle); its
 value is contention: multiple in-flight requests queue on the same
 resources, which is what the serving layer (``repro.serve``) measures.
+
+The generator processes below are the reference replay, run under
+``REPRO_ENGINE=kernel``.  In fast mode the serving lanes replay the same
+task graphs through their callback twins in :mod:`.lanes`, with one
+event per occupancy instead of a process per task.  Each machine's
+resources hold their engine and their cached commands, and the engine
+holds the resources: those cycles live until
+:meth:`Engine.teardown <repro.arch.engine.kernel.Engine.teardown>`.
 """
 
 from __future__ import annotations
@@ -152,9 +160,9 @@ class BishopMachine:
 
 def _max_quanta() -> int:
     # Fast mode coalesces same-resource event runs: one acquire/hold/release
-    # per layer task, so contended serve/cluster event counts scale with
-    # layers, not tiles.  Kernel mode keeps tile-granular interleaving.
-    # Read once per inference or stage, not once per core task.
+    # per layer task, as its callback lanes (`lanes.py`) occupy each
+    # resource once per task.  Kernel mode keeps tile-granular
+    # interleaving.  Read once per inference or stage, not per core task.
     from .fastpath import engine_mode  # local: fastpath imports this module
 
     return 1 if engine_mode() == "fast" else MAX_QUANTA
@@ -225,7 +233,9 @@ def stage_process(
     the serving layer: :func:`inference_process` walks all stages
     back-to-back, while the continuous-batching scheduler
     (``repro.serve.continuous``) re-forms its execution groups *between*
-    stage boundaries — the `TileOp`/`Stage` preemption points.
+    stage boundaries — the `TileOp`/`Stage` preemption points.  Fast-mode
+    serving runs its callback twin,
+    :class:`~repro.arch.engine.lanes.SerialReplay` over one stage.
     """
     return _stage(engine, machine, timing, label, batch, timeline, _max_quanta())
 
@@ -266,7 +276,8 @@ def inference_process(
     """One (possibly batched) inference walking the layer chain.
 
     Per layer, one :func:`stage_process`: compute and DRAM concurrent,
-    layers strictly serial.
+    layers strictly serial.  Callback twin:
+    :class:`~repro.arch.engine.lanes.SerialReplay`.
     """
     max_quanta = _max_quanta()
     for index, timing in enumerate(timings):
@@ -296,6 +307,7 @@ def scheduled_inference_process(
     schedule causal and makes its makespan ≤ the layer-serial
     :func:`inference_process` makespan (equal when one resource dominates
     every layer, strictly smaller on mixed compute-/memory-bound chains).
+    Callback twin: :class:`~repro.arch.engine.lanes.ScheduledReplay`.
     """
     max_quanta = _max_quanta()
     n = len(timings)

@@ -8,7 +8,10 @@ themselves — each takes a group from the pool
 program, contending with every other lane for the dense/sparse/attention
 cores, the spike generator, and the DRAM channel, and repeats until the
 pool is dry.  Static mode's quantum is the whole program; continuous
-mode's is one stage.
+mode's is one stage.  Under ``REPRO_ENGINE=fast`` a lane replays its
+quantum as a callback task (``repro.arch.engine.lanes``, one event per
+occupancy); ``kernel`` runs the generator processes of
+``repro.arch.engine.machine``.
 
 :func:`simulate_serving` wires ONE chip server to an arrival stream — the
 N=1 special case of the fleet simulation (``repro.cluster``), which
@@ -21,7 +24,9 @@ and chip energy (dynamic per work done + static over the horizon).
 from __future__ import annotations
 
 from .. import obs
-from ..arch.engine.kernel import Engine, Hold, WaitFor
+from ..arch.engine.fastpath import engine_mode
+from ..arch.engine.kernel import Await, Engine, Hold, WaitFor
+from ..arch.engine.lanes import ScheduledReplay, SerialReplay
 from ..arch.engine.machine import (
     BishopMachine,
     inference_process,
@@ -81,6 +86,9 @@ class ChipServer:
         # The summary counters below are maintained either way.
         self.recorder = recorder
         self.tenants = tuple(tenants)
+        # Fast mode replays each program or stage as a callback task (one
+        # event per occupancy); kernel mode keeps the generator lanes.
+        self._callback_lanes = engine_mode() == "fast"
 
         self.queue = ContinuousBatchScheduler(
             self.scheduler, profiles, self.tenants
@@ -101,7 +109,7 @@ class ChipServer:
         self.started_s = engine.now  # chips added mid-run start later
         self.drained_s: float | None = None
         self._lanes = 0
-        self._process = engine.spawn(
+        self._dispatcher = engine.spawn(
             self._schedule_loop(), name=f"{name or 'chip'}:scheduler"
         )
 
@@ -152,6 +160,18 @@ class ChipServer:
         if not self.served_count:
             return 0.0
         return self.batch_size_weighted / self.served_count
+
+    def teardown(self) -> None:
+        """Break this chip's reference cycles once its results are read.
+
+        The dispatcher's generator frame and the ``work`` gate's waiter
+        list both lead back to the server, and a recorder points back at
+        its owner; closing the generator and dropping the recorder lets
+        reference counting free a finished chip (pair with
+        :meth:`Engine.teardown <repro.arch.engine.kernel.Engine.teardown>`).
+        """
+        self._dispatcher.generator.close()
+        self.recorder = None
 
     # -- serving processes -------------------------------------------------
     def _schedule_loop(self):
@@ -210,16 +230,23 @@ class ChipServer:
             self._dispatch(group)
             size = len(group)
             profile = self.profiles[group[0].request.model]
-            process = (
-                scheduled_inference_process
-                if getattr(profile, "scheduled", False)
-                else inference_process
-            )
+            scheduled = getattr(profile, "scheduled", False)
             label = self._label(f"b{group[0].request.index}x{size}")
-            yield from process(
-                self.engine, self.machine, profile.timings, label, size,
-                self.timeline,
-            )
+            if self._callback_lanes:
+                replay = ScheduledReplay if scheduled else SerialReplay
+                yield Await(replay(
+                    self.engine, self.machine, profile.timings, label, size,
+                    self.timeline,
+                ).start)
+            else:
+                process = (
+                    scheduled_inference_process if scheduled
+                    else inference_process
+                )
+                yield from process(
+                    self.engine, self.machine, profile.timings, label, size,
+                    self.timeline,
+                )
             obs.inc("serve.batches")
             obs.observe("serve.batch_size", size)
             self.dynamic_energy_pj += profile.batch_dynamic_pj(size)
@@ -254,14 +281,28 @@ class ChipServer:
             if not group:
                 return
             head = group[0]
-            timing = self.profiles[head.request.model].timings[stage]
+            timings = self.profiles[head.request.model].timings
             size = len(group)
             self._dispatch(group)
-            label = self._label(f"c{head.cohort}x{size}/L{stage}.{timing.kind}")
+            if not timings:
+                # A zero-stage program completes at dispatch, as in
+                # static mode; the whole group shares the model.
+                self._finish_entries(sched.program_done(group, self.engine.now))
+                group = []
+                continue
+            timing = timings[stage]
             obs.inc("serve.stage_groups")
-            yield from stage_process(
-                self.engine, self.machine, timing, label, size, self.timeline
-            )
+            if self._callback_lanes:
+                label = self._label(f"c{head.cohort}x{size}")
+                yield Await(SerialReplay(
+                    self.engine, self.machine, timings, label, size,
+                    self.timeline, stage, stage + 1,
+                ).start)
+            else:
+                label = self._label(f"c{head.cohort}x{size}/L{stage}.{timing.kind}")
+                yield from stage_process(
+                    self.engine, self.machine, timing, label, size, self.timeline
+                )
             self.dynamic_energy_pj += timing.batch_dynamic_pj(size)
             finished = sched.stage_done(group, stage, self.engine.now)
             if finished:
@@ -357,6 +398,8 @@ def simulate_serving(
         )
 
     run = EngineRun.capture(engine, timeline=timeline)
+    chip.teardown()
+    engine.teardown()
     run.energy_pj = chip.dynamic_energy_pj + energy.static_pj(run.makespan_s)
     # Zero-span streams (empty, single request, simultaneous burst) have no
     # meaningful rate; report 0 rather than infinity so artifacts stay

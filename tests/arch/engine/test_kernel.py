@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.engine import (
     Acquire,
+    Await,
     Engine,
     Hold,
     Join,
@@ -171,6 +172,182 @@ class TestResources:
         engine.resource("core")
         with pytest.raises(ValueError, match="duplicate"):
             engine.resource("core")
+
+
+class TestCallbackWaiters:
+    """`Resource.request` callbacks share the FIFO and the stats of
+    process waiters; a grant calls the callback synchronously."""
+
+    @staticmethod
+    def callback_user(engine, resource, name, duration, log):
+        def granted():
+            log.append((name, engine.now))
+            engine.schedule(duration, resource.release)
+        return granted
+
+    @staticmethod
+    def process_user(engine, resource, name, duration, log):
+        yield Acquire(resource)
+        log.append((name, engine.now))
+        yield Hold(duration)
+        yield Release(resource)
+
+    def run_schedule(self, users, capacity=1):
+        """``users``: ``(kind, name, request_s, duration)``, request
+        times distinct; returns the grant log and the resource."""
+        engine = Engine()
+        resource = engine.resource("core", capacity)
+        log = []
+        for kind, name, at, duration in users:
+            if kind == "callback":
+                granted = self.callback_user(engine, resource, name, duration, log)
+                engine.schedule(at, lambda g=granted: resource.request(g))
+            else:
+                gen = self.process_user(engine, resource, name, duration, log)
+                engine.schedule(at, lambda g=gen: engine.spawn(g))
+        engine.run()
+        resource._integrate()
+        return log, resource
+
+    def test_process_and_callback_waiters_share_one_fifo(self):
+        log, resource = self.run_schedule([
+            ("process", "p0", 0.0, 1.0),
+            ("callback", "c1", 0.125, 1.0),
+            ("process", "p2", 0.25, 1.0),
+            ("callback", "c3", 0.375, 1.0),
+            ("process", "p4", 0.5, 1.0),
+        ])
+        assert log == [
+            ("p0", 0.0), ("c1", 1.0), ("p2", 2.0), ("c3", 3.0), ("p4", 4.0),
+        ]
+        assert resource.stats.acquisitions == 5
+        assert resource.stats.busy_s == 5.0
+        assert resource.stats.wait_s == 0.875 + 1.75 + 2.625 + 3.5
+
+    def test_free_unit_grants_synchronously(self):
+        engine = Engine()
+        resource = engine.resource("core")
+        granted = []
+        resource.request(lambda: granted.append(engine.now))
+        assert granted == [0.0]      # no event was needed
+        assert resource.in_use == 1 and resource.stats.acquisitions == 1
+        resource.request(lambda: granted.append(engine.now))
+        assert granted == [0.0] and resource.queued == 1
+        resource.release()           # the queued callback runs inside
+        assert granted == [0.0, 0.0] and resource.queued == 0
+        assert resource.in_use == 1
+
+    def test_capacity_k_grants_k_at_a_time_in_order(self):
+        users = [
+            ("callback" if i % 2 else "process", f"u{i}", i / 64, 1.0)
+            for i in range(7)
+        ]
+        log, resource = self.run_schedule(users, capacity=3)
+        assert [name for name, _ in log] == [f"u{i}" for i in range(7)]
+        # three units: grants in waves at ~0, 1 and 2 s
+        assert [t for _, t in log] == [
+            0.0, 1 / 64, 2 / 64, 1.0, 1 + 1 / 64, 1 + 2 / 64, 2.0,
+        ]
+        assert resource.stats.acquisitions == 7
+        assert resource.stats.busy_s == 7.0
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_stats_equal_an_all_process_twin(self, capacity):
+        durations = [1.0, 0.5, 2.0, 0.25, 1.5, 0.75, 3.0, 0.5, 1.25]
+        mixed = [
+            ("callback" if i % 3 != 1 else "process", f"u{i}", i / 8, d)
+            for i, d in enumerate(durations)
+        ]
+        twin = [("process", name, at, d) for _, name, at, d in mixed]
+        log_mixed, mixed_resource = self.run_schedule(mixed, capacity)
+        log_twin, twin_resource = self.run_schedule(twin, capacity)
+        assert log_mixed == log_twin
+        assert mixed_resource.stats == twin_resource.stats
+        assert mixed_resource.stats.wait_s > 0
+
+    def test_callback_granted_inside_release_schedules_a_hold(self):
+        engine = Engine()
+        resource = engine.resource("core")
+        log = []
+
+        def granted():
+            log.append(("granted", engine.now))
+            engine.schedule(2.0, ended)
+
+        def ended():
+            log.append(("hold ended", engine.now))
+            resource.release()
+
+        def holder():
+            yield Acquire(resource)
+            resource.request(granted)    # queued behind the holder
+            yield Hold(1.0)
+            yield Release(resource)
+            # _release already granted the callback and scheduled its hold
+            log.append(("holder resumed", engine.now))
+            assert resource.in_use == 1 and len(engine._heap) == 1
+
+        engine.spawn(holder())
+        assert engine.run() == 3.0
+        assert log == [
+            ("granted", 1.0), ("holder resumed", 1.0), ("hold ended", 3.0),
+        ]
+        assert resource.stats.busy_s == 3.0
+        assert resource.stats.wait_s == 1.0
+        assert resource.stats.acquisitions == 2
+
+
+class TestAwait:
+    def test_process_sleeps_until_the_task_wakes_it(self):
+        engine = Engine()
+        log = []
+
+        def start(wake):
+            log.append(("started", engine.now))
+            engine.schedule(1.5, wake)
+
+        def proc():
+            yield Await(start)
+            log.append(("resumed", engine.now))
+
+        engine.spawn(proc())
+        engine.run()
+        assert log == [("started", 0.0), ("resumed", 1.5)]
+
+    def test_wake_inside_start_resumes_at_once(self):
+        engine = Engine()
+        resumed = []
+
+        def proc():
+            yield Hold(2.0)
+            yield Await(lambda wake: wake())
+            resumed.append(engine.now)
+
+        engine.spawn(proc())
+        engine.run()
+        assert resumed == [2.0]
+
+
+class TestTeardown:
+    def test_teardown_drops_events_waiters_and_commands(self):
+        engine = Engine()
+        resource = engine.resource("core")
+
+        def proc():
+            yield resource.acquire_command
+            yield Hold(5.0)
+
+        engine.spawn(proc())
+        engine.spawn(proc())
+        engine.run(until=1.0)
+        assert resource.queued == 1 and engine._heap
+        engine.teardown()
+        assert not engine._heap and not engine._ready
+        assert resource.queued == 0 and engine.resources == {}
+        assert resource.acquire_command is None
+        assert resource.release_command is None
+        # the stats stay readable through the resource itself
+        assert resource.stats.acquisitions == 1
 
 
 class TestJoinAndGate:
