@@ -15,9 +15,7 @@ from .engine import (
     EngineRun,
     LayerTiming,
     TimelineEntry,
-    inference_process,
     layer_timings,
-    scheduled_inference_process,
     simulate_inference,
 )
 from .pipeline import PipelineSchedule, pipeline_schedule
@@ -85,9 +83,7 @@ __all__ = [
     "EngineRun",
     "LayerTiming",
     "TimelineEntry",
-    "inference_process",
     "layer_timings",
-    "scheduled_inference_process",
     "simulate_inference",
     "LayerBoundedness",
     "boundedness_profile",

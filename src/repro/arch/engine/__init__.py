@@ -5,13 +5,14 @@
 ``timeline``
     Timeline records and the :class:`EngineRun` result container.
 ``machine``
-    The Bishop chip as engine resources plus the per-layer task graph.
+    The Bishop chip as engine resources plus the per-layer task durations.
 ``lanes``
-    Callback replays of a program or stage (one event per occupancy) —
-    the serving lanes of the ``REPRO_ENGINE=fast`` default.
+    Callback replays of a program or stage (one event per occupancy):
+    every contended run, and the uncontended ones under
+    ``REPRO_ENGINE=kernel``.
 ``fastpath``
     Vectorized closed-form replay of uncontended task graphs (the
-    ``REPRO_ENGINE=fast`` default; ``kernel`` selects the event heap).
+    ``REPRO_ENGINE=fast`` default).
 
 See docs/ARCHITECTURE.md for the event model and how a core plugs in.
 """
@@ -32,21 +33,8 @@ from .kernel import (
     WaitFor,
 )
 from .lanes import ScheduledReplay, SerialReplay
-from .machine import (
-    BishopMachine,
-    LayerTiming,
-    inference_process,
-    layer_timings,
-    scheduled_inference_process,
-    simulate_inference,
-)
-from .timeline import (
-    EngineRun,
-    TimelineEntry,
-    entries_from_dicts,
-    entries_to_dicts,
-    use,
-)
+from .machine import BishopMachine, LayerTiming, layer_timings, simulate_inference
+from .timeline import EngineRun, TimelineEntry, entries_from_dicts, entries_to_dicts
 
 __all__ = [
     "Acquire",
@@ -71,10 +59,7 @@ __all__ = [
     "engine_mode",
     "entries_from_dicts",
     "entries_to_dicts",
-    "inference_process",
     "layer_timings",
     "schedule_for",
-    "scheduled_inference_process",
     "simulate_inference",
-    "use",
 ]

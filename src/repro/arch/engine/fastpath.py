@@ -1,10 +1,11 @@
 """Vectorized fast path: replay compiled task graphs without the event heap.
 
-The event kernel (``kernel.py``) fires one event per acquire / hold /
-release, which is exact but costs tens of microseconds per layer — the
-bottleneck of every serve, cluster, and DSE sweep.  For the *uncontended*
-single-request case the schedule is a pure function of the per-layer task
-durations, so it can be evaluated in closed form over numpy arrays:
+The event replay (the callback lanes of ``lanes.py``) fires one timed
+event per occupancy, which is exact but still costs an event-heap walk
+per request — too much for every schedule-pass measurement and DSE
+point.  For the *uncontended* single-request case the schedule is a pure
+function of the per-layer task durations, so it can be evaluated in
+closed form over numpy arrays:
 
 * **serial** (the legacy ``run_trace`` semantics) — per layer, compute ∥
   DRAM with a barrier: ``Σ max(batch·compute, weights + batch·activation)``;
@@ -13,14 +14,14 @@ durations, so it can be evaluated in closed form over numpy arrays:
   ``a₀, w₀, w₁, a₁, w₂, a₂, …`` (a layer's activation traffic enqueues
   before the *next* layer's weight prefetch; at ties the prefetcher wins
   the channel before the newly started layer's activation enqueues —
-  exactly the kernel's event ordering).
+  exactly the event replay's ordering).
 
 A :class:`FastSchedule` is built once per distinct timing tuple (they are
 hashable value objects, so :func:`schedule_for` memoizes across requests,
 chips, and compile passes) and then answers makespan queries in O(layers)
-with no generator churn.  The event kernel stays the reference
-implementation: ``REPRO_ENGINE=kernel`` routes every consumer back through
-it, and the fastpath-vs-kernel equivalence tests pin the two to ~1e-9.
+with no events.  ``REPRO_ENGINE=kernel`` routes every consumer through
+the event replay instead, and the fastpath-vs-kernel equivalence tests
+pin the two to ~1e-9.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class FastSchedule:
     def scheduled_makespan(self, batch: int = 1) -> float:
         """Depth-1 weight-prefetch makespan (the scheduling pass's emission).
 
-        Mirrors :func:`~repro.arch.engine.machine.scheduled_inference_process`
-        event for event: the single DRAM channel serves, FIFO,
+        Mirrors :class:`~repro.arch.engine.lanes.ScheduledReplay` event
+        for event: the single DRAM channel serves, FIFO,
         ``a₀, w₀, w₁, a₁, w₂, a₂, …`` where layer ``i``'s weights may
         stream once layer ``i-1`` has started and the previous weight
         stream finished, and a layer completes when its compute, its
@@ -183,13 +184,12 @@ class FastSchedule:
     ) -> EngineRun:
         """Synthesize the serial replay's :class:`EngineRun` without events.
 
-        Entry labels match the kernel's (``{label}/L{i}.{kind}:dense`` …),
-        but same-resource runs are coalesced: one entry per layer task
-        instead of one per tile quantum, so timeline sizes scale with
-        layers.  Zero-duration attention/spike tasks still record a
-        zero-width entry (mirroring :func:`~.timeline.use`) without
-        counting an acquisition.  ``energy_pj`` is left at 0 for the
-        caller to fill in (static energy needs the energy model).
+        Entry labels and spans match those of
+        :class:`~repro.arch.engine.lanes.SerialReplay`
+        (``{label}/L{i}.{kind}:dense`` …): one entry per layer task, and
+        zero-duration attention/spike tasks record a zero-width entry
+        without counting an acquisition.  ``energy_pj`` is left at 0 for
+        the caller to fill in (static energy needs the energy model).
         """
         n = len(self.timings)
         compute = batch * self.compute

@@ -1,11 +1,11 @@
 """Callback lanes: replay a compiled program with one event per occupancy.
 
-The generator lanes of :mod:`~repro.arch.engine.machine` spawn a process
-per compute chain, core task and DRAM stream, and every acquire, release,
-join and spawn is an event of its own — about twenty per stage, 79% of
-them zero-delay.  The replays here drive the same
-:class:`~repro.arch.engine.machine.BishopMachine` resources on the same
-engine clock as small callback state machines instead:
+This is ``src``'s one event replay of a compiled program; the closed
+form of :mod:`~repro.arch.engine.fastpath` is the other replay, for the
+uncontended case.  Every serving lane runs a replay from here, and so do
+``REPRO_ENGINE=kernel``'s uncontended measurements.  A replay drives the
+:class:`~repro.arch.engine.machine.BishopMachine` resources on the
+engine clock as a small callback state machine:
 
 * :meth:`Resource.request <repro.arch.engine.kernel.Resource.request>`
   grants a free unit by calling back synchronously (or queues the
@@ -15,7 +15,7 @@ engine clock as small callback state machines instead:
   scheduled through :meth:`Engine.schedule
   <repro.arch.engine.kernel.Engine.schedule>`;
 * zero-duration work touches no resource and records a zero-width
-  timeline entry, as :func:`~repro.arch.engine.timeline.use` does.
+  timeline entry.
 
 A lane process hands a replay's ``start`` to the kernel
 (``yield Await(replay.start)``) and sleeps until the replay calls
@@ -25,6 +25,11 @@ explicit — layer index, pending branch counts, prefetch index — in plain
 heap entries and resource queues holding its bound methods, so a
 finished (or abandoned) replay is freed by reference counting.
 
+The test oracle is a set of generator lanes
+(``tests/arch/engine/reference_lanes.py``) that spawn a process per
+compute chain, core task and DRAM stream, at about twenty events per
+stage.
+
 Tie rule.  A layer requests its compute chain, then its DRAM stream,
 then (prefetch programs) lets the prefetcher move on — the generator
 lanes' spawn order — and the depth-1 prefetch keeps every DRAM tie rule
@@ -32,10 +37,10 @@ of :meth:`FastSchedule.scheduled_makespan
 <repro.arch.engine.fastpath.FastSchedule.scheduled_makespan>`.  A lane
 alone on its chip therefore replays the generator lanes exactly.  Where
 two lanes want a free resource at the same instant, the kernel's ready
-FIFO serves the lane with fewer generator hops since that instant's
+FIFO serves the generator lane with fewer hops since that instant's
 timed events, while a callback chain runs depth-first inside the timed
 event that released it — so the lane whose event fired first is served
-first, and the two paths may break such a tie differently.
+first, and the two may break such a tie differently.
 """
 
 from __future__ import annotations
@@ -182,10 +187,8 @@ class _Replay:
 
 class SerialReplay(_Replay):
     """Layers ``index .. stop-1``, each compute ∥ ``dram_s(batch)``, layers
-    strictly serial — the callback twin of
-    :func:`~repro.arch.engine.machine.inference_process` (the whole
-    program) and :func:`~repro.arch.engine.machine.stage_process` (one
-    continuous-mode stage: ``stop = index + 1``)."""
+    strictly serial: the whole program, or one continuous-mode stage
+    (``stop = index + 1``)."""
 
     __slots__ = ("stop",)
 
@@ -244,8 +247,7 @@ class SerialReplay(_Replay):
 
 
 class ScheduledReplay(_Replay):
-    """The depth-1 weight-prefetch program — the callback twin of
-    :func:`~repro.arch.engine.machine.scheduled_inference_process`.
+    """The depth-1 weight-prefetch program.
 
     The prefetcher streams weight ``fetch`` once layer ``fetch - 1`` has
     started and the previous weight stream ended; layer ``index``

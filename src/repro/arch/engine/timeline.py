@@ -1,10 +1,9 @@
 """Event timelines: what ran where, when — the engine's observable output.
 
 A :class:`TimelineEntry` records one contiguous occupancy of one resource
-by one labelled task.  :func:`use` is the canonical way a process occupies
-a resource: it acquires, holds, records, releases — optionally in several
-chunks (TTB tile granularity), releasing the resource between chunks so
-concurrent requests can interleave at tile boundaries.
+by one labelled task; zero-duration work records a zero-width entry, so
+zero-cost layers stay visible in timelines and occupancy reports agree
+with the compiled program's stage list.
 
 :class:`EngineRun` packages a finished simulation: makespan, energy, the
 recorded timeline, and per-resource occupancy statistics.
@@ -14,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .kernel import Engine, Hold, Resource, ResourceStats
+from .kernel import Engine, ResourceStats
 
 __all__ = [
     "EngineRun",
     "TimelineEntry",
     "entries_from_dicts",
     "entries_to_dicts",
-    "use",
 ]
 
 
@@ -63,43 +61,6 @@ def entries_to_dicts(entries: list[TimelineEntry]) -> list[dict]:
 
 def entries_from_dicts(payload: list[dict]) -> list[TimelineEntry]:
     return [TimelineEntry.from_dict(item) for item in payload]
-
-
-def use(
-    engine: Engine,
-    resource: Resource,
-    duration_s: float,
-    timeline: list[TimelineEntry] | None = None,
-    label: str = "",
-    chunks: int = 1,
-):
-    """Occupy ``resource`` for ``duration_s``, in ``chunks`` equal quanta.
-
-    With ``chunks > 1`` the resource is released between quanta, so a
-    queued competitor can slot in at tile boundaries — the acquire/release
-    granularity of the heterogeneous-core model.  Zero-duration work never
-    touches the resource but still records a zero-width entry, so
-    zero-cost layers stay visible in timelines and occupancy reports
-    agree with the compiled program's stage list.
-    """
-    if duration_s <= 0.0:
-        if timeline is not None:
-            timeline.append(
-                TimelineEntry(resource.name, label, engine.now, engine.now)
-            )
-        return
-    chunks = max(1, int(chunks))
-    quantum = duration_s / chunks
-    acquire, release = resource.acquire_command, resource.release_command
-    for _ in range(chunks):
-        yield acquire
-        start = engine.now
-        yield Hold(quantum)
-        if timeline is not None:
-            timeline.append(
-                TimelineEntry(resource.name, label, start, engine.now)
-            )
-        yield release
 
 
 @dataclass

@@ -2,18 +2,18 @@
 
 The paper's memory system is double-buffered at every level "to hide
 latency" (Sec. 6.1): while layer *i* computes, the ping-pong GLBs prefetch
-layer *i+1*'s weights.  All three numbers here are produced by the
-compiler's two-resource emissions (``repro.compiler.emit``) — the datapath
-and the DRAM channel are two contended resources, each layer's compute and
-streaming tasks run concurrently, and the layer completes when both finish:
+layer *i+1*'s weights.  Each layer becomes a
+:class:`~repro.arch.engine.machine.LayerTiming` whose compute sits on the
+dense core and whose streams sit on the DRAM channel, and the chip's
+closed-form replay (:class:`~repro.arch.engine.fastpath.FastSchedule`)
+gives the numbers; each layer's compute and streaming run concurrently,
+and the layer completes when both finish:
 
-* ``serial_latency_s`` — the layer-serial engine makespan (for an
-  uncontended chain it equals the closed-form ``Σ max(compute, dram)``,
-  which the tests pin);
-* ``scheduled_latency_s`` — the engine makespan under the compiler's
-  depth-1 prefetch schedule (*weight* streaming runs ahead of compute,
-  bounded by the double buffer; activation traffic stays bound to its
-  layer);
+* ``serial_latency_s`` — the layer-serial makespan ``Σ max(compute,
+  dram)``;
+* ``scheduled_latency_s`` — the makespan under the compiler's depth-1
+  prefetch schedule (*weight* streaming runs ahead of compute, bounded
+  by the double buffer; activation traffic stays bound to its layer);
 * ``pipelined_latency_s`` — the steady-state bound ``max(Σ compute,
   Σ dram)``: with unbounded prefetch either shared resource becomes the
   bottleneck wholesale, the information-theoretic floor for a serial
@@ -25,10 +25,10 @@ two is what the compiler's scheduling pass actually wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..compiler.emit import prefetch_pairs_makespan, serial_pairs_run
-from .engine.timeline import EngineRun
+from .engine.fastpath import schedule_for
+from .engine.machine import LayerTiming
 from .report import InferenceReport
 
 __all__ = ["PipelineSchedule", "pipeline_schedule"]
@@ -38,15 +38,13 @@ __all__ = ["PipelineSchedule", "pipeline_schedule"]
 class PipelineSchedule:
     """Serial vs pipelined end-to-end latency of one inference."""
 
-    serial_latency_s: float      # engine makespan, layers serialized
+    serial_latency_s: float      # makespan, layers serialized
     pipelined_latency_s: float   # prefetch overlapped across layers (bound)
     compute_total_s: float
     dram_total_s: float
-    # Engine makespan under the depth-1 prefetch schedule (between the
-    # serial makespan and the pipelined bound).
+    # Makespan under the depth-1 prefetch schedule (between the serial
+    # makespan and the pipelined bound).
     scheduled_latency_s: float = 0.0
-    # The engine run behind the serial numbers (timeline + busy stats).
-    run: EngineRun | None = field(default=None, compare=False)
 
     @property
     def savings_fraction(self) -> float:
@@ -103,16 +101,21 @@ def _layer_triples(report: InferenceReport) -> list[tuple[float, float, float]]:
 
 def pipeline_schedule(report: InferenceReport) -> PipelineSchedule:
     """Compose a double-buffered schedule from a layer-serial report."""
-    layers = _layer_triples(report)
-    run, compute_total, dram_total = serial_pairs_run(
-        [(compute, weight + activation) for compute, weight, activation in layers],
-        label=f"{report.model_name}:serial",
-    )
+    schedule = schedule_for(tuple(
+        LayerTiming(
+            block=index, kind="layer", phase="MLP", dense_s=compute,
+            weight_dram_s=weight, activation_dram_s=activation,
+        )
+        for index, (compute, weight, activation) in enumerate(
+            _layer_triples(report)
+        )
+    ))
+    compute_total = float(schedule.compute.sum())
+    dram_total = float((schedule.weight + schedule.activation).sum())
     return PipelineSchedule(
-        serial_latency_s=run.makespan_s,
+        serial_latency_s=schedule.serial_makespan(),
         pipelined_latency_s=max(compute_total, dram_total),
         compute_total_s=compute_total,
         dram_total_s=dram_total,
-        scheduled_latency_s=prefetch_pairs_makespan(layers),
-        run=run,
+        scheduled_latency_s=schedule.scheduled_makespan(),
     )

@@ -22,13 +22,7 @@ from .cache import (
     package_code_hash,
     program_key,
 )
-from .emit import (
-    measure_program,
-    measure_timings,
-    prefetch_pairs_makespan,
-    request_process,
-    serial_pairs_run,
-)
+from .emit import measure_program, measure_timings
 from .ir import CORE_CLASSES, LEGAL_CORES, Program, Stage, TileOp, legal_cores_for
 from .lowering import (
     lower_attention_layer,
@@ -84,10 +78,7 @@ __all__ = [
     "measure_timings",
     "package_code_hash",
     "plan_stratification",
-    "prefetch_pairs_makespan",
     "program_key",
-    "request_process",
-    "serial_pairs_run",
     "stage_ops",
     "unstratified_workload",
 ]

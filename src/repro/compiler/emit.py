@@ -1,57 +1,32 @@
-"""Engine emission: replay compiled programs on the discrete-event engine.
+"""Engine emission: the makespan of a compiled program on the chip.
 
 The compiler's contract with the runtime: a :class:`~repro.compiler.ir.Program`
-(or its :class:`~repro.arch.engine.machine.LayerTiming` tuple) replays
-through one of two process shapes —
+(or its :class:`~repro.arch.engine.machine.LayerTiming` tuple) replays in
+one of two shapes —
 
-* **serial** — :func:`~repro.arch.engine.machine.inference_process`: per
-  layer, compute ∥ streaming with a barrier (the legacy ``run_trace``
-  semantics; for one request the makespan is ``Σ max(compute, dram)``);
-* **scheduled** — :func:`~repro.arch.engine.machine.scheduled_inference_process`:
-  the scheduling pass's depth-1 weight prefetch, makespan ≤ serial.
+* **serial** — per layer, compute ∥ streaming with a barrier (the legacy
+  ``run_trace`` semantics; for one request the makespan is
+  ``Σ max(compute, dram)``);
+* **scheduled** — the scheduling pass's depth-1 weight prefetch,
+  makespan ≤ serial.
 
-This module also hosts the generic two-resource (datapath + DRAM channel)
-emissions that :func:`repro.arch.pipeline.pipeline_schedule` composes, so
-the accelerator, the pipeline analysis, and the serving layers all lower
-through one path.
+Fast mode answers both in closed form
+(:class:`~repro.arch.engine.fastpath.FastSchedule`); kernel mode replays
+them as :class:`~repro.arch.engine.lanes.SerialReplay` /
+:class:`~repro.arch.engine.lanes.ScheduledReplay` on a fresh engine, the
+same callback replays the serving lanes run.
 """
 
 from __future__ import annotations
 
 from .. import obs
 from ..arch.engine.fastpath import engine_mode, schedule_for
-from ..arch.engine.kernel import Engine, Join, WaitFor
-from ..arch.engine.machine import (
-    BishopMachine,
-    LayerTiming,
-    inference_process,
-    scheduled_inference_process,
-)
-from ..arch.engine.timeline import EngineRun, TimelineEntry, use
+from ..arch.engine.kernel import Engine
+from ..arch.engine.lanes import ScheduledReplay, SerialReplay
+from ..arch.engine.machine import BishopMachine, LayerTiming
 from .ir import Program
 
-__all__ = [
-    "measure_program",
-    "measure_timings",
-    "measure_timings_kernel",
-    "prefetch_pairs_makespan",
-    "request_process",
-    "serial_pairs_run",
-]
-
-
-def request_process(
-    engine: Engine,
-    machine: BishopMachine,
-    timings: tuple[LayerTiming, ...],
-    label: str = "request",
-    batch: int = 1,
-    timeline: list[TimelineEntry] | None = None,
-    scheduled: bool = False,
-):
-    """The engine process of one (possibly batched) compiled request."""
-    process = scheduled_inference_process if scheduled else inference_process
-    return process(engine, machine, timings, label, batch, timeline)
+__all__ = ["measure_program", "measure_timings", "measure_timings_kernel"]
 
 
 def measure_timings(
@@ -65,7 +40,7 @@ def measure_timings(
     closed form by the memoized :class:`~repro.arch.engine.fastpath.
     FastSchedule` — the schedule-pass and DSE hot path; kernel mode
     replays the task graph on a fresh event engine
-    (:func:`measure_timings_kernel`, the reference implementation).
+    (:func:`measure_timings_kernel`).
     """
     timings = tuple(timings)
     mode = engine_mode()
@@ -83,133 +58,15 @@ def measure_timings_kernel(
     scheduled: bool = False,
     batch: int = 1,
 ) -> float:
-    """Event-kernel reference measurement (fresh engine, full replay)."""
+    """Event replay of one request (fresh engine, callback replay)."""
     engine = Engine()
-    machine = BishopMachine(engine)
-    engine.spawn(
-        request_process(engine, machine, timings, "measure", batch, None, scheduled),
-        name="measure",
-    )
+    replay = ScheduledReplay if scheduled else SerialReplay
+    replay(
+        engine, BishopMachine(engine), tuple(timings), "measure", batch
+    ).start(lambda: None)
     return engine.run()
 
 
 def measure_program(program: Program, batch: int = 1) -> float:
     """Uncontended makespan of a program under its compiled schedule."""
     return measure_timings(program.timings(), program.scheduled, batch)
-
-
-# ----------------------------------------------------------------------
-# Generic two-resource emissions (datapath + DRAM channel), used by the
-# inter-layer pipeline analysis for any accelerator's layer chain.
-# ----------------------------------------------------------------------
-def _serial_pairs_process(
-    engine: Engine,
-    datapath,
-    dram,
-    layers: list[tuple[float, float]],
-    timeline: list[TimelineEntry],
-):
-    """Layer-serial schedule: per layer, compute ∥ DRAM, then a barrier."""
-    for index, (compute_s, dram_s) in enumerate(layers):
-        tasks = []
-        if compute_s > 0:
-            tasks.append(engine.spawn(
-                use(engine, datapath, compute_s, timeline, f"L{index}:compute"),
-                name=f"L{index}:compute",
-            ))
-        if dram_s > 0:
-            tasks.append(engine.spawn(
-                use(engine, dram, dram_s, timeline, f"L{index}:dram"),
-                name=f"L{index}:dram",
-            ))
-        for task in tasks:
-            yield Join(task)
-
-
-def serial_pairs_run(
-    layers: list[tuple[float, float]], label: str = "serial"
-) -> tuple[EngineRun, float, float]:
-    """Replay ``(compute_s, dram_s)`` pairs layer-serially on the engine.
-
-    Returns ``(run, total compute busy, total dram busy)`` — the busy
-    totals feed the pipelined steady-state bound.
-    """
-    engine = Engine()
-    datapath = engine.resource("datapath")
-    dram = engine.resource("dram")
-    timeline: list[TimelineEntry] = []
-    engine.spawn(
-        _serial_pairs_process(engine, datapath, dram, layers, timeline),
-        name=label,
-    )
-    engine.run()
-    run = EngineRun.capture(engine, timeline=timeline)
-    return run, datapath.stats.busy_s, dram.stats.busy_s
-
-
-def prefetch_pairs_makespan(
-    layers: "list[tuple[float, float] | tuple[float, float, float]]",
-) -> float:
-    """Engine-measured makespan of the depth-1 prefetch schedule on the
-    generic two-resource model.
-
-    Layers are ``(compute_s, weight_dram_s, activation_dram_s)`` triples
-    (a two-tuple means all-weight traffic).  Only the *weight* stream may
-    move early — as soon as the channel frees up and the previous layer
-    began computing (the depth-1 double buffer); a layer's activation
-    traffic is produced/consumed by the layer itself and stays bound to
-    it, exactly as in the executable
-    :func:`~repro.arch.engine.machine.scheduled_inference_process`.  Each
-    layer completes only when its compute and both its streams have
-    finished, so the result sits between the serial ``Σ max(c, d)`` and
-    the steady-state bound ``max(Σc, Σd)``.
-    """
-    triples = [
-        (layer[0], layer[1], layer[2] if len(layer) > 2 else 0.0)
-        for layer in layers
-    ]
-    engine = Engine()
-    datapath = engine.resource("datapath")
-    dram = engine.resource("dram")
-    n = len(triples)
-    weights_done = [False] * n
-    compute_started = [False] * n
-    done_gate = engine.gate()
-    started_gate = engine.gate()
-
-    def streamer():
-        for index, (_, weight_s, _activation_s) in enumerate(triples):
-            while index > 0 and not compute_started[index - 1]:
-                yield WaitFor(started_gate)
-            if weight_s > 0:
-                yield from use(engine, dram, weight_s, None, f"L{index}:dram.w")
-            weights_done[index] = True
-            done_gate.signal()
-
-    def compute_chain():
-        streamer_process = None
-        for index, (compute_s, _weight_s, activation_s) in enumerate(triples):
-            compute_started[index] = True
-            tasks = []
-            if compute_s > 0:
-                tasks.append(engine.spawn(
-                    use(engine, datapath, compute_s, None, f"L{index}:compute"),
-                    name=f"L{index}:compute",
-                ))
-            if activation_s > 0:
-                tasks.append(engine.spawn(
-                    use(engine, dram, activation_s, None, f"L{index}:dram.a"),
-                    name=f"L{index}:dram.a",
-                ))
-            # Spawn/wake the streamer only after this layer's own streams
-            # are queued (activation must not trail the next prefetch).
-            if streamer_process is None:
-                streamer_process = engine.spawn(streamer(), name="streamer")
-            started_gate.signal()
-            for task in tasks:
-                yield Join(task)
-            while not weights_done[index]:
-                yield WaitFor(done_gate)
-
-    engine.spawn(compute_chain(), name="compute")
-    return engine.run()

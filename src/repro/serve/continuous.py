@@ -4,8 +4,8 @@ Admitted requests wait in one indexed :class:`ReadyPool`; each lane of
 a :class:`~repro.serve.simulate.ChipServer` takes a group, runs one
 quantum, and repeats.  In static mode the quantum is the whole compiled
 program and groups come from :func:`~repro.serve.scheduler.take_batch`.
-In continuous mode the quantum is one compiled ``Stage``
-(:func:`~repro.arch.engine.machine.stage_process`), and *between* stages
+In continuous mode the quantum is one compiled ``Stage`` (a one-layer
+:class:`~repro.arch.engine.lanes.SerialReplay`), and *between* stages
 the scheduler re-decides what runs next.  That buys three mechanisms for
 the price of one boundary:
 

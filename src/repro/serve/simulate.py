@@ -8,10 +8,9 @@ themselves — each takes a group from the pool
 program, contending with every other lane for the dense/sparse/attention
 cores, the spike generator, and the DRAM channel, and repeats until the
 pool is dry.  Static mode's quantum is the whole program; continuous
-mode's is one stage.  Under ``REPRO_ENGINE=fast`` a lane replays its
-quantum as a callback task (``repro.arch.engine.lanes``, one event per
-occupancy); ``kernel`` runs the generator processes of
-``repro.arch.engine.machine``.
+mode's is one stage.  A lane replays its quantum as a callback task
+(``repro.arch.engine.lanes``, one timed event per occupancy) and sleeps
+until the task wakes it.
 
 :func:`simulate_serving` wires ONE chip server to an arrival stream — the
 N=1 special case of the fleet simulation (``repro.cluster``), which
@@ -24,15 +23,9 @@ and chip energy (dynamic per work done + static over the horizon).
 from __future__ import annotations
 
 from .. import obs
-from ..arch.engine.fastpath import engine_mode
 from ..arch.engine.kernel import Await, Engine, Hold, WaitFor
 from ..arch.engine.lanes import ScheduledReplay, SerialReplay
-from ..arch.engine.machine import (
-    BishopMachine,
-    inference_process,
-    scheduled_inference_process,
-    stage_process,
-)
+from ..arch.engine.machine import BishopMachine
 from ..arch.engine.timeline import EngineRun, TimelineEntry
 from ..arch.energy import EnergyModel
 from .continuous import ContinuousBatchScheduler, StageEntry
@@ -86,9 +79,6 @@ class ChipServer:
         # The summary counters below are maintained either way.
         self.recorder = recorder
         self.tenants = tuple(tenants)
-        # Fast mode replays each program or stage as a callback task (one
-        # event per occupancy); kernel mode keeps the generator lanes.
-        self._callback_lanes = engine_mode() == "fast"
 
         self.queue = ContinuousBatchScheduler(
             self.scheduler, profiles, self.tenants
@@ -232,21 +222,11 @@ class ChipServer:
             profile = self.profiles[group[0].request.model]
             scheduled = getattr(profile, "scheduled", False)
             label = self._label(f"b{group[0].request.index}x{size}")
-            if self._callback_lanes:
-                replay = ScheduledReplay if scheduled else SerialReplay
-                yield Await(replay(
-                    self.engine, self.machine, profile.timings, label, size,
-                    self.timeline,
-                ).start)
-            else:
-                process = (
-                    scheduled_inference_process if scheduled
-                    else inference_process
-                )
-                yield from process(
-                    self.engine, self.machine, profile.timings, label, size,
-                    self.timeline,
-                )
+            replay = ScheduledReplay if scheduled else SerialReplay
+            yield Await(replay(
+                self.engine, self.machine, profile.timings, label, size,
+                self.timeline,
+            ).start)
             obs.inc("serve.batches")
             obs.observe("serve.batch_size", size)
             self.dynamic_energy_pj += profile.batch_dynamic_pj(size)
@@ -290,20 +270,13 @@ class ChipServer:
                 self._finish_entries(sched.program_done(group, self.engine.now))
                 group = []
                 continue
-            timing = timings[stage]
             obs.inc("serve.stage_groups")
-            if self._callback_lanes:
-                label = self._label(f"c{head.cohort}x{size}")
-                yield Await(SerialReplay(
-                    self.engine, self.machine, timings, label, size,
-                    self.timeline, stage, stage + 1,
-                ).start)
-            else:
-                label = self._label(f"c{head.cohort}x{size}/L{stage}.{timing.kind}")
-                yield from stage_process(
-                    self.engine, self.machine, timing, label, size, self.timeline
-                )
-            self.dynamic_energy_pj += timing.batch_dynamic_pj(size)
+            label = self._label(f"c{head.cohort}x{size}")
+            yield Await(SerialReplay(
+                self.engine, self.machine, timings, label, size,
+                self.timeline, stage, stage + 1,
+            ).start)
+            self.dynamic_energy_pj += timings[stage].batch_dynamic_pj(size)
             finished = sched.stage_done(group, stage, self.engine.now)
             if finished:
                 self._finish_entries(finished)

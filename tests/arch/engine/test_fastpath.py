@@ -1,12 +1,13 @@
 """Fastpath-vs-kernel equivalence: the vectorized replay must agree with
-the event-heap reference to float precision.
+the event replay to float precision.
 
 The fast path (``REPRO_ENGINE=fast``, the default) answers uncontended
 single-request makespans in closed form and synthesizes the serial
-replay's :class:`EngineRun` without events; the kernel stays the reference
-implementation.  These tests pin the two against each other on the zoo,
-on randomized task graphs (including the degenerate shapes: zero-compute,
-zero-weight, zero-activation, empty chains), and across batch sizes.
+replay's :class:`EngineRun` without events; kernel mode replays the
+program with the callback lanes on the event engine.  These tests pin
+the two against each other on the zoo, on randomized task graphs
+(including the degenerate shapes: zero-compute, zero-weight,
+zero-activation, empty chains), and across batch sizes.
 """
 
 import time
@@ -294,30 +295,44 @@ class TestReplayEquivalenceZoo:
 @pytest.mark.slow
 class TestSpeedup:
     def test_fast_replay_is_at_least_5x(self):
-        """One compiled model4 program's uncontended request: the kernel's
-        event walk (serial + scheduled) against the fast path's closed-form
-        makespans plus :class:`EngineRun` synthesis.  The schedule memo is
-        cleared first, so its construction is inside the timed region and
-        every later repeat answers from the cached columnar schedule."""
+        """One compiled model4 program's uncontended request: the
+        generator reference lanes' tile-granular event walk (serial +
+        scheduled, ``MAX_QUANTA`` quanta per core task) against the fast
+        path's closed-form makespans plus :class:`EngineRun` synthesis.
+        Both sides run once before timing.  The schedule memo is cleared
+        inside the timed region, so its construction is timed and every
+        later repeat answers from the cached columnar schedule."""
         from repro.arch.engine import fastpath
         from repro.serve import request_profile
+
+        from .reference_lanes import MAX_QUANTA, reference_makespan
 
         repeats = 3
         timings = request_profile("model4", seed=0).timings
 
+        def lanes():
+            return (
+                reference_makespan(timings, False, max_quanta=MAX_QUANTA),
+                reference_makespan(timings, True, max_quanta=MAX_QUANTA),
+            )
+
+        def fast():
+            schedule = schedule_for(timings)
+            schedule.serial_run(label="model4")
+            return schedule.serial_makespan(), schedule.scheduled_makespan()
+
+        lanes()
+        fast()
+
         started = time.perf_counter()
         for _ in range(repeats):
-            kernel_serial = measure_timings_kernel(timings, scheduled=False)
-            kernel_scheduled = measure_timings_kernel(timings, scheduled=True)
+            kernel_serial, kernel_scheduled = lanes()
         kernel_s = time.perf_counter() - started
 
-        fastpath._schedule_for.cache_clear()
         started = time.perf_counter()
+        fastpath._schedule_for.cache_clear()
         for _ in range(repeats):
-            schedule = schedule_for(timings)
-            fast_serial = schedule.serial_makespan()
-            fast_scheduled = schedule.scheduled_makespan()
-            schedule.serial_run(label="model4")
+            fast_serial, fast_scheduled = fast()
         fast_s = time.perf_counter() - started
 
         serial_err = abs(fast_serial - kernel_serial) / max(kernel_serial, 1e-30)

@@ -11,8 +11,9 @@ from repro.arch.engine import (
     Release,
     TimelineEntry,
     WaitFor,
-    use,
 )
+
+from .reference_lanes import use
 
 
 class TestClockAndHold:

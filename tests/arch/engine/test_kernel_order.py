@@ -15,7 +15,9 @@ import math
 
 import pytest
 
-from repro.arch.engine import Engine, Hold, Join, WaitFor, use
+from repro.arch.engine import Engine, Hold, Join, WaitFor
+
+from .reference_lanes import use
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

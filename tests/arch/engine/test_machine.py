@@ -10,10 +10,11 @@ from repro.arch import (
     layer_timings,
     simulate_inference,
 )
-from repro.arch.engine.machine import MAX_QUANTA, _quanta
 from repro.bundles import BundleSpec
 from repro.harness.synthetic import PROFILES, synthetic_trace
 from repro.model import model_config
+
+from .reference_lanes import MAX_QUANTA, _quanta
 
 
 @pytest.fixture(scope="module")
@@ -64,14 +65,15 @@ class TestLayerTimings:
 
 
 class TestQuanta:
-    def test_capped_in_kernel_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "kernel")
-        assert _quanta(1) == 1
-        assert _quanta(3) == 3
-        assert _quanta(10_000) == MAX_QUANTA
+    """The reference lanes' per-task quanta; the engine switch no longer
+    reaches them (the callback replays hold each unit once per task)."""
 
-    def test_fast_mode_coalesces_to_one_event_run_per_task(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
+    def test_capped_at_max_quanta(self):
+        assert _quanta(1, MAX_QUANTA) == 1
+        assert _quanta(3, MAX_QUANTA) == 3
+        assert _quanta(10_000, MAX_QUANTA) == MAX_QUANTA
+
+    def test_defaults_to_one_event_run_per_task(self):
         assert _quanta(1) == 1
         assert _quanta(3) == 1
         assert _quanta(10_000) == 1
@@ -119,7 +121,7 @@ class TestSimulateInference:
 class TestContention:
     def test_two_requests_share_one_chip(self, report):
         """Two concurrent requests finish later than one, earlier than 2x serial."""
-        from repro.arch.engine import BishopMachine, Engine, inference_process
+        from repro.arch.engine import BishopMachine, Engine, SerialReplay
 
         config = BishopConfig(bundle_spec=BundleSpec(2, 4))
         timings = layer_timings(report, config)
@@ -127,8 +129,8 @@ class TestContention:
 
         engine = Engine()
         machine = BishopMachine(engine)
-        engine.spawn(inference_process(engine, machine, timings, "r0"))
-        engine.spawn(inference_process(engine, machine, timings, "r1"))
+        for label in ("r0", "r1"):
+            SerialReplay(engine, machine, timings, label).start(lambda: None)
         makespan = engine.run()
         assert makespan > single * 1.05          # contention costs something
         assert makespan < 2 * single + 1e-12     # never worse than serial

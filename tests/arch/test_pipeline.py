@@ -20,6 +20,20 @@ def layer(compute: float, dram: float) -> LayerReport:
     )
 
 
+def staged(compute: float, weight: float, activation: float) -> LayerReport:
+    """A layer whose DRAM time splits into a weight and an activation
+    stream by its traffic ledger's byte shares."""
+    traffic = TrafficLedger()
+    traffic.add("dram", "weight", weight)
+    traffic.add("dram", "activation", activation)
+    return LayerReport(
+        block=0, kind="mlp1", phase="MLP",
+        cycles=1.0, latency_s=max(compute, weight + activation),
+        energy=EnergyBreakdown(), traffic=traffic,
+        notes={"compute_time_s": compute, "dram_time_s": weight + activation},
+    )
+
+
 def report(*layers) -> InferenceReport:
     return InferenceReport("bishop", "m", layers=list(layers))
 
@@ -82,8 +96,8 @@ class TestSchedule:
 
 
 class TestScheduledLatency:
-    """The engine-measured depth-1 prefetch schedule (the compiler's
-    scheduling pass) sits between the serial makespan and the bound."""
+    """The depth-1 prefetch schedule (the compiler's scheduling pass)
+    sits between the serial makespan and the bound."""
 
     def test_ordering_invariant(self):
         schedule = pipeline_schedule(
@@ -110,6 +124,22 @@ class TestScheduledLatency:
             schedule.serial_latency_s
         )
 
+    def test_all_zero_layer_keeps_scheduled_within_serial(self):
+        # An all-zero layer between an activation-bound and a weight-bound
+        # layer once let the depth-1 prefetch run past the serial makespan
+        # (22 against 18).
+        schedule = pipeline_schedule(report(
+            staged(4.0, 0.0, 6.0), staged(0.0, 0.0, 0.0),
+            staged(4.0, 0.0, 1.0), staged(7.0, 8.0, 0.0),
+        ))
+        assert schedule.serial_latency_s == pytest.approx(18.0)
+        assert (
+            schedule.pipelined_latency_s
+            <= schedule.scheduled_latency_s
+            <= schedule.serial_latency_s
+        )
+        assert schedule.scheduled_latency_s == pytest.approx(17.0)
+
     def test_empty_report(self):
         schedule = pipeline_schedule(report())
         assert schedule.scheduled_latency_s == 0.0
@@ -131,13 +161,13 @@ class TestScheduledLatency:
         assert run.program is not None
         schedule = pipeline_schedule(run)
         # The program's stage pairs are the layers' timing notes: the
-        # engine-serial makespan still equals the closed-form total.
+        # serial makespan still equals the analytic total.
         assert schedule.serial_latency_s == pytest.approx(
             run.total_latency_s, rel=1e-12
         )
-        # And the two-resource prefetch emission agrees with the
-        # program's own (five-resource) scheduled makespan: same weight
-        # streams moved early, same activation streams pinned.
+        # And the stage-pair prefetch schedule agrees with the program's
+        # own (five-resource) scheduled makespan: same weight streams
+        # moved early, same activation streams pinned.
         assert schedule.scheduled_latency_s == pytest.approx(
             run.program.scheduled_latency_s, rel=1e-12
         )

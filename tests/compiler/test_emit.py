@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.arch import pipeline_schedule
 from repro.arch.engine.machine import LayerTiming
-from repro.compiler import (
-    measure_timings,
-    prefetch_pairs_makespan,
-    serial_pairs_run,
-)
+from repro.compiler import measure_timings
+
+from ..arch.test_pipeline import report, staged
 
 
 @pytest.fixture(params=["fast", "kernel"], autouse=True)
@@ -83,41 +82,52 @@ class TestScheduledEmission:
         ) == pytest.approx(10.0)
 
 
+def pairs_schedule(layers):
+    """``pipeline_schedule`` of ``(compute, dram)`` pairs (all-weight
+    traffic) or ``(compute, weight, activation)`` triples."""
+    return pipeline_schedule(report(*(
+        staged(layer[0], layer[1], layer[2] if len(layer) > 2 else 0.0)
+        for layer in layers
+    )))
+
+
 class TestTwoResourceEmission:
+    """The datapath + DRAM channel chain of ``pipeline_schedule``."""
+
     def test_serial_pairs_match_closed_form(self):
         pairs = [(3.0, 1.0), (2.0, 4.0)]
-        run, compute_total, dram_total = serial_pairs_run(pairs)
-        assert run.makespan_s == pytest.approx(3.0 + 4.0)
-        assert compute_total == pytest.approx(5.0)
-        assert dram_total == pytest.approx(5.0)
+        schedule = pairs_schedule(pairs)
+        assert schedule.serial_latency_s == pytest.approx(3.0 + 4.0)
+        assert schedule.compute_total_s == pytest.approx(5.0)
+        assert schedule.dram_total_s == pytest.approx(5.0)
 
     def test_prefetch_between_serial_and_bound(self):
         pairs = [(3.0, 1.0), (2.0, 4.0), (1.0, 3.0)]
         serial = sum(max(c, d) for c, d in pairs)
         bound = max(sum(c for c, _ in pairs), sum(d for _, d in pairs))
-        scheduled = prefetch_pairs_makespan(pairs)
+        scheduled = pairs_schedule(pairs).scheduled_latency_s
         assert bound * (1 - 1e-12) <= scheduled <= serial * (1 + 1e-12)
 
     def test_prefetch_wins_on_alternating_chain(self):
         pairs = [(4.0, 1.0), (1.0, 4.0)] * 3
         serial = sum(max(c, d) for c, d in pairs)       # 24
-        scheduled = prefetch_pairs_makespan(pairs)
+        scheduled = pairs_schedule(pairs).scheduled_latency_s
         assert scheduled < serial
 
     def test_activation_traffic_is_never_prefetched(self):
         """Causality: a layer's activation spill cannot stream before the
         layer computes, so an activation-dominated chain gains nothing —
-        the pairs emission must agree with the executable machine
+        the pairs schedule must agree with the executable machine
         schedule, not beat it."""
         triples = [(4.0, 0.0, 1.0), (1.0, 0.0, 4.0)] * 2
         serial = sum(max(c, w + a) for c, w, a in triples)
-        assert prefetch_pairs_makespan(triples) == pytest.approx(serial)
+        assert pairs_schedule(triples).scheduled_latency_s == pytest.approx(serial)
         timings = tuple(
             timing(c, w, a) for c, w, a in triples
         )
         assert measure_timings(timings, scheduled=True) == pytest.approx(serial)
 
     def test_empty_pairs(self):
-        assert prefetch_pairs_makespan([]) == 0.0
-        run, compute_total, dram_total = serial_pairs_run([])
-        assert run.makespan_s == 0.0
+        schedule = pairs_schedule([])
+        assert schedule.scheduled_latency_s == 0.0
+        assert schedule.serial_latency_s == 0.0

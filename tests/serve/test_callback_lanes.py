@@ -1,14 +1,13 @@
-"""Callback lanes pinned to the generator lanes they replace.
+"""Callback lanes pinned to the generator reference lanes.
 
-Fast mode (``REPRO_ENGINE=fast``) serves each program or stage through a
-callback replay (``repro.arch.engine.lanes``): one timed event per
-positive-duration occupancy, no event for an acquire, release, grant,
-join or spawn.  The generator lanes stay in kernel mode; with
-``machine.MAX_QUANTA`` at 1 they run one quantum per core task, as fast
-mode's generator lanes did.  On whole streams of real compiled profiles
-every request's ``(start_s, finish_s, batch_size, preemptions)``, every
-``ResourceStats``, the report payload and the (sorted) timeline must be
-``==`` between the two.
+Serving runs each program or stage through a callback replay
+(``repro.arch.engine.lanes``): one timed event per positive-duration
+occupancy, no event for an acquire, release, grant, join or spawn.  The
+oracle swaps the generator lanes of ``tests/arch/engine/reference_lanes.py``
+(one quantum per core task) in for the replays.  On whole streams of
+real compiled profiles every request's ``(start_s, finish_s,
+batch_size, preemptions)``, every ``ResourceStats``, the report payload
+and the (sorted) timeline must be ``==`` between the two.
 
 Grid-quantized Hypothesis streams hit exact ties.  A lane alone on its
 chip (``max_inflight 1``) must still replay ``==``; with more lanes two
@@ -21,7 +20,7 @@ import dataclasses
 
 import pytest
 
-from repro.arch.engine import LayerTiming, machine
+from repro.arch.engine import LayerTiming
 from repro.cluster import ShardingConfig, homogeneous_fleet, simulate_cluster_sharded
 from repro.serve import simulate as serve_simulate
 from repro.serve import (
@@ -36,32 +35,24 @@ from repro.serve import (
     simulate_serving,
 )
 
+from ..arch.engine.reference_lanes import ScheduledLanes, SerialLanes
+
 MODELS = ("model1", "model2", "model4")
 MIX = "model1:0.3+model2:0.3+model4:0.4"
 TENANTS = "gold:3+silver:1"
 
 
-@pytest.fixture(scope="module", autouse=True)
-def fast_mode():
-    # The suite compares fast mode against the generator lanes, whatever
-    # REPRO_ENGINE the run was started with.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_ENGINE", "fast")
-        yield
-
-
 @pytest.fixture(scope="module", params=["all", "packing+stratify+ecp"])
 def profiles(request):
-    # Compiled once in fast mode and passed explicitly: kernel-mode
-    # compiles differ in the last bits of their makespans.
+    # Compiled once and passed explicitly to both sides.
     return {m: request_profile(m, passes=request.param) for m in MODELS}
 
 
 def generator_lanes(monkeypatch, run):
-    """Run ``run()`` on the generator lanes at one quantum per task."""
+    """Run ``run()`` with the generator lanes in place of the replays."""
     with monkeypatch.context() as patch:
-        patch.setenv("REPRO_ENGINE", "kernel")
-        patch.setattr(machine, "MAX_QUANTA", 1)
+        patch.setattr(serve_simulate, "SerialReplay", SerialLanes)
+        patch.setattr(serve_simulate, "ScheduledReplay", ScheduledLanes)
         return run()
 
 
@@ -90,9 +81,9 @@ def assert_lanes_agree(monkeypatch, stream, scheduler, profiles, tenants=()):
             record_timeline=True,
         )
 
-    fast = run()
-    assert fast.num_requests == len(stream)
-    assert payload(fast) == payload(generator_lanes(monkeypatch, run))
+    callback = run()
+    assert callback.num_requests == len(stream)
+    assert payload(callback) == payload(generator_lanes(monkeypatch, run))
 
 
 def stream_at(profiles, rho, seed, n=40):
@@ -136,10 +127,6 @@ class TestWholeStreamOracle:
 
     @pytest.mark.parametrize("mode", ["static", "continuous"])
     def test_multi_chip_shard(self, monkeypatch, mode):
-        # The shard compiles its chips' profiles itself, in the active
-        # engine mode; in fast mode the generator lanes already run one
-        # quantum per task, so selecting them for ChipServer alone keeps
-        # the fast-compiled profiles on both sides.
         stream = poisson_arrivals(120, 40000.0, "model2:0.4+model4:0.6", seed=5)
 
         def run():
@@ -149,12 +136,9 @@ class TestWholeStreamOracle:
                 sharding=ShardingConfig(num_shards=1),
             ).to_dict()
 
-        fast = run()
-        with monkeypatch.context() as patch:
-            patch.setattr(serve_simulate, "engine_mode", lambda: "kernel")
-            generator = run()
-        assert fast["served"] == 120
-        assert fast == generator
+        callback = run()
+        assert callback["served"] == 120
+        assert callback == generator_lanes(monkeypatch, run)
 
 
 def layer(compute=0.0, activation=0.0, weight=0.0, phase="MLP"):
