@@ -8,16 +8,15 @@
     The Bishop chip as engine resources plus the per-layer task durations.
 ``lanes``
     Callback replays of a program or stage (one event per occupancy):
-    every contended run, and the uncontended ones under
-    ``REPRO_ENGINE=kernel``.
+    every contended run.
 ``fastpath``
-    Vectorized closed-form replay of uncontended task graphs (the
-    ``REPRO_ENGINE=fast`` default).
+    Vectorized closed-form replay of uncontended task graphs: every
+    single-request makespan.
 
 See docs/ARCHITECTURE.md for the event model and how a core plugs in.
 """
 
-from .fastpath import FastSchedule, engine_mode, schedule_for
+from .fastpath import FastSchedule, schedule_for
 from .kernel import (
     Acquire,
     Await,
@@ -56,7 +55,6 @@ __all__ = [
     "SerialReplay",
     "TimelineEntry",
     "WaitFor",
-    "engine_mode",
     "entries_from_dicts",
     "entries_to_dicts",
     "layer_timings",

@@ -19,14 +19,13 @@ closed form over numpy arrays:
 A :class:`FastSchedule` is built once per distinct timing tuple (they are
 hashable value objects, so :func:`schedule_for` memoizes across requests,
 chips, and compile passes) and then answers makespan queries in O(layers)
-with no events.  ``REPRO_ENGINE=kernel`` routes every consumer through
-the event replay instead, and the fastpath-vs-kernel equivalence tests
-pin the two to ~1e-9.
+with no events.  It answers every uncontended makespan in ``src``; the
+callback replays of :mod:`.lanes` stay its test oracle, pinned to it on
+the zoo and ``==`` on integer-grid timings.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,23 +35,7 @@ from .kernel import ResourceStats
 from .machine import BishopMachine, LayerTiming
 from .timeline import EngineRun, TimelineEntry
 
-__all__ = ["FastSchedule", "engine_mode", "schedule_for"]
-
-ENGINE_MODES = ("fast", "kernel")
-
-
-def engine_mode() -> str:
-    """The active engine implementation: ``REPRO_ENGINE=fast|kernel``.
-
-    Read per call (not cached) so tests and CLI runs can flip the mode via
-    the environment at any point; defaults to the vectorized fast path.
-    """
-    mode = os.environ.get("REPRO_ENGINE", "fast").strip().lower()
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"REPRO_ENGINE={mode!r}: expected one of {'|'.join(ENGINE_MODES)}"
-        )
-    return mode
+__all__ = ["FastSchedule", "schedule_for"]
 
 
 @dataclass(frozen=True, eq=False)

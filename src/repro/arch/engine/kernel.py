@@ -49,12 +49,12 @@ Nothing in the per-event path may tie a :class:`Process` into a reference
 cycle (e.g. a wake-up closure cached on the process): a fleet keeps
 thousands of processes live, and cyclic garbage at that scale triggers
 costly full collections.  The per-event ``lambda`` a wake-up schedules is
-acyclic.  Two long-lived cycles remain by construction — ``Engine`` ↔
-``Resource`` and ``Resource`` ↔ its cached ``Acquire``/``Release``
-commands — and only a full collection frees them: a fleet of 1,000 chips
-leaves 5,000 resources in cycles per run.  :meth:`Engine.teardown` breaks
-them (and drops pending events and waiters) once a simulation's results
-have been read, so a finished engine is freed by reference counting.
+acyclic.  One long-lived cycle remains by construction — ``Engine`` ↔
+``Resource`` — and only a full collection frees it: a fleet of 1,000
+chips leaves 5,000 resources in cycles per run.  :meth:`Engine.teardown`
+breaks it (and drops pending events and waiters) once a simulation's
+results have been read, so a finished engine is freed by reference
+counting.
 """
 
 from __future__ import annotations
@@ -208,9 +208,6 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self.stats = ResourceStats()
-        # Built once: processes yield these for every acquire/release.
-        self.acquire_command = Acquire(self)
-        self.release_command = Release(self)
         # Waiters in arrival order: a Process, or a callback to call on grant.
         self._queue: deque[tuple[Process | Callable[[], None], float]] = deque()
         self._last_change = engine.now
@@ -313,6 +310,10 @@ class Engine:
         ``until`` earlier than ``now`` fires nothing and returns ``now`` —
         the invariant incremental window-stepped draining relies on.
         """
+        if until is not None and not math.isfinite(until):
+            # NaN fails every comparison: the window check below would
+            # never stop the drain, and the clock would never land.
+            raise ValueError(f"cannot run until a non-finite time {until}")
         if until is not None and until < self.now:
             return self.now
         heap, ready = self._heap, self._ready
@@ -347,17 +348,16 @@ class Engine:
     def teardown(self) -> None:
         """Break this finished engine's reference cycles.
 
-        Drops pending events and every resource's waiters and cached
-        commands, and forgets the resources (whose stats stay readable
-        through any other reference, e.g. a ``BishopMachine``).  Call it
-        once a simulation's results have been read: the engine cannot
-        run again, and reference counting frees what it held.
+        Drops pending events and every resource's waiters, and forgets
+        the resources (whose stats stay readable through any other
+        reference, e.g. a ``BishopMachine``).  Call it once a
+        simulation's results have been read: the engine cannot run
+        again, and reference counting frees what it held.
         """
         self._heap.clear()
         self._ready.clear()
         for resource in self.resources.values():
             resource._queue.clear()
-            resource.acquire_command = resource.release_command = None
         self.resources = {}
 
     # -- process stepping --------------------------------------------------

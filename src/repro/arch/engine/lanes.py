@@ -2,10 +2,9 @@
 
 This is ``src``'s one event replay of a compiled program; the closed
 form of :mod:`~repro.arch.engine.fastpath` is the other replay, for the
-uncontended case.  Every serving lane runs a replay from here, and so do
-``REPRO_ENGINE=kernel``'s uncontended measurements.  A replay drives the
-:class:`~repro.arch.engine.machine.BishopMachine` resources on the
-engine clock as a small callback state machine:
+uncontended case.  Every serving lane runs a replay from here.  A
+replay drives the :class:`~repro.arch.engine.machine.BishopMachine`
+resources on the engine clock as a small callback state machine:
 
 * :meth:`Resource.request <repro.arch.engine.kernel.Resource.request>`
   grants a free unit by calling back synchronously (or queues the

@@ -9,15 +9,14 @@ generator, DRAM channel — as :class:`~repro.arch.engine.kernel.Resource`
 objects on one engine clock.
 
 Two implementations replay a timing tuple: the closed form of
-:mod:`.fastpath` (uncontended, no events) and the callback replays of
-:mod:`.lanes` (one timed event per occupancy), which serve every
-contended run and, under ``REPRO_ENGINE=kernel``, the uncontended ones
-too.  For a single request the two agree with the closed-form
-``Σ max(compute, dram)`` latency (the regression-test oracle); the
-event replay's value is contention: multiple in-flight requests queue
-on the same resources, which is what the serving layer (``repro.serve``)
-measures.  Each machine's resources hold their engine, and the engine
-holds the resources: those cycles live until
+:mod:`.fastpath` answers every uncontended run with no events, and the
+callback replays of :mod:`.lanes` (one timed event per occupancy) serve
+every contended one.  For a single request the two agree with the
+closed-form ``Σ max(compute, dram)`` latency (the regression-test
+oracle); the event replay's value is contention: multiple in-flight
+requests queue on the same resources, which is what the serving layer
+(``repro.serve``) measures.  Each machine's resources hold their
+engine, and the engine holds the resources: those cycles live until
 :meth:`Engine.teardown <repro.arch.engine.kernel.Engine.teardown>`.
 """
 
@@ -29,7 +28,7 @@ from ..config import BishopConfig
 from ..energy import EnergyModel
 from ..report import InferenceReport, LayerReport
 from .kernel import Engine, Resource
-from .timeline import EngineRun, TimelineEntry
+from .timeline import EngineRun
 
 __all__ = [
     "BishopMachine",
@@ -156,45 +155,24 @@ def simulate_inference(
     energy: EnergyModel | None = None,
     record_timeline: bool = True,
 ) -> EngineRun:
-    """Replay one analytic inference report on the event engine.
+    """Replay one analytic inference report as a serial :class:`EngineRun`.
 
     Single request, no contention: the makespan equals the closed-form
     ``Σ max(compute, dram)`` and the energy equals the analytical total —
     the agreement the zoo regression test pins to 1%.
 
-    In fast mode (the ``REPRO_ENGINE`` default) the replay is synthesized
-    by the vectorized :mod:`~repro.arch.engine.fastpath`; kernel mode
-    replays it as a :class:`~repro.arch.engine.lanes.SerialReplay` on a
-    fresh engine — same makespan, energy, and timeline.
+    The replay is synthesized by the closed form of
+    :mod:`~repro.arch.engine.fastpath`, with no events.
     """
     energy = energy or EnergyModel()
     timings = layer_timings(report, config, energy)
     from ... import obs
-    from .fastpath import engine_mode, schedule_for
+    from .fastpath import schedule_for  # local: fastpath imports this module
 
-    mode = engine_mode()
-    obs.inc(f"engine.dispatch.{mode}")
-    with obs.span(
-        "engine.simulate", cat="engine", model=report.model_name, mode=mode
-    ):
-        if mode == "fast":
-            schedule = schedule_for(timings)
-            run = schedule.serial_run(
-                batch=1, label=report.model_name, record_timeline=record_timeline
-            )
-            run.energy_pj = schedule.dynamic_pj + energy.static_pj(run.makespan_s)
-            return run
-        from .lanes import SerialReplay  # local: lanes imports this module
-
-        engine = Engine()
-        timeline: list[TimelineEntry] | None = [] if record_timeline else None
-        SerialReplay(
-            engine, BishopMachine(engine), timings, report.model_name, 1, timeline
-        ).start(lambda: None)
-        engine.run()
-        dynamic_pj = sum(timing.dynamic_pj for timing in timings)
-        return EngineRun.capture(
-            engine,
-            energy_pj=dynamic_pj + energy.static_pj(engine.now),
-            timeline=timeline,
+    with obs.span("engine.simulate", cat="engine", model=report.model_name):
+        schedule = schedule_for(timings)
+        run = schedule.serial_run(
+            batch=1, label=report.model_name, record_timeline=record_timeline
         )
+        run.energy_pj = schedule.dynamic_pj + energy.static_pj(run.makespan_s)
+        return run

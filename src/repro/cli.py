@@ -1124,8 +1124,8 @@ def main(argv: list[str] | None = None) -> int:
         handler, dest = handler[name], f"{name}_command"
     try:
         # Honour REPRO_TRACE/REPRO_METRICS from the environment for every
-        # command (the same contract as REPRO_ENGINE: strict values, an
-        # unrecognized spelling is exit 2, never a silent fall-through).
+        # command (strict values: an unrecognized spelling is exit 2,
+        # never a silent fall-through).
         obs.enable_from_env()
         return handler(**options)
     except KeyError as error:

@@ -21,6 +21,7 @@ placement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["AutoscaleConfig", "ScalingEvent"]
@@ -38,8 +39,11 @@ class AutoscaleConfig:
     kind: str = "standard"      # template kind for added replicas
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ValueError("autoscale interval must be positive")
+        if not (math.isfinite(self.interval_s) and self.interval_s > 0):
+            raise ValueError(
+                f"autoscale interval_s must be positive and finite,"
+                f" got {self.interval_s}"
+            )
         if self.low_pressure >= self.high_pressure:
             raise ValueError("low_pressure must be below high_pressure")
         if not 1 <= self.min_chips <= self.max_chips:

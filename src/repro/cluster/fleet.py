@@ -21,7 +21,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..arch import BishopConfig, resolve_overrides
-from ..arch.engine.fastpath import engine_mode
 from ..model import MODEL_ZOO
 from ..serve.profiles import profile_config, request_profile
 
@@ -235,7 +234,7 @@ def fleet_capacity_rps(
     return sum(
         _chip_capacity_rps(
             spec.kind, spec.models, mix_items, int(bs_t), int(bs_n),
-            int(seed), passes, engine_mode(),
+            int(seed), passes,
         )
         for spec in fleet.chips
     )
@@ -250,13 +249,11 @@ def _chip_capacity_rps(
     bs_n: int,
     seed: int,
     passes: str | None,
-    engine: str,
 ) -> float:
     """One chip's rated capacity (1/mean-latency on its hosted mix share).
 
     Cleared by :func:`_invalidate_kind_caches` whenever the kind registry
-    changes, so stale configurations never leak across registrations;
-    ``engine`` keys the ``REPRO_ENGINE`` mode the profiles compile under.
+    changes, so stale configurations never leak across registrations.
     """
     hosted = {
         model: weight

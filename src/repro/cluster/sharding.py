@@ -37,6 +37,7 @@ scheduling and, for the trace itself, of the shard count.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -100,8 +101,10 @@ class ShardingConfig:
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("need at least one shard")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not (math.isfinite(self.window_s) and self.window_s > 0):
+            raise ValueError(
+                f"window_s must be positive and finite, got {self.window_s}"
+            )
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0")
         if self.shard_policy not in SHARD_POLICIES:

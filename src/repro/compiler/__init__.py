@@ -22,7 +22,6 @@ from .cache import (
     package_code_hash,
     program_key,
 )
-from .emit import measure_program, measure_timings
 from .ir import CORE_CLASSES, LEGAL_CORES, Program, Stage, TileOp, legal_cores_for
 from .lowering import (
     lower_attention_layer,
@@ -74,8 +73,6 @@ __all__ = [
     "lower_attention_layer",
     "lower_matmul_layer",
     "materialize_report",
-    "measure_program",
-    "measure_timings",
     "package_code_hash",
     "plan_stratification",
     "program_key",

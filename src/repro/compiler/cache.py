@@ -2,7 +2,7 @@
 
 A compiled :class:`~repro.compiler.ir.Program` is a pure function of
 ``(model, chip configuration, pass configuration, ECP thresholds, trace
-seed, engine mode, compiler source)``, so it can be content-addressed
+seed, compiler source)``, so it can be content-addressed
 exactly like the runtime's experiment results: the cache key is the
 SHA-256 of that tuple's canonical JSON, with the package source hash
 standing in for the compiler version (any source edit invalidates
@@ -35,7 +35,6 @@ from .. import obs
 from ..algo.ecp import ECPConfig
 from ..arch.config import BishopConfig
 from ..arch.energy import EnergyModel
-from ..arch.engine.fastpath import engine_mode
 from ..store import JsonStore, package_code_hash
 from .ir import Program
 from .passes import PassConfig, compile_trace
@@ -58,14 +57,11 @@ def program_key(
     energy: EnergyModel | None = None,
 ) -> str:
     """Cache key: (model, chip config, pass config, ECP, energy, seed,
-    engine mode, code).
+    code).
 
     ``energy=None`` keys as the default :class:`EnergyModel` — the stage
     annotations bake in per-event energies, so a non-default model must
-    miss entries compiled under the default one.  The schedule pass
-    measures makespans with the active ``REPRO_ENGINE`` implementation,
-    whose results agree across modes to ~1e-15 but not bit for bit, so
-    each mode keys its own entries.
+    miss entries compiled under the default one.
     """
     payload = {
         "model": model,
@@ -78,7 +74,6 @@ def program_key(
             else None
         ),
         "energy": asdict(energy if energy is not None else EnergyModel()),
-        "engine": engine_mode(),
         "code": package_code_hash(),
     }
     text = json.dumps(payload, sort_keys=True, default=float)

@@ -42,6 +42,7 @@ from ..algo.ecp import ECPConfig
 from ..arch.attention_core import merge_attention_heads
 from ..arch.config import BishopConfig
 from ..arch.energy import EnergyModel
+from ..arch.engine.fastpath import schedule_for
 from ..arch.report import InferenceReport, LayerReport
 from ..bundles import TTBGrid
 from ..model.trace import LayerRecord, ModelTrace
@@ -359,22 +360,20 @@ class LowerPass(CompilerPass):
 
 class SchedulePass(CompilerPass):
     """Prefetch/double-buffer scheduling: mark weight streams prefetchable
-    and measure the scheduled makespan on the event engine."""
+    and measure the scheduled makespan in closed form."""
 
     name = "schedule"
 
     def run(self, comp: Compilation) -> None:
-        from .emit import measure_timings  # local: emit imports the engine
-
         timings = []
         for draft in comp.drafts:
             if draft.report is None:
                 raise RuntimeError("schedule pass requires lowered stages")
             draft.annotations["prefetch_weights"] = True
             timings.append(_draft_stage(draft).timing())
-        comp.meta["scheduled_latency_s"] = measure_timings(
-            tuple(timings), scheduled=True
-        )
+        comp.meta["scheduled_latency_s"] = schedule_for(
+            tuple(timings)
+        ).scheduled_makespan()
 
 
 def _draft_stage(draft: StageDraft) -> Stage:

@@ -143,7 +143,7 @@ def enable_from_env() -> bool:
     """Worker-side hook: enable whatever the environment asks for.
 
     Raises ``ValueError`` on unrecognized ``REPRO_TRACE`` /
-    ``REPRO_METRICS`` values (same strictness as ``REPRO_ENGINE``).
+    ``REPRO_METRICS`` values.
     """
     tracer.enable_from_env()
     registry.enable_from_env()

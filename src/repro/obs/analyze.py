@@ -8,10 +8,11 @@ Three questions this module answers about a finished run:
    still busy — producing a chain of (resource, interval) segments that
    tile ``[0, makespan]`` exactly.  Segment durations therefore sum to
    the makespan to machine precision (an acceptance criterion, tested
-   across the model zoo in both engine modes), and grouping segments by
-   resource yields *blocking attribution*: the share of end-to-end time
-   each resource was the binding constraint — Bishop's contention
-   argument, computed from telemetry instead of asserted.
+   across the model zoo on the closed form and on the event replay),
+   and grouping segments by resource yields *blocking attribution*: the
+   share of end-to-end time each resource was the binding constraint —
+   Bishop's contention argument, computed from telemetry instead of
+   asserted.
 2. **Where did the wall-clock go?**  :func:`self_time` reconstructs the
    span tree of a Chrome trace and charges each span its *self* time
    (duration minus children), rolled up per span name.

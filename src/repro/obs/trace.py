@@ -53,9 +53,8 @@ _FALSY = ("", "0", "off", "false", "no")
 def _env_flag(name: str) -> bool:
     """Strictly parse an on/off environment variable.
 
-    Mirrors the ``REPRO_ENGINE`` contract: an unrecognized value raises
-    immediately with the accepted spellings, instead of silently falling
-    through to the default.
+    An unrecognized value raises immediately with the accepted
+    spellings, instead of silently falling through to the default.
     """
     raw = os.environ.get(name, "")
     value = raw.strip().lower()

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..arch import BishopConfig
-from ..arch.engine.fastpath import engine_mode
 from ..arch.engine.machine import LayerTiming
 from ..bundles import BundleSpec
 from ..compiler import PassConfig, compile_model
@@ -98,17 +97,13 @@ def request_profile(
     if config is None:
         config = profile_config(bs_t, bs_n, dense_fraction)
     # Normalized before the cache so positional and keyword call styles
-    # share one entry (lru_cache keys them differently); keyed by engine
-    # mode like the compiled program it wraps.
-    return _request_profile(
-        model, config, int(seed), PassConfig.parse(passes), engine_mode()
-    )
+    # share one entry (lru_cache keys them differently).
+    return _request_profile(model, config, int(seed), PassConfig.parse(passes))
 
 
 @lru_cache(maxsize=128)
 def _request_profile(
-    model: str, config: BishopConfig, seed: int, passes: PassConfig,
-    engine: str,
+    model: str, config: BishopConfig, seed: int, passes: PassConfig
 ) -> RequestProfile:
     program = compile_model(model, config, seed=seed, passes=passes)
     timings = program.timings()

@@ -1,4 +1,4 @@
-"""Generator reference lanes: the oracle for the callback replays.
+"""Reference replays: the oracles for the closed form and the callback lanes.
 
 These are the engine processes the chip replay was first written as.
 Per layer they spawn a process per compute chain, core task and DRAM
@@ -24,15 +24,27 @@ fast path is timed against.
 :class:`SerialLanes` and :class:`ScheduledLanes` put these processes
 behind the callback replays' ``start(wake)`` interface, so a test can
 swap them into ``repro.serve.simulate`` in place of the replays.
+
+:func:`replay_makespan` and :func:`replay_inference` run the callback
+replays of :mod:`repro.arch.engine.lanes` alone on a fresh engine: the
+event-replay twins of the closed form that ``src`` answers every
+uncontended request with (``FastSchedule.serial_makespan`` /
+``scheduled_makespan`` and ``simulate_inference``).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.arch.engine.kernel import Engine, Hold, Join, Resource, WaitFor
-from repro.arch.engine.machine import BishopMachine, LayerTiming
-from repro.arch.engine.timeline import TimelineEntry
+from repro.arch.config import BishopConfig
+from repro.arch.energy import EnergyModel
+from repro.arch.engine.kernel import (
+    Acquire, Engine, Hold, Join, Release, Resource, WaitFor,
+)
+from repro.arch.engine.lanes import ScheduledReplay, SerialReplay
+from repro.arch.engine.machine import BishopMachine, LayerTiming, layer_timings
+from repro.arch.engine.timeline import EngineRun, TimelineEntry
+from repro.arch.report import InferenceReport
 
 __all__ = [
     "MAX_QUANTA",
@@ -40,6 +52,8 @@ __all__ = [
     "SerialLanes",
     "inference_process",
     "reference_makespan",
+    "replay_inference",
+    "replay_makespan",
     "scheduled_inference_process",
     "stage_process",
     "use",
@@ -73,7 +87,7 @@ def use(
         return
     chunks = max(1, int(chunks))
     quantum = duration_s / chunks
-    acquire, release = resource.acquire_command, resource.release_command
+    acquire, release = Acquire(resource), Release(resource)
     for _ in range(chunks):
         yield acquire
         start = engine.now
@@ -265,6 +279,44 @@ def reference_makespan(
         name="measure",
     )
     return engine.run()
+
+
+def replay_makespan(
+    timings: tuple[LayerTiming, ...],
+    scheduled: bool = False,
+    batch: int = 1,
+) -> float:
+    """Uncontended makespan of one request on the callback replays."""
+    engine = Engine()
+    replay = ScheduledReplay if scheduled else SerialReplay
+    replay(
+        engine, BishopMachine(engine), tuple(timings), "measure", batch
+    ).start(lambda: None)
+    return engine.run()
+
+
+def replay_inference(
+    report: InferenceReport,
+    config: BishopConfig,
+    energy: EnergyModel | None = None,
+    record_timeline: bool = True,
+) -> EngineRun:
+    """``simulate_inference`` replayed as a ``SerialReplay`` on a fresh
+    engine: same makespan, energy and (tile-coalesced) timeline."""
+    energy = energy or EnergyModel()
+    timings = layer_timings(report, config, energy)
+    engine = Engine()
+    timeline: list[TimelineEntry] | None = [] if record_timeline else None
+    SerialReplay(
+        engine, BishopMachine(engine), timings, report.model_name, 1, timeline
+    ).start(lambda: None)
+    engine.run()
+    dynamic_pj = sum(timing.dynamic_pj for timing in timings)
+    return EngineRun.capture(
+        engine,
+        energy_pj=dynamic_pj + energy.static_pj(engine.now),
+        timeline=timeline,
+    )
 
 
 class _Lanes:

@@ -1,13 +1,15 @@
-"""Fastpath-vs-kernel equivalence: the vectorized replay must agree with
-the event replay to float precision.
+"""Closed form vs event replay: the vectorized fast path must agree with
+the callback replays to float precision.
 
-The fast path (``REPRO_ENGINE=fast``, the default) answers uncontended
-single-request makespans in closed form and synthesizes the serial
-replay's :class:`EngineRun` without events; kernel mode replays the
-program with the callback lanes on the event engine.  These tests pin
-the two against each other on the zoo, on randomized task graphs
-(including the degenerate shapes: zero-compute, zero-weight,
-zero-activation, empty chains), and across batch sizes.
+The fast path answers every uncontended single-request makespan in
+closed form and synthesizes the serial replay's :class:`EngineRun`
+without events; the oracles of :mod:`.reference_lanes`
+(:func:`replay_makespan`, :func:`replay_inference`) replay the same
+program with the callback lanes on a fresh engine.  These tests pin the
+two against each other on the zoo, on randomized task graphs (including
+the degenerate shapes: zero-compute, zero-weight, zero-activation, empty
+chains), across batch sizes, and ``==`` on integer-grid timings, where
+every sum is exact and each DRAM tie rule must match bit for bit.
 """
 
 import time
@@ -16,12 +18,13 @@ import numpy as np
 import pytest
 
 from repro.arch import BishopAccelerator, BishopConfig, EnergyModel, simulate_inference
-from repro.arch.engine import LayerTiming, engine_mode, schedule_for
+from repro.arch.engine import LayerTiming, schedule_for
 from repro.arch.engine.fastpath import FastSchedule
 from repro.bundles import BundleSpec
-from repro.compiler.emit import measure_timings, measure_timings_kernel
 from repro.harness.synthetic import PROFILES, synthetic_trace
 from repro.model import MODEL_ZOO, model_config
+
+from .reference_lanes import replay_inference, replay_makespan
 
 APPROX = dict(rel=1e-9, abs=1e-12)
 
@@ -56,40 +59,13 @@ def random_timings(rng, layers):
     return tuple(out)
 
 
-class TestEngineMode:
-    def test_defaults_to_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert engine_mode() == "fast"
-
-    @pytest.mark.parametrize("mode", ["kernel", "fast", "KERNEL", " fast "])
-    def test_env_switch(self, monkeypatch, mode):
-        monkeypatch.setenv("REPRO_ENGINE", mode)
-        assert engine_mode() == mode.strip().lower()
-
-    @pytest.mark.parametrize("mode", ["warp", "fastt", "fast kernel", "1"])
-    def test_invalid_mode_rejected(self, monkeypatch, mode):
-        monkeypatch.setenv("REPRO_ENGINE", mode)
-        with pytest.raises(ValueError, match="REPRO_ENGINE") as excinfo:
-            engine_mode()
-        # The error must name every valid spelling, not just reject.
-        assert "fast|kernel" in str(excinfo.value)
-
-    def test_measure_timings_honours_the_switch(self, monkeypatch):
-        timings = random_timings(np.random.default_rng(0), 4)
-        monkeypatch.setenv("REPRO_ENGINE", "kernel")
-        via_kernel = measure_timings(timings, scheduled=True)
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        via_fast = measure_timings(timings, scheduled=True)
-        assert via_fast == pytest.approx(via_kernel, **APPROX)
-
-
 class TestMakespanEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("batch", [1, 3])
     def test_serial_matches_kernel_on_random_graphs(self, seed, batch):
         timings = random_timings(np.random.default_rng(seed), 12)
         fast = schedule_for(timings).serial_makespan(batch)
-        kernel = measure_timings_kernel(timings, scheduled=False, batch=batch)
+        kernel = replay_makespan(timings, scheduled=False, batch=batch)
         assert fast == pytest.approx(kernel, **APPROX)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -97,7 +73,7 @@ class TestMakespanEquivalence:
     def test_scheduled_matches_kernel_on_random_graphs(self, seed, batch):
         timings = random_timings(np.random.default_rng(100 + seed), 12)
         fast = schedule_for(timings).scheduled_makespan(batch)
-        kernel = measure_timings_kernel(timings, scheduled=True, batch=batch)
+        kernel = replay_makespan(timings, scheduled=True, batch=batch)
         assert fast == pytest.approx(kernel, **APPROX)
 
     def test_empty_chain(self):
@@ -127,11 +103,11 @@ class TestMakespanEquivalence:
         schedule = schedule_for(timings)
         for batch in (1, 2, 4):
             assert schedule.serial_makespan(batch) == pytest.approx(
-                measure_timings_kernel(timings, scheduled=False, batch=batch),
+                replay_makespan(timings, scheduled=False, batch=batch),
                 **APPROX,
             )
             assert schedule.scheduled_makespan(batch) == pytest.approx(
-                measure_timings_kernel(timings, scheduled=True, batch=batch),
+                replay_makespan(timings, scheduled=True, batch=batch),
                 **APPROX,
             )
 
@@ -149,6 +125,18 @@ def coalesce(timeline):
     return {key: tuple(span) for key, span in runs.items()}
 
 
+def assert_timelines_match(fast, kernel):
+    fast_runs = coalesce(fast.timeline)
+    kernel_runs = coalesce(kernel.timeline)
+    assert set(fast_runs) == set(kernel_runs)
+    for key, (start, end) in kernel_runs.items():
+        assert fast_runs[key][0] == pytest.approx(start, **APPROX), key
+        assert fast_runs[key][1] == pytest.approx(end, **APPROX), key
+    # coalesced: one entry per layer task, never one per tile quantum
+    assert len(fast.timeline) == len(fast_runs)
+    assert len(fast.timeline) <= len(kernel.timeline)
+
+
 class TestReplayEquivalence:
     @pytest.fixture(scope="class")
     def report(self):
@@ -160,14 +148,15 @@ class TestReplayEquivalence:
             BishopConfig(bundle_spec=spec)
         ).run_trace(trace, simulate_events=False)
 
-    def _run(self, report, mode, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", mode)
+    def _runs(self, report):
         config = BishopConfig(bundle_spec=BundleSpec(2, 4))
-        return simulate_inference(report, config, EnergyModel())
+        return (
+            simulate_inference(report, config, EnergyModel()),
+            replay_inference(report, config, EnergyModel()),
+        )
 
-    def test_makespan_energy_and_stats_match(self, report, monkeypatch):
-        fast = self._run(report, "fast", monkeypatch)
-        kernel = self._run(report, "kernel", monkeypatch)
+    def test_makespan_energy_and_stats_match(self, report):
+        fast, kernel = self._runs(report)
         assert fast.makespan_s == pytest.approx(kernel.makespan_s, **APPROX)
         assert fast.energy_pj == pytest.approx(kernel.energy_pj, **APPROX)
         assert set(fast.resource_stats) == set(kernel.resource_stats)
@@ -177,20 +166,10 @@ class TestReplayEquivalence:
             ), name
             assert fast.resource_stats[name].wait_s == 0.0
 
-    def test_timelines_match_after_coalescing(self, report, monkeypatch):
-        fast = self._run(report, "fast", monkeypatch)
-        kernel = self._run(report, "kernel", monkeypatch)
-        fast_runs = coalesce(fast.timeline)
-        kernel_runs = coalesce(kernel.timeline)
-        assert set(fast_runs) == set(kernel_runs)
-        for key, (start, end) in kernel_runs.items():
-            assert fast_runs[key][0] == pytest.approx(start, **APPROX), key
-            assert fast_runs[key][1] == pytest.approx(end, **APPROX), key
-        # coalesced: one entry per layer task, never one per tile quantum
-        assert len(fast.timeline) == len(fast_runs)
-        assert len(fast.timeline) <= len(kernel.timeline)
+    def test_timelines_match_after_coalescing(self, report):
+        assert_timelines_match(*self._runs(report))
 
-    def test_record_timeline_flag(self, report, monkeypatch):
+    def test_record_timeline_flag(self, report):
         run = simulate_inference(
             report, BishopConfig(bundle_spec=BundleSpec(2, 4)),
             record_timeline=False,
@@ -239,8 +218,8 @@ class TestServingProfileEquivalence:
 
         timings = request_profile(model, passes=passes).timings
         schedule = schedule_for(timings)
-        kernel_serial = measure_timings_kernel(timings, scheduled=False)
-        kernel_scheduled = measure_timings_kernel(timings, scheduled=True)
+        kernel_serial = replay_makespan(timings, scheduled=False)
+        kernel_scheduled = replay_makespan(timings, scheduled=True)
         fast_serial = schedule.serial_makespan()
         assert abs(fast_serial - kernel_serial) <= 1e-9 * kernel_serial
         assert abs(schedule.scheduled_makespan() - kernel_scheduled) <= (
@@ -250,6 +229,18 @@ class TestServingProfileEquivalence:
             fast_serial, **APPROX
         )
 
+    @pytest.mark.parametrize("passes", ["all", "packing+stratify+ecp", "none"])
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_request_latency_matches_replay(self, model, passes):
+        """The uncontended latency serving and the experiments read off the
+        compiled program (the schedule pass's closed form, else the serial
+        chain) is the replay's makespan under the program's own schedule."""
+        from repro.serve import request_profile
+
+        profile = request_profile(model, passes=passes)
+        replay = replay_makespan(profile.timings, scheduled=profile.scheduled)
+        assert profile.single_latency_s == pytest.approx(replay, **APPROX)
+
     @pytest.mark.parametrize("bs_t, bs_n", [(1, 2), (4, 4), (4, 14)])
     def test_bundle_shapes_match_kernel(self, bs_t, bs_n):
         from repro.serve import request_profile
@@ -257,10 +248,10 @@ class TestServingProfileEquivalence:
         timings = request_profile("model4", bs_t=bs_t, bs_n=bs_n).timings
         schedule = schedule_for(timings)
         for batch in (1, 4):
-            kernel_serial = measure_timings_kernel(
+            kernel_serial = replay_makespan(
                 timings, scheduled=False, batch=batch
             )
-            kernel_scheduled = measure_timings_kernel(
+            kernel_scheduled = replay_makespan(
                 timings, scheduled=True, batch=batch
             )
             assert abs(schedule.serial_makespan(batch) - kernel_serial) <= (
@@ -272,17 +263,20 @@ class TestServingProfileEquivalence:
 
 
 class TestReplayEquivalenceZoo:
-    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
-    def test_makespan_energy_and_busy_match(self, model, monkeypatch):
+    @pytest.fixture(scope="class", params=sorted(MODEL_ZOO))
+    def runs(self, request):
+        model = request.param
         spec = BundleSpec(2, 4)
         config = BishopConfig(bundle_spec=spec)
         trace = synthetic_trace(model_config(model), PROFILES[model], spec, seed=0)
         report = BishopAccelerator(config).run_trace(trace, simulate_events=False)
-        runs = {}
-        for mode in ("fast", "kernel"):
-            monkeypatch.setenv("REPRO_ENGINE", mode)
-            runs[mode] = simulate_inference(report, config, EnergyModel())
-        fast, kernel = runs["fast"], runs["kernel"]
+        return (
+            simulate_inference(report, config, EnergyModel()),
+            replay_inference(report, config, EnergyModel()),
+        )
+
+    def test_makespan_energy_and_busy_match(self, runs):
+        fast, kernel = runs
         assert fast.makespan_s == pytest.approx(kernel.makespan_s, **APPROX)
         assert fast.energy_pj == pytest.approx(kernel.energy_pj, **APPROX)
         assert set(fast.resource_stats) == set(kernel.resource_stats)
@@ -290,6 +284,9 @@ class TestReplayEquivalenceZoo:
             assert fast.resource_stats[name].busy_s == pytest.approx(
                 stats.busy_s, **APPROX
             ), name
+
+    def test_timelines_match_after_coalescing(self, runs):
+        assert_timelines_match(*runs)
 
 
 @pytest.mark.slow
@@ -341,3 +338,52 @@ class TestSpeedup:
         )
         assert kernel_s / fast_s >= 5.0
         assert max(serial_err, scheduled_err) <= 1e-9
+
+
+# -- integer-grid property: exact ties -------------------------------------
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+# Whole seconds, zero twice as likely: zero-duration tasks are what open
+# the prefetch gate's and the DRAM channel's tie cases.
+TICKS = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def grid_layer(draw, block):
+    """One ATN or MLP layer whose every duration is a whole number of
+    seconds in 0..3: sums stay exact, so equal finish times really tie."""
+    phase = draw(st.sampled_from(["ATN", "MLP"]))
+    attention = draw(TICKS) if phase == "ATN" else 0.0
+    dense, sparse = (0.0, 0.0) if phase == "ATN" else (draw(TICKS), draw(TICKS))
+    return LayerTiming(
+        block=block,
+        kind="atn" if phase == "ATN" else "mlp1",
+        phase=phase,
+        dense_s=dense,
+        sparse_s=sparse,
+        attention_s=attention,
+        spike_gen_s=draw(TICKS),
+        weight_dram_s=draw(TICKS),
+        activation_dram_s=draw(TICKS),
+    )
+
+
+@st.composite
+def grid_chains(draw):
+    layers = draw(st.integers(1, 8))
+    return tuple(draw(grid_layer(index)) for index in range(layers))
+
+
+@pytest.mark.parametrize("scheduled", [False, True], ids=["serial", "scheduled"])
+@given(timings=grid_chains(), batch=st.integers(1, 4))
+def test_closed_form_equals_replay_on_integer_grid(scheduled, timings, batch):
+    """Every DRAM tie rule of the closed form matches the event replay
+    bit for bit: no tolerance, unlike the uniform-float cases above."""
+    schedule = FastSchedule.from_timings(timings)
+    closed_form = (
+        schedule.scheduled_makespan(batch) if scheduled
+        else schedule.serial_makespan(batch)
+    )
+    assert closed_form == replay_makespan(timings, scheduled, batch)

@@ -53,6 +53,16 @@ class TestClockAndHold:
         with pytest.raises(ValueError, match="non-finite"):
             Engine().schedule(delay, lambda: None)
 
+    @pytest.mark.parametrize(
+        "until", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_until_rejected(self, until):
+        engine = Engine()
+        engine.spawn(iter([Hold(10.0)]))
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.run(until=until)
+        assert engine.now == 0.0
+
     def test_run_until_stops_early(self):
         engine = Engine()
         engine.spawn(iter([Hold(10.0)]))
@@ -330,12 +340,12 @@ class TestAwait:
 
 
 class TestTeardown:
-    def test_teardown_drops_events_waiters_and_commands(self):
+    def test_teardown_drops_events_and_waiters(self):
         engine = Engine()
         resource = engine.resource("core")
 
         def proc():
-            yield resource.acquire_command
+            yield Acquire(resource)
             yield Hold(5.0)
 
         engine.spawn(proc())
@@ -345,8 +355,6 @@ class TestTeardown:
         engine.teardown()
         assert not engine._heap and not engine._ready
         assert resource.queued == 0 and engine.resources == {}
-        assert resource.acquire_command is None
-        assert resource.release_command is None
         # the stats stay readable through the resource itself
         assert resource.stats.acquisitions == 1
 

@@ -1,6 +1,7 @@
 """Bishop machine on the engine: task-graph semantics and timing extraction."""
 
-import numpy as np
+import gc
+
 import pytest
 
 from repro.arch import (
@@ -65,8 +66,8 @@ class TestLayerTimings:
 
 
 class TestQuanta:
-    """The reference lanes' per-task quanta; the engine switch no longer
-    reaches them (the callback replays hold each unit once per task)."""
+    """The reference lanes' per-task quanta (the callback replays hold
+    each unit once per task)."""
 
     def test_capped_at_max_quanta(self):
         assert _quanta(1, MAX_QUANTA) == 1
@@ -116,6 +117,26 @@ class TestSimulateInference:
         report = BishopAccelerator(config).run_trace(trace, simulate_events=False)
         assert report.engine_run is None
         assert report.event_latency_s == report.total_latency_s
+
+
+class TestMachineConstruction:
+    def test_allocates_no_command(self):
+        """Only processes build commands: a 1,000-chip fleet's 5,000
+        resources must not each carry an ``Acquire``/``Release`` pair."""
+        from repro.arch.engine import BishopMachine, Command, Engine
+
+        def commands():
+            return {id(obj) for obj in gc.get_objects() if isinstance(obj, Command)}
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = commands()
+            machine = BishopMachine(Engine())
+            assert commands() - before == set()
+        finally:
+            gc.enable()
+        assert len(machine.resources) == 5
 
 
 class TestContention:

@@ -39,6 +39,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="min_chips"):
             AutoscaleConfig(interval_s=1.0, min_chips=5, max_chips=2)
 
+    @pytest.mark.parametrize(
+        "interval_s", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_interval_rejected(self, interval_s):
+        # NaN passes a plain `<= 0` check, and a NaN tick never arrives.
+        with pytest.raises(ValueError, match="interval_s"):
+            AutoscaleConfig(interval_s=interval_s)
+
 
 class TestScaleUp:
     def test_overload_adds_replicas_and_raises_throughput(self, single_latency):

@@ -74,6 +74,15 @@ class TestShardingConfig:
         with pytest.raises(ValueError, match="shard policy"):
             ShardingConfig(shard_policy="nope")
 
+    @pytest.mark.parametrize(
+        "window_s", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_window_rejected(self, window_s):
+        # NaN passes a plain `<= 0` check, and a NaN window edge is never
+        # reached: the fleet would step forever. Never simulate one here.
+        with pytest.raises(ValueError, match="window_s"):
+            ShardingConfig(window_s=window_s)
+
     def test_defaults_are_one_shard(self):
         config = ShardingConfig()
         assert config.num_shards == 1

@@ -34,11 +34,7 @@ REL = 1e-12
 def case(request):
     stream_fn, run = FLEET_SCENARIOS[request.param]
     stream = stream_fn()
-    # The records were taken on the default engine.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_ENGINE", "fast")
-        report = run(stream)
-    return stream, report, RECORDS[request.param]
+    return stream, run(stream), RECORDS[request.param]
 
 
 def sketch_ms(samples: list[float]) -> dict[str, float]:

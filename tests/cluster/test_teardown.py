@@ -1,7 +1,7 @@
 """A finished simulation leaves no repro objects in reference cycles.
 
-Engines, resources and their cached commands, chip dispatchers and the
-shard ↔ chip recorder links form cycles that only a full garbage
+Engines and their resources, chip dispatchers and the shard ↔ chip
+recorder links form cycles that only a full garbage
 collection frees; in a 1,000-chip fleet that is tens of thousands of
 objects per run, lingering until a gen-2 collection.  ``Engine.teardown``
 and ``ChipServer.teardown`` break them at the end of ``simulate_serving``
@@ -49,14 +49,8 @@ def cyclic_repro_objects(run) -> list[str]:
         gc.enable()
 
 
-@pytest.fixture(params=["fast", "kernel"])
-def engine_mode(request, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("mode", ["static", "continuous"])
-def test_simulate_serving_leaves_no_cycles(engine_mode, mode):
+def test_simulate_serving_leaves_no_cycles(mode):
     profiles = {m: request_profile(m) for m in ("model2", "model4")}
     stream = assign_priorities(STREAM, "0:0.7+1:0.3", seed=3)
     assert cyclic_repro_objects(lambda: simulate_serving(
@@ -66,7 +60,7 @@ def test_simulate_serving_leaves_no_cycles(engine_mode, mode):
 
 
 @pytest.mark.parametrize("num_shards", [1, 2])
-def test_sharded_fleet_leaves_no_cycles(engine_mode, num_shards):
+def test_sharded_fleet_leaves_no_cycles(num_shards):
     assert cyclic_repro_objects(lambda: simulate_cluster_sharded(
         STREAM, homogeneous_fleet(4),
         SchedulerConfig(max_batch=1, max_inflight=2),

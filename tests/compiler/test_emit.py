@@ -3,16 +3,29 @@
 import pytest
 
 from repro.arch import pipeline_schedule
+from repro.arch.engine import schedule_for
 from repro.arch.engine.machine import LayerTiming
-from repro.compiler import measure_timings
 
+from ..arch.engine.reference_lanes import replay_makespan
 from ..arch.test_pipeline import report, staged
 
 
-@pytest.fixture(params=["fast", "kernel"], autouse=True)
-def engine_mode_env(request, monkeypatch):
-    """Every emission oracle must hold for both engine implementations."""
-    monkeypatch.setenv("REPRO_ENGINE", request.param)
+def closed_form(timings, scheduled=False, batch=1):
+    """What the schedule pass and the serving profiles read."""
+    schedule = schedule_for(tuple(timings))
+    if scheduled:
+        return schedule.scheduled_makespan(batch)
+    return schedule.serial_makespan(batch)
+
+
+@pytest.fixture(
+    params=[closed_form, replay_makespan], ids=["closed_form", "replay"],
+    autouse=True,
+)
+def measure(request):
+    """Every emission oracle must hold for the closed form and for the
+    callback replay on a fresh engine."""
+    return request.param
 
 
 def timing(compute_s, weight_s, activation_s=0.0, kind="mlp1", phase="MLP"):
@@ -27,33 +40,33 @@ def timing(compute_s, weight_s, activation_s=0.0, kind="mlp1", phase="MLP"):
 
 
 class TestSerialEmission:
-    def test_matches_closed_form(self):
+    def test_matches_closed_form(self, measure):
         timings = (timing(10.0, 4.0), timing(2.0, 7.0), timing(5.0, 5.0))
         expected = sum(max(t.compute_s, t.dram_s()) for t in timings)
-        assert measure_timings(timings) == pytest.approx(expected)
+        assert measure(timings) == pytest.approx(expected)
 
-    def test_empty_chain(self):
-        assert measure_timings(()) == 0.0
+    def test_empty_chain(self, measure):
+        assert measure(()) == 0.0
 
 
 class TestScheduledEmission:
-    def test_equal_when_compute_bound(self):
+    def test_equal_when_compute_bound(self, measure):
         timings = (timing(10.0, 1.0), timing(10.0, 1.0), timing(10.0, 1.0))
-        serial = measure_timings(timings)
-        scheduled = measure_timings(timings, scheduled=True)
+        serial = measure(timings)
+        scheduled = measure(timings, scheduled=True)
         assert scheduled == pytest.approx(serial)
 
-    def test_strictly_faster_on_mixed_chain(self):
+    def test_strictly_faster_on_mixed_chain(self, measure):
         # Layer 0 compute-heavy, layer 1 weight-heavy: prefetch hides the
         # second layer's stream under the first layer's compute.
         timings = (timing(10.0, 1.0), timing(2.0, 9.0))
-        serial = measure_timings(timings)                  # 10 + 9 = 19
-        scheduled = measure_timings(timings, scheduled=True)
+        serial = measure(timings)  # 10 + 9 = 19
+        scheduled = measure(timings, scheduled=True)
         assert serial == pytest.approx(19.0)
         # W1 streams during L0 compute; L1 ends at max(10+2, 1+9) = 12.
         assert scheduled == pytest.approx(12.0)
 
-    def test_never_slower_than_serial(self):
+    def test_never_slower_than_serial(self, measure):
         cases = [
             (timing(3.0, 5.0, 1.0), timing(4.0, 0.5, 2.0), timing(1.0, 6.0)),
             (timing(1.0, 1.0), timing(1.0, 1.0)),
@@ -61,23 +74,23 @@ class TestScheduledEmission:
             (timing(2.0, 0.0, 3.0), timing(2.0, 4.0, 0.0)),
         ]
         for timings in cases:
-            serial = measure_timings(timings)
-            scheduled = measure_timings(timings, scheduled=True)
+            serial = measure(timings)
+            scheduled = measure(timings, scheduled=True)
             assert scheduled <= serial * (1 + 1e-12)
 
-    def test_activation_stream_not_starved_by_prefetch(self):
+    def test_activation_stream_not_starved_by_prefetch(self, measure):
         # The current layer's activation traffic must win the channel over
         # the next layer's weight prefetch (the FIFO-ordering regression).
         timings = (timing(10.0, 0.0, 8.0), timing(5.0, 9.0))
-        serial = measure_timings(timings)                  # 10 + 9 = 19
-        scheduled = measure_timings(timings, scheduled=True)
+        serial = measure(timings)  # 10 + 9 = 19
+        scheduled = measure(timings, scheduled=True)
         assert scheduled <= serial * (1 + 1e-12)
 
-    def test_batch_scales_activation_not_weights(self):
+    def test_batch_scales_activation_not_weights(self, measure):
         timings = (timing(1.0, 4.0, 2.0),)
         # batch=3: compute 3, weights 4 (once), activations 6.
-        assert measure_timings(timings, batch=3) == pytest.approx(10.0)
-        assert measure_timings(
+        assert measure(timings, batch=3) == pytest.approx(10.0)
+        assert measure(
             timings, scheduled=True, batch=3
         ) == pytest.approx(10.0)
 
@@ -114,7 +127,7 @@ class TestTwoResourceEmission:
         scheduled = pairs_schedule(pairs).scheduled_latency_s
         assert scheduled < serial
 
-    def test_activation_traffic_is_never_prefetched(self):
+    def test_activation_traffic_is_never_prefetched(self, measure):
         """Causality: a layer's activation spill cannot stream before the
         layer computes, so an activation-dominated chain gains nothing —
         the pairs schedule must agree with the executable machine
@@ -125,7 +138,7 @@ class TestTwoResourceEmission:
         timings = tuple(
             timing(c, w, a) for c, w, a in triples
         )
-        assert measure_timings(timings, scheduled=True) == pytest.approx(serial)
+        assert measure(timings, scheduled=True) == pytest.approx(serial)
 
     def test_empty_pairs(self):
         schedule = pairs_schedule([])

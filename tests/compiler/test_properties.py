@@ -10,12 +10,9 @@ feature liveness — not on where features were routed.
 import pytest
 
 from repro.arch import BishopConfig
-from repro.compiler import (
-    PassConfig,
-    compile_trace,
-    legal_cores_for,
-    measure_timings,
-)
+from repro.compiler import compile_trace, legal_cores_for
+
+from ..arch.engine.reference_lanes import replay_makespan
 
 PIPELINES = (
     "all",
@@ -119,7 +116,7 @@ class TestWorkPreservation:
 
 class TestLatencyStructure:
     def test_serial_estimate_matches_engine_replay(self, compiled):
-        measured = measure_timings(compiled.timings(), scheduled=False)
+        measured = replay_makespan(compiled.timings(), scheduled=False)
         assert measured == pytest.approx(compiled.serial_latency_s, rel=1e-12)
 
     def test_scheduled_never_exceeds_serial(self, compiled):

@@ -19,6 +19,8 @@ from repro.obs.analyze import (
     self_time,
 )
 
+from ..arch.engine.reference_lanes import replay_inference
+
 
 def entry(resource, start, end, label="t"):
     return {"resource": resource, "label": label,
@@ -94,8 +96,13 @@ class TestCriticalPathBasics:
         assert payload["blocking_shares"] == {"a": 1.0}
 
 
+# The closed form `src` answers with, and its event-replay oracle.
+REPLAYS = {"fast": simulate_inference, "kernel": replay_inference}
+
+
 class TestCriticalPathZoo:
-    """Acceptance: exact attribution across the Table-2 zoo, both modes."""
+    """Acceptance: exact attribution across the Table-2 zoo, on the
+    closed-form run and on the event replay."""
 
     @pytest.fixture(scope="class")
     def reports(self):
@@ -109,13 +116,12 @@ class TestCriticalPathZoo:
             out[model] = accelerator.run_trace(trace, simulate_events=False)
         return out
 
-    @pytest.mark.parametrize("mode", ["fast", "kernel"])
-    def test_path_sums_to_makespan_exactly(self, reports, mode, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", mode)
+    @pytest.mark.parametrize("mode", sorted(REPLAYS))
+    def test_path_sums_to_makespan_exactly(self, reports, mode):
         spec = BundleSpec(2, 4)
         config = BishopConfig(bundle_spec=spec)
         for model, report in reports.items():
-            run = simulate_inference(report, config, EnergyModel())
+            run = REPLAYS[mode](report, config, EnergyModel())
             path = run.critical_path()
             assert path.total_s == pytest.approx(
                 run.makespan_s, rel=1e-9
@@ -127,12 +133,9 @@ class TestCriticalPathZoo:
             # Work-conserving single-request replay: nothing should idle.
             assert IDLE not in shares, (model, mode)
 
-    @pytest.mark.parametrize("mode", ["fast", "kernel"])
+    @pytest.mark.parametrize("mode", sorted(REPLAYS))
     @pytest.mark.parametrize("bs_t, bs_n", [(1, 2), (4, 4), (4, 14)])
-    def test_path_tiles_makespan_across_bundle_shapes(
-        self, bs_t, bs_n, mode, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ENGINE", mode)
+    def test_path_tiles_makespan_across_bundle_shapes(self, bs_t, bs_n, mode):
         spec = BundleSpec(bs_t, bs_n)
         config = BishopConfig(bundle_spec=spec)
         trace = synthetic_trace(
@@ -141,7 +144,7 @@ class TestCriticalPathZoo:
         report = BishopAccelerator(config).run_trace(
             trace, simulate_events=False
         )
-        run = simulate_inference(report, config, EnergyModel())
+        run = REPLAYS[mode](report, config, EnergyModel())
         path = critical_path(run)
         assert path.total_s == pytest.approx(run.makespan_s, rel=1e-9)
         shares = path.blocking_shares()

@@ -183,7 +183,7 @@ class TestEnvFlag:
     def test_unrecognized_value_raises_with_valid_spellings(
         self, monkeypatch, value
     ):
-        # Same contract as REPRO_ENGINE: never fall through silently.
+        # Never fall through silently to the default.
         monkeypatch.setenv("REPRO_TRACE", value)
         with pytest.raises(ValueError, match="REPRO_TRACE") as excinfo:
             _env_flag("REPRO_TRACE")

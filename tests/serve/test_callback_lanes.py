@@ -228,10 +228,8 @@ class TestZeroStagePrograms:
         model="empty", timings=(), single_latency_s=0.0, dynamic_pj=0.0
     )
 
-    @pytest.mark.parametrize("engine", ["fast", "kernel"])
     @pytest.mark.parametrize("mode", ["static", "continuous"])
-    def test_complete_at_dispatch(self, monkeypatch, engine, mode):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+    def test_complete_at_dispatch(self, mode):
         stream = [
             Request(index=i, model="empty", arrival_s=0.5 * (i // 2))
             for i in range(5)

@@ -3,10 +3,9 @@
 The continuous scheduler with a single tenant, one priority tier, and
 join/leave + preemption disabled must reproduce the static same-model
 batch scheduler's per-request latencies to float precision — across the
-model zoo and under both ``REPRO_ENGINE`` implementations.  This is the
-pin that keeps the two schedulers semantically anchored: any continuous
--mode change that shifts these latencies is a behavioural break, not a
-refactor.
+model zoo.  This is the pin that keeps the two schedulers semantically
+anchored: any continuous-mode change that shifts these latencies is a
+behavioural break, not a refactor.
 
 The comparison uses the stage-serial pass set (no prefetch scheduling):
 continuous execution re-decides at every compiled-stage boundary, so the
@@ -26,12 +25,6 @@ from repro.serve import (
 )
 
 PASSES = "packing+stratify+ecp"
-
-
-@pytest.fixture(params=["fast", "kernel"], autouse=True)
-def engine_mode_env(request, monkeypatch):
-    """The pin must hold under both engine implementations."""
-    monkeypatch.setenv("REPRO_ENGINE", request.param)
 
 
 def degenerate(max_batch, max_inflight):
@@ -83,7 +76,7 @@ def test_conformance_across_offered_load(load):
     assert_latency_conformance("model4", n=60, load=load)
 
 
-def test_batch_membership_matches_take_batch(engine_mode_env):
+def test_batch_membership_matches_take_batch():
     """Same groups, not just same latencies: batch sizes agree 1:1."""
     model = "model4"
     profiles = {model: request_profile(model, passes=PASSES)}

@@ -163,11 +163,6 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.fixture(autouse=True)
-def default_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "fast")
-
-
 def test_golden_covers_every_scenario(golden):
     assert sorted(golden) == sorted(SCENARIOS)
 
