@@ -24,7 +24,8 @@ callback synchronously, or queues it in the same FIFO as process
 waiters, and :meth:`Resource.release` (what a ``Release`` command runs)
 grants the next waiter — a queued callback is called synchronously, a
 queued process is resumed.  Only the callbacks a task schedules with
-:meth:`Engine.schedule` (its holds) are events.
+:meth:`Engine.schedule` (its holds) or :meth:`Engine.schedule_at` (an
+elided program's one wake, at its absolute finish) are events.
 
 Determinism: events fire in ``(time, sequence number)`` order, so a
 simulation is a pure function of its inputs — the property the result
@@ -269,6 +270,11 @@ class Engine:
         self._ready: deque[Callable[[], None]] = deque()
         self._seq = itertools.count()
         self.resources: dict[str, Resource] = {}
+        # Programs replayed without events (``lanes.py``): how many were
+        # elided, and how many of those were materialized into events
+        # again; added to telemetry once per ``run``.
+        self.elided = 0
+        self.materialized = 0
 
     # -- construction ------------------------------------------------------
     def resource(self, name: str, capacity: int = 1) -> Resource:
@@ -301,6 +307,31 @@ class Engine:
             self._ready.append(fn)
         else:
             heapq.heappush(self._heap, (time, next(self._seq), fn))
+
+    def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
+        """Schedule ``fn`` at the absolute ``time`` (not before ``now``).
+
+        An event due at ``now`` joins the ready FIFO, like a zero delay.
+        """
+        now = self.now
+        if time == now:
+            self._ready.append(fn)
+            return
+        if not math.isfinite(time):
+            raise ValueError(f"cannot schedule at a non-finite time {time}")
+        if time < now:
+            raise ValueError(f"cannot schedule at {time}, before now ({now})")
+        heapq.heappush(self._heap, (time, next(self._seq), fn))
+
+    def adopt(self, other: "Engine") -> None:
+        """Move ``other``'s pending timed events onto this engine's heap,
+        keeping their order; every one must be due after ``now``."""
+        events = sorted(other._heap)
+        if events and not events[0][0] > self.now:
+            raise ValueError(f"cannot adopt an event due at {events[0][0]}")
+        for time, _, fn in events:
+            heapq.heappush(self._heap, (time, next(self._seq), fn))
+        other._heap.clear()
 
     def run(self, until: float | None = None) -> float:
         """Drain the event queue; returns the final simulated time.
@@ -343,6 +374,12 @@ class Engine:
                 self.now = until
         obs.inc("engine.events.timed", timed)
         obs.inc("engine.events.ready", fired_ready)
+        if self.elided:
+            obs.inc("serve.programs.elided", self.elided)
+            self.elided = 0
+        if self.materialized:
+            obs.inc("serve.programs.materialized", self.materialized)
+            self.materialized = 0
         return self.now
 
     def teardown(self) -> None:

@@ -21,13 +21,33 @@ A lane process hands a replay's ``start`` to the kernel
 ``wake`` — one ready event per program or stage.  The replay's state is
 explicit — layer index, pending branch counts, prefetch index — in plain
 ``__slots__`` attributes, and nothing refers back to the replay but the
-heap entries and resource queues holding its bound methods, so a
-finished (or abandoned) replay is freed by reference counting.
+heap entries and resource queues holding its bound methods (and, while
+it is elided, its machine), so a finished (or abandoned) replay is freed
+by reference counting.
 
-The test oracle is a set of generator lanes
+Private-chip elision.  A replay that starts on an idle chip (no unit
+held or queued, no elided replay in flight) with no timeline recorded
+does not drive the resources at all: it walks its program in absolute
+time from ``now``, with the event replay's float additions and ``max``es
+in its order, and schedules one wake at the finish through
+:meth:`Engine.schedule_at <repro.arch.engine.kernel.Engine.schedule_at>`.
+The walk also adds every hold to the units' ``busy_s``, ``acquisitions``
+and DRAM ``wait_s`` in release order, but the stats are written only at
+the finish.  A replay that starts on that chip before then first
+*materializes* the elided one: it re-runs the program's event replay
+from its start on a private engine up to ``now`` (on the chip's own
+units, so ended holds are credited and running holds, queued DRAM
+requests and the replay's state are exactly the event replay's) and
+moves the pending hold ends onto the engine.  The stale wake then does
+nothing.  Every user of a chip's units must therefore go through a
+replay's ``start``; a process yielding ``Acquire`` on them would not see
+an elided program.
+
+The test oracles are a set of generator lanes
 (``tests/arch/engine/reference_lanes.py``) that spawn a process per
 compute chain, core task and DRAM stream, at about twenty events per
-stage.
+stage, and the event replay itself with elision patched off
+(``tests/serve/test_private_chip_elision.py``).
 
 Tie rule.  A layer requests its compute chain, then its DRAM stream,
 then (prefetch programs) lets the prefetcher move on — the generator
@@ -40,10 +60,23 @@ FIFO serves the generator lane with fewer hops since that instant's
 timed events, while a callback chain runs depth-first inside the timed
 event that released it — so the lane whose event fired first is served
 first, and the two may break such a tie differently.
+
+An elided program keeps the event replay's order on its own chip: a
+replay starts only inside a ready event, after every timed event of its
+instant, so a lane that starts exactly when an elided hold ends finds
+that hold ended and its successor granted, as after the hold's end
+event.  Its wake takes its sequence number when the program starts,
+where the event replay's last hold takes one when it is granted: an
+arrival whose hold was scheduled in between fires after the elided wake
+at an exact tie, and before the last hold's end otherwise.  Both only
+queue a ready event (the lane's resume; the dispatcher's wake-up), so
+the chip serves every request alike; only the order in which two chips
+finishing at the same instant report their completions can differ.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .kernel import Engine, Resource
@@ -51,6 +84,9 @@ from .machine import BishopMachine, LayerTiming
 from .timeline import TimelineEntry
 
 __all__ = ["ScheduledReplay", "SerialReplay"]
+
+# Positions of the units in ``BishopMachine.units``.
+_DENSE, _SPARSE, _ATTENTION, _SPIKE, _DRAM = range(5)
 
 
 class _Replay:
@@ -65,6 +101,7 @@ class _Replay:
         "engine", "machine", "timings", "label", "batch", "timeline",
         "wake", "index", "timing", "pending", "cores",
         "_t_core", "_t_sparse", "_t_spike", "_t_dram",
+        "_t_start", "_busy", "_counts", "_wait",
     )
 
     def __init__(
@@ -87,6 +124,97 @@ class _Replay:
         self.timing: LayerTiming | None = None
         self.pending = 0         # the current layer's unfinished branches
         self.cores = 0           # unfinished dense/sparse core tasks
+
+    # -- start and elision -------------------------------------------------
+    def start(self, wake: Callable[[], None]) -> None:
+        """Begin the replay; ``wake()`` runs once it has finished."""
+        self.wake = wake
+        machine = self.machine
+        if machine.elided is not None:
+            machine.elided._materialize()
+        elif self.timeline is None and not (
+            # Idle: no unit held (a unit with waiters is always held).
+            machine.dense_core.in_use or machine.sparse_core.in_use
+            or machine.attention_core.in_use or machine.spike_gen.in_use
+            or machine.dram.in_use
+        ) and self._elide():
+            return
+        self._run()
+
+    def _run(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _walk(self, t: float, busy: list, counts: list):  # pragma: no cover - abstract
+        """Walk the program from ``t`` on an idle chip: returns its finish
+        and its DRAM ``wait_s`` after it, and adds each hold to ``busy``
+        and ``counts`` (per unit of ``machine.units``); ``None`` when a
+        hold would not move the clock."""
+        raise NotImplementedError
+
+    def _elide(self) -> bool:
+        """Run the program as one wake at its finish, if it can be walked.
+
+        The walk adds every hold to the units' current ``busy_s`` in
+        release order — the event replay's additions — but the stats are
+        only written at the finish: nothing else touches an elided chip's
+        units before then (a replay that starts on it materializes this
+        one first).
+        """
+        engine, units = self.engine, self.machine.units
+        now = engine.now
+        busy = [unit.stats.busy_s for unit in units]
+        counts = [0] * len(units)
+        walk = self._walk(now, busy, counts)
+        if walk is None or not now < walk[0] < math.inf:
+            return False  # no timed work, or a hold the kernel would refuse
+        finish, self._wait = walk
+        self._busy, self._counts, self._t_start = busy, counts, now
+        self.machine.elided = self
+        engine.elided += 1
+        engine.schedule_at(finish, self._elided_end)
+        return True
+
+    def _elided_end(self) -> None:
+        machine = self.machine
+        if machine.elided is not self:
+            return  # materialized: the event replay finishes the program
+        machine.elided = None
+        for unit, busy, count in zip(machine.units, self._busy, self._counts):
+            if count:
+                stats = unit.stats
+                stats.busy_s = busy
+                stats.acquisitions += count
+        machine.dram.stats.wait_s = self._wait
+        self._busy = self._counts = None
+        self._finish()
+
+    def _materialize(self) -> None:
+        """Turn this elided replay into the event replay it stands for.
+
+        Replays the program from its start on a private engine up to the
+        main engine's ``now`` (every event at or before ``now`` fires), on
+        the chip's own resources — ended holds are credited, running
+        holds and queued DRAM requests stay on the resources — then
+        re-arms the pending hold ends on the main engine, in their order.
+        """
+        engine, machine = self.engine, self.machine
+        machine.elided = None
+        engine.materialized += 1
+        self._busy = self._counts = None
+        private = Engine()
+        private.now = self._t_start
+        units = machine.units
+        for unit in units:
+            unit.engine = private
+        self.engine = private
+        try:
+            self._run()
+            private.run(until=engine.now)
+        finally:
+            for unit in units:
+                unit.engine = engine
+            self.engine = engine
+        engine.adopt(private)
 
     # -- timeline ----------------------------------------------------------
     def _record(self, resource: Resource, tag: str, start: float, index: int) -> None:
@@ -183,6 +311,45 @@ class _Replay:
     def _branch_done(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _walk_chain(self, timing: LayerTiming, t: float, busy: list, counts: list):
+        """End of ``timing``'s compute chain started at ``t`` (its holds
+        added to ``busy``/``counts``), or ``None`` when a hold would not
+        move the clock."""
+        batch = self.batch
+        if timing.phase == "ATN":
+            if timing.attention_s > 0:
+                end = t + timing.attention_s * batch
+                if not end > t:
+                    return None
+                busy[_ATTENTION] += end - t
+                counts[_ATTENTION] += 1
+                t = end
+        elif timing.dense_s > 0 or timing.sparse_s > 0:
+            end = t
+            if timing.dense_s > 0:
+                end = t + timing.dense_s * batch
+                if not end > t:
+                    return None
+                busy[_DENSE] += end - t
+                counts[_DENSE] += 1
+            if timing.sparse_s > 0:
+                sparse = t + timing.sparse_s * batch
+                if not sparse > t:
+                    return None
+                busy[_SPARSE] += sparse - t
+                counts[_SPARSE] += 1
+                if sparse > end:
+                    end = sparse
+            t = end
+        if timing.spike_gen_s > 0:
+            end = t + timing.spike_gen_s * batch
+            if not end > t:
+                return None
+            busy[_SPIKE] += end - t
+            counts[_SPIKE] += 1
+            t = end
+        return t
+
 
 class SerialReplay(_Replay):
     """Layers ``index .. stop-1``, each compute ∥ ``dram_s(batch)``, layers
@@ -206,9 +373,24 @@ class SerialReplay(_Replay):
         self.index = index
         self.stop = len(timings) if stop is None else stop
 
-    def start(self, wake: Callable[[], None]) -> None:
-        self.wake = wake
-        self._advance()
+    def _walk(self, t: float, busy: list, counts: list):
+        timings, batch = self.timings, self.batch
+        for index in range(self.index, self.stop):
+            timing = timings[index]
+            end = self._walk_chain(timing, t, busy, counts)
+            if end is None:
+                return None
+            duration = timing.dram_s(batch)
+            if duration > 0:
+                dram_end = t + duration
+                if not dram_end > t:
+                    return None
+                busy[_DRAM] += dram_end - t
+                counts[_DRAM] += 1
+                if dram_end > end:
+                    end = dram_end
+            t = end
+        return t, self.machine.dram.stats.wait_s
 
     def _advance(self) -> None:
         """Start layers until one has timed work, or finish the replay."""
@@ -226,6 +408,8 @@ class SerialReplay(_Replay):
                 return
             self.index += 1
         self._finish()
+
+    _run = _advance
 
     def _dram_go(self) -> None:
         self._t_dram = self.engine.now
@@ -273,13 +457,57 @@ class ScheduledReplay(_Replay):
         self.fetch = 0           # the weight stream the prefetcher is on
         self.fetching = False    # weight `fetch` is queued on or holds DRAM
 
-    def start(self, wake: Callable[[], None]) -> None:
-        self.wake = wake
+    def _run(self) -> None:
         if not self.timings:
             self._finish()
             return
         self._begin()
         self._settle()
+
+    def _walk(self, t: float, busy: list, counts: list):
+        # The DRAM channel serves a₀, w₀, w₁, a₁, w₂, a₂, … FIFO (zero
+        # streams skipped): layer i's start requests aᵢ, then releases
+        # the prefetcher onto wᵢ₊₁ once wᵢ has ended.  Each grant is at
+        # max(channel free, request).
+        timings, batch = self.timings, self.batch
+        count = len(timings)
+        wait = self.machine.dram.stats.wait_s
+        weight_end = [None] * count
+        channel = prefetcher = t   # DRAM free from; last weight's end
+        for index in range(count):
+            timing = timings[index]
+            end = self._walk_chain(timing, t, busy, counts)
+            if end is None:
+                return None
+            duration = batch * timing.activation_dram_s
+            if duration > 0:
+                grant = channel if channel > t else t
+                channel = grant + duration
+                if not channel > grant:
+                    return None
+                if grant > t:
+                    wait += grant - t
+                busy[_DRAM] += channel - grant
+                counts[_DRAM] += 1
+                if channel > end:
+                    end = channel
+            for fetch in (0, 1) if index == 0 else (index + 1,):
+                if fetch < count and timings[fetch].weight_dram_s > 0:
+                    request = prefetcher if prefetcher > t else t
+                    grant = channel if channel > request else request
+                    channel = grant + timings[fetch].weight_dram_s
+                    if not channel > grant:
+                        return None
+                    if grant > request:
+                        wait += grant - request
+                    busy[_DRAM] += channel - grant
+                    counts[_DRAM] += 1
+                    prefetcher = weight_end[fetch] = channel
+            weight = weight_end[index]
+            if weight is not None and weight > end:
+                end = weight
+            t = end
+        return t, wait
 
     def _begin(self) -> None:
         """Start layer ``index``: compute, activation, and the prefetcher

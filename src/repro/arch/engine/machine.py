@@ -11,7 +11,9 @@ objects on one engine clock.
 Two implementations replay a timing tuple: the closed form of
 :mod:`.fastpath` answers every uncontended run with no events, and the
 callback replays of :mod:`.lanes` (one timed event per occupancy) serve
-every contended one.  For a single request the two agree with the
+every contended one — a program that starts on an idle chip is walked
+to one wake at its finish until another replay starts beside it
+(``BishopMachine.elided``).  For a single request the two agree with the
 closed-form ``Σ max(compute, dram)`` latency (the regression-test
 oracle); the event replay's value is contention: multiple in-flight
 requests queue on the same resources, which is what the serving layer
@@ -136,17 +138,18 @@ class BishopMachine:
         self.attention_core = engine.resource(f"{prefix}attention_core")
         self.spike_gen = engine.resource(f"{prefix}spike_gen")
         self.dram = engine.resource(f"{prefix}dram")
+        self.units = (
+            self.dense_core, self.sparse_core, self.attention_core,
+            self.spike_gen, self.dram,
+        )
+        # The replay running on this chip without events, if any
+        # (``lanes.py``): the chip's resources do not show its holds.
+        self.elided = None
 
     @property
     def resources(self) -> dict[str, Resource]:
         """Short (un-prefixed) unit name → engine resource."""
-        return {
-            "dense_core": self.dense_core,
-            "sparse_core": self.sparse_core,
-            "attention_core": self.attention_core,
-            "spike_gen": self.spike_gen,
-            "dram": self.dram,
-        }
+        return dict(zip(self.RESOURCE_NAMES, self.units))
 
 
 def simulate_inference(

@@ -229,6 +229,13 @@ class ShardState:
     buffers instead of accumulating ``ServedRequest`` lists — a shard's
     memory footprint is bounded by its in-flight window, not the run
     length.
+
+    A window's digest reads only the **live** chips: those enqueued into
+    since they were last seen idle with ``outstanding_s == 0.0``.  Every
+    other chip has nothing queued or in flight and exactly ``0.0``
+    outstanding work, so skipping it leaves each sum unchanged (adding
+    ``0.0`` is exact).  Accepting chips and their per-model host counts
+    are tallies, kept on add and drain.
     """
 
     def __init__(self, init: ShardInit):
@@ -254,6 +261,10 @@ class ShardState:
         self._window_served = 0
         self._window_shed = 0
         self._window_tenant_served: dict[str, int] = {}
+        self._slots: dict[ChipServer, int] = {}   # chip -> fleet position
+        self._live: set[int] = set()
+        self._accepting = 0
+        self._hosts: dict[str, int] = {}          # model -> accepting hosts
         for name, kind, models in zip(
             init.chip_names, init.chip_kinds, init.chip_models
         ):
@@ -286,8 +297,15 @@ class ShardState:
             recorder=self,
             tenants=init.tenants,
         )
+        self._slots[chip] = len(self.chips)
         self.chips.append(chip)
+        self._count_accepting(chip, 1)
         return chip
+
+    def _count_accepting(self, chip: ChipServer, sign: int) -> None:
+        self._accepting += sign
+        for model in chip.profiles:
+            self._hosts[model] = self._hosts.get(model, 0) + sign
 
     # -- ChipServer recorder seam -----------------------------------------
     def observe(
@@ -339,6 +357,7 @@ class ShardState:
                     )
             else:
                 chip.enqueue(request)
+                self._live.add(self._slots[chip])
             self.delivered += 1
 
     def _apply(self, command: tuple) -> tuple[str, str | None]:
@@ -355,6 +374,7 @@ class ShardState:
             if victim is None:
                 return ("drain", None)
             victim.accepting = False
+            self._count_accepting(victim, -1)
             victim.close()
             return ("drain", victim.name)
         raise ValueError(f"unknown shard command {command!r}")
@@ -362,18 +382,16 @@ class ShardState:
     def _drainable_victim(self) -> ChipServer | None:
         """Least-loaded accepting chip whose models stay covered in-shard
         (ties go to the earliest chip in fleet order)."""
-        accepting = [chip for chip in self.chips if chip.accepting]
-        candidates = []
-        for chip in accepting:
-            others = [c for c in accepting if c is not chip]
-            if all(
-                any(other.hosts(model) for other in others)
-                for model in chip.profiles
+        hosts = self._hosts
+        victim = None
+        for chip in self.chips:
+            if (
+                chip.accepting
+                and all(hosts[model] > 1 for model in chip.profiles)
+                and (victim is None or chip.outstanding_s < victim.outstanding_s)
             ):
-                candidates.append(chip)
-        if not candidates:
-            return None
-        return min(candidates, key=lambda c: c.outstanding_s)
+                victim = chip
+        return victim
 
     def step(
         self,
@@ -408,11 +426,24 @@ class ShardState:
         latency.add_many(self._window_latencies)
         wait = LatencySketch()
         wait.add_many(self._window_waits)
-        accepting = [chip for chip in self.chips if chip.accepting]
-        hosted: set[str] = set()
-        for chip in accepting:
-            if chip.has_queue_capacity():
-                hosted.update(chip.profiles)
+        chips, live = self.chips, self._live
+        pending = inflight = 0
+        outstanding = 0.0
+        full: dict[str, int] = {}   # models of accepting chips with no queue room
+        scanned = len(live)
+        for position in sorted(live):
+            chip = chips[position]
+            pending += chip.queue_depth
+            inflight += chip.inflight
+            if chip.accepting:
+                outstanding += chip.outstanding_s
+                if not chip.has_queue_capacity():
+                    for model in chip.profiles:
+                        full[model] = full.get(model, 0) + 1
+            if chip.idle and chip.outstanding_s == 0.0:
+                live.discard(position)
+        obs.inc("cluster.shard.steps")
+        obs.inc("cluster.digest.chips_scanned", scanned)
         return WindowDigest(
             shard=self.init.shard,
             until_s=until,
@@ -421,11 +452,14 @@ class ShardState:
             served=self.served,
             shed=self.shed,
             delivered=self.delivered,
-            pending=sum(chip.queue_depth for chip in self.chips),
-            inflight=sum(chip.inflight for chip in self.chips),
-            outstanding_s=sum(chip.outstanding_s for chip in accepting),
-            accepting_chips=len(accepting),
-            hosted_models=tuple(sorted(hosted)),
+            pending=pending,
+            inflight=inflight,
+            outstanding_s=outstanding,
+            accepting_chips=self._accepting,
+            hosted_models=tuple(sorted(
+                model for model, count in self._hosts.items()
+                if count > full.get(model, 0)
+            )),
             latency=latency,
             wait=wait,
             applied=applied,

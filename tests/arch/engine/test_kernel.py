@@ -123,6 +123,42 @@ class TestClockAndHold:
     def test_empty_engine_runs_to_zero(self):
         assert Engine().run() == 0.0
 
+    def test_schedule_at_absolute_times(self):
+        # 0.1 + 0.2 != 0.3: an absolute time is kept exactly, where a
+        # delay is added to `now`.
+        engine = Engine()
+        engine.now = 0.1
+        fired = []
+        engine.schedule_at(0.3, lambda: fired.append(("at", engine.now)))
+        engine.schedule(0.2, lambda: fired.append(("delay", engine.now)))
+        engine.schedule_at(0.1, lambda: fired.append(("now", engine.now)))
+        engine.run()
+        assert fired == [("now", 0.1), ("at", 0.3), ("delay", 0.1 + 0.2)]
+
+    @pytest.mark.parametrize("time", [-1.0, float("nan"), float("inf")])
+    def test_schedule_at_rejects_the_past_and_non_finite_times(self, time):
+        with pytest.raises(ValueError, match="cannot schedule at"):
+            Engine().schedule_at(time, lambda: None)
+
+    def test_adopt_keeps_the_order_of_pending_events(self):
+        engine, other = Engine(), Engine()
+        fired = []
+        for time, tag in ((2.0, "b"), (1.0, "a"), (2.0, "c")):
+            other.schedule_at(time, lambda tag=tag: fired.append(tag))
+        engine.schedule_at(2.0, lambda: fired.append("own"))
+        engine.adopt(other)
+        assert not other._heap
+        engine.run()
+        assert fired == ["a", "own", "b", "c"]
+
+    @pytest.mark.parametrize("due", [1.5, 2.0])
+    def test_adopt_refuses_events_not_after_now(self, due):
+        engine, other = Engine(), Engine()
+        other.schedule_at(due, lambda: None)
+        engine.now = 2.0
+        with pytest.raises(ValueError, match="cannot adopt"):
+            engine.adopt(other)
+
 
 class TestResources:
     def test_contention_serializes(self):
@@ -595,13 +631,21 @@ class TestEventCounters:
         )
         scheduled = 0
         original = Engine.schedule
+        original_at = Engine.schedule_at
 
         def counted(self, delay, fn):
             nonlocal scheduled
             scheduled += 1
             return original(self, delay, fn)
 
+        def counted_at(self, time, fn):
+            nonlocal scheduled
+            scheduled += 1
+            return original_at(self, time, fn)
+
+        # An elided program's wake is scheduled at its absolute finish.
         monkeypatch.setattr(Engine, "schedule", counted)
+        monkeypatch.setattr(Engine, "schedule_at", counted_at)
         simulate_serving(requests, SchedulerConfig(max_inflight=2), profiles=profiles)
         timed = metrics.counter("engine.events.timed").value
         ready = metrics.counter("engine.events.ready").value

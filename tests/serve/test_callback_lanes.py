@@ -197,6 +197,7 @@ class TestEventBudget:
         """A lone request costs one timed event per positive occupancy
         and a fixed six ready events, whatever its layer count."""
         from repro.arch.engine import Engine
+        from repro.arch.engine.lanes import _Replay
 
         stream = [Request(index=0, model="model4", arrival_s=0.0)]
         profile = profiles["model4"]
@@ -216,6 +217,10 @@ class TestEventBudget:
             return original(self, delay, fn)
 
         monkeypatch.setattr(Engine, "schedule", counted)
+        # Alone on an idle chip the program would be elided to one wake
+        # (tests/serve/test_private_chip_elision.py); this pins the
+        # callback replay itself.
+        monkeypatch.setattr(_Replay, "_elide", lambda self: False)
         simulate_serving(stream, SchedulerConfig(), profiles=profiles)
         assert sum(delay > 0 for delay in calls) == holds
         # Ready hops: two spawns (dispatcher, arrivals), the arrival's and
