@@ -12,34 +12,27 @@ delegates spiking-CNN front-ends to prior accelerators, Sec. 2.2) and are not
 simulated.
 
 Lowering goes through the compiler (``repro.compiler``): ``run_trace``
-compiles the trace with the pass pipeline derived from this config (plus an
-optional :class:`~repro.algo.ECPConfig`), materializes the per-layer
-analytical reports from the compiled :class:`~repro.compiler.ir.Program`,
-and replays the layer chain on the discrete-event engine
-(``repro.arch.engine``), attaching the resulting timeline to the report.
-For one uncontended request the event makespan reproduces the closed-form
-total, which keeps the analytical numbers as the engine's validation
-oracle; the serving layer (``repro.serve``) replays the same compiled
-programs under contention.
+compiles the trace with the pass pipeline (plus an optional
+:class:`~repro.algo.ECPConfig`), materializes the per-layer analytical
+reports from the compiled :class:`~repro.compiler.ir.Program`, and replays
+the layer chain on the discrete-event engine (``repro.arch.engine``),
+attaching the resulting timeline to the report.  The architecture
+ablations (no stratifier, no bundle skipping) are pass toggles:
+``run_trace(trace, passes=...)``.  For one uncontended request the event
+makespan reproduces the closed-form total, which keeps the analytical
+numbers as the engine's validation oracle; the serving layer
+(``repro.serve``) replays the same compiled programs under contention.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..algo import ECPConfig
-from ..compiler.lowering import (
-    lower_attention_layer,
-    lower_matmul_layer,
-    plan_stratification,
-)
 from ..compiler.passes import PassConfig, compile_trace, materialize_report
-from ..model import LayerRecord, ModelTrace
+from ..model import ModelTrace
 from .config import BishopConfig
 from .energy import EnergyModel
 from .engine.machine import simulate_inference
-from .report import InferenceReport, LayerReport
-from .stratifier import StratifiedWorkload
+from .report import InferenceReport
 
 __all__ = ["BishopAccelerator"]
 
@@ -55,32 +48,6 @@ class BishopAccelerator:
         self.config = config or BishopConfig()
         self.energy = energy or EnergyModel()
 
-    # ------------------------------------------------------------------
-    # Stratification policy
-    # ------------------------------------------------------------------
-    def stratify_layer(
-        self, spikes: np.ndarray, out_features: int
-    ) -> StratifiedWorkload:
-        """Apply the configured θ_s policy to one layer's input spikes."""
-        return plan_stratification(spikes, out_features, self.config)
-
-    # ------------------------------------------------------------------
-    # Layer simulations (the compiler's lowering, config-driven)
-    # ------------------------------------------------------------------
-    def run_matmul_layer(self, record: LayerRecord) -> LayerReport:
-        """Simulate one projection/MLP layer on the dense+sparse cores."""
-        workload = self.stratify_layer(
-            record.input_spikes, record.weight_shape[1]
-        )
-        return lower_matmul_layer(record, workload, self.config, self.energy)
-
-    def run_attention_layer(
-        self, record: LayerRecord, ecp: ECPConfig | None = None
-    ) -> LayerReport:
-        """Simulate one SSA layer on the attention core (Modes 1 + 2)."""
-        return lower_attention_layer(record, self.config, self.energy, ecp=ecp)
-
-    # ------------------------------------------------------------------
     def run_trace(
         self,
         trace: ModelTrace,
@@ -96,9 +63,9 @@ class BishopAccelerator:
         chain is then replayed on the discrete-event engine and the
         resulting timeline attached as ``report.engine_run`` (set
         ``simulate_events=False`` to skip, e.g. inside tight design-space
-        loops).  ``passes`` toggles individual optimization passes; the
-        config's own policy switches (``use_stratifier``,
-        ``skip_inactive_bundles``) stay authoritative either way.
+        loops).  ``passes`` toggles individual optimization passes
+        (``"all"`` by default; e.g. ``PassConfig().without("stratify")``
+        runs every layer on the dense core).
         """
         program = compile_trace(
             trace, self.config, self.energy, ecp=ecp, passes=passes

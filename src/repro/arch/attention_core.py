@@ -75,10 +75,10 @@ class AttentionCoreResult:
 
 
 def _surviving_rows(
-    grid: TTBGrid, config: BishopConfig, keep_rows: np.ndarray | None
+    grid: TTBGrid, skip_inactive: bool, keep_rows: np.ndarray | None
 ) -> np.ndarray:
     """Bundle-row keep mask ``(n_bt, n_bn)``: ECP survivors ∧ bundle activity."""
-    if config.skip_inactive_bundles:
+    if skip_inactive:
         rows = grid.active_per_bundle_row > 0
     else:
         rows = np.ones((grid.n_bt, grid.n_bn), dtype=bool)
@@ -96,6 +96,7 @@ def simulate_attention_core(
     v: "np.ndarray | TTBGrid",
     config: BishopConfig,
     ecp: ECPConfig | None = None,
+    skip_inactive: bool = True,
 ) -> AttentionCoreResult:
     """Simulate one SSA layer: ``q, k, v`` are binary ``(T, H, N, d)``
     tensors, or each one's merged-head ``(T, N, H·d)`` :class:`TTBGrid`
@@ -103,7 +104,8 @@ def simulate_attention_core(
 
     With ``ecp`` set, Q/K bundle-rows below the thresholds are pruned before
     scheduling (the certified-error path); without it, only intrinsically
-    inactive bundles are skipped (when the config allows).
+    inactive bundles are skipped (when ``skip_inactive``, the
+    bundle-packing decision, is on).
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise ValueError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
@@ -118,8 +120,8 @@ def simulate_attention_core(
     else:
         q_keep_rows = k_keep_rows = None
 
-    q_rows = _surviving_rows(q_grid, config, q_keep_rows)   # (n_bt, n_bn)
-    k_rows = _surviving_rows(k_grid, config, k_keep_rows)
+    q_rows = _surviving_rows(q_grid, skip_inactive, q_keep_rows)  # (n_bt, n_bn)
+    k_rows = _surviving_rows(k_grid, skip_inactive, k_keep_rows)
     q_mask = expand_row_mask(q_rows, spec, t, n)            # (T, N)
     k_mask = expand_row_mask(k_rows, spec, t, n)
 

@@ -68,9 +68,8 @@ class BishopConfig:
     weight_glb_bytes: int = 144 * 1024
     spike_glb_bytes: int = 12 * 1024   # each of the two ping-pong GLBs
     dram: DRAMConfig = field(default_factory=DRAMConfig)
-    # Policies (ablation switches).
-    use_stratifier: bool = True
-    skip_inactive_bundles: bool = True
+    # Stratifier θ_s policy.  Whether stratification and inactive-bundle
+    # skipping run at all is the compiler's call (``PassConfig``).
     stratify_dense_fraction: float | None = None  # None → balance core times
     stratify_theta: float | None = None           # explicit θ_s overrides
     pipeline_fill_cycles: int = 64

@@ -125,18 +125,18 @@ def simulate_dense_core(
     spikes: "np.ndarray | TTBGrid",
     out_features: int,
     config: BishopConfig,
-    skip_inactive: bool | None = None,
+    skip_inactive: bool = True,
 ) -> DenseCoreResult:
     """Simulate the dense core on ``spikes (T, N, D_dense)`` × ``(D_dense, O)``.
 
     ``spikes`` is the stratified dense partition (already restricted to the
     dense feature set), as an array or as its :class:`TTBGrid` — the
     compiler passes a feature slice of the layer's grid, so nothing is
-    re-bundled.  Returns cycles, SAC operation count, utilization, and the
-    GLB/spad traffic the pass generates.
+    re-bundled.  ``skip_inactive`` is the bundle-packing decision: off,
+    inactive bundles are processed like active ones.  Returns cycles, SAC
+    operation count, utilization, and the GLB/spad traffic the pass
+    generates.
     """
-    if skip_inactive is None:
-        skip_inactive = config.skip_inactive_bundles
     traffic = TrafficLedger()
     t, n, d_in = spikes.shape
     if d_in == 0 or out_features == 0:

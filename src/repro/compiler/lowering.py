@@ -1,16 +1,18 @@
 """Layer lowering: the analytic core models applied to one traced layer.
 
 This module is the compiler's back end — and the *single* lowering path of
-the repo: :class:`~repro.arch.accelerator.BishopAccelerator` delegates its
-per-layer methods here, and the :class:`~repro.compiler.passes.LowerPass`
-calls the same functions with pass-derived plans, so config-driven and
-pass-driven compilation produce bit-identical :class:`LayerReport`s.
+the repo: the :class:`~repro.compiler.passes.StratifyPass` and
+:class:`~repro.compiler.passes.LowerPass` call these functions with the
+pass-derived plans, and calling them directly on a layer gives the same
+:class:`LayerReport` bit for bit.  Whether inactive bundles are skipped is
+the bundle-packing pass's decision, passed in as ``skip_inactive``; the
+chip config only says how the cores are built.
 
 The split of responsibilities:
 
 * :func:`plan_stratification` — Algorithm-1 θ_s policy (the stratify pass);
-* :func:`unstratified_workload` — the everything-dense fallback used when
-  the stratify pass (or ``config.use_stratifier``) is off;
+* :func:`unstratified_workload` — the everything-dense plan used when the
+  stratify pass is off;
 * :func:`lower_matmul_layer` / :func:`lower_attention_layer` — cycle/energy/
   traffic models composed into a :class:`LayerReport`;
 * :func:`stage_ops` — decompose a lowered report into the IR's
@@ -65,7 +67,7 @@ __all__ = [
 def unstratified_workload(
     spikes: "np.ndarray | TTBGrid", spec: BundleSpec
 ) -> StratifiedWorkload:
-    """Every feature on the dense core (stratify pass / flag off)."""
+    """Every feature on the dense core (stratify pass off)."""
     grid = as_grid(spikes, spec)
     return StratifiedWorkload(
         dense_features=np.arange(grid.features),
@@ -77,15 +79,15 @@ def unstratified_workload(
 
 
 def plan_stratification(
-    spikes: "np.ndarray | TTBGrid", out_features: int, config: BishopConfig
+    spikes: "np.ndarray | TTBGrid",
+    out_features: int,
+    config: BishopConfig,
+    skip_inactive: bool = True,
 ) -> StratifiedWorkload:
     """Apply the configured θ_s policy to one layer's input spikes.
 
-    Honors ``config.use_stratifier`` (off → everything dense) so the
-    accelerator's config-driven path and the compiler's pass-driven path
-    share one implementation.
-
-    ``spikes`` is the layer's grid, or an array to build it from; the plan
+    ``skip_inactive`` is the bundle-packing decision the dense core's
+    scores assume.  ``spikes`` is the layer's grid, or an array to build it from; the plan
     carries that grid.  Every θ_s candidate is scored in closed form from
     two per-feature statistics of it: ``counts`` (active bundles per
     feature; a sparse partition's active-pair count is their sum) and
@@ -98,8 +100,6 @@ def plan_stratification(
     """
     spec = config.bundle_spec
     grid = as_grid(spikes, spec)
-    if not config.use_stratifier:
-        return unstratified_workload(grid, spec)
     counts = grid.active_per_feature
     scored = 0
     if config.stratify_theta is not None:
@@ -113,7 +113,7 @@ def plan_stratification(
         tile_steps = dense_tile_activity(
             grid.active.reshape(num_bundles, grid.features),
             config,
-            config.skip_inactive_bundles,
+            skip_inactive,
         ).sum(axis=0)
         # Entry v: features, Σ counts and Σ tile_steps over count <= v.
         features_le = np.bincount(counts)
@@ -154,13 +154,15 @@ def lower_matmul_layer(
     workload: StratifiedWorkload,
     config: BishopConfig,
     energy: EnergyModel,
+    skip_inactive: bool = True,
 ) -> LayerReport:
     """Lower one projection/MLP layer onto the dense+sparse cores.
 
     ``workload`` must be planned on ``record.input_spikes`` at
     ``config.bundle_spec``: its ``active_per_feature`` supplies the layer's
     bundle statistics, and the cores read feature slices of its grid (built
-    here if the plan carries none).
+    here if the plan carries none).  ``skip_inactive`` is the
+    bundle-packing decision.
     """
     spikes = record.input_spikes
     d_in, d_out = record.weight_shape
@@ -170,7 +172,7 @@ def lower_matmul_layer(
     )
 
     x_dense, x_sparse = workload.split(grid)
-    dense = simulate_dense_core(x_dense, d_out, config)
+    dense = simulate_dense_core(x_dense, d_out, config, skip_inactive)
     sparse = simulate_sparse_core(x_sparse, d_out, config)
     spike_gen = simulate_spike_generator(timesteps, tokens, d_out, config)
 
@@ -188,7 +190,7 @@ def lower_matmul_layer(
     # fetched (tag-gated — the structured pruning BSA amplifies).
     # Input/output spike tensors spill only past the ping-pong spike GLB.
     counts = workload.active_per_feature
-    if config.skip_inactive_bundles:
+    if skip_inactive:
         alive_features = int((counts > 0).sum())
     else:
         alive_features = d_in
@@ -259,18 +261,22 @@ def lower_attention_layer(
     energy: EnergyModel,
     ecp: ECPConfig | None = None,
     grids: tuple[TTBGrid, TTBGrid, TTBGrid] | None = None,
+    skip_inactive: bool = True,
 ) -> LayerReport:
     """Lower one SSA layer onto the attention core (Modes 1 + 2).
 
     ``grids`` are the merged-head Q, K and V grids of ``record`` when the
     caller already has them; otherwise they are built here.
+    ``skip_inactive`` is the bundle-packing decision.
     """
     if grids is None:
         grids = tuple(
             TTBGrid(merge_attention_heads(x), config.bundle_spec)
             for x in (record.q, record.k, record.v)
         )
-    result = simulate_attention_core(*grids, config, ecp=ecp)
+    result = simulate_attention_core(
+        *grids, config, ecp=ecp, skip_inactive=skip_inactive
+    )
     timesteps, heads, tokens, head_dim = record.q.shape
     features = heads * head_dim
     spike_gen = simulate_spike_generator(timesteps, tokens, features, config)

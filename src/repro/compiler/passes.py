@@ -11,14 +11,16 @@ individually-testable passes over a mutable :class:`Compilation`:
     pass and core model reads these grids instead of re-bundling spikes.
 ``packing``
     TTB bundle packing (Sec. 3): activity tags gate fetch and compute, so
-    inactive bundles vanish.  Off → every bundle processed as if active.
+    inactive bundles vanish.  Off → every bundle processed as if active;
+    the decision reaches the core models as their ``skip_inactive``
+    argument.
 ``ecp``
     Error-constrained pruning plan (Sec. 5.1, reusing ``repro.algo.ecp``):
     attention stages get certified Q/K bundle-row keep plans.
 ``stratify``
     Algorithm-1 dense/sparse feature assignment (reusing
     ``repro.arch.stratifier`` through the lowering helpers).  Off → the
-    whole layer runs on the dense core.
+    whole layer runs on the dense core (``unstratified_workload``).
 ``lower``
     The analytic core models realize the plans into cycles, energy, and
     traffic; stage drafts gain :class:`~repro.compiler.ir.TileOp` bindings.
@@ -26,10 +28,11 @@ individually-testable passes over a mutable :class:`Compilation`:
     Depth-1 weight-prefetch/double-buffer scheduling: marks weight streams
     prefetchable and measures the scheduled makespan on the event engine.
 
-:func:`compile_trace` assembles the pipeline from a :class:`PassConfig`
-(each optimization pass can be toggled off — the ``compiler_pass_ablation``
-experiment does exactly that) and the chip config's own policy switches,
-which a pass may *disable* but never override on.
+:func:`compile_trace` assembles the pipeline from a :class:`PassConfig`:
+each optimization pass can be toggled off, and the toggles are the only
+switches for packing and stratification (the ``compiler_pass_ablation``
+experiment and the architecture ablations toggle them).  The chip config
+says how the cores are built, never whether an optimization runs.
 """
 
 from __future__ import annotations
@@ -189,13 +192,6 @@ class Compilation:
     grid_builds: int = 0
     theta_candidates: int = 0
 
-    def lowering_config(self, draft: StageDraft) -> BishopConfig:
-        """The chip config the core models see for ``draft``: the packing
-        decision is the pass's, not the config flag's."""
-        if self.config.skip_inactive_bundles == draft.packed:
-            return self.config
-        return self.config.with_overrides(skip_inactive_bundles=draft.packed)
-
 
 class CompilerPass:
     """One step of the pipeline; subclasses set ``name`` and ``run``."""
@@ -315,9 +311,9 @@ class StratifyPass(CompilerPass):
         for draft in comp.drafts:
             if not draft.is_matmul:
                 continue
-            config = comp.lowering_config(draft).with_overrides(use_stratifier=True)
             workload = plan_stratification(
-                draft.grids[0], draft.record.weight_shape[1], config
+                draft.grids[0], draft.record.weight_shape[1], comp.config,
+                skip_inactive=draft.packed,
             )
             comp.theta_candidates += workload.theta_candidates
             draft.workload = workload
@@ -335,20 +331,22 @@ class LowerPass(CompilerPass):
     name = "lower"
 
     def run(self, comp: Compilation) -> None:
-        spec = comp.config.bundle_spec
+        config = comp.config
         for draft in comp.drafts:
-            config = comp.lowering_config(draft)
             if draft.is_matmul:
                 workload = draft.workload
                 if workload is None:  # stratify pass off → everything dense
-                    workload = unstratified_workload(draft.grids[0], spec)
+                    workload = unstratified_workload(
+                        draft.grids[0], config.bundle_spec
+                    )
                 report = lower_matmul_layer(
-                    draft.record, workload, config, comp.energy
+                    draft.record, workload, config, comp.energy,
+                    skip_inactive=draft.packed,
                 )
             else:
                 report = lower_attention_layer(
                     draft.record, config, comp.energy, ecp=draft.ecp,
-                    grids=draft.grids,
+                    grids=draft.grids, skip_inactive=draft.packed,
                 )
             draft.report = report
             ops, annotations = stage_ops(report, config, comp.energy)
@@ -435,24 +433,15 @@ def _chip_dict(config: BishopConfig) -> dict:
 
 
 def default_pipeline(
-    config: BishopConfig,
-    passes: PassConfig,
-    ecp: ECPConfig | None = None,
+    passes: PassConfig, ecp: ECPConfig | None = None
 ) -> list[CompilerPass]:
-    """The standard pipeline for a chip config and pass toggles.
-
-    A pass can *disable* an optimization the chip config already turned
-    off (e.g. ``use_stratifier=False``) but never force it back on — the
-    config's policy switches remain authoritative, which keeps the
-    accelerator's config-driven ablations and the compiler's pass-driven
-    ablations consistent.
-    """
+    """The standard pipeline for the pass toggles (ECP needs a plan)."""
     pipeline: list[CompilerPass] = [TraceIngestPass()]
-    if passes.bundle_packing and config.skip_inactive_bundles:
+    if passes.bundle_packing:
         pipeline.append(BundlePackingPass())
     if passes.ecp and ecp is not None:
         pipeline.append(ECPPlanningPass())
-    if passes.stratify and config.use_stratifier:
+    if passes.stratify:
         pipeline.append(StratifyPass())
     pipeline.append(LowerPass())
     if passes.schedule:
@@ -473,7 +462,7 @@ def compile_trace(
     energy = energy or EnergyModel()
     pass_config = PassConfig.parse(passes)
     comp = Compilation(trace=trace, config=config, energy=energy, ecp=ecp)
-    manager = PassManager(default_pipeline(config, pass_config, ecp))
+    manager = PassManager(default_pipeline(pass_config, ecp))
     base_meta = {"pass_config": pass_config.spec()}
     if meta:
         base_meta.update(meta)

@@ -1,7 +1,8 @@
 """Architecture ablations: what each Bishop mechanism contributes.
 
 DESIGN.md calls out the design choices behind Bishop; this harness isolates
-them by toggling the simulator's policy switches on the same workload:
+them by toggling compiler passes (and the bundle shape) on the same
+workload:
 
 * ``full``            — stratifier + TTB skipping + balanced θ_s (default);
 * ``no_stratifier``   — everything on the dense core (Sec. 6.4's ablation);
@@ -19,6 +20,7 @@ from functools import lru_cache
 
 from ..arch import BishopAccelerator, BishopConfig
 from ..bundles import BundleSpec
+from ..compiler import PassConfig
 from ..model import model_config
 from .synthetic import PROFILES, synthetic_trace
 
@@ -40,20 +42,22 @@ class AblationPoint:
         return self.latency_s * self.energy_mj
 
 
-def _config_for(variant: str, spec: BundleSpec) -> BishopConfig:
-    if variant == "full":
-        return BishopConfig(bundle_spec=spec)
-    if variant == "no_stratifier":
-        return BishopConfig(bundle_spec=spec, use_stratifier=False)
-    if variant == "no_skip":
-        return BishopConfig(bundle_spec=spec, skip_inactive_bundles=False)
-    if variant == "no_skip_no_strat":
-        return BishopConfig(
-            bundle_spec=spec, use_stratifier=False, skip_inactive_bundles=False
-        )
+def _setup_for(variant: str, spec: BundleSpec) -> tuple[BishopConfig, PassConfig]:
+    """The chip and compiler passes one variant runs with."""
+    passes = PassConfig()
     if variant == "tiny_bundles":
-        return BishopConfig(bundle_spec=BundleSpec(1, 1))
-    raise ValueError(f"unknown variant {variant!r}; options: {ABLATION_VARIANTS}")
+        return BishopConfig(bundle_spec=BundleSpec(1, 1)), passes
+    if variant == "no_stratifier":
+        passes = passes.without("stratify")
+    elif variant == "no_skip":
+        passes = passes.without("packing")
+    elif variant == "no_skip_no_strat":
+        passes = passes.without("stratify").without("packing")
+    elif variant != "full":
+        raise ValueError(
+            f"unknown variant {variant!r}; options: {ABLATION_VARIANTS}"
+        )
+    return BishopConfig(bundle_spec=spec), passes
 
 
 @lru_cache(maxsize=8)
@@ -65,8 +69,8 @@ def architecture_ablation(
     trace = synthetic_trace(model_config(model), PROFILES[model], spec, seed=seed)
     points = {}
     for variant in ABLATION_VARIANTS:
-        config = _config_for(variant, spec)
-        report = BishopAccelerator(config).run_trace(trace)
+        config, passes = _setup_for(variant, spec)
+        report = BishopAccelerator(config).run_trace(trace, passes=passes)
         points[variant] = AblationPoint(
             variant=variant,
             latency_s=report.total_latency_s,

@@ -16,6 +16,7 @@ from functools import lru_cache
 from ..arch import BishopAccelerator, BishopConfig
 from ..baselines import PTBAccelerator
 from ..bundles import BundleSpec
+from ..compiler import PassConfig
 from ..model import model_config
 from .synthetic import PROFILES, synthetic_trace
 
@@ -53,10 +54,11 @@ def heterogeneity_ablation(
     spec = BundleSpec(bs_t, bs_n)
     trace = synthetic_trace(model_config(model), PROFILES[model], spec, seed=seed)
 
-    hetero = BishopAccelerator(BishopConfig(bundle_spec=spec)).run_trace(trace)
-    dense_only = BishopAccelerator(
-        BishopConfig(bundle_spec=spec, use_stratifier=False)
-    ).run_trace(trace)
+    accelerator = BishopAccelerator(BishopConfig(bundle_spec=spec))
+    hetero = accelerator.run_trace(trace)
+    dense_only = accelerator.run_trace(
+        trace, passes=PassConfig().without("stratify")
+    )
 
     matmuls = [l for l in hetero.layers if l.phase != "ATN"]
     mean_dense_fraction = sum(

@@ -21,10 +21,11 @@ replay under the depth-1 weight-prefetch schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..arch import BishopConfig
+from ..arch.engine.fastpath import FastSchedule, schedule_for
 from ..arch.engine.machine import LayerTiming
 from ..bundles import BundleSpec
 from ..compiler import PassConfig, compile_model
@@ -41,15 +42,13 @@ class RequestProfile:
     single_latency_s: float        # uncontended engine latency (oracle-equal)
     dynamic_pj: float              # per-request dynamic energy at batch 1
     scheduled: bool = False        # replay under the prefetch schedule
+    # The program's precomputed per-layer schedule, looked up once per
+    # profile: batch energy and core-share queries answer from columnar
+    # sums instead of re-walking (or re-hashing) the layer chain per request.
+    schedule: FastSchedule = field(init=False, repr=False, compare=False)
 
-    @property
-    def schedule(self) -> "FastSchedule":
-        """The program's precomputed per-layer schedule (memoized per
-        timing tuple): batch energy and core-share queries answer from
-        columnar sums instead of re-walking the layer chain per request."""
-        from ..arch.engine.fastpath import schedule_for
-
-        return schedule_for(self.timings)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "schedule", schedule_for(self.timings))
 
     def batch_dynamic_pj(self, batch: int) -> float:
         return self.schedule.batch_dynamic_pj(batch)

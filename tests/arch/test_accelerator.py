@@ -6,7 +6,11 @@ import pytest
 from repro.algo import ECPConfig
 from repro.arch import BishopAccelerator, BishopConfig
 from repro.bundles import BundleSpec
+from repro.compiler import PassConfig
 from repro.model import tiny_config
+
+NO_STRATIFY = PassConfig().without("stratify")
+NO_PACKING = PassConfig().without("packing")
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +79,7 @@ class TestLatencySemantics:
 
 class TestAblations:
     def test_stratifier_off_routes_everything_dense(self, trace):
-        report = accelerator(use_stratifier=False).run_trace(trace)
+        report = accelerator().run_trace(trace, passes=NO_STRATIFY)
         for layer in report.layers:
             if layer.phase != "ATN":
                 assert layer.notes["dense_fraction"] == 1.0
@@ -83,7 +87,7 @@ class TestAblations:
 
     def test_stratifier_helps_on_matmuls(self, trace):
         hetero = accelerator().run_trace(trace)
-        dense_only = accelerator(use_stratifier=False).run_trace(trace)
+        dense_only = accelerator().run_trace(trace, passes=NO_STRATIFY)
 
         def matmul_latency(report):
             return sum(l.latency_s for l in report.layers if l.phase != "ATN")
@@ -104,7 +108,7 @@ class TestAblations:
 
     def test_skip_off_increases_energy(self, trace):
         skipping = accelerator().run_trace(trace)
-        no_skip = accelerator(skip_inactive_bundles=False).run_trace(trace)
+        no_skip = accelerator().run_trace(trace, passes=NO_PACKING)
         assert no_skip.total_energy_pj >= skipping.total_energy_pj
 
     def test_ecp_reduces_attention_only(self, trace):
@@ -121,7 +125,7 @@ class TestAblations:
 
 class TestTrafficAccounting:
     def test_dram_weights_once_per_layer(self, trace):
-        report = accelerator(skip_inactive_bundles=False).run_trace(trace)
+        report = accelerator().run_trace(trace, passes=NO_PACKING)
         for layer in report.layers:
             if layer.phase != "ATN":
                 record = next(
@@ -133,7 +137,7 @@ class TestTrafficAccounting:
 
     def test_weight_skip_reduces_dram(self, trace):
         skipping = accelerator().run_trace(trace)
-        no_skip = accelerator(skip_inactive_bundles=False).run_trace(trace)
+        no_skip = accelerator().run_trace(trace, passes=NO_PACKING)
         assert skipping.traffic_bytes(level="dram", kind="weight") <= (
             no_skip.traffic_bytes(level="dram", kind="weight")
         )

@@ -49,8 +49,7 @@ class TestComputeModel:
         q, k, v = qkv(rng, density=0.02)
         cfg = config()
         skipping = simulate_attention_core(q, k, v, cfg)
-        dense_cfg = config(skip_inactive_bundles=False)
-        dense = simulate_attention_core(q, k, v, dense_cfg)
+        dense = simulate_attention_core(q, k, v, cfg, skip_inactive=False)
         assert skipping.aac_ops < dense.aac_ops
 
     def test_shape_mismatch_raises(self, rng):

@@ -1,5 +1,7 @@
 """Architecture configuration tests."""
 
+import json
+
 import pytest
 
 from repro.arch import BishopConfig, DRAMConfig, PTBConfig, resolve_overrides
@@ -107,6 +109,36 @@ class TestResolveOverrides:
             resolve_overrides(BishopConfig(), {"bundle_spec": {"bs_t": 0}})
         with pytest.raises(TypeError):
             resolve_overrides(BishopConfig(), {"bundle_spec": {"bogus": 1}})
+
+
+class TestRemovedPolicySwitches:
+    """Stratification and inactive-bundle skipping are compiler passes, not
+    chip fields: a config, override set or kinds file (an old DSE or fleet
+    export) that still sets the old switches fails and names the key."""
+
+    KEYS = ("use_stratifier", "skip_inactive_bundles")
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_constructor_names_the_key(self, key):
+        with pytest.raises(TypeError, match=key):
+            BishopConfig(**{key: False})
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_resolve_overrides_names_the_key(self, key):
+        with pytest.raises(TypeError, match=key):
+            resolve_overrides(BishopConfig(), {"sparse_units": 64, key: False})
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_kinds_file_names_the_key(self, key, tmp_path):
+        from repro.cluster import CHIP_KINDS, load_chip_kinds
+
+        path = tmp_path / "kinds.json"
+        path.write_text(
+            json.dumps({"kinds": {"old_export": {"sparse_units": 64, key: True}}})
+        )
+        with pytest.raises(ValueError, match=key):
+            load_chip_kinds(path)
+        assert "old_export" not in CHIP_KINDS
 
 
 class TestPTBConfig:

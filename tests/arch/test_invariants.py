@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import BishopAccelerator, BishopConfig
+from repro.arch import BishopAccelerator, BishopConfig, EnergyModel
 from repro.baselines import EdgeGPU, PTBAccelerator
 from repro.bundles import BundleSpec
+from repro.compiler import (
+    lower_matmul_layer,
+    plan_stratification,
+    unstratified_workload,
+)
 from repro.model import LayerRecord, ModelTrace
 
 
@@ -47,8 +52,9 @@ def test_property_bishop_matmul_sane(params):
     record = matmul_record(
         gen, params["t"], params["n"], params["d_in"], params["d_out"], params["density"]
     )
-    accel = BishopAccelerator(BishopConfig(bundle_spec=BundleSpec(2, 2)))
-    layer = accel.run_matmul_layer(record)
+    config = BishopConfig(bundle_spec=BundleSpec(2, 2))
+    workload = plan_stratification(record.input_spikes, params["d_out"], config)
+    layer = lower_matmul_layer(record, workload, config, EnergyModel())
     assert layer.latency_s > 0
     assert layer.energy.total_pj > 0
     assert layer.energy.compute_pj >= 0
@@ -70,15 +76,14 @@ def test_property_more_spikes_cost_at_least_as_much_energy(params):
         base_spikes,
         (gen.random(base_spikes.shape) < 0.15).astype(np.float64),
     )
-    accel = BishopAccelerator(
-        BishopConfig(bundle_spec=BundleSpec(2, 2), use_stratifier=False)
-    )
-    lo = accel.run_matmul_layer(
-        LayerRecord(0, "mlp1", base_spikes, (params["d_in"], params["d_out"]))
-    )
-    hi = accel.run_matmul_layer(
-        LayerRecord(0, "mlp1", extra, (params["d_in"], params["d_out"]))
-    )
+    config = BishopConfig(bundle_spec=BundleSpec(2, 2))
+
+    def dense_only(spikes):
+        record = LayerRecord(0, "mlp1", spikes, (params["d_in"], params["d_out"]))
+        workload = unstratified_workload(spikes, config.bundle_spec)
+        return lower_matmul_layer(record, workload, config, EnergyModel())
+
+    lo, hi = dense_only(base_spikes), dense_only(extra)
     # More firing can only add compute energy and traffic (fixed mapping).
     assert hi.energy.compute_pj >= lo.energy.compute_pj - 1e-9
     assert hi.cycles >= lo.cycles - 1e-9

@@ -1,19 +1,27 @@
-"""Compiled lowering ≡ legacy config-driven lowering, across the Table-2 zoo.
+"""Compiled lowering ≡ direct lowering, across the Table-2 zoo.
 
-The compiler replaced the accelerator's hand-rolled per-layer loop.  These
-tests pin the contract that made that replacement safe: for every zoo
-model, the pass-driven pipeline reproduces the config-driven per-layer
-lowering to float precision — with the optimization passes disabled
-(against a chip with the matching policy switches off) and with them
-enabled (against the default chip), with and without ECP.
+The compiler's passes only decide *what* to lower — the packing decision,
+the stratification plan, the ECP plan — and the lowering functions of
+``repro.compiler.lowering`` realize it.  These tests pin that the
+pass-driven pipeline reproduces those functions called directly on every
+layer, bit for bit, for every zoo model: with the optimization passes
+disabled (no skipping, everything dense) and enabled (packing and the
+balanced θ_s), with and without ECP.
 """
 
 import pytest
 
 from repro.algo import ECPConfig
-from repro.arch import BishopAccelerator, BishopConfig
+from repro.arch import BishopAccelerator, BishopConfig, EnergyModel
 from repro.bundles import BundleSpec
-from repro.compiler import compile_trace, materialize_report
+from repro.compiler import (
+    compile_trace,
+    lower_attention_layer,
+    lower_matmul_layer,
+    materialize_report,
+    plan_stratification,
+    unstratified_workload,
+)
 from repro.harness.synthetic import PROFILES, synthetic_trace
 from repro.model import MODEL_ZOO, model_config
 
@@ -28,77 +36,88 @@ def zoo_traces():
     }
 
 
-def legacy_report(trace, config, ecp=None):
-    """The pre-compiler lowering: the accelerator's per-layer loop."""
-    accelerator = BishopAccelerator(config)
+def direct_report(trace, config, optimized=True, ecp=None):
+    """Every layer lowered by calling the lowering functions directly:
+    packing and stratification both on (``optimized``) or both off."""
+    energy = EnergyModel()
     layers = []
     for record in trace.records:
         if record.is_matmul:
-            layers.append(accelerator.run_matmul_layer(record))
+            spikes, out_features = record.input_spikes, record.weight_shape[1]
+            if optimized:
+                workload = plan_stratification(spikes, out_features, config)
+            else:
+                workload = unstratified_workload(spikes, config.bundle_spec)
+            layers.append(
+                lower_matmul_layer(
+                    record, workload, config, energy, skip_inactive=optimized
+                )
+            )
         elif record.kind == "attention":
-            layers.append(accelerator.run_attention_layer(record, ecp=ecp))
+            layers.append(
+                lower_attention_layer(
+                    record, config, energy, ecp=ecp, skip_inactive=optimized
+                )
+            )
     return layers
 
 
-def assert_layers_equal(compiled_layers, legacy_layers):
-    assert len(compiled_layers) == len(legacy_layers)
-    for compiled, legacy in zip(compiled_layers, legacy_layers):
-        assert compiled.kind == legacy.kind
-        assert compiled.latency_s == legacy.latency_s
-        assert compiled.cycles == legacy.cycles
-        assert compiled.energy.total_pj == legacy.energy.total_pj
-        assert compiled.traffic.bytes() == legacy.traffic.bytes()
+def assert_layers_equal(compiled_layers, direct_layers):
+    assert len(compiled_layers) == len(direct_layers)
+    for compiled, direct in zip(compiled_layers, direct_layers):
+        assert compiled.kind == direct.kind
+        assert compiled.latency_s == direct.latency_s
+        assert compiled.cycles == direct.cycles
+        assert compiled.energy.total_pj == direct.energy.total_pj
+        assert compiled.traffic.bytes() == direct.traffic.bytes()
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
 class TestZooEquivalence:
-    def test_passes_off_equals_legacy_flags_off(self, zoo_traces, model):
-        """Compiled with no optimization passes == legacy lowering on a
-        chip with stratifier and bundle skipping disabled, bit-for-bit."""
+    def test_passes_off_equals_direct_lowering(self, zoo_traces, model):
+        """Compiled with no optimization passes == every layer lowered
+        directly without skipping, on the dense core, bit-for-bit."""
         trace = zoo_traces[model]
-        base = BishopConfig(bundle_spec=SPEC)
-        program = compile_trace(trace, base, passes="none")
-        flags_off = base.with_overrides(
-            use_stratifier=False, skip_inactive_bundles=False
-        )
+        config = BishopConfig(bundle_spec=SPEC)
+        program = compile_trace(trace, config, passes="none")
         assert_layers_equal(
             [stage.report for stage in program.stages],
-            legacy_report(trace, flags_off),
+            direct_report(trace, config, optimized=False),
         )
 
-    def test_all_passes_equal_legacy_defaults(self, zoo_traces, model):
-        """Compiled with every optimization pass == legacy lowering on the
-        default chip (whose policy switches are all on)."""
+    def test_all_passes_equal_direct_lowering(self, zoo_traces, model):
+        """Compiled with every optimization pass == every layer lowered
+        directly with skipping and the balanced θ_s."""
         trace = zoo_traces[model]
         config = BishopConfig(bundle_spec=SPEC)
         program = compile_trace(trace, config, passes="all")
         assert_layers_equal(
             [stage.report for stage in program.stages],
-            legacy_report(trace, config),
+            direct_report(trace, config),
         )
 
 
 class TestRunTraceContract:
-    def test_run_trace_totals_match_per_layer_loop(self, zoo_traces):
+    def test_run_trace_totals_match_direct_lowering(self, zoo_traces):
         trace = zoo_traces["model4"]
         config = BishopConfig(bundle_spec=SPEC)
         report = BishopAccelerator(config).run_trace(trace, simulate_events=False)
-        legacy = legacy_report(trace, config)
-        assert report.total_latency_s == sum(l.latency_s for l in legacy)
-        assert report.total_energy_pj == sum(l.energy.total_pj for l in legacy)
+        direct = direct_report(trace, config)
+        assert report.total_latency_s == sum(l.latency_s for l in direct)
+        assert report.total_energy_pj == sum(l.energy.total_pj for l in direct)
         assert report.program is not None
         assert report.program.scheduled
 
-    def test_run_trace_with_ecp_matches_per_layer_loop(self, zoo_traces):
+    def test_run_trace_with_ecp_matches_direct_lowering(self, zoo_traces):
         trace = zoo_traces["model4"]
         config = BishopConfig(bundle_spec=SPEC)
         ecp = ECPConfig(theta_q=6, theta_k=6, spec=SPEC)
         report = BishopAccelerator(config).run_trace(
             trace, ecp=ecp, simulate_events=False
         )
-        legacy = legacy_report(trace, config, ecp=ecp)
-        assert report.total_latency_s == sum(l.latency_s for l in legacy)
-        assert report.total_energy_pj == sum(l.energy.total_pj for l in legacy)
+        direct = direct_report(trace, config, ecp=ecp)
+        assert report.total_latency_s == sum(l.latency_s for l in direct)
+        assert report.total_energy_pj == sum(l.energy.total_pj for l in direct)
         assert "ecp" in report.program.passes
 
     def test_materialized_report_reuses_stage_reports(self, zoo_traces):

@@ -101,8 +101,8 @@ def _layers(name: str) -> list:
     lowered = []
     original = passes_module.lower_matmul_layer
 
-    def spy(record, workload, config, energy):
-        report = original(record, workload, config, energy)
+    def spy(record, workload, config, energy, **kwargs):
+        report = original(record, workload, config, energy, **kwargs)
         lowered.append((workload, report))
         return report
 

@@ -166,21 +166,13 @@ class TestDefaultPipeline:
         )
 
     def test_ecp_pass_needs_a_plan(self, small_trace):
-        names = [p.name for p in default_pipeline(BishopConfig(), PassConfig())]
+        names = [p.name for p in default_pipeline(PassConfig())]
         assert "ecp" not in names
         ecp = ECPConfig(theta_q=2, theta_k=2, spec=BundleSpec(2, 4))
         names = [
-            p.name for p in default_pipeline(BishopConfig(), PassConfig(), ecp)
+            p.name for p in default_pipeline(PassConfig(), ecp)
         ]
         assert "ecp" in names
-
-    def test_config_switches_stay_authoritative(self, small_trace):
-        config = BishopConfig(use_stratifier=False)
-        program = compile_trace(small_trace, config)
-        assert "stratify" not in program.passes
-        config = BishopConfig(skip_inactive_bundles=False)
-        program = compile_trace(small_trace, config)
-        assert "packing" not in program.passes
 
     def test_pass_toggles_recorded_in_meta(self, small_trace):
         program = compile_trace(small_trace, passes="packing+stratify")

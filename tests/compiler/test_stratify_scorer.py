@@ -22,13 +22,13 @@ from repro.harness.synthetic import PROFILES, synthetic_trace
 from repro.model import model_config
 
 
-def oracle_theta(spikes, out_features, config):
+def oracle_theta(spikes, out_features, config, skip_inactive):
     """θ_s from the per-candidate simulator loop."""
     return lowering.balanced_theta(
         spikes,
         config.bundle_spec,
         lambda w: simulate_dense_core(
-            spikes[:, :, w.dense_features], out_features, config
+            spikes[:, :, w.dense_features], out_features, config, skip_inactive
         ).cycles,
         lambda w: simulate_sparse_core(
             spikes[:, :, w.sparse_features], out_features, config
@@ -36,7 +36,9 @@ def oracle_theta(spikes, out_features, config):
     )
 
 
-def scorer_mismatches(spikes, out_features, config) -> tuple[int, list]:
+def scorer_mismatches(
+    spikes, out_features, config, skip_inactive
+) -> tuple[int, list]:
     """``(candidates scored, mismatches)`` of one layer's balanced θ_s.
 
     Runs ``plan_stratification`` with its scorers spied on, then re-scores
@@ -59,12 +61,15 @@ def scorer_mismatches(spikes, out_features, config) -> tuple[int, list]:
         return balanced_theta(spikes_, spec, dense, sparse, *args, **kwargs)
 
     with mock.patch.object(lowering, "balanced_theta", spy):
-        workload = lowering.plan_stratification(spikes, out_features, config)
+        workload = lowering.plan_stratification(
+            spikes, out_features, config, skip_inactive
+        )
     mismatches = []
     for core, candidate, value in scored:
         if core == "dense":
             want = simulate_dense_core(
-                spikes[:, :, candidate.dense_features], out_features, config
+                spikes[:, :, candidate.dense_features], out_features, config,
+                skip_inactive,
             ).cycles
         else:
             want = simulate_sparse_core(
@@ -72,7 +77,7 @@ def scorer_mismatches(spikes, out_features, config) -> tuple[int, list]:
             ).cycles
         if value != want:
             mismatches.append((core, candidate.theta, value, want))
-    want_theta = oracle_theta(spikes, out_features, config)
+    want_theta = oracle_theta(spikes, out_features, config, skip_inactive)
     if workload.theta != want_theta:
         mismatches.append(("theta", None, workload.theta, want_theta))
     return sum(core == "dense" for core, _, _ in scored), mismatches
@@ -81,7 +86,8 @@ def scorer_mismatches(spikes, out_features, config) -> tuple[int, list]:
 @st.composite
 def layers(draw):
     """Ragged spikes with per-feature densities (all-zero and one-feature
-    inputs included) and a chip whose tiling the input does not divide."""
+    inputs included), a chip whose tiling the input does not divide, and the
+    bundle-packing decision."""
     t, n = draw(st.integers(1, 9)), draw(st.integers(1, 17))
     d = draw(st.integers(1, 24))
     seed = draw(st.integers(0, 2**31 - 1))
@@ -99,17 +105,15 @@ def layers(draw):
         sparse_units=draw(st.sampled_from([1, 3, 128])),
         spikes_per_cycle=draw(st.integers(1, 10)),
         psum_regs_per_pe=draw(st.integers(1, 16)),
-        skip_inactive_bundles=draw(st.booleans()),
     )
     out_features = draw(st.integers(0, 70))
-    return spikes, out_features, config
+    return spikes, out_features, config, draw(st.booleans())
 
 
 @settings(max_examples=150)
 @given(layers())
 def test_closed_form_scores_equal_simulators(layer):
-    spikes, out_features, config = layer
-    candidates, mismatches = scorer_mismatches(spikes, out_features, config)
+    candidates, mismatches = scorer_mismatches(*layer)
     assert candidates > 0
     assert mismatches == []
 
@@ -123,9 +127,8 @@ def test_chunked_bundles_and_partial_tiles(skip_inactive):
     config = BishopConfig(
         bundle_spec=BundleSpec(4, 7),
         psum_regs_per_pe=5,
-        skip_inactive_bundles=skip_inactive,
     )
-    candidates, mismatches = scorer_mismatches(spikes, 45, config)
+    candidates, mismatches = scorer_mismatches(spikes, 45, config, skip_inactive)
     assert candidates > 1
     assert mismatches == []
 
@@ -141,12 +144,11 @@ def test_zoo_volume_sweep_has_no_mismatches():
         records = [r for r in trace.records if r.is_matmul]
         for volume in DEFAULT_VOLUMES:
             for packing in (True, False):
-                config = BishopConfig(
-                    bundle_spec=BundleSpec(*volume), skip_inactive_bundles=packing
-                )
+                config = BishopConfig(bundle_spec=BundleSpec(*volume))
                 for record in records:
                     _, found = scorer_mismatches(
-                        record.input_spikes, record.weight_shape[1], config
+                        record.input_spikes, record.weight_shape[1], config,
+                        packing,
                     )
                     layers_checked += 1
                     mismatches += [(model, volume, packing, *m) for m in found]

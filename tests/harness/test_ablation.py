@@ -44,7 +44,7 @@ class TestAblation:
 
     def test_unknown_variant_rejected(self):
         from repro.bundles import BundleSpec
-        from repro.harness.ablation import _config_for
+        from repro.harness.ablation import _setup_for
 
         with pytest.raises(ValueError):
-            _config_for("warp_drive", BundleSpec(2, 4))
+            _setup_for("warp_drive", BundleSpec(2, 4))
