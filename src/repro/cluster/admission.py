@@ -15,10 +15,36 @@ requests (admitted but not yet completed) by its
 :class:`TenantAdmission` tracker sits in front of chip eligibility, so a
 tenant at quota is shed even when chips have room (the contract that
 stops one tenant's burst from displacing everyone else's queue slots).
+
+Candidate routing
+-----------------
+``eligible_chips`` lists every eligible chip of a shard in fleet order,
+which ``round_robin`` needs (the k-th eligible chip).  ``least_work``
+and ``sparsity`` take a minimum, and for them a :class:`CandidateIndex`
+narrows the list to the chips that can win:
+
+* the **live** chips (enqueued into since they were last seen idle
+  with ``outstanding_s == 0.0``) that are eligible, and
+* per chip kind, the lowest-position accepting idle host of the model.
+
+A chip that is not live has nothing queued or in flight, so its queue
+has room, and its outstanding work is exactly ``0.0``.  Its key is
+``0.0`` (``least_work``) or ``0.0 + service_estimate_s(model)``
+(``sparsity``), and the service estimate is the profile of the model
+on the chip's kind, so every idle host of one kind has the same key.
+The full scan returns the lowest-position chip among those with the
+least key.  If that chip is live, it is a candidate.  If it is idle, no
+idle host of its kind sits before it (that host would tie and come
+first), so it is its kind's candidate.  Candidates are returned in
+fleet order, and the policy's stable ``min`` over them picks the same
+chip as over the full list.  A chip that went idle mid-window, or whose
+outstanding work drifted off ``0.0`` in rounding, stays live and is
+judged by its real key.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from ..serve.simulate import ChipServer
@@ -26,6 +52,7 @@ from ..serve.workload import Request, TenantSpec
 
 __all__ = [
     "AdmissionConfig",
+    "CandidateIndex",
     "TenantAdmission",
     "eligible_chips",
 ]
@@ -82,3 +109,68 @@ def eligible_chips(request: Request, chips: list[ChipServer]) -> list[ChipServer
         for chip in chips
         if chip.accepting and chip.hosts(request.model) and chip.has_queue_capacity()
     ]
+
+
+class CandidateIndex:
+    """A shard's live chips and, per (model, kind), its accepting idle
+    hosts in fleet order: the chips a minimum-key router has to inspect.
+
+    ``chips`` is the shard's fleet-ordered chip list (shared, so chips
+    added by the autoscaler are seen); the shard reports every change of
+    a chip's state through :meth:`enqueued`, :meth:`settled` and
+    :meth:`drained`.
+    """
+
+    def __init__(self, chips: list[ChipServer]):
+        self.chips = chips
+        self.live: set[int] = set()
+        self._idle: dict[str, dict[str, list[int]]] = {}  # model -> kind -> positions
+
+    def _file(self, position: int) -> None:
+        chip = self.chips[position]
+        for model in chip.profiles:
+            insort(
+                self._idle.setdefault(model, {}).setdefault(chip.kind, []),
+                position,
+            )
+
+    def _unfile(self, position: int) -> None:
+        chip = self.chips[position]
+        for model in chip.profiles:
+            idle = self._idle[model][chip.kind]
+            del idle[bisect_left(idle, position)]
+
+    def enqueued(self, position: int) -> None:
+        """A request was queued on the chip: it is live."""
+        if position not in self.live:
+            self.live.add(position)
+            self._unfile(position)
+
+    def settled(self, position: int) -> None:
+        """The chip is idle with exactly ``0.0`` outstanding work: a new
+        chip, or a live one seen so at a step end."""
+        self.live.discard(position)
+        if self.chips[position].accepting:
+            self._file(position)
+
+    def drained(self, position: int) -> None:
+        """The chip stopped accepting; it never routes again."""
+        if position not in self.live:
+            self._unfile(position)
+
+    def candidates(self, model: str) -> tuple[list[ChipServer], int]:
+        """The eligible live chips plus each kind's first idle host of
+        ``model``, in fleet order, and the number of chips inspected."""
+        chips = self.chips
+        positions = []
+        for position in self.live:
+            chip = chips[position]
+            if chip.accepting and chip.hosts(model) and chip.has_queue_capacity():
+                positions.append(position)
+        scanned = len(self.live)
+        for idle in self._idle.get(model, {}).values():
+            if idle:
+                positions.append(idle[0])
+                scanned += 1
+        positions.sort()
+        return [chips[position] for position in positions], scanned

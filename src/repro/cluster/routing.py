@@ -2,9 +2,13 @@
 
 Each shard's router consults a policy with the request and the
 *eligible* chips (accepting, hosting the model, queue not full — see
-``repro.cluster.admission``).  Policies are deterministic: given the same
-stream and fleet they always produce the same assignment, which keeps
-cluster experiments cacheable by the runtime.
+``repro.cluster.admission``), in fleet order.  ``round_robin`` sees
+every eligible chip; ``least_work`` and ``sparsity`` see only the chips
+that can win their minimum (the live chips and each kind's first idle
+host; the tie argument is in ``repro.cluster.admission``).  Policies
+are deterministic: given the same stream and fleet they always produce
+the same assignment, which keeps cluster experiments cacheable by the
+runtime.
 
 ``round_robin``
     Cycle through eligible chips regardless of load or fit — the baseline.
@@ -38,9 +42,17 @@ __all__ = [
 
 
 class RoutingPolicy:
-    """Base class: pick one chip among the eligible, or ``None`` to shed."""
+    """Base class: pick one chip among the eligible, or ``None`` to shed.
+
+    ``scans_fleet`` is True when :meth:`choose` needs every eligible chip
+    in fleet order.  A policy that takes the least key, first in fleet
+    order on ties, with a key equal on the idle hosts of one chip kind,
+    sets it False and is shown only the candidates of
+    :class:`~repro.cluster.admission.CandidateIndex`.
+    """
 
     name = "?"
+    scans_fleet = True
 
     def choose(
         self, request: Request, eligible: list[ChipServer]
@@ -68,6 +80,7 @@ class LeastOutstanding(RoutingPolicy):
     """Join the chip with the least outstanding estimated work."""
 
     name = "least_work"
+    scans_fleet = False
 
     def choose(self, request, eligible):
         if not eligible:
@@ -81,6 +94,7 @@ class SparsityAffinity(RoutingPolicy):
     that chip (the heterogeneity-aware term)."""
 
     name = "sparsity"
+    scans_fleet = False
 
     def choose(self, request, eligible):
         if not eligible:

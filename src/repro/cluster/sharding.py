@@ -52,7 +52,12 @@ from ..serve.scheduler import SchedulerConfig
 from ..serve.simulate import ChipServer
 from ..serve.sketch import LatencySketch
 from ..serve.workload import Request, TenantSpec
-from .admission import AdmissionConfig, TenantAdmission, eligible_chips
+from .admission import (
+    AdmissionConfig,
+    CandidateIndex,
+    TenantAdmission,
+    eligible_chips,
+)
 from .autoscale import AutoscaleConfig, ScalingEvent
 from .fleet import ChipSpec, FleetSpec, chip_config
 from .report import (
@@ -235,7 +240,9 @@ class ShardState:
     other chip has nothing queued or in flight and exactly ``0.0``
     outstanding work, so skipping it leaves each sum unchanged (adding
     ``0.0`` is exact).  Accepting chips and their per-model host counts
-    are tallies, kept on add and drain.
+    are tallies, kept on add and drain.  The front door routes the same
+    way: a minimum-key policy inspects the live chips and one idle host
+    per chip kind (:class:`~repro.cluster.admission.CandidateIndex`).
     """
 
     def __init__(self, init: ShardInit):
@@ -262,7 +269,8 @@ class ShardState:
         self._window_shed = 0
         self._window_tenant_served: dict[str, int] = {}
         self._slots: dict[ChipServer, int] = {}   # chip -> fleet position
-        self._live: set[int] = set()
+        self._index = CandidateIndex(self.chips)
+        self._route_scanned = 0                  # chips inspected this step
         self._accepting = 0
         self._hosts: dict[str, int] = {}          # model -> accepting hosts
         for name, kind, models in zip(
@@ -299,6 +307,7 @@ class ShardState:
         )
         self._slots[chip] = len(self.chips)
         self.chips.append(chip)
+        self._index.settled(len(self.chips) - 1)
         self._count_accepting(chip, 1)
         return chip
 
@@ -340,9 +349,7 @@ class ShardState:
                 yield Hold(gap)
             chip = None
             if self.tenant_admission.admit(request):
-                chip = self.policy.choose(
-                    request, eligible_chips(request, self.chips)
-                )
+                chip = self._route(request)
                 if chip is None:
                     self.tenant_admission.release(request)
             if chip is None:
@@ -357,8 +364,17 @@ class ShardState:
                     )
             else:
                 chip.enqueue(request)
-                self._live.add(self._slots[chip])
+                self._index.enqueued(self._slots[chip])
             self.delivered += 1
+
+    def _route(self, request: Request) -> ChipServer | None:
+        """The policy's chip for ``request``, or ``None`` to shed."""
+        if self.policy.scans_fleet:
+            self._route_scanned += len(self.chips)
+            return self.policy.choose(request, eligible_chips(request, self.chips))
+        candidates, scanned = self._index.candidates(request.model)
+        self._route_scanned += scanned
+        return self.policy.choose(request, candidates)
 
     def _apply(self, command: tuple) -> tuple[str, str | None]:
         action, at_s = command[:2]
@@ -374,6 +390,7 @@ class ShardState:
             if victim is None:
                 return ("drain", None)
             victim.accepting = False
+            self._index.drained(self._slots[victim])
             self._count_accepting(victim, -1)
             victim.close()
             return ("drain", victim.name)
@@ -411,6 +428,7 @@ class ShardState:
         self._window_served = 0
         self._window_shed = 0
         self._window_tenant_served = {}
+        self._route_scanned = 0
         applied = tuple(self._apply(command) for command in commands)
         with obs.span(
             "cluster.shard.step", cat="cluster",
@@ -426,24 +444,30 @@ class ShardState:
         latency.add_many(self._window_latencies)
         wait = LatencySketch()
         wait.add_many(self._window_waits)
-        chips, live = self.chips, self._live
+        chips, index = self.chips, self._index
+        live = index.live
         pending = inflight = 0
         outstanding = 0.0
         full: dict[str, int] = {}   # models of accepting chips with no queue room
         scanned = len(live)
+        capacity = self.init.queue_capacity
         for position in sorted(live):
             chip = chips[position]
-            pending += chip.queue_depth
-            inflight += chip.inflight
+            depth = chip.queue_depth
+            busy = chip.inflight
+            work = chip.outstanding_s
+            pending += depth
+            inflight += busy
             if chip.accepting:
-                outstanding += chip.outstanding_s
-                if not chip.has_queue_capacity():
+                outstanding += work
+                if capacity is not None and depth >= capacity:
                     for model in chip.profiles:
                         full[model] = full.get(model, 0) + 1
-            if chip.idle and chip.outstanding_s == 0.0:
-                live.discard(position)
+            if work == 0.0 and busy == 0 and chip.queue.empty:
+                index.settled(position)
         obs.inc("cluster.shard.steps")
         obs.inc("cluster.digest.chips_scanned", scanned)
+        obs.inc("cluster.route.chips_scanned", self._route_scanned)
         return WindowDigest(
             shard=self.init.shard,
             until_s=until,

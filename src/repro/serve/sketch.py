@@ -38,6 +38,11 @@ _DEFAULT_LO = 1e-7
 _DEFAULT_HI = 1e4
 _DEFAULT_REL_ERR = 0.005
 
+# numpy sums float64 in pairwise blocks of 8; below one block its
+# reduction is a plain left-to-right loop from 0.0, so a shorter batch
+# summed in Python lands on the same ``sum_s`` bit for bit.
+_PAIRWISE_BLOCK = 8
+
 
 class LatencySketch:
     """Fixed-size mergeable histogram of latency samples (seconds).
@@ -115,9 +120,18 @@ class LatencySketch:
         self._counts[min(max(index, 0), self.num_bins - 1)] += 1
 
     def add_many(self, values_s) -> None:
-        """Insert a batch of latency samples (vectorized)."""
+        """Insert a batch of latency samples (vectorized).
+
+        A batch shorter than one numpy summation block takes a scalar
+        path that skips the full-histogram ``bincount``; it matches the
+        vector path exactly: the same ``np.log`` call, a left-to-right
+        sum, and numpy's last-of-equal ``min``/``max``.
+        """
         values = np.asarray(values_s, dtype=float).ravel()
         if values.size == 0:
+            return
+        if values.size < _PAIRWISE_BLOCK:
+            self._add_few(values)
             return
         if not np.all(np.isfinite(values)):
             raise ValueError("latency samples must be finite")
@@ -135,6 +149,32 @@ class LatencySketch:
         )
         binned = np.bincount(indices, minlength=self.num_bins)
         self._counts += binned.astype(np.int64)
+
+    def _add_few(self, values: np.ndarray) -> None:
+        """``add_many`` of 1..7 samples, one bin increment per sample."""
+        samples = values.tolist()
+        if not all(map(math.isfinite, samples)):
+            raise ValueError("latency samples must be finite")
+        total = 0.0
+        low = high = samples[0]
+        for value in samples:
+            total += value
+            if value <= low:
+                low = value
+            if value >= high:
+                high = value
+        self.count += len(samples)
+        self.sum_s += total
+        self.min_s = min(self.min_s, low)
+        self.max_s = max(self.max_s, high)
+        # The vector path's own np.log call: math.log differs from it in
+        # the last ulp on a few values, enough to cross a bin edge.
+        logs = np.log(np.maximum(values, self.lo_s)).tolist()
+        counts, last = self._counts, self.num_bins - 1
+        log_lo, log_growth = self._log_lo, self._log_growth
+        for log_v in logs:
+            index = math.floor((log_v - log_lo) / log_growth)
+            counts[min(max(index, 0), last)] += 1
 
     # -- merge -------------------------------------------------------------
     def update(self, other: "LatencySketch") -> "LatencySketch":
@@ -218,6 +258,8 @@ class LatencySketch:
         Within the value's bucket the mass is interpolated on the log
         scale, so the estimate is monotone in ``value_s``.
         """
+        if math.isnan(value_s):
+            raise ValueError(f"cdf threshold must not be NaN, got {value_s!r}")
         if self.count == 0:
             return 0.0
         if value_s >= self.max_s:

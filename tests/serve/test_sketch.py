@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serve import LatencySketch, latency_stats
+from repro.serve import sketch as sketch_module
 
 
 def lognormal_samples(n, seed=0):
@@ -170,6 +171,118 @@ class TestCdf:
 
     def test_empty_cdf_is_zero(self):
         assert LatencySketch().cdf(1.0) == 0.0
+
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_nan_threshold_is_named(self, samples):
+        sketch = LatencySketch()
+        sketch.add_many(lognormal_samples(samples))
+        with pytest.raises(ValueError, match="cdf threshold.*nan"):
+            sketch.cdf(float("nan"))
+
+
+def sketch_state(sketch: LatencySketch) -> tuple:
+    """Every field of a sketch, floats bit for bit."""
+    return (
+        sketch.count,
+        float(sketch.sum_s).hex(),
+        float(sketch.min_s).hex(),
+        float(sketch.max_s).hex(),
+        tuple(sketch._counts.tolist()),
+    )
+
+
+def vector_only(monkeypatch) -> None:
+    """Send every batch down the vectorized path (no scalar shortcut)."""
+    monkeypatch.setattr(sketch_module, "_PAIRWISE_BLOCK", 0)
+
+
+def edge_pool(lo_s=1e-7, hi_s=1e4) -> list[float]:
+    """Bucket edges +-3 ulps, values below ``lo_s`` and above ``hi_s``."""
+    geometry = LatencySketch(lo_s, hi_s)
+    edges = geometry._bin_edges(np.arange(0, geometry.num_bins + 1, 97))
+    pool = [0.0, 1e-300, lo_s * 0.5, hi_s, hi_s * 3.0, 1e300]
+    for edge in [*edges.tolist(), lo_s]:
+        for direction in (0.0, math.inf):
+            value = edge
+            for _ in range(4):
+                pool.append(value)
+                value = math.nextafter(value, direction)
+    return pool
+
+
+class TestFewSamplePath:
+    """Batches shorter than numpy's 8-element summation block skip the
+    histogram pass; every field must equal the vectorized path's."""
+
+    @pytest.mark.parametrize("size", range(10))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_vector_path(self, monkeypatch, size, seed):
+        rng = np.random.default_rng(seed)
+        pool = edge_pool()
+        prior = lognormal_samples(12, seed=seed)
+        batches = [
+            [pool[i] for i in rng.integers(0, len(pool), size)],
+            list(lognormal_samples(size, seed=seed + 100)),
+            list(np.round(lognormal_samples(size, seed=seed), 3)),  # ties
+        ]
+        few = []
+        for batch in batches:
+            sketch = LatencySketch()
+            sketch.add_many(prior)
+            sketch.add_many(batch)
+            few.append(sketch_state(sketch))
+        vector_only(monkeypatch)
+        for batch, state in zip(batches, few):
+            sketch = LatencySketch()
+            sketch.add_many(prior)
+            sketch.add_many(batch)
+            assert sketch_state(sketch) == state
+
+    def test_signed_zeros_match(self, monkeypatch):
+        batches = [[0.0, -0.0], [-0.0, 0.0, -0.0], [-0.0], [1e-9, -0.0, 0.0]]
+        few = []
+        for batch in batches:
+            sketch = LatencySketch()
+            sketch.add_many(batch)
+            few.append(sketch_state(sketch))
+        vector_only(monkeypatch)
+        for batch, state in zip(batches, few):
+            sketch = LatencySketch()
+            sketch.add_many(batch)
+            assert sketch_state(sketch) == state
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_nonfinite_batch_leaves_the_sketch_unchanged(
+        self, monkeypatch, size, bad, vector
+    ):
+        if vector:
+            vector_only(monkeypatch)
+        sketch = LatencySketch()
+        sketch.add_many(lognormal_samples(5))
+        before = sketch_state(sketch)
+        batch = list(lognormal_samples(size, seed=1))
+        batch[size // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sketch.add_many(batch)
+        assert sketch_state(sketch) == before
+
+    def test_histogram_snapshots_match(self, monkeypatch):
+        from repro.obs.metrics import Histogram
+
+        pool = edge_pool(1e-7, 1e9)
+        batches = [pool[7 * size:8 * size] for size in range(10)] + [[3.0]]
+
+        def snapshot():
+            histogram = Histogram("h")
+            for batch in batches:
+                histogram.observe_many(batch)
+            return histogram.to_dict()
+
+        few = snapshot()
+        vector_only(monkeypatch)
+        assert snapshot() == few
 
 
 class TestZeroServedTenant:
