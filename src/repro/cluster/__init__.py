@@ -44,7 +44,6 @@ from .report import (
     ClusterReport,
     ShardChipStats,
     WindowStats,
-    build_sharded_cluster_report,
     tenant_report,
 )
 from .routing import (
@@ -89,7 +88,6 @@ __all__ = [
     "WindowDigest",
     "WindowStats",
     "auto_window_s",
-    "build_sharded_cluster_report",
     "chip_config",
     "eligible_chips",
     "fleet_capacity_rps",

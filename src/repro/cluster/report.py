@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..serve.report import latency_stats, slo_block
+from ..serve.report import latency_stats
 from ..serve.sketch import LatencySketch
 from ..serve.workload import TenantSpec
 from .autoscale import ScalingEvent
@@ -21,7 +21,6 @@ __all__ = [
     "ClusterReport",
     "ShardChipStats",
     "WindowStats",
-    "build_sharded_cluster_report",
     "tenant_report",
 ]
 
@@ -126,6 +125,30 @@ class ShardChipStats:
         if not self.accepting and self.drained_s is not None:
             end = self.drained_s
         return max(0.0, end - self.started_s)
+
+    def report(self, horizon_s: float, static_pj_per_s: float) -> ChipReport:
+        """This chip's report row for a run whose last completion is at
+        ``horizon_s``."""
+        span = self.active_span_s(horizon_s)
+        return ChipReport(
+            name=self.name,
+            kind=self.kind,
+            models=self.models,
+            requests_served=self.requests_served,
+            mean_batch_size=self.mean_batch_size,
+            utilization={
+                unit: (
+                    busy / (span * self.capacity.get(unit, 1))
+                    if span > 0 else 0.0
+                )
+                for unit, busy in self.busy_s.items()
+            },
+            dynamic_energy_mj=self.dynamic_energy_pj * 1e-9,
+            static_energy_mj=static_pj_per_s * span * 1e-9,
+            active_span_s=span,
+            added_s=self.started_s,
+            drained=self.drained_s is not None and not self.accepting,
+        )
 
 
 @dataclass(frozen=True)
@@ -269,134 +292,3 @@ class ClusterReport:
                 name: dict(block) for name, block in self.tenants.items()
             }
         return payload
-
-
-def _sharded_chip_report(
-    stats: ShardChipStats, horizon_s: float, static_pj_per_s: float
-) -> ChipReport:
-    span = stats.active_span_s(horizon_s)
-    return ChipReport(
-        name=stats.name,
-        kind=stats.kind,
-        models=stats.models,
-        requests_served=stats.requests_served,
-        mean_batch_size=stats.mean_batch_size,
-        utilization={
-            unit: (
-                busy / (span * stats.capacity.get(unit, 1)) if span > 0 else 0.0
-            )
-            for unit, busy in stats.busy_s.items()
-        },
-        dynamic_energy_mj=stats.dynamic_energy_pj * 1e-9,
-        static_energy_mj=static_pj_per_s * span * 1e-9,
-        active_span_s=span,
-        added_s=stats.started_s,
-        drained=stats.drained_s is not None and not stats.accepting,
-    )
-
-
-def build_sharded_cluster_report(
-    chip_stats: list[ShardChipStats],
-    shed_total: int,
-    shed_by_model: dict[str, int],
-    latency: LatencySketch,
-    wait: LatencySketch,
-    *,
-    offered_rps: float,
-    horizon_s: float,
-    policy: str,
-    queue_capacity: int | None,
-    initial_chips: int,
-    scaling_events: list[ScalingEvent],
-    static_pj_per_s: float,
-    num_shards: int,
-    window_s: float,
-    windows: list[WindowStats],
-    slo_ms: float | None = None,
-    slo_summary: dict | None = None,
-    alerts: list[dict] | None = None,
-    tenants: tuple[TenantSpec, ...] = (),
-    tenant_latency: dict[str, LatencySketch] | None = None,
-    tenant_shed: dict[str, int] | None = None,
-    tenant_service_s: dict[str, float] | None = None,
-) -> ClusterReport:
-    """The fleet report, built from merged shard digests.
-
-    Latency statistics come from the fleet's merged
-    :class:`~repro.serve.sketch.LatencySketch` (bounded-error
-    percentiles, exact count/mean/max), per-chip rows from
-    :class:`ShardChipStats` counters, and sheds from the shards' front
-    doors (``shed_total`` / ``shed_by_model``).
-    """
-    stats = latency_stats(latency)
-    served = stats.count
-    tenant_sketches = {
-        spec.name: LatencySketch() for spec in tenants
-    }
-    tenant_sketches.update(tenant_latency or {})
-    tenant_blocks = (
-        tenant_report(
-            tenants,
-            tenant_sketches,
-            dict(tenant_shed or {}),
-            dict(tenant_service_s or {}),
-        )
-        if tenants or tenant_sketches
-        else {}
-    )
-    chip_reports = {
-        report.name: report
-        for report in (
-            _sharded_chip_report(chip, horizon_s, static_pj_per_s)
-            for chip in chip_stats
-        )
-    }
-    slo = None
-    if slo_ms is not None:
-        slo = slo_block(latency, slo_ms)
-        if slo_summary is not None:
-            # The streaming monitor's extras (budget, burn-rate rules,
-            # alert transitions) layered over the post-hoc block.  The
-            # attainment/violations keys stay post-hoc — the streaming
-            # values agree exactly (sketch merges are exact integer
-            # addition), which tests assert rather than assume.
-            slo.update({
-                key: value for key, value in slo_summary.items()
-                if key in (
-                    "target", "budget", "rules", "alerts",
-                    "alerts_fired", "active_rules",
-                )
-            })
-    return ClusterReport(
-        num_requests=served + shed_total,
-        served=served,
-        shed=shed_total,
-        offered_rps=offered_rps,
-        horizon_s=horizon_s,
-        throughput_rps=served / horizon_s if horizon_s > 0 else 0.0,
-        latency_percentiles_ms=stats.percentiles_ms,
-        latency_mean_ms=stats.mean_ms,
-        latency_max_ms=stats.max_ms,
-        queue_wait_mean_ms=wait.mean_s * 1e3,
-        policy=policy,
-        queue_capacity=queue_capacity,
-        initial_chips=initial_chips,
-        final_accepting_chips=sum(1 for chip in chip_stats if chip.accepting),
-        chips=chip_reports,
-        shed_by_model=dict(shed_by_model),
-        scaling_events=tuple(scaling_events),
-        dynamic_energy_mj=sum(
-            chip.dynamic_energy_pj for chip in chip_stats
-        ) * 1e-9,
-        static_energy_mj=sum(
-            report.static_energy_mj for report in chip_reports.values()
-        ),
-        num_shards=num_shards,
-        window_s=window_s,
-        windows=tuple(windows),
-        latency_sketch=latency,
-        slo=slo,
-        alerts=tuple(alerts or ()),
-        tenants=tenant_blocks,
-        tenant_sketches=tenant_sketches,
-    )

@@ -13,12 +13,17 @@ independently (one shard, the default, is the whole fleet on one clock):
   feeds one window's arrivals, runs its engine exactly to the window
   edge (``Engine.run(until=...)``), and returns a picklable
   :class:`WindowDigest` of streaming latency sketches and counters;
-* the **coordinator** (:func:`simulate_cluster_sharded`) walks the
-  arrival stream window by window, assigns each request to a shard
-  (:data:`SHARD_POLICIES`), dispatches the window to every busy shard
-  through the :class:`~repro.runtime.executor.ShardPool` actor pool, and
-  merges the digests — driving the autoscaler (one decision per window)
-  and the SLO-attainment report between windows.
+* the **coordinator** (:class:`_Coordinator`, built and driven by
+  :func:`simulate_cluster_sharded`) holds every piece of between-window
+  state — the last digests, per-shard placement and queue room, the
+  fleet sketches, the window series, the monitors and the pending
+  autoscaler decision.  Its ``window()`` batches one window's arrivals,
+  assigns each request to a shard (:data:`SHARD_POLICIES`), steps every
+  shard with arrivals, work or a command through the
+  :class:`~repro.runtime.executor.ShardPool` actor pool, merges the
+  digests in shard order, feeds the SLO and alert monitors, and makes
+  the window's autoscaler decision; ``finish()`` collects each shard's
+  :class:`ShardFinal` and builds the :class:`ClusterReport` once.
 
 Chips are dealt round-robin (not in contiguous blocks) so that, with
 ``num_shards`` dividing the fleet size, shard-level round-robin over
@@ -41,13 +46,14 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .. import obs
 from ..arch.engine.kernel import Engine, Hold
 from ..arch.engine.machine import BishopMachine
 from ..arch.energy import EnergyModel
 from ..serve.profiles import request_profile
+from ..serve.report import latency_stats, slo_block
 from ..serve.scheduler import SchedulerConfig
 from ..serve.simulate import ChipServer
 from ..serve.sketch import LatencySketch
@@ -60,13 +66,11 @@ from .admission import (
 )
 from .autoscale import AutoscaleConfig, ScalingEvent
 from .fleet import ChipSpec, FleetSpec, chip_config
-from .report import (
-    ClusterReport,
-    ShardChipStats,
-    WindowStats,
-    build_sharded_cluster_report,
-)
+from .report import ClusterReport, ShardChipStats, WindowStats, tenant_report
 from .routing import make_policy
+
+if TYPE_CHECKING:
+    from ..runtime.executor import ShardPool
 
 __all__ = [
     "SHARD_POLICIES",
@@ -556,74 +560,6 @@ def make_shard_state(init: ShardInit) -> ShardState:
     return ShardState(init)
 
 
-# ----------------------------------------------------------------------
-# Shard-level routing
-# ----------------------------------------------------------------------
-class _ShardRouter:
-    """Assign one window's requests to shards, between-window state only.
-
-    ``round_robin`` cycles the eligible shards per request — with
-    interleaved partitioning and chip-level round-robin this reproduces
-    the one-shard round-robin assignment exactly (the conformance mode).
-    ``least_backlog`` sends each request to the eligible shard with the
-    least estimated outstanding work per accepting chip, where the
-    estimate is the last digest's outstanding plus this window's
-    assignments so far.
-
-    Eligible shards host the model with queue room at the last window
-    edge; when none has room, every shard the model is placed on is
-    eligible, and the shard's front door admits or sheds at arrival time
-    — a queue-full snapshot goes stale within the window.
-    """
-
-    def __init__(
-        self,
-        policy: str,
-        num_shards: int,
-        estimates: dict[str, float],
-    ):
-        self.policy = policy
-        self.num_shards = num_shards
-        self.estimates = estimates       # model → single-request seconds
-        self._turn = 0
-
-    def assign(
-        self,
-        requests: list[Request],
-        digests: dict[int, WindowDigest],
-        hosted: list[set[str]],
-        placed: list[set[str]],
-        accepting: list[int],
-    ) -> dict[int, list[Request]]:
-        """Split ``requests`` across shards."""
-        per_shard: dict[int, list[Request]] = {}
-        backlog = {
-            shard: digests[shard].outstanding_s if shard in digests else 0.0
-            for shard in range(self.num_shards)
-        }
-        for request in requests:
-            eligible = [
-                shard
-                for shard in range(self.num_shards)
-                if request.model in hosted[shard]
-            ] or [
-                shard
-                for shard in range(self.num_shards)
-                if request.model in placed[shard]
-            ]
-            if self.policy == "round_robin":
-                shard = eligible[self._turn % len(eligible)]
-                self._turn += 1
-            else:
-                shard = min(
-                    eligible,
-                    key=lambda s: (
-                        backlog[s] / max(1, accepting[s]), s
-                    ),
-                )
-            backlog[shard] += self.estimates.get(request.model, 0.0)
-            per_shard.setdefault(shard, []).append(request)
-        return per_shard
 
 
 # ----------------------------------------------------------------------
@@ -645,9 +581,7 @@ def simulate_cluster_sharded(
     passes: str | None = None,
     slo_ms: float | None = None,
     slo_target: float = 0.99,
-    burn_rules: tuple | None = None,
     alerts: bool = False,
-    detectors: list | None = None,
     tenants: tuple[TenantSpec, ...] = (),
 ) -> ClusterReport:
     """Serve ``requests`` on ``fleet``; returns the cluster report.
@@ -665,12 +599,11 @@ def simulate_cluster_sharded(
     With ``slo_ms`` an :class:`~repro.obs.slo.SLOMonitor` runs
     *streaming* in the coordinator loop — each window's merged latency
     sketch feeds live attainment, error-budget, and multi-window
-    burn-rate evaluation (``slo_target``/``burn_rules``), and the report
-    carries the attainment series plus budget/alert record.  With
-    ``alerts`` the :class:`~repro.obs.monitor.Monitor` detector set
-    (``detectors`` to override) additionally watches the window stream
-    for queue growth, shedding, saturation, and latency drift; all
-    alert transitions land in ``report.alerts``.
+    burn-rate evaluation (``slo_target``), and the report carries the
+    attainment series plus budget/alert record.  With ``alerts`` the
+    :class:`~repro.obs.monitor.Monitor` detector set additionally
+    watches the window stream for queue growth, shedding, saturation,
+    and latency drift; all alert transitions land in ``report.alerts``.
     """
     scheduler = scheduler or SchedulerConfig()
     admission = admission or AdmissionConfig()
@@ -680,7 +613,6 @@ def simulate_cluster_sharded(
             if autoscale is not None
             else ShardingConfig()
         )
-    energy = energy or EnergyModel()
     # Imported here: repro.runtime imports the harness registry, which
     # imports this package — runtime access must be deferred to call time.
     from ..runtime.executor import ShardPool
@@ -689,9 +621,7 @@ def simulate_cluster_sharded(
     models = tuple(sorted({r.model for r in stream}))
     if models:
         fleet.validate_placement(models)
-    num_shards = sharding.num_shards
-    shards = partition_fleet(fleet, num_shards)
-
+    shards = partition_fleet(fleet, sharding.num_shards)
     inits = [
         ShardInit(
             shard=index,
@@ -710,282 +640,434 @@ def simulate_cluster_sharded(
         )
         for index, shard in enumerate(shards)
     ]
-    # Models each shard's chips host (grown by added replicas), and the
-    # subset with queue room at the last window edge (from digests).
-    placed: list[set[str]] = [
-        {
-            model
-            for (_, spec) in shard
-            for model in (spec.models if spec.models is not None else models)
-            if model in models
-        }
-        for shard in shards
-    ]
-    hosted = [set(shard_models) for shard_models in placed]
-    accepting = [len(shard) for shard in shards]
-    estimates = _service_estimates(fleet, models, bs_t, bs_n, seed, passes)
-    router = _ShardRouter(sharding.shard_policy, num_shards, estimates)
-
-    scaling_events: list[ScalingEvent] = []
-    windows: list[WindowStats] = []
-    # Streaming analysis: the SLO monitor consumes each window's merged
-    # sketch as the coordinator produces it (exactly equivalent to the
-    # post-hoc pass — sketch merges are exact); the detector monitor
-    # watches the fleet-aggregated window stats.
-    slo_monitor = None
-    if slo_ms is not None:
-        slo_monitor = obs.SLOMonitor(
-            obs.SLOObjective(slo_ms=float(slo_ms), target=slo_target),
-            rules=burn_rules,
-        )
-    monitor = (
-        obs.Monitor(detectors)
-        if (alerts or detectors is not None)
-        else None
-    )
-    total_latency = LatencySketch()
-    total_wait = LatencySketch()
-    digests: dict[int, WindowDigest] = {}
-    decision: _Decision | None = None   # awaiting its shard's ack
-    next_chip = len(fleet)
-    next_scale_check = autoscale.interval_s if autoscale else None
-    stalled = 0
-
     jobs = sharding.jobs if sharding.jobs else (os.cpu_count() or 1)
-    pool = ShardPool(
-        min(jobs, num_shards), "repro.cluster.sharding:make_shard_state"
-    )
-    # Entered manually: the span brackets the whole windowed run without
-    # re-indenting the coordinator loop; closed in the finally below.
-    run_span = obs.span(
+    with obs.span(
         "cluster.sharded", cat="cluster",
-        shards=num_shards, chips=len(fleet), requests=len(stream),
-    )
-    run_span.__enter__()
-    try:
-        position = 0
-        window = 0
-        while True:
-            busy = {s for s, digest in digests.items() if digest.busy}
-            if position >= len(stream) and not busy and window > 0:
-                break
-            start_s = window * sharding.window_s
-            until = (window + 1) * sharding.window_s
-            batch: list[Request] = []
-            while (
-                position < len(stream)
-                and stream[position].arrival_s < until
-            ):
-                batch.append(stream[position])
-                position += 1
-            arrivals_done = position >= len(stream)
-            per_shard = router.assign(
-                batch, digests, hosted, placed, accepting
-            )
-            commands = (
-                {decision.shard: (decision.command,)} if decision else {}
-            )
-            step_shards = sorted(busy | set(per_shard) | set(commands))
-            window_span = obs.span(
-                "cluster.window", cat="cluster",
-                window=window, shards=len(step_shards), arrivals=len(batch),
-            )
-            with window_span:
-                futures = {
-                    shard: pool.submit(
-                        shard,
-                        inits[shard],
-                        "step",
-                        tuple(per_shard.get(shard, ())),
-                        until,
-                        commands.get(shard, ()),
-                    )
-                    for shard in step_shards
-                }
-                window_latency = LatencySketch()
-                window_served = 0
-                window_shed = 0
-                tenant_served: dict[str, int] = {}
-                progressed = False
-                for shard in step_shards:
-                    digest = futures[shard].result()
-                    digests[shard] = digest
-                    # Per-worker window wall time, merged coordinator-side
-                    # (workers on a process pool can't share the registry).
-                    obs.observe("cluster.shard_window_s", digest.wall_s)
-                    total_latency.update(digest.latency)
-                    total_wait.update(digest.wait)
-                    window_latency.update(digest.latency)
-                    window_served += digest.window_served
-                    window_shed += digest.window_shed
-                    for tenant, count in digest.tenant_served.items():
-                        tenant_served[tenant] = (
-                            tenant_served.get(tenant, 0) + count
-                        )
-                    hosted[shard] = set(digest.hosted_models)
-                    accepting[shard] = digest.accepting_chips
-                    if digest.window_served or digest.window_shed:
-                        progressed = True
-                    for action, chip_name in digest.applied:
-                        if chip_name is None:
-                            continue
-                        if action == "add":
-                            placed[shard].update(models)
-                        scaling_events.append(ScalingEvent(
-                            t_s=start_s,
-                            action=action,
-                            chip=chip_name,
-                            pressure=decision.pressure,
-                            accepting_chips=decision.accepting_after,
-                        ))
-            decision = None
-            obs.inc("serve.shed", window_shed)
-            backlog = sum(d.pending + d.inflight for d in digests.values())
-            attainment = None
-            budget_remaining = None
-            burn_rate = None
-            if slo_monitor is not None:
-                state = slo_monitor.observe_window(
-                    window, start_s, until, window_latency
-                )
-                attainment = state.attainment
-                budget_remaining = state.budget_remaining
-                burn_rate = state.burn_rate
-            stats = WindowStats(
-                index=window,
-                start_s=start_s,
-                end_s=until,
-                arrivals=len(batch),
-                served=window_served,
-                shed=window_shed,
-                backlog=backlog,
-                p99_ms=(
-                    window_latency.percentile(99.0) * 1e3
-                    if window_latency.count
-                    else 0.0
-                ),
-                mean_ms=window_latency.mean_s * 1e3,
-                slo_attainment=attainment,
-                pressure=(
-                    _pressure(digests, accepting, sharding.window_s)
-                    if monitor is not None
-                    else None
-                ),
-                pending=(
-                    sum(d.pending for d in digests.values())
-                    if monitor is not None
-                    else None
-                ),
-                budget_remaining=budget_remaining,
-                burn_rate=burn_rate,
-                tenant_served=tenant_served,
-            )
-            windows.append(stats)
-            if monitor is not None:
-                monitor.observe_window(stats)
-            if (
-                autoscale is not None
-                and not arrivals_done
-                and next_scale_check <= until
-            ):
-                # Every tick due by this edge sees the same digests: one
-                # decision, applied at the next window's start.
-                while next_scale_check <= until:
-                    next_scale_check += autoscale.interval_s
-                decision = _autoscale_decision(
-                    autoscale, digests, accepting, until, next_chip
-                )
-                if decision is not None and decision.command[0] == "add":
-                    next_chip += 1
-            if busy and not progressed and not batch:
-                stalled += 1
-                if stalled > _STALL_WINDOWS:
-                    raise RuntimeError(
-                        "sharded cluster simulation stalled:"
-                        f" {sum(d.served for d in digests.values())} served,"
-                        f" backlog {backlog} after {window + 1} windows"
-                    )
-            else:
-                stalled = 0
-            window += 1
+        shards=len(shards), chips=len(fleet), requests=len(stream),
+    ), ShardPool(
+        min(jobs, len(shards)), "repro.cluster.sharding:make_shard_state"
+    ) as pool:
+        coordinator = _Coordinator(
+            pool, stream, inits, sharding, autoscale,
+            estimates=_service_estimates(
+                fleet, models, bs_t, bs_n, seed, passes
+            ),
+            static_pj_per_s=(energy or EnergyModel()).static_pj(1.0),
+            slo_ms=slo_ms,
+            slo_target=slo_target,
+            alerts=alerts,
+        )
+        while not coordinator.done:
+            coordinator.window()
+        return coordinator.finish()
 
-        finals: list[ShardFinal] = []
-        futures = {
-            shard: pool.submit(shard, inits[shard], "finalize")
-            for shard in range(num_shards)
-        }
-        for shard in range(num_shards):
-            finals.append(futures[shard].result())
-    finally:
-        pool.close()
-        run_span.__exit__(None, None, None)
 
-    served = sum(final.served for final in finals)
-    total_shed = sum(final.shed for final in finals)
-    shed_by_model: dict[str, int] = {}
-    tenant_latency: dict[str, LatencySketch] = {
-        spec.name: LatencySketch() for spec in tenants
-    }
-    tenant_shed_totals: dict[str, int] = {}
-    tenant_service_totals: dict[str, float] = {}
-    for final in finals:
-        for model, count in final.shed_by_model.items():
-            shed_by_model[model] = shed_by_model.get(model, 0) + count
-        for tenant, sketch in final.tenant_latency.items():
-            merged = tenant_latency.setdefault(tenant, LatencySketch())
-            merged.update(sketch)
-        for tenant, count in final.tenant_shed.items():
-            tenant_shed_totals[tenant] = (
-                tenant_shed_totals.get(tenant, 0) + count
+class _Coordinator:
+    """The fleet's window loop and everything it keeps between windows:
+    :meth:`window` steps one window, :meth:`finish` builds the report.
+
+    Shard routing (:meth:`_assign`): ``round_robin`` cycles the eligible
+    shards per request — with interleaved partitioning and chip-level
+    round-robin this reproduces the one-shard round-robin assignment
+    exactly (the conformance mode).  ``least_backlog`` sends each request
+    to the eligible shard with the least estimated outstanding work per
+    accepting chip, where the estimate is the last digest's outstanding
+    plus this window's assignments so far.  Eligible shards host the
+    model with queue room at the last window edge; when none has room,
+    every shard the model is placed on is eligible, and the shard's
+    front door admits or sheds at arrival time — a queue-full snapshot
+    goes stale within the window.
+    """
+
+    def __init__(
+        self,
+        pool: ShardPool,
+        stream: list[Request],
+        inits: list[ShardInit],
+        sharding: ShardingConfig,
+        autoscale: AutoscaleConfig | None,
+        *,
+        estimates: dict[str, float],
+        static_pj_per_s: float,
+        slo_ms: float | None,
+        slo_target: float,
+        alerts: bool,
+    ):
+        self.pool = pool
+        self.stream = stream
+        self.inits = inits
+        self.sharding = sharding
+        self.autoscale = autoscale
+        self.estimates = estimates          # model → single-request seconds
+        self.static_pj_per_s = static_pj_per_s
+        self.models = inits[0].workload_models
+        # Models each shard's chips host (grown by added replicas), and the
+        # subset with queue room at the last window edge (from digests).
+        self.placed: list[set[str]] = [
+            {
+                model
+                for chip_models in init.chip_models
+                for model in (
+                    chip_models if chip_models is not None else self.models
+                )
+                if model in self.models
+            }
+            for init in inits
+        ]
+        self.hosted = [set(shard_models) for shard_models in self.placed]
+        self.accepting = [len(init.chip_names) for init in inits]
+        self.initial_chips = sum(self.accepting)
+        self.digests: dict[int, WindowDigest] = {}
+        self.busy: set[int] = set()       # shards with work at the last edge
+        self.position = 0                 # next arrival to batch
+        self.index = 0                    # next window
+        self.turn = 0                     # round_robin shard cursor
+        self.windows: list[WindowStats] = []
+        self.scaling_events: list[ScalingEvent] = []
+        self.latency = LatencySketch()
+        self.wait = LatencySketch()
+        self.decision: _Decision | None = None   # awaiting its shard's ack
+        self.next_chip = self.initial_chips
+        self.next_scale_check = autoscale.interval_s if autoscale else None
+        self.stalled = 0
+        # Streaming analysis: the SLO monitor consumes each window's merged
+        # sketch as the coordinator produces it (exactly equivalent to the
+        # post-hoc pass — sketch merges are exact); the detector monitor
+        # watches the fleet-aggregated window stats.
+        self.slo_monitor = (
+            obs.SLOMonitor(
+                obs.SLOObjective(slo_ms=float(slo_ms), target=slo_target)
             )
-        for tenant, service in final.tenant_service_s.items():
-            tenant_service_totals[tenant] = (
-                tenant_service_totals.get(tenant, 0.0) + service
-            )
-    if served + total_shed != len(stream):  # pragma: no cover - invariant
-        raise RuntimeError(
-            f"sharded simulation lost requests: {served} served +"
-            f" {total_shed} shed != {len(stream)} offered"
+            if slo_ms is not None
+            else None
+        )
+        self.monitor = obs.Monitor() if alerts else None
+
+    @property
+    def done(self) -> bool:
+        """Every arrival fed, no shard busy, and at least one window run."""
+        return (
+            self.position >= len(self.stream)
+            and not self.busy
+            and self.index > 0
         )
 
-    horizon = max((final.last_finish_s for final in finals), default=0.0)
-    span = stream[-1].arrival_s - stream[0].arrival_s if stream else 0.0
-    offered = (len(stream) - 1) / span if span > 0 else 0.0
-    chip_stats = [chip for final in finals for chip in final.chips]
-    chip_stats.sort(key=lambda c: c.name)
-    alert_events = [
-        *(slo_monitor.alerts if slo_monitor is not None else ()),
-        *(monitor.alerts if monitor is not None else ()),
-    ]
-    alert_events.sort(
-        key=lambda e: (e.window if e.window is not None else -1, e.rule)
-    )
-    return build_sharded_cluster_report(
-        chip_stats,
-        total_shed,
-        shed_by_model,
-        total_latency,
-        total_wait,
-        offered_rps=offered,
-        horizon_s=horizon,
-        policy=policy,
-        queue_capacity=admission.queue_capacity,
-        initial_chips=len(fleet),
-        scaling_events=scaling_events,
-        static_pj_per_s=energy.static_pj(1.0),
-        num_shards=num_shards,
-        window_s=sharding.window_s,
-        windows=windows,
-        slo_ms=slo_ms,
-        slo_summary=(
-            slo_monitor.summary() if slo_monitor is not None else None
-        ),
-        alerts=[event.to_dict() for event in alert_events],
-        tenants=tuple(tenants),
-        tenant_latency=tenant_latency,
-        tenant_shed=tenant_shed_totals,
-        tenant_service_s=tenant_service_totals,
-    )
+    def window(self) -> None:
+        """Step one coordination window and fold its digests in."""
+        index, busy, decision = self.index, self.busy, self.decision
+        start_s = index * self.sharding.window_s
+        until = (index + 1) * self.sharding.window_s
+        stream, position = self.stream, self.position
+        while position < len(stream) and stream[position].arrival_s < until:
+            position += 1
+        batch = stream[self.position:position]
+        self.position = position
+        arrivals_done = position >= len(stream)
+        per_shard = self._assign(batch)
+        commands = {decision.shard: (decision.command,)} if decision else {}
+        step_shards = sorted(busy | set(per_shard) | set(commands))
+        digests, hosted, accepting = self.digests, self.hosted, self.accepting
+        with obs.span(
+            "cluster.window", cat="cluster",
+            window=index, shards=len(step_shards), arrivals=len(batch),
+        ):
+            futures = {
+                shard: self.pool.submit(
+                    shard,
+                    self.inits[shard],
+                    "step",
+                    tuple(per_shard.get(shard, ())),
+                    until,
+                    commands.get(shard, ()),
+                )
+                for shard in step_shards
+            }
+            window_latency = LatencySketch()
+            window_served = 0
+            window_shed = 0
+            tenant_served: dict[str, int] = {}
+            progressed = False
+            for shard in step_shards:
+                digest = futures[shard].result()
+                digests[shard] = digest
+                # Per-worker window wall time, merged coordinator-side
+                # (workers on a process pool can't share the registry).
+                obs.observe("cluster.shard_window_s", digest.wall_s)
+                self.latency.update(digest.latency)
+                self.wait.update(digest.wait)
+                window_latency.update(digest.latency)
+                window_served += digest.window_served
+                window_shed += digest.window_shed
+                for tenant, count in digest.tenant_served.items():
+                    tenant_served[tenant] = tenant_served.get(tenant, 0) + count
+                hosted[shard] = set(digest.hosted_models)
+                accepting[shard] = digest.accepting_chips
+                if digest.window_served or digest.window_shed:
+                    progressed = True
+                for action, chip_name in digest.applied:
+                    if chip_name is None:
+                        continue
+                    if action == "add":
+                        self.placed[shard].update(self.models)
+                    self.scaling_events.append(ScalingEvent(
+                        t_s=start_s,
+                        action=action,
+                        chip=chip_name,
+                        pressure=decision.pressure,
+                        accepting_chips=decision.accepting_after,
+                    ))
+        self.decision = None
+        obs.inc("serve.shed", window_shed)
+        backlog = sum(d.pending + d.inflight for d in digests.values())
+        slo = (
+            self.slo_monitor.observe_window(
+                index, start_s, until, window_latency
+            )
+            if self.slo_monitor is not None
+            else None
+        )
+        monitor = self.monitor
+        stats = WindowStats(
+            index=index,
+            start_s=start_s,
+            end_s=until,
+            arrivals=len(batch),
+            served=window_served,
+            shed=window_shed,
+            backlog=backlog,
+            p99_ms=(
+                window_latency.percentile(99.0) * 1e3
+                if window_latency.count
+                else 0.0
+            ),
+            mean_ms=window_latency.mean_s * 1e3,
+            slo_attainment=slo.attainment if slo else None,
+            pressure=(
+                self._pressure(self.sharding.window_s)
+                if monitor is not None
+                else None
+            ),
+            pending=(
+                sum(d.pending for d in digests.values())
+                if monitor is not None
+                else None
+            ),
+            budget_remaining=slo.budget_remaining if slo else None,
+            burn_rate=slo.burn_rate if slo else None,
+            tenant_served=tenant_served,
+        )
+        self.windows.append(stats)
+        if monitor is not None:
+            monitor.observe_window(stats)
+        autoscale = self.autoscale
+        if (
+            autoscale is not None
+            and not arrivals_done
+            and self.next_scale_check <= until
+        ):
+            # Every tick due by this edge sees the same digests: one
+            # decision, applied at the next window's start.
+            while self.next_scale_check <= until:
+                self.next_scale_check += autoscale.interval_s
+            self.decision = self._autoscale_decision(until)
+        if busy and not progressed and not batch:
+            self.stalled += 1
+            if self.stalled > _STALL_WINDOWS:
+                raise RuntimeError(
+                    f"sharded cluster simulation stalled at window {index}:"
+                    f" busy shards {sorted(busy)} made no progress in"
+                    f" {self.stalled} windows"
+                    f" ({sum(d.served for d in digests.values())} served,"
+                    f" backlog {backlog})"
+                )
+        else:
+            self.stalled = 0
+        self.busy = {s for s, digest in digests.items() if digest.busy}
+        self.index += 1
+
+    def _assign(self, requests: list[Request]) -> dict[int, list[Request]]:
+        """Split one window's ``requests`` across shards."""
+        digests, hosted, placed = self.digests, self.hosted, self.placed
+        accepting, estimates = self.accepting, self.estimates
+        shards = range(len(self.inits))
+        round_robin = self.sharding.shard_policy == "round_robin"
+        per_shard: dict[int, list[Request]] = {}
+        backlog = {
+            shard: digests[shard].outstanding_s if shard in digests else 0.0
+            for shard in shards
+        }
+        for request in requests:
+            eligible = [
+                shard for shard in shards if request.model in hosted[shard]
+            ] or [
+                shard for shard in shards if request.model in placed[shard]
+            ]
+            if round_robin:
+                shard = eligible[self.turn % len(eligible)]
+                self.turn += 1
+            else:
+                shard = min(
+                    eligible,
+                    key=lambda s: (backlog[s] / max(1, accepting[s]), s),
+                )
+            backlog[shard] += estimates.get(request.model, 0.0)
+            per_shard.setdefault(shard, []).append(request)
+        return per_shard
+
+    def _pressure(self, period_s: float) -> float:
+        """Outstanding work on accepting chips per accepting chip, in units
+        of ``period_s`` (1.0 ≡ every chip backlogged by a full period)."""
+        chips = sum(self.accepting)
+        if not chips:
+            return 0.0
+        outstanding = sum(d.outstanding_s for d in self.digests.values())
+        return outstanding / (chips * period_s)
+
+    def _autoscale_decision(self, at_s: float) -> _Decision | None:
+        """One control-loop decision on window-edge digests, or ``None``.
+
+        Pressure is normalized by the *autoscale interval*: add a
+        replica to the shard with the fewest accepting chips under high
+        pressure, drain from the least-loaded shard under low pressure
+        (the shard itself picks — and may refuse — the placement-safe
+        victim).
+        """
+        config, accepting = self.autoscale, self.accepting
+        digests = self.digests
+        total = sum(accepting)
+        pressure = self._pressure(config.interval_s)
+        if pressure > config.high_pressure and total < config.max_chips:
+            shard = min(range(len(accepting)), key=lambda s: (accepting[s], s))
+            command = ("add", at_s, config.kind, f"chip{self.next_chip}")
+            self.next_chip += 1
+            return _Decision(shard, command, pressure, total + 1)
+        if pressure < config.low_pressure and total > config.min_chips:
+            shard = min(
+                (s for s, count in enumerate(accepting) if count),
+                key=lambda s: (
+                    digests[s].outstanding_s if s in digests else 0.0, s
+                ),
+            )
+            return _Decision(shard, ("drain", at_s), pressure, total - 1)
+        return None
+
+    def finish(self) -> ClusterReport:
+        """Collect every shard's :class:`ShardFinal`; build the report.
+
+        Latency statistics come from the fleet's merged
+        :class:`~repro.serve.sketch.LatencySketch` (bounded-error
+        percentiles, exact count/mean/max), per-chip rows from the
+        shards' :class:`ShardChipStats` counters, and sheds from the
+        shards' front doors.
+        """
+        futures = [
+            self.pool.submit(shard, init, "finalize")
+            for shard, init in enumerate(self.inits)
+        ]
+        finals: list[ShardFinal] = [future.result() for future in futures]
+        tenants = self.inits[0].tenants
+        served = sum(final.served for final in finals)
+        shed = sum(final.shed for final in finals)
+        shed_by_model: dict[str, int] = {}
+        tenant_latency: dict[str, LatencySketch] = {
+            spec.name: LatencySketch() for spec in tenants
+        }
+        tenant_shed: dict[str, int] = {}
+        tenant_service: dict[str, float] = {}
+        for final in finals:
+            for model, count in final.shed_by_model.items():
+                shed_by_model[model] = shed_by_model.get(model, 0) + count
+            for tenant, sketch in final.tenant_latency.items():
+                merged = tenant_latency.setdefault(tenant, LatencySketch())
+                merged.update(sketch)
+            for tenant, count in final.tenant_shed.items():
+                tenant_shed[tenant] = tenant_shed.get(tenant, 0) + count
+            for tenant, service in final.tenant_service_s.items():
+                tenant_service[tenant] = (
+                    tenant_service.get(tenant, 0.0) + service
+                )
+        stream = self.stream
+        if served + shed != len(stream):  # pragma: no cover - invariant
+            raise RuntimeError(
+                f"sharded simulation lost requests: {served} served +"
+                f" {shed} shed != {len(stream)} offered"
+            )
+
+        horizon = max((final.last_finish_s for final in finals), default=0.0)
+        span = stream[-1].arrival_s - stream[0].arrival_s if stream else 0.0
+        chip_stats = sorted(
+            (chip for final in finals for chip in final.chips),
+            key=lambda c: c.name,
+        )
+        chips = {
+            chip.name: chip.report(horizon, self.static_pj_per_s)
+            for chip in chip_stats
+        }
+        alert_events = sorted(
+            [
+                *(self.slo_monitor.alerts if self.slo_monitor else ()),
+                *(self.monitor.alerts if self.monitor else ()),
+            ],
+            key=lambda e: (e.window if e.window is not None else -1, e.rule),
+        )
+        slo = None
+        if self.slo_monitor is not None:
+            slo = slo_block(self.latency, self.slo_monitor.objective.slo_ms)
+            # The streaming monitor's extras (budget, burn-rate rules,
+            # alert transitions) layered over the post-hoc block.  The
+            # attainment/violations keys stay post-hoc — the streaming
+            # values agree exactly (sketch merges are exact integer
+            # addition), which tests assert rather than assume.
+            summary = self.slo_monitor.summary()
+            slo.update({
+                key: summary[key]
+                for key in (
+                    "target", "budget", "rules", "alerts",
+                    "alerts_fired", "active_rules",
+                )
+            })
+        stats = latency_stats(self.latency)
+        return ClusterReport(
+            num_requests=len(stream),
+            served=served,
+            shed=shed,
+            offered_rps=(len(stream) - 1) / span if span > 0 else 0.0,
+            horizon_s=horizon,
+            throughput_rps=served / horizon if horizon > 0 else 0.0,
+            latency_percentiles_ms=stats.percentiles_ms,
+            latency_mean_ms=stats.mean_ms,
+            latency_max_ms=stats.max_ms,
+            queue_wait_mean_ms=self.wait.mean_s * 1e3,
+            policy=self.inits[0].policy,
+            queue_capacity=self.inits[0].queue_capacity,
+            initial_chips=self.initial_chips,
+            final_accepting_chips=sum(
+                1 for chip in chip_stats if chip.accepting
+            ),
+            chips=chips,
+            shed_by_model=shed_by_model,
+            scaling_events=tuple(self.scaling_events),
+            dynamic_energy_mj=sum(
+                chip.dynamic_energy_pj for chip in chip_stats
+            ) * 1e-9,
+            static_energy_mj=sum(
+                chip.static_energy_mj for chip in chips.values()
+            ),
+            num_shards=len(self.inits),
+            window_s=self.sharding.window_s,
+            windows=tuple(self.windows),
+            latency_sketch=self.latency,
+            slo=slo,
+            alerts=tuple(event.to_dict() for event in alert_events),
+            tenants=(
+                tenant_report(
+                    tenants, tenant_latency, tenant_shed, tenant_service
+                )
+                if tenant_latency
+                else {}
+            ),
+            tenant_sketches=tenant_latency,
+        )
 
 
 def _service_estimates(
@@ -1010,20 +1092,6 @@ def _service_estimates(
     return estimates
 
 
-def _pressure(
-    digests: dict[int, WindowDigest],
-    accepting: list[int],
-    period_s: float,
-) -> float:
-    """Outstanding work on accepting chips per accepting chip, in units of
-    ``period_s`` (1.0 ≡ every chip backlogged by a full period)."""
-    chips = sum(accepting)
-    if not chips:
-        return 0.0
-    outstanding = sum(d.outstanding_s for d in digests.values())
-    return outstanding / (chips * period_s)
-
-
 class _Decision(NamedTuple):
     """One autoscaler decision, sent to ``shard`` as ``command``."""
 
@@ -1031,34 +1099,3 @@ class _Decision(NamedTuple):
     command: tuple
     pressure: float
     accepting_after: int      # accepting chips fleet-wide after the action
-
-
-def _autoscale_decision(
-    config: AutoscaleConfig,
-    digests: dict[int, WindowDigest],
-    accepting: list[int],
-    at_s: float,
-    next_chip: int,
-) -> _Decision | None:
-    """One control-loop decision on window-edge digests, or ``None``.
-
-    Pressure is normalized by the *autoscale interval*: add a
-    replica to the shard with the fewest accepting chips under high
-    pressure, drain from the least-loaded shard under low pressure (the
-    shard itself picks — and may refuse — the placement-safe victim).
-    """
-    total = sum(accepting)
-    pressure = _pressure(digests, accepting, config.interval_s)
-    if pressure > config.high_pressure and total < config.max_chips:
-        shard = min(range(len(accepting)), key=lambda s: (accepting[s], s))
-        command = ("add", at_s, config.kind, f"chip{next_chip}")
-        return _Decision(shard, command, pressure, total + 1)
-    if pressure < config.low_pressure and total > config.min_chips:
-        shard = min(
-            (s for s, count in enumerate(accepting) if count),
-            key=lambda s: (
-                digests[s].outstanding_s if s in digests else 0.0, s
-            ),
-        )
-        return _Decision(shard, ("drain", at_s), pressure, total - 1)
-    return None

@@ -432,7 +432,3 @@ class SLOMonitor:
             "alerts_fired": len(self.fired),
             "active_rules": self.active_rules,
         }
-
-
-def _isfinite(value: float) -> bool:  # pragma: no cover - trivial
-    return math.isfinite(value)
