@@ -19,6 +19,10 @@ Rows advance in lockstep, so a feature step costs the maximum over the
 tile's rows — fully-inactive feature columns vanish, partially-active ones
 do not (this is why stratification matters: mixed-density workloads stall
 the dense array).
+
+The model reads integer statistics, not spikes: the compiler reduces a
+layer once to per-feature counts (:func:`dense_tile_activity`) and passes
+:func:`simulate_dense_core` their sums over the dense partition ``R_D``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bundles import BundleSpec, TTBGrid, as_grid
+from ..bundles import BundleSpec
 from .config import BishopConfig
 from .energy import EnergyModel
 from .memory import TrafficLedger, bundle_storage_bytes
@@ -78,21 +82,30 @@ def psum_chunking(config: BishopConfig) -> tuple[int, int]:
 
 def dense_tile_activity(
     active: np.ndarray, config: BishopConfig, skip_inactive: bool
-) -> np.ndarray:
-    """``(row_tiles, D)`` bitmap of the lockstep feature steps the array takes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature ``(tile_steps, row_steps)`` of the array's lockstep steps.
 
     ``active`` is the ``(bundle rows, D)`` activity mask.  A feature step is
     needed in a bundle-row tile iff any row of the tile is active for that
     feature (the slowest row paces the column); without inactive-bundle
-    skipping every step is taken.
+    skipping every step is taken.  ``tile_steps[d]`` counts the tiles in
+    which feature ``d`` steps and ``row_steps[d]`` the bundle rows those
+    steps occupy (every row of a tile steps; the last tile may be short).
+    Both are ``int64``, so a partition's statistics are exact sums.
     """
     num_bundles, d_in = active.shape
-    row_tiles = -(-num_bundles // config.dense_rows)
+    rows = config.dense_rows
+    row_tiles = -(-num_bundles // rows)
     if not skip_inactive:
-        return np.ones((row_tiles, d_in), dtype=bool)
-    padded = np.zeros((row_tiles * config.dense_rows, d_in), dtype=bool)
+        return (
+            np.full(d_in, row_tiles, dtype=np.int64),
+            np.full(d_in, num_bundles, dtype=np.int64),
+        )
+    padded = np.zeros((row_tiles * rows, d_in), dtype=bool)
     padded[:num_bundles] = active
-    return padded.reshape(row_tiles, config.dense_rows, d_in).any(axis=1)
+    activity = padded.reshape(row_tiles, rows, d_in).any(axis=1)
+    rows_per_tile = np.minimum(rows, num_bundles - rows * np.arange(row_tiles))
+    return activity.sum(axis=0, dtype=np.int64), rows_per_tile @ activity
 
 
 def dense_core_cycles(
@@ -122,48 +135,43 @@ def dense_core_cycles(
 
 
 def simulate_dense_core(
-    spikes: "np.ndarray | TTBGrid",
+    active_pairs: int,
+    tile_steps: int,
+    row_steps: int,
+    num_features: int,
+    num_bundles: int,
     out_features: int,
     config: BishopConfig,
     skip_inactive: bool = True,
 ) -> DenseCoreResult:
-    """Simulate the dense core on ``spikes (T, N, D_dense)`` × ``(D_dense, O)``.
+    """Simulate the dense core on one ``(T, N, D_dense)`` partition.
 
-    ``spikes`` is the stratified dense partition (already restricted to the
-    dense feature set), as an array or as its :class:`TTBGrid` — the
-    compiler passes a feature slice of the layer's grid, so nothing is
-    re-bundled.  ``skip_inactive`` is the bundle-packing decision: off,
-    inactive bundles are processed like active ones.  Returns cycles, SAC
+    The partition is given by its statistics: ``active_pairs`` active
+    (bundle, feature) pairs, the sums of :func:`dense_tile_activity`'s
+    ``tile_steps`` and ``row_steps`` over its ``num_features`` features,
+    and ``num_bundles`` bundle rows (time × token bundle slots).
+    ``skip_inactive`` is the bundle-packing decision: off, inactive
+    bundles are processed like active ones.  Returns cycles, SAC
     operation count, utilization, and the GLB/spad traffic the pass
     generates.
     """
     traffic = TrafficLedger()
-    t, n, d_in = spikes.shape
-    if d_in == 0 or out_features == 0:
+    if num_features == 0 or out_features == 0:
         return DenseCoreResult(0.0, 0.0, 0.0, 0.0, traffic)
 
     spec: BundleSpec = config.bundle_spec
-    grid = as_grid(spikes, spec)
-    num_bundles = grid.n_bt * grid.n_bn
-    active = grid.active.reshape(num_bundles, d_in)          # (B, D_in)
-
     chunks, volume_cycles = psum_chunking(config)
     row_tiles = -(-num_bundles // config.dense_rows)
     col_tiles = -(-out_features // config.dense_cols)
 
     # --- cycles ---------------------------------------------------------
-    steps_per_tile = dense_tile_activity(active, config, skip_inactive).sum(axis=1)
-    total_needed_steps = float(steps_per_tile.sum())
+    total_needed_steps = float(tile_steps)
     cycles = dense_core_cycles(
-        total_needed_steps, d_in, num_bundles, out_features, config
+        total_needed_steps, num_features, num_bundles, out_features, config
     )
-    # Every step occupies all lanes of every row in the tile (the last
-    # tile may be short).
-    rows_per_tile = np.minimum(
-        config.dense_rows, num_bundles - config.dense_rows * np.arange(row_tiles)
-    )
+    # Every step occupies all lanes of every row in the tile.
     occupied_slots = (
-        float((steps_per_tile * rows_per_tile).sum())
+        float(row_steps)
         * volume_cycles * config.spikes_per_cycle
         * col_tiles * config.dense_cols
     )
@@ -172,9 +180,8 @@ def simulate_dense_core(
     # Each active (bundle, feature) pair costs `volume` SAC lane-slots per
     # output feature; gated slots in occupied lockstep steps still pay the
     # clocked-idle toll (registers toggle, clock tree runs).
-    active_pairs = (
-        float(np.count_nonzero(active)) if skip_inactive else float(active.size)
-    )
+    pair_slots = num_bundles * num_features
+    active_pairs = float(active_pairs) if skip_inactive else float(pair_slots)
     sac_ops = active_pairs * spec.volume * out_features
     idle_slots = max(0.0, occupied_slots - sac_ops)
 
@@ -193,7 +200,7 @@ def simulate_dense_core(
     traffic.add("glb", "weight", weight_bytes)
     # Activation bundles are re-broadcast once per output tile; only active
     # payloads move (plus the tag bitmap).
-    act_bytes = bundle_storage_bytes(active_pairs, spec.volume, active.size)
+    act_bytes = bundle_storage_bytes(active_pairs, spec.volume, pair_slots)
     traffic.add("glb", "activation", act_bytes * col_tiles)
     # Output partial sums drain to the output buffer once per tile pass.
     psum_bytes = num_bundles * spec.volume * out_features * config.accumulator_bits / 8.0

@@ -16,15 +16,15 @@ Model, per active pair (bundle b, input feature d):
   ``⌈volume/spikes_per_cycle⌉`` cycles per output feature.
 
 Cycles = ``⌈active_pairs / units⌉ × O × ⌈volume/lanes⌉ × overhead``.
+
+The model reads integer statistics, not spikes: the active-pair count is
+the sum of the layer's per-feature active-bundle counts over ``R_S``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..bundles import TTBGrid, as_grid
 from .config import BishopConfig
 from .dense_core import psum_chunking
 from .energy import EnergyModel
@@ -73,24 +73,24 @@ def sparse_core_cycles(
 
 
 def simulate_sparse_core(
-    spikes: "np.ndarray | TTBGrid",
+    active_pairs: int,
+    num_features: int,
+    num_bundles: int,
     out_features: int,
     config: BishopConfig,
 ) -> SparseCoreResult:
-    """Simulate the sparse core on ``spikes (T, N, D_sparse)`` × ``(D_sparse, O)``.
+    """Simulate the sparse core on one ``(T, N, D_sparse)`` partition.
 
-    ``spikes`` is the sparse partition as an array or as its
-    :class:`TTBGrid` (the compiler passes a feature slice of the layer's
-    grid).
+    The partition is given by its statistics: ``active_pairs`` active
+    (bundle, feature) pairs over its ``num_features`` features and
+    ``num_bundles`` bundle rows (time × token bundle slots).
     """
     traffic = TrafficLedger()
-    t, n, d_in = spikes.shape
-    if d_in == 0 or out_features == 0 or t * n == 0:
+    if num_features == 0 or out_features == 0 or num_bundles == 0:
         return SparseCoreResult(0.0, 0.0, 0.0, 0.0, traffic)
 
     spec = config.bundle_spec
-    grid = as_grid(spikes, spec)
-    active_pairs = float(grid.num_active_bundles)
+    active_pairs = float(active_pairs)
     if active_pairs == 0:
         return SparseCoreResult(0.0, 0.0, 0.0, 0.0, traffic)
 
@@ -107,10 +107,12 @@ def simulate_sparse_core(
     # Chunked bundles re-gather their rows once per chunk.
     weight_bytes = active_pairs * chunks * out_features * config.weight_bits / 8.0
     traffic.add("glb", "weight", weight_bytes)
-    act_bytes = bundle_storage_bytes(active_pairs, spec.volume, grid.num_bundles)
+    act_bytes = bundle_storage_bytes(
+        active_pairs, spec.volume, num_bundles * num_features
+    )
     traffic.add("glb", "activation", act_bytes)
     psum_bytes = (
-        grid.n_bt * grid.n_bn * spec.volume * out_features
+        num_bundles * spec.volume * out_features
         * config.accumulator_bits / 8.0
     )
     traffic.add("spad", "output", psum_bytes)

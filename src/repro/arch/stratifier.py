@@ -12,12 +12,11 @@ approximately balances the two cores' latencies; :func:`balanced_theta`
 implements that search, and :func:`theta_for_dense_fraction` realizes the
 "targeted dense-to-sparse split ratio" strategies of Fig. 15.
 
-Grids: every function here takes a layer's spikes either as a ``(T, N, D)``
-array or as its :class:`TTBGrid` — the ``bool`` grid whose activity mask is
-an ``any`` over each bundle, built once from float input if need be.  The
-compiler passes the grid it built for the layer, so planning never
-re-bundles, and :meth:`StratifiedWorkload.split` cuts the dense and sparse
-partitions out of that grid's activity mask as feature slices.
+Statistics, not slices: every function here takes a layer's spikes as a
+``(T, N, D)`` array or as its :class:`TTBGrid` and reads only its
+per-feature active-bundle counts.  The compiler passes its ingest grid and
+its plans carry the layer's per-feature statistics, which the lowering
+sums over ``R_D`` and ``R_S`` for the core models — no partition is copied.
 
 Prefix-sum scoring: the partition at θ_s depends only on which count
 values are ``<= θ_s``, so :func:`balanced_theta` does its O(D) work once
@@ -61,10 +60,11 @@ class StratifiedWorkload:
     sparse_features: np.ndarray  # R_S: indices routed to the sparse core
     theta: float                 # θ_s actually applied
     active_per_feature: np.ndarray
-    # The layer grid the plan was cut from (None for a plan made from an
-    # array without counting), and how many balanced-θ candidates were
-    # scored to choose ``theta``.
-    grid: TTBGrid | None = field(default=None, repr=False, compare=False)
+    # The layer's dense-core steps per feature (``dense_tile_activity``;
+    # set by the compiler's planners), and how many balanced-θ candidates
+    # were scored to choose ``theta``.
+    tile_steps: np.ndarray | None = field(default=None, repr=False, compare=False)
+    row_steps: np.ndarray | None = field(default=None, repr=False, compare=False)
     theta_candidates: int = 0
 
     @property
@@ -75,19 +75,14 @@ class StratifiedWorkload:
     def dense_fraction(self) -> float:
         return len(self.dense_features) / self.num_features if self.num_features else 0.0
 
-    def split(self, spikes: "np.ndarray | TTBGrid", weights: np.ndarray | None = None):
+    def split(self, spikes: np.ndarray, weights: np.ndarray | None = None):
         """Partition ``spikes (T,N,D)`` (and optionally ``weights (D,O)``).
 
         Returns ``(x_dense, x_sparse)`` or, with weights,
-        ``(x_dense, w_dense, x_sparse, w_sparse)``.  A :class:`TTBGrid`
-        splits into two feature slices of its activity mask.
+        ``(x_dense, w_dense, x_sparse, w_sparse)``.
         """
-        if isinstance(spikes, TTBGrid):
-            x_dense = spikes.feature_slice(self.dense_features)
-            x_sparse = spikes.feature_slice(self.sparse_features)
-        else:
-            x_dense = spikes[:, :, self.dense_features]
-            x_sparse = spikes[:, :, self.sparse_features]
+        x_dense = spikes[:, :, self.dense_features]
+        x_sparse = spikes[:, :, self.sparse_features]
         if weights is None:
             return x_dense, x_sparse
         return (
@@ -98,13 +93,9 @@ class StratifiedWorkload:
         )
 
 
-def _grid_and_counts(spikes, spec, counts) -> tuple[TTBGrid | None, np.ndarray]:
-    """The grid ``spikes`` is (or the one built to count it) and ``counts``."""
-    grid = spikes if isinstance(spikes, TTBGrid) else None
-    if counts is None:
-        grid = as_grid(spikes, spec)
-        counts = grid.active_per_feature
-    return grid, counts
+def _counts(spikes, spec, counts) -> np.ndarray:
+    """``counts``, or the active bundles per feature of ``spikes``."""
+    return as_grid(spikes, spec).active_per_feature if counts is None else counts
 
 
 def stratify(
@@ -119,10 +110,8 @@ def stratify(
 
     ``counts`` is the per-feature active-bundle count of ``spikes`` when the
     caller already has it (one grid per layer); otherwise it is computed.
-    The grid passed as ``spikes`` (or built to count) is kept as
-    ``workload.grid``.
     """
-    grid, counts = _grid_and_counts(spikes, spec, counts)
+    counts = _counts(spikes, spec, counts)
     dense = np.flatnonzero(counts > theta)
     sparse = np.flatnonzero(counts <= theta)
     return StratifiedWorkload(
@@ -130,7 +119,6 @@ def stratify(
         sparse_features=sparse,
         theta=float(theta),
         active_per_feature=counts,
-        grid=grid,
     )
 
 
@@ -149,7 +137,7 @@ def theta_for_dense_fraction(
     """
     if not 0.0 <= dense_fraction <= 1.0:
         raise ValueError(f"dense_fraction must be in [0, 1], got {dense_fraction}")
-    _, counts = _grid_and_counts(spikes, spec, counts)
+    counts = _counts(spikes, spec, counts)
     if dense_fraction >= 1.0:
         return -1.0                      # every feature is > -1 → all dense
     if counts.size == 0:
@@ -181,7 +169,7 @@ def balanced_theta(
     O(1) beyond its callbacks.  A layer without features returns θ_s = 0
     without calling them.
     """
-    grid, counts = _grid_and_counts(spikes, spec, counts)
+    counts = _counts(spikes, spec, counts)
     if counts.size == 0:
         return 0.0
     histogram = np.bincount(counts)
@@ -203,7 +191,6 @@ def balanced_theta(
             sparse_features=order[:k],
             theta=float(theta),
             active_per_feature=counts,
-            grid=grid,
         )
         bottleneck = max(dense_time_fn(workload), sparse_time_fn(workload))
         if bottleneck < best_time:

@@ -13,7 +13,6 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "linear",
     "conv2d",
-    "avg_pool2d",
     "batch_norm",
     "log_softmax",
     "softmax",
@@ -117,16 +116,6 @@ def conv2d(
 
     out = Tensor._make(out_data, tuple(parents), lambda g: backward(g, out=out))
     return out
-
-
-def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping average pooling on ``(B, C, H, W)``."""
-    b, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by kernel {kernel}")
-    oh, ow = h // kernel, w // kernel
-    reshaped = x.reshape(b, c, oh, kernel, ow, kernel)
-    return reshaped.mean(axis=5).mean(axis=3)
 
 
 def batch_norm(

@@ -12,9 +12,8 @@ them as ``bool``.  ``bool`` input is kept as is — no copy, no check; float
 or integer 0/1 input (the training path's tensors, hand-written tests) is
 checked and converted once.  Bundle activity is an ``any`` reduction over
 each bundle's ``BS_t × BS_n`` slots; the Eq.-9 tags are integer counts,
-computed only when asked.  :meth:`TTBGrid.feature_slice` cuts a feature
-subset out of the activity mask without re-bundling spikes, so one grid per
-tensor serves every consumer.
+computed only when asked.  One grid per tensor serves every consumer:
+planning and lowering read its per-feature statistics, never a copy.
 """
 
 from __future__ import annotations
@@ -104,13 +103,6 @@ class TTBGrid:
         """``(T, N, D)`` of the bundled tensor."""
         return (self.timesteps, self.tokens, self.features)
 
-    @cached_property
-    def spikes(self) -> np.ndarray:
-        """The ``bool`` spike tensor.  The constructor sets it; a feature
-        slice gathers it from its parent only when asked."""
-        parent, feature_indices = self._slice_of
-        return parent.spikes[:, :, feature_indices]
-
     # ------------------------------------------------------------------
     # Tags and masks
     # ------------------------------------------------------------------
@@ -183,21 +175,6 @@ class TTBGrid:
     def sparsity_loss_value(self) -> float:
         """Plain value of Eq. 10's inner sum for this tensor (L0 tags)."""
         return float(self.spike_count)
-
-    def feature_slice(self, feature_indices: np.ndarray) -> "TTBGrid":
-        """Grid restricted to a subset of features (stratifier output).
-
-        The slice is cut from this grid's activity mask: no spikes are
-        re-bundled, and its ``spikes`` are gathered only if asked for.
-        """
-        view = object.__new__(TTBGrid)
-        view.spec = self.spec
-        view.timesteps, view.tokens = self.timesteps, self.tokens
-        view.n_bt, view.n_bn = self.n_bt, self.n_bn
-        view._slice_of = (self, feature_indices)
-        view.active = self.active[:, :, feature_indices]
-        view.features = view.active.shape[2]
-        return view
 
 
 def as_grid(spikes: "np.ndarray | TTBGrid", spec: BundleSpec) -> TTBGrid:

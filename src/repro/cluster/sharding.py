@@ -928,9 +928,11 @@ class _Coordinator:
 
         Pressure is normalized by the *autoscale interval*: add a
         replica to the shard with the fewest accepting chips under high
-        pressure, drain from the least-loaded shard under low pressure
-        (the shard itself picks — and may refuse — the placement-safe
-        victim).
+        pressure, drain from the least-loaded shard with at least two
+        accepting chips under low pressure (a shard's last accepting chip
+        hosts models no other chip of the shard does, so it can never
+        drain; the shard itself picks — and may refuse — the
+        placement-safe victim).
         """
         config, accepting = self.autoscale, self.accepting
         digests = self.digests
@@ -942,8 +944,11 @@ class _Coordinator:
             self.next_chip += 1
             return _Decision(shard, command, pressure, total + 1)
         if pressure < config.low_pressure and total > config.min_chips:
+            drainable = [s for s, count in enumerate(accepting) if count >= 2]
+            if not drainable:
+                return None
             shard = min(
-                (s for s, count in enumerate(accepting) if count),
+                drainable,
                 key=lambda s: (
                     digests[s].outstanding_s if s in digests else 0.0, s
                 ),

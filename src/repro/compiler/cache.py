@@ -98,9 +98,6 @@ class ProgramCache(JsonStore):
         super().__init__(root)
         self._memory: dict[str, Program] = {}
 
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
     def encode(self, program: Program) -> str:
         return json.dumps(program.to_dict(), sort_keys=True, default=float)
 

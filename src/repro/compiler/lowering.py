@@ -19,10 +19,11 @@ The split of responsibilities:
   :class:`~repro.compiler.ir.TileOp` occupancies (exact float round-trip
   with the engine's :func:`~repro.arch.engine.machine.layer_timing`).
 
-Each layer is bundled once: planning takes the layer's :class:`TTBGrid`
-(or builds it from the spikes), the plan carries it, and the core models
-read feature slices of it — the compiler's passes share the grids it
-built at ingest.
+Each layer is bundled and counted once: planning reduces the layer's
+ingest :class:`TTBGrid` to per-feature statistics (one
+:func:`~repro.arch.dense_core.dense_tile_activity`), the plan carries
+them, and the core models get their sums over the plan's dense and sparse
+features — no partition is copied out of the grid.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from ..arch.stratifier import (
     stratify,
     theta_for_dense_fraction,
 )
-from ..bundles import BundleSpec, TTBGrid, as_grid
+from ..bundles import TTBGrid, as_grid
 from ..model.trace import LayerRecord
 from .ir import TileOp
 
@@ -64,18 +65,31 @@ __all__ = [
 ]
 
 
-def unstratified_workload(
-    spikes: "np.ndarray | TTBGrid", spec: BundleSpec
-) -> StratifiedWorkload:
-    """Every feature on the dense core (stratify pass off)."""
-    grid = as_grid(spikes, spec)
-    return StratifiedWorkload(
-        dense_features=np.arange(grid.features),
-        sparse_features=np.array([], dtype=np.int64),
-        theta=-1.0,
-        active_per_feature=grid.active_per_feature,
-        grid=grid,
+def _dense_statistics(grid: TTBGrid, config: BishopConfig, skip_inactive: bool):
+    """The layer's per-feature ``(tile_steps, row_steps)``."""
+    active = grid.active.reshape(grid.n_bt * grid.n_bn, grid.features)
+    return dense_tile_activity(active, config, skip_inactive)
+
+
+def _plan(grid, theta, config, statistics, theta_candidates=0):
+    """The Algorithm-1 plan at ``theta``, carrying the layer's statistics."""
+    tile_steps, row_steps = statistics
+    return replace(
+        stratify(grid, config.bundle_spec, theta, counts=grid.active_per_feature),
+        tile_steps=tile_steps, row_steps=row_steps,
+        theta_candidates=theta_candidates,
     )
+
+
+def unstratified_workload(
+    spikes: "np.ndarray | TTBGrid",
+    config: BishopConfig,
+    skip_inactive: bool = True,
+) -> StratifiedWorkload:
+    """Every feature on the dense core (stratify pass off): the plan at
+    θ_s = -1.  ``skip_inactive`` is the bundle-packing decision."""
+    grid = as_grid(spikes, config.bundle_spec)
+    return _plan(grid, -1.0, config, _dense_statistics(grid, config, skip_inactive))
 
 
 def plan_stratification(
@@ -87,20 +101,20 @@ def plan_stratification(
     """Apply the configured θ_s policy to one layer's input spikes.
 
     ``skip_inactive`` is the bundle-packing decision the dense core's
-    scores assume.  ``spikes`` is the layer's grid, or an array to build it from; the plan
-    carries that grid.  Every θ_s candidate is scored in closed form from
-    two per-feature statistics of it: ``counts`` (active bundles per
-    feature; a sparse partition's active-pair count is their sum) and
-    ``tile_steps`` (dense row-tiles in which the feature needs a lockstep
-    step; a dense partition's steps are their sum).  Both sums come from
-    ``int64`` prefix tables indexed by count value, built once per layer,
-    so each candidate costs O(1).  The scores equal the core simulators'
-    cycles on the sliced partitions exactly.  The plan's
-    ``theta_candidates`` counts the candidates scored.
+    statistics assume.  ``spikes`` is the layer's grid, or an array to
+    build it from.  The plan carries per-feature statistics of it:
+    ``counts`` (``active_per_feature``; a partition's active-pair count is
+    their sum) and the :func:`dense_tile_activity` steps (a dense
+    partition's steps are their sums).  Every balanced-θ candidate is
+    scored in O(1) from ``int64`` prefix tables of ``counts`` and
+    ``tile_steps`` indexed by count value, built once per layer; the
+    scores equal the core simulators' cycles on the partitions exactly.
+    The plan's ``theta_candidates`` counts the candidates scored.
     """
     spec = config.bundle_spec
     grid = as_grid(spikes, spec)
     counts = grid.active_per_feature
+    statistics = _dense_statistics(grid, config, skip_inactive)
     scored = 0
     if config.stratify_theta is not None:
         theta = config.stratify_theta
@@ -109,12 +123,8 @@ def plan_stratification(
             grid, spec, config.stratify_dense_fraction, counts=counts
         )
     else:
+        tile_steps = statistics[0]
         num_bundles = grid.n_bt * grid.n_bn
-        tile_steps = dense_tile_activity(
-            grid.active.reshape(num_bundles, grid.features),
-            config,
-            skip_inactive,
-        ).sum(axis=0)
         # Entry v: features, Σ counts and Σ tile_steps over count <= v.
         features_le = np.bincount(counts)
         pairs_le = features_le * np.arange(len(features_le))
@@ -144,9 +154,7 @@ def plan_stratification(
         theta = balanced_theta(
             grid, spec, dense_cycles, sparse_cycles, counts=counts
         )
-    return replace(
-        stratify(grid, spec, theta, counts=counts), theta_candidates=scored
-    )
+    return _plan(grid, theta, config, statistics, scored)
 
 
 def lower_matmul_layer(
@@ -155,25 +163,38 @@ def lower_matmul_layer(
     config: BishopConfig,
     energy: EnergyModel,
     skip_inactive: bool = True,
+    grid: TTBGrid | None = None,
 ) -> LayerReport:
     """Lower one projection/MLP layer onto the dense+sparse cores.
 
-    ``workload`` must be planned on ``record.input_spikes`` at
-    ``config.bundle_spec``: its ``active_per_feature`` supplies the layer's
-    bundle statistics, and the cores read feature slices of its grid (built
-    here if the plan carries none).  ``skip_inactive`` is the
-    bundle-packing decision.
+    ``workload`` must come from :func:`plan_stratification` or
+    :func:`unstratified_workload` on ``record.input_spikes`` with the same
+    ``config`` and ``skip_inactive`` (the bundle-packing decision): the
+    cores read its statistics summed over its dense and sparse features.
+    ``grid`` is the layer's input grid when the caller already has it.
     """
+    if workload.tile_steps is None:
+        raise ValueError("plan the layer with plan_stratification first")
     spikes = record.input_spikes
     d_in, d_out = record.weight_shape
     timesteps, tokens, _ = spikes.shape
-    grid = as_grid(
-        spikes if workload.grid is None else workload.grid, config.bundle_spec
-    )
+    if grid is None:
+        grid = TTBGrid(spikes, config.bundle_spec)
+    n_bt, n_bn = config.bundle_spec.grid_shape(timesteps, tokens)
+    bundle_rows = n_bt * n_bn
 
-    x_dense, x_sparse = workload.split(grid)
-    dense = simulate_dense_core(x_dense, d_out, config, skip_inactive)
-    sparse = simulate_sparse_core(x_sparse, d_out, config)
+    counts = workload.active_per_feature
+    dense_features = workload.dense_features
+    sparse_features = workload.sparse_features
+    dense = simulate_dense_core(
+        counts[dense_features].sum(), workload.tile_steps[dense_features].sum(),
+        workload.row_steps[dense_features].sum(), len(dense_features),
+        bundle_rows, d_out, config, skip_inactive,
+    )
+    sparse = simulate_sparse_core(
+        counts[sparse_features].sum(), len(sparse_features), bundle_rows,
+        d_out, config,
+    )
     spike_gen = simulate_spike_generator(timesteps, tokens, d_out, config)
 
     core_cycles = max(dense.cycles, sparse.cycles)
@@ -189,15 +210,13 @@ def lower_matmul_layer(
     # weight GLB); rows of completely silent input features are never
     # fetched (tag-gated — the structured pruning BSA amplifies).
     # Input/output spike tensors spill only past the ping-pong spike GLB.
-    counts = workload.active_per_feature
     if skip_inactive:
         alive_features = int((counts > 0).sum())
     else:
         alive_features = d_in
     weight_bytes = alive_features * d_out * config.weight_bits / 8.0
     traffic.add("dram", "weight", weight_bytes)
-    n_bt, n_bn = config.bundle_spec.grid_shape(timesteps, tokens)
-    num_bundles = n_bt * n_bn * len(counts)
+    num_bundles = bundle_rows * len(counts)
     num_active_bundles = int(counts.sum())
     in_payload = bundle_storage_bytes(
         num_active_bundles, config.bundle_spec.volume, num_bundles

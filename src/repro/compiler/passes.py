@@ -337,11 +337,11 @@ class LowerPass(CompilerPass):
                 workload = draft.workload
                 if workload is None:  # stratify pass off → everything dense
                     workload = unstratified_workload(
-                        draft.grids[0], config.bundle_spec
+                        draft.grids[0], config, draft.packed
                     )
                 report = lower_matmul_layer(
                     draft.record, workload, config, comp.energy,
-                    skip_inactive=draft.packed,
+                    skip_inactive=draft.packed, grid=draft.grids[0],
                 )
             else:
                 report = lower_attention_layer(

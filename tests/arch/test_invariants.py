@@ -80,7 +80,7 @@ def test_property_more_spikes_cost_at_least_as_much_energy(params):
 
     def dense_only(spikes):
         record = LayerRecord(0, "mlp1", spikes, (params["d_in"], params["d_out"]))
-        workload = unstratified_workload(spikes, config.bundle_spec)
+        workload = unstratified_workload(spikes, config)
         return lower_matmul_layer(record, workload, config, EnergyModel())
 
     lo, hi = dense_only(base_spikes), dense_only(extra)

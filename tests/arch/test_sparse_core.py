@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import BishopConfig, EnergyModel, simulate_sparse_core
+from repro.arch import BishopConfig, EnergyModel
 from repro.bundles import BundleSpec
+
+from .core_stats import sparse_core_on
 
 
 def config(**kwargs):
@@ -14,15 +16,15 @@ def config(**kwargs):
 
 class TestCycles:
     def test_empty_cases(self):
-        assert simulate_sparse_core(np.zeros((4, 8, 0)), 8, config()).cycles == 0
-        assert simulate_sparse_core(np.zeros((4, 8, 4)), 0, config()).cycles == 0
-        assert simulate_sparse_core(np.zeros((4, 8, 4)), 8, config()).cycles == 0
+        assert sparse_core_on(np.zeros((4, 8, 0)), 8, config()).cycles == 0
+        assert sparse_core_on(np.zeros((4, 8, 4)), 0, config()).cycles == 0
+        assert sparse_core_on(np.zeros((4, 8, 4)), 8, config()).cycles == 0
 
     def test_single_wave_formula(self):
         cfg = config()
         spikes = np.zeros((4, 8, 4))
         spikes[0, 0, 0] = 1.0            # one active pair -> one wave
-        result = simulate_sparse_core(spikes, 16, cfg)
+        result = sparse_core_on(spikes, 16, cfg)
         assert result.cycles == pytest.approx(1 * 16 * 1 * cfg.sparse_overhead)
 
     def test_waves_scale_with_active_pairs(self, rng):
@@ -30,7 +32,7 @@ class TestCycles:
         spikes = np.zeros((8, 64, 129))
         # 129 features × 1 active bundle each = 129 pairs -> 2 waves of 128.
         spikes[0, 0, :] = 1.0
-        result = simulate_sparse_core(spikes, 8, cfg)
+        result = sparse_core_on(spikes, 8, cfg)
         assert result.cycles == pytest.approx(2 * 8 * 1 * cfg.sparse_overhead)
         assert result.active_pairs == 129
 
@@ -40,8 +42,8 @@ class TestCycles:
         few = np.zeros((8, 64, 128))      # grid: 4×16 = 64 bundle slots
         few[0, :8, :16] = 1.0             # 2 slots × 16 feats = 32 pairs → 1 wave
         many = np.ones((8, 64, 128))      # 64 × 128 = 8192 pairs → 64 waves
-        a = simulate_sparse_core(few, 16, cfg)
-        b = simulate_sparse_core(many, 16, cfg)
+        a = sparse_core_on(few, 16, cfg)
+        b = sparse_core_on(many, 16, cfg)
         assert b.cycles == pytest.approx(64 * a.cycles)
 
 
@@ -51,7 +53,7 @@ class TestEnergyAndTraffic:
         model = EnergyModel()
         spikes = np.zeros((4, 8, 4))
         spikes[0, 0, 0] = 1.0
-        result = simulate_sparse_core(spikes, 16, cfg)
+        result = sparse_core_on(spikes, 16, cfg)
         assert result.sparse_ops == cfg.bundle_spec.volume * 16
         assert result.compute_energy_pj(model) == pytest.approx(
             result.sparse_ops * model.e_sparse_op_pj
@@ -62,19 +64,19 @@ class TestEnergyAndTraffic:
         spikes = np.zeros((4, 8, 4))
         spikes[0, 0, 0] = 1.0
         spikes[2, 4, 1] = 1.0
-        result = simulate_sparse_core(spikes, 16, cfg)
+        result = sparse_core_on(spikes, 16, cfg)
         assert result.traffic.bytes(kind="weight") == 2 * 16 * cfg.weight_bits / 8
 
     def test_silent_features_cost_nothing(self):
         cfg = config()
         spikes = np.zeros((4, 8, 100))
-        result = simulate_sparse_core(spikes, 64, cfg)
+        result = sparse_core_on(spikes, 64, cfg)
         assert result.traffic.bytes() == 0.0
         assert result.cycles == 0.0
 
     def test_utilization_bounds(self, rng):
         spikes = (rng.random((8, 16, 32)) < 0.1).astype(np.float64)
-        result = simulate_sparse_core(spikes, 32, config())
+        result = sparse_core_on(spikes, 32, config())
         assert 0.0 < result.utilization <= 1.0
 
 
@@ -87,6 +89,6 @@ def test_property_cycles_monotone_in_activity(seed, density):
     more = np.maximum(base, (gen.random((6, 8, 16)) < 0.1).astype(np.float64))
     cfg = config()
     assert (
-        simulate_sparse_core(more, 8, cfg).cycles
-        >= simulate_sparse_core(base, 8, cfg).cycles
+        sparse_core_on(more, 8, cfg).cycles
+        >= sparse_core_on(base, 8, cfg).cycles
     )

@@ -81,20 +81,6 @@ class TestConv2d:
         gradcheck(lambda ts: F.conv2d(ts[0], ts[1], stride=4), [x, w], atol=1e-4)
 
 
-class TestAvgPool:
-    def test_matches_manual(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)))
-        out = F.avg_pool2d(x, 2)
-        assert out.shape == (2, 3, 2, 2)
-        np.testing.assert_allclose(
-            out.data[0, 0, 0, 0], x.data[0, 0, :2, :2].mean()
-        )
-
-    def test_rejects_indivisible(self, rng):
-        with pytest.raises(ValueError):
-            F.avg_pool2d(Tensor(rng.normal(size=(1, 1, 5, 4))), 2)
-
-
 class TestBatchNorm:
     def test_training_normalizes(self, rng):
         x = Tensor(rng.normal(loc=3.0, scale=2.0, size=(64, 8)))

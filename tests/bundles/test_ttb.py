@@ -1,7 +1,5 @@
 """Token-Time Bundle grid tests (Sec. 3 invariants)."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,14 +96,6 @@ class TestAggregations:
         grid = TTBGrid(spikes, spec)
         assert grid.active_per_bundle_row[0, 0] == 3
         assert grid.active_per_bundle_row.sum() == 3
-
-    def test_feature_slice(self, small_spikes, spec):
-        grid = TTBGrid(small_spikes, spec)
-        sliced = grid.feature_slice(np.array([0, 2, 5]))
-        assert sliced.features == 3
-        np.testing.assert_array_equal(
-            sliced.tags, grid.tags[:, :, [0, 2, 5]]
-        )
 
     def test_sparsity_loss_equals_spike_count(self, small_spikes, spec):
         # For binary spikes, the sum of L0 tags is the total spike count.
@@ -219,23 +209,3 @@ class TestStorageContract:
         spikes[0, 0, 0] = value
         with pytest.raises(ValueError, match="binary"):
             TTBGrid(spikes, spec)
-
-    @pytest.mark.parametrize(
-        "indices",
-        [np.array([0, 2, 5]), np.array([], dtype=np.int64), np.arange(16)[::-1]],
-        ids=["subset", "empty", "all-reversed"],
-    )
-    def test_feature_slice_equals_fresh_grid_and_builds_none(
-        self, small_spikes, spec, indices
-    ):
-        spikes = small_spikes[:5, :7].astype(bool)   # ragged (T, N)
-        grid = TTBGrid(spikes, spec)
-        grid.active  # the slice reads the parent's mask
-        with mock.patch.object(
-            TTBGrid, "__init__", autospec=True, side_effect=TTBGrid.__init__
-        ) as init:
-            sliced = grid.feature_slice(indices)
-            fields = {name: getattr(sliced, name) for name in GRID_FIELDS}
-        assert init.call_count == 0
-        assert fields  # every field was readable without a build
-        assert_same_grid(sliced, TTBGrid(spikes[:, :, indices], spec))

@@ -14,7 +14,10 @@ from repro.cluster import (
     homogeneous_fleet,
     simulate_cluster_sharded,
 )
+from repro.cluster import sharding
 from repro.serve import SchedulerConfig, poisson_arrivals, request_profile
+
+from .test_report_golden import SCENARIOS
 
 MODEL = "model4"
 
@@ -147,6 +150,28 @@ class TestDrain:
         )
         assert report.shed == 0
         assert report.chips["chip0"].requests_served == 3
+
+
+class TestDrainTarget:
+    def test_drains_go_to_shards_that_can_drain(self, monkeypatch):
+        """A shard's last accepting chip can never be drained, so no drain
+        goes to a shard whose last digest shows fewer than two accepting
+        chips — on four one-chip shards, only to the one holding an added
+        replica."""
+        decide = sharding._Coordinator._autoscale_decision
+        targets = []
+
+        def spy(self, at_s):
+            decision = decide(self, at_s)
+            if decision is not None and decision.command[0] == "drain":
+                targets.append(self.accepting[decision.shard])
+            return decision
+
+        monkeypatch.setattr(sharding._Coordinator, "_autoscale_decision", spy)
+        report = SCENARIOS["k4_autoscale"]()
+        assert targets and min(targets) >= 2
+        drains = [e for e in report.scaling_events if e.action == "drain"]
+        assert len(drains) == len(targets)   # no drain was refused
 
 
 class TestWindowedDecisions:

@@ -3,7 +3,7 @@
 ``report_golden.json`` holds ``ClusterReport.to_dict()`` for a matrix
 of fleet runs that together reach every branch of the coordinator's
 window loop: one and four shards, both shard policies, an autoscaler
-that adds and drains chips (and has a drain refused), a queue bound
+that adds and drains chips, a queue bound
 that sheds, the streaming SLO monitor with the alert detectors on,
 tenants with an admission quota, and the empty stream.  Any change to
 routing, window batching, digest merging, monitor feeding or report
@@ -118,8 +118,8 @@ def _k1_autoscale():
 
 
 def _k4_autoscale():
-    # One chip per shard: a drain is refused until a shard holds an
-    # added replica, so refused drains are in the loop too.
+    # One chip per shard: only a shard that holds an added replica has
+    # a chip to drain, so every drain goes there.
     return simulate_cluster_sharded(
         _flash(600, seed=5, chips=8),
         homogeneous_fleet(4),

@@ -47,7 +47,7 @@ def direct_report(trace, config, optimized=True, ecp=None):
             if optimized:
                 workload = plan_stratification(spikes, out_features, config)
             else:
-                workload = unstratified_workload(spikes, config.bundle_spec)
+                workload = unstratified_workload(spikes, config, skip_inactive=False)
             layers.append(
                 lower_matmul_layer(
                     record, workload, config, energy, skip_inactive=optimized

@@ -3,9 +3,10 @@
 ``plan_stratification`` scores each θ_s candidate from two per-feature
 statistics of one bundle grid.  The oracle is the loop it replaced:
 ``balanced_theta`` with callbacks that slice the candidate's partition out
-of the spikes and run :func:`simulate_dense_core` /
-:func:`simulate_sparse_core` on it.  Every candidate's dense and sparse
-score must equal the oracle's with ``==``, and so must the chosen θ_s.
+of the spikes, count its statistics from the slice, and run
+:func:`simulate_dense_core` / :func:`simulate_sparse_core` on them.  Every
+candidate's dense and sparse score must equal the oracle's with ``==``,
+and so must the chosen θ_s.
 """
 
 from unittest import mock
@@ -14,12 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import BishopConfig, simulate_dense_core, simulate_sparse_core
+from repro.arch import BishopConfig
 from repro.bundles import BundleSpec
 from repro.compiler import lowering
 from repro.harness.fig16 import DEFAULT_VOLUMES, INTRINSIC_CLUSTER_SPEC
 from repro.harness.synthetic import PROFILES, synthetic_trace
 from repro.model import model_config
+
+from ..arch.core_stats import dense_core_on, sparse_core_on
 
 
 def oracle_theta(spikes, out_features, config, skip_inactive):
@@ -27,10 +30,10 @@ def oracle_theta(spikes, out_features, config, skip_inactive):
     return lowering.balanced_theta(
         spikes,
         config.bundle_spec,
-        lambda w: simulate_dense_core(
+        lambda w: dense_core_on(
             spikes[:, :, w.dense_features], out_features, config, skip_inactive
         ).cycles,
-        lambda w: simulate_sparse_core(
+        lambda w: sparse_core_on(
             spikes[:, :, w.sparse_features], out_features, config
         ).cycles,
     )
@@ -67,12 +70,12 @@ def scorer_mismatches(
     mismatches = []
     for core, candidate, value in scored:
         if core == "dense":
-            want = simulate_dense_core(
+            want = dense_core_on(
                 spikes[:, :, candidate.dense_features], out_features, config,
                 skip_inactive,
             ).cycles
         else:
-            want = simulate_sparse_core(
+            want = sparse_core_on(
                 spikes[:, :, candidate.sparse_features], out_features, config
             ).cycles
         if value != want:
