@@ -179,7 +179,12 @@ def balanced_theta(
         # np.quantile(unique, linspace, method="lower") picks these indices
         quantiles = np.linspace(0.0, 1.0, num_candidates)
         picks = np.floor((len(unique) - 1) * quantiles).astype(np.intp)
-        candidates = np.unique(unique[picks])
+        # The picks are nondecreasing: dropping a repeat of the previous
+        # pick leaves the distinct ones in ascending order.
+        picks = picks.tolist()
+        candidates = unique[
+            [pick for pick, prev in zip(picks, [-1, *picks]) if pick != prev]
+        ]
     else:
         candidates = unique
     order = np.argsort(counts, kind="stable")

@@ -132,7 +132,7 @@ class TTBGrid:
     def num_bundles(self) -> int:
         return self.n_bt * self.n_bn * self.features
 
-    @property
+    @cached_property
     def num_active_bundles(self) -> int:
         return int(np.count_nonzero(self.active))
 

@@ -16,15 +16,16 @@ requests (admitted but not yet completed) by its
 tenant at quota is shed even when chips have room (the contract that
 stops one tenant's burst from displacing everyone else's queue slots).
 
-Candidate routing
+Least-key routing
 -----------------
 ``eligible_chips`` lists every eligible chip of a shard in fleet order,
 which ``round_robin`` needs (the k-th eligible chip).  ``least_work``
-and ``sparsity`` take a minimum, and for them a :class:`CandidateIndex`
-narrows the list to the chips that can win:
+and ``sparsity`` take the eligible chip with the least key, first in
+fleet order on ties, and :meth:`CandidateIndex.least` finds it in one
+pass over the chips that can win:
 
 * the **live** chips (enqueued into since they were last seen idle
-  with ``outstanding_s == 0.0``) that are eligible, and
+  with ``outstanding_s == 0.0``), with eligibility checked inline, and
 * per chip kind, the lowest-position accepting idle host of the model.
 
 A chip that is not live has nothing queued or in flight, so its queue
@@ -32,12 +33,16 @@ has room, and its outstanding work is exactly ``0.0``.  Its key is
 ``0.0`` (``least_work``) or ``0.0 + service_estimate_s(model)``
 (``sparsity``), and the service estimate is the profile of the model
 on the chip's kind, so every idle host of one kind has the same key.
-The full scan returns the lowest-position chip among those with the
-least key.  If that chip is live, it is a candidate.  If it is idle, no
-idle host of its kind sits before it (that host would tie and come
-first), so it is its kind's candidate.  Candidates are returned in
-fleet order, and the policy's stable ``min`` over them picks the same
-chip as over the full list.  A chip that went idle mid-window, or whose
+The full scan's chip is the lowest-position chip among those with the
+least key.  If that chip is live, the pass inspects it.  If it is idle,
+no idle host of its kind sits before it (that host would tie and come
+first), so it is its kind's first idle host, which the pass inspects
+too.  The pass keeps the inspected chip with the least ``(key,
+position)``; every chip the full scan would prefer has a smaller key,
+or an equal key and a lower position, so it cannot beat the full
+scan's chip, and the full scan's chip is kept.  The keys are the
+policies' own float expressions, compared with ``<`` and ``==`` as
+``min`` compares them.  A chip that went idle mid-window, or whose
 outstanding work drifted off ``0.0`` in rounding, stays live and is
 judged by its real key.
 """
@@ -45,7 +50,9 @@ judged by its real key.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 from ..serve.simulate import ChipServer
 from ..serve.workload import Request, TenantSpec
@@ -113,16 +120,17 @@ def eligible_chips(request: Request, chips: list[ChipServer]) -> list[ChipServer
 
 class CandidateIndex:
     """A shard's live chips and, per (model, kind), its accepting idle
-    hosts in fleet order: the chips a minimum-key router has to inspect.
+    hosts in fleet order: the chips a least-key router has to inspect.
 
     ``chips`` is the shard's fleet-ordered chip list (shared, so chips
-    added by the autoscaler are seen); the shard reports every change of
-    a chip's state through :meth:`enqueued`, :meth:`settled` and
-    :meth:`drained`.
+    added by the autoscaler are seen), all bounded by ``queue_capacity``;
+    the shard reports every change of a chip's state through
+    :meth:`enqueued`, :meth:`settled` and :meth:`drained`.
     """
 
-    def __init__(self, chips: list[ChipServer]):
+    def __init__(self, chips: list[ChipServer], queue_capacity: int | None = None):
         self.chips = chips
+        self.queue_capacity = queue_capacity
         self.live: set[int] = set()
         self._idle: dict[str, dict[str, list[int]]] = {}  # model -> kind -> positions
 
@@ -158,19 +166,29 @@ class CandidateIndex:
         if position not in self.live:
             self._unfile(position)
 
-    def candidates(self, model: str) -> tuple[list[ChipServer], int]:
-        """The eligible live chips plus each kind's first idle host of
-        ``model``, in fleet order, and the number of chips inspected."""
-        chips = self.chips
-        positions = []
-        for position in self.live:
+    def least(
+        self, key: Callable[[ChipServer, str], float], model: str
+    ) -> tuple[ChipServer | None, int]:
+        """The eligible chip with the least ``key(chip, model)``, lowest
+        position on ties (``None`` if no chip is eligible), and the number
+        of chips inspected: every live chip and each kind's first idle
+        host of ``model`` (always eligible)."""
+        chips, capacity = self.chips, self.queue_capacity
+        firsts = [idle[0] for idle in self._idle.get(model, {}).values() if idle]
+        best = None
+        best_key = best_position = 0
+        for position in chain(self.live, firsts):
             chip = chips[position]
-            if chip.accepting and chip.hosts(model) and chip.has_queue_capacity():
-                positions.append(position)
-        scanned = len(self.live)
-        for idle in self._idle.get(model, {}).values():
-            if idle:
-                positions.append(idle[0])
-                scanned += 1
-        positions.sort()
-        return [chips[position] for position in positions], scanned
+            if (
+                chip.accepting
+                and model in chip.profiles
+                and (capacity is None or chip.queue_depth < capacity)
+            ):
+                value = key(chip, model)
+                if (
+                    best is None
+                    or value < best_key
+                    or (value == best_key and position < best_position)
+                ):
+                    best, best_key, best_position = chip, value, position
+        return best, len(self.live) + len(firsts)

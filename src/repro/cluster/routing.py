@@ -3,9 +3,10 @@
 Each shard's router consults a policy with the request and the
 *eligible* chips (accepting, hosting the model, queue not full — see
 ``repro.cluster.admission``), in fleet order.  ``round_robin`` sees
-every eligible chip; ``least_work`` and ``sparsity`` see only the chips
-that can win their minimum (the live chips and each kind's first idle
-host; the tie argument is in ``repro.cluster.admission``).  Policies
+every eligible chip; ``least_work`` and ``sparsity`` give a per-chip
+key, and a shard takes its minimum in one pass over the chips that can
+win it (the live chips and each kind's first idle host; the tie
+argument is in ``repro.cluster.admission``).  Policies
 are deterministic: given the same stream and fleet they always produce
 the same assignment, which keeps cluster experiments cacheable by the
 runtime.
@@ -33,6 +34,7 @@ from ..serve.workload import Request
 
 __all__ = [
     "POLICIES",
+    "LeastKey",
     "LeastOutstanding",
     "RoundRobin",
     "RoutingPolicy",
@@ -45,10 +47,9 @@ class RoutingPolicy:
     """Base class: pick one chip among the eligible, or ``None`` to shed.
 
     ``scans_fleet`` is True when :meth:`choose` needs every eligible chip
-    in fleet order.  A policy that takes the least key, first in fleet
-    order on ties, with a key equal on the idle hosts of one chip kind,
-    sets it False and is shown only the candidates of
-    :class:`~repro.cluster.admission.CandidateIndex`.
+    in fleet order.  A :class:`LeastKey` policy sets it False: a shard
+    routes it with :meth:`CandidateIndex.least
+    <repro.cluster.admission.CandidateIndex.least>` instead of a list.
     """
 
     name = "?"
@@ -76,34 +77,41 @@ class RoundRobin(RoutingPolicy):
         return chip
 
 
-class LeastOutstanding(RoutingPolicy):
-    """Join the chip with the least outstanding estimated work."""
+class LeastKey(RoutingPolicy):
+    """Join the eligible chip with the least :meth:`key`, first in fleet
+    order on ties.  The key is equal on the idle hosts of one chip kind
+    (``outstanding_s == 0.0`` and the kind's profile), which is what
+    lets a shard inspect one idle host per kind."""
 
-    name = "least_work"
     scans_fleet = False
+
+    def key(self, chip: ChipServer, model: str) -> float:
+        raise NotImplementedError
 
     def choose(self, request, eligible):
         if not eligible:
             return None
         # min() is stable: fleet order breaks exact ties deterministically.
-        return min(eligible, key=lambda chip: chip.outstanding_s)
+        return min(eligible, key=lambda chip: self.key(chip, request.model))
 
 
-class SparsityAffinity(RoutingPolicy):
+class LeastOutstanding(LeastKey):
+    """Join the chip with the least outstanding estimated work."""
+
+    name = "least_work"
+
+    def key(self, chip, model):
+        return chip.outstanding_s
+
+
+class SparsityAffinity(LeastKey):
     """Minimize expected completion: outstanding work + service time on
     that chip (the heterogeneity-aware term)."""
 
     name = "sparsity"
-    scans_fleet = False
 
-    def choose(self, request, eligible):
-        if not eligible:
-            return None
-        return min(
-            eligible,
-            key=lambda chip: chip.outstanding_s
-            + chip.service_estimate_s(request.model),
-        )
+    def key(self, chip, model):
+        return chip.outstanding_s + chip.service_estimate_s(model)
 
 
 POLICIES: dict[str, type[RoutingPolicy]] = {

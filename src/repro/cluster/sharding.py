@@ -12,7 +12,7 @@ independently (one shard, the default, is the whole fleet on one clock):
   routing policy; it advances in **windows** — ``step(requests, until)``
   feeds one window's arrivals, runs its engine exactly to the window
   edge (``Engine.run(until=...)``), and returns a picklable
-  :class:`WindowDigest` of streaming latency sketches and counters;
+  :class:`WindowDigest` of the window's latency samples and counters;
 * the **coordinator** (:class:`_Coordinator`, built and driven by
   :func:`simulate_cluster_sharded`) holds every piece of between-window
   state — the last digests, per-shard placement and queue room, the
@@ -20,10 +20,11 @@ independently (one shard, the default, is the whole fleet on one clock):
   autoscaler decision.  Its ``window()`` batches one window's arrivals,
   assigns each request to a shard (:data:`SHARD_POLICIES`), steps every
   shard with arrivals, work or a command through the
-  :class:`~repro.runtime.executor.ShardPool` actor pool, merges the
-  digests in shard order, feeds the SLO and alert monitors, and makes
-  the window's autoscaler decision; ``finish()`` collects each shard's
-  :class:`ShardFinal` and builds the :class:`ClusterReport` once.
+  :class:`~repro.runtime.executor.ShardPool` actor pool, folds the
+  digests' samples into the fleet sketches in shard order, feeds the
+  SLO and alert monitors, and makes the window's autoscaler decision;
+  ``finish()`` collects each shard's :class:`ShardFinal` and builds the
+  :class:`ClusterReport` once.
 
 Chips are dealt round-robin (not in contiguous blocks) so that, with
 ``num_shards`` dividing the fleet size, shard-level round-robin over
@@ -183,10 +184,16 @@ class ShardInit:
 class WindowDigest:
     """One shard's window summary — everything the coordinator consumes.
 
-    Sketches cover **this window's completions only**; the coordinator
-    merges them into the cumulative fleet sketch (exact, order-free
-    merges — see :mod:`repro.serve.sketch`), so per-window payloads stay
-    small no matter how long the run gets.
+    ``latency`` and ``wait`` are the raw samples of **this window's
+    completions only**, in completion order; the coordinator inserts
+    them with ``add_many`` into the cumulative fleet sketches and the
+    window sketch, the same insert a shard-side sketch would make, so
+    the fleet statistics are bit-identical to merging per-shard window
+    sketches.  Payload bytes scale with the window's completions (9
+    bytes a sample pickled), not with the run length: a few-sample
+    digest pickles to ~400 bytes, where two 2,533-bin sketches cost a
+    fixed ~41 KB (20.6 KB each) — the break-even is ~2.3k samples per
+    sketch.
     """
 
     shard: int
@@ -201,8 +208,8 @@ class WindowDigest:
     outstanding_s: float          # estimated work on accepting chips
     accepting_chips: int
     hosted_models: tuple[str, ...]
-    latency: LatencySketch
-    wait: LatencySketch
+    latency: tuple[float, ...]    # this window's latency samples (s)
+    wait: tuple[float, ...]       # and queue waits (s), same order
     applied: tuple[tuple[str, str | None], ...] = ()   # command acks
     wall_s: float = 0.0           # worker wall time spent in this step
     tenant_served: dict[str, int] = field(default_factory=dict)  # this window
@@ -244,9 +251,13 @@ class ShardState:
     other chip has nothing queued or in flight and exactly ``0.0``
     outstanding work, so skipping it leaves each sum unchanged (adding
     ``0.0`` is exact).  Accepting chips and their per-model host counts
-    are tallies, kept on add and drain.  The front door routes the same
-    way: a minimum-key policy inspects the live chips and one idle host
-    per chip kind (:class:`~repro.cluster.admission.CandidateIndex`).
+    are tallies, kept on add and drain, and a chip's queue depth is two
+    counters (``admitted - dispatched``).  The front door routes the
+    same way: a least-key policy takes its minimum in one pass over the
+    live chips and one idle host per chip kind
+    (:meth:`CandidateIndex.least
+    <repro.cluster.admission.CandidateIndex.least>`).  A step allocates
+    no sketch: the digest carries the window's samples.
     """
 
     def __init__(self, init: ShardInit):
@@ -273,7 +284,7 @@ class ShardState:
         self._window_shed = 0
         self._window_tenant_served: dict[str, int] = {}
         self._slots: dict[ChipServer, int] = {}   # chip -> fleet position
-        self._index = CandidateIndex(self.chips)
+        self._index = CandidateIndex(self.chips, init.queue_capacity)
         self._route_scanned = 0                  # chips inspected this step
         self._accepting = 0
         self._hosts: dict[str, int] = {}          # model -> accepting hosts
@@ -376,9 +387,9 @@ class ShardState:
         if self.policy.scans_fleet:
             self._route_scanned += len(self.chips)
             return self.policy.choose(request, eligible_chips(request, self.chips))
-        candidates, scanned = self._index.candidates(request.model)
+        chip, scanned = self._index.least(self.policy.key, request.model)
         self._route_scanned += scanned
-        return self.policy.choose(request, candidates)
+        return chip
 
     def _apply(self, command: tuple) -> tuple[str, str | None]:
         action, at_s = command[:2]
@@ -444,10 +455,6 @@ class ShardState:
                     name=f"shard{self.init.shard}:feed",
                 )
             self.engine.run(until=until)
-        latency = LatencySketch()
-        latency.add_many(self._window_latencies)
-        wait = LatencySketch()
-        wait.add_many(self._window_waits)
         chips, index = self.chips, self._index
         live = index.live
         pending = inflight = 0
@@ -457,7 +464,7 @@ class ShardState:
         capacity = self.init.queue_capacity
         for position in sorted(live):
             chip = chips[position]
-            depth = chip.queue_depth
+            depth = chip.admitted - chip.dispatched   # chip.queue_depth
             busy = chip.inflight
             work = chip.outstanding_s
             pending += depth
@@ -467,7 +474,9 @@ class ShardState:
                 if capacity is not None and depth >= capacity:
                     for model in chip.profiles:
                         full[model] = full.get(model, 0) + 1
-            if work == 0.0 and busy == 0 and chip.queue.empty:
+            # With no lane running, the pool holds no preempted entry, so
+            # it is empty exactly when nothing waits for dispatch.
+            if work == 0.0 and busy == 0 and depth == 0:
                 index.settled(position)
         obs.inc("cluster.shard.steps")
         obs.inc("cluster.digest.chips_scanned", scanned)
@@ -488,8 +497,8 @@ class ShardState:
                 model for model, count in self._hosts.items()
                 if count > full.get(model, 0)
             )),
-            latency=latency,
-            wait=wait,
+            latency=tuple(self._window_latencies),
+            wait=tuple(self._window_waits),
             applied=applied,
             wall_s=time.perf_counter() - wall_start,
             tenant_served=self._window_tenant_served,
@@ -793,9 +802,10 @@ class _Coordinator:
                 # Per-worker window wall time, merged coordinator-side
                 # (workers on a process pool can't share the registry).
                 obs.observe("cluster.shard_window_s", digest.wall_s)
-                self.latency.update(digest.latency)
-                self.wait.update(digest.wait)
-                window_latency.update(digest.latency)
+                if digest.latency:
+                    self.latency.add_many(digest.latency)
+                    self.wait.add_many(digest.wait)
+                    window_latency.add_many(digest.latency)
                 window_served += digest.window_served
                 window_shed += digest.window_shed
                 for tenant, count in digest.tenant_served.items():

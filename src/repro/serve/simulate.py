@@ -85,6 +85,9 @@ class ChipServer:
         )
         self.work = engine.gate()
         self.inflight = 0
+        # Entries admitted and first dispatched: their difference is the
+        # queue depth, since ``_dispatch`` is where every entry starts.
+        self.admitted = 0
         self.dispatched = 0
         self.served: list[ServedRequest] = []
         self.served_count = 0
@@ -112,7 +115,8 @@ class ChipServer:
 
     @property
     def queue_depth(self) -> int:
-        return self.queue.queue_depth
+        """Admitted requests not yet in service (``queue.queue_depth``)."""
+        return self.admitted - self.dispatched
 
     @property
     def tenant_service_s(self) -> dict[str, float]:
@@ -129,6 +133,7 @@ class ChipServer:
         if self.closed:
             raise RuntimeError(f"chip {self.name!r} is closed")
         self.queue.add(request)
+        self.admitted += 1
         obs.inc("serve.admitted")
         obs.set_gauge("serve.queue_depth", self.queue_depth)
         self.outstanding_s += self.service_estimate_s(request.model)

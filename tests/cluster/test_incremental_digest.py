@@ -5,9 +5,12 @@ were last idle with ``outstanding_s == 0.0``) and keeps the accepting
 and per-model host counts as tallies.  After every window these tests
 recompute the digest fields the way the full scan did — every chip, in
 fleet order — and require ``==``; ``_drainable_victim`` is pinned to the
-all-pairs loop it replaced.
+all-pairs loop it replaced.  A digest carries its window's raw samples:
+folding them into the fleet sketches with ``add_many`` is pinned to
+merging per-window sketches, and a few-sample digest pickles small.
 """
 
+import pickle
 import random
 
 import pytest
@@ -24,6 +27,7 @@ from repro.cluster import (
 )
 from repro.cluster.sharding import ShardInit, ShardState
 from repro.serve import SchedulerConfig, flash_crowd_arrivals, request_profile
+from repro.serve.sketch import LatencySketch
 
 MIX = "model2:0.4+model4:0.6"
 
@@ -195,3 +199,54 @@ class TestCounters:
         assert metrics.counter("cluster.shard.steps").value == len(steps)
         scanned = metrics.counter("cluster.digest.chips_scanned").value
         assert 0 < scanned < sum(steps) / 2   # well under every chip
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_folding_samples_equals_merging_window_sketches(seed):
+    """The coordinator's ``add_many`` of each digest's samples builds the
+    same sketch, field for field, as merging a sketch built per shard
+    window: the same per-window sum is added in the same order, and bin
+    counts are integers."""
+    rng = random.Random(seed)
+    merged, folded = LatencySketch(), LatencySketch()
+    for _ in range(30):
+        for _ in range(3):   # shards, in shard order
+            size = rng.choice([0, 0, 1, 2, 3, 7, 8, 9, 40])
+            samples = tuple(
+                rng.lognormvariate(-7.0, 1.5) for _ in range(size)
+            )
+            window = LatencySketch()
+            window.add_many(list(samples))
+            merged.update(window)
+            folded.add_many(samples)
+    assert folded.to_dict() == merged.to_dict()
+    assert (folded.count, folded.sum_s, folded.min_s, folded.max_s) == (
+        merged.count, merged.sum_s, merged.min_s, merged.max_s
+    )
+
+
+def test_few_sample_digest_pickles_small(monkeypatch, latency):
+    """A digest's payload scales with its window's completions: one with
+    under 8 samples pickles to under 1 KB."""
+    digests = []
+    step = ShardState.step
+
+    def captured(self, *args, **kwargs):
+        digest = step(self, *args, **kwargs)
+        digests.append(digest)
+        return digest
+
+    monkeypatch.setattr(ShardState, "step", captured)
+    stream = flash_crowd_arrivals(
+        120, 0.3 / latency, MIX, seed=3,
+        spike_at_s=0.01, spike_duration_s=0.01, spike_factor=6.0,
+    )
+    simulate_cluster_sharded(
+        stream, homogeneous_fleet(4), SchedulerConfig(max_inflight=2),
+        sharding=ShardingConfig(num_shards=2, window_s=0.002),
+    )
+    few = [d for d in digests if 0 < len(d.latency) < 8]
+    assert few
+    for digest in few:
+        assert len(digest.latency) == len(digest.wait) == digest.window_served
+        assert len(pickle.dumps(digest)) < 1024

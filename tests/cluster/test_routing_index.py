@@ -2,10 +2,12 @@
 
 ``least_work`` and ``sparsity`` route over a shard's live chips plus each
 chip kind's first idle host (``repro.cluster.admission.CandidateIndex``).
-The oracle is the scan it replaced: ``eligible_chips`` over every chip of
-the shard, then ``policy.choose`` on that list.  Every arrival's chip
-must be the same object, in whole cluster runs and in a Hypothesis
-property over tie-heavy stub shards.
+``CandidateIndex.least`` takes the policy's least key in one pass over
+them.  The oracle is the scan it replaced: ``eligible_chips`` over every
+chip of the shard, then the policy's ``min`` over that list.  Every
+arrival's chip must be the same object, in whole cluster runs and in a
+Hypothesis property over tie-heavy stub shards, and the pass must
+inspect exactly the live chips plus one idle host per kind.
 """
 
 import copy
@@ -250,7 +252,7 @@ class StubChip:
         self.kind = kind
         self.profiles = {model: ESTIMATES[kind][model] for model in models}
         self.queue_capacity = capacity
-        self.depth = 0
+        self.queue_depth = 0
         self.outstanding_s = 0.0
         self.accepting = True
 
@@ -258,10 +260,32 @@ class StubChip:
         return model in self.profiles
 
     def has_queue_capacity(self):
-        return self.queue_capacity is None or self.depth < self.queue_capacity
+        return (
+            self.queue_capacity is None
+            or self.queue_depth < self.queue_capacity
+        )
 
     def service_estimate_s(self, model):
         return self.profiles[model]
+
+
+def full_scan(policy, index, chips, model):
+    """The reference: ``min`` of the policy's key over every eligible
+    chip in fleet order, and the count of chips the index inspects —
+    every live chip plus one per kind with an accepting idle host."""
+    request = Request(index=0, model=model, arrival_s=0.0)
+    eligible = eligible_chips(request, chips)
+    chip = (
+        min(eligible, key=lambda chip: policy.key(chip, model))
+        if eligible
+        else None
+    )
+    kinds = {
+        c.kind
+        for position, c in enumerate(chips)
+        if position not in index.live and c.accepting and c.hosts(model)
+    }
+    return chip, len(index.live) + len(kinds)
 
 
 chip_specs = st.tuples(
@@ -288,10 +312,10 @@ operations = st.lists(
     specs=st.lists(chip_specs, min_size=1, max_size=12),
     ops=operations,
 )
-def test_candidates_pick_the_full_scans_chip(policy, capacity, specs, ops):
+def test_least_picks_the_full_scans_chip(policy, capacity, specs, ops):
     chooser = make_policy(policy)
     chips: list[StubChip] = []
-    index = CandidateIndex(chips)
+    index = CandidateIndex(chips, capacity)
 
     def add(kind, models):
         chips.append(StubChip(kind, models, capacity))
@@ -303,21 +327,23 @@ def test_candidates_pick_the_full_scans_chip(policy, capacity, specs, ops):
         position = slot % len(chips)
         chip = chips[position]
         if action == "route":
-            request = Request(index=0, model=model, arrival_s=0.0)
-            oracle = chooser.choose(request, eligible_chips(request, chips))
-            candidates, scanned = index.candidates(model)
-            assert chooser.choose(request, candidates) is oracle
-            assert scanned <= len(index.live) + len(ESTIMATES)
+            oracle, expected_scanned = full_scan(chooser, index, chips, model)
+            picked, scanned = index.least(chooser.key, model)
+            assert picked is oracle
+            assert scanned == expected_scanned
             if oracle is not None:
-                oracle.depth += 1
+                oracle.queue_depth += 1
                 oracle.outstanding_s += oracle.service_estimate_s(model)
                 index.enqueued(chips.index(oracle))
-        elif action == "finish" and chip.depth:
-            chip.depth -= 1
-            chip.outstanding_s = load if chip.depth == 0 else 1.0 + load
+        elif action == "finish" and chip.queue_depth:
+            chip.queue_depth -= 1
+            chip.outstanding_s = load if chip.queue_depth == 0 else 1.0 + load
         elif action == "settle":
             for live in sorted(index.live):
-                if chips[live].depth == 0 and chips[live].outstanding_s == 0.0:
+                if (
+                    chips[live].queue_depth == 0
+                    and chips[live].outstanding_s == 0.0
+                ):
                     index.settled(live)
         elif action == "drain" and chip.accepting:
             chip.accepting = False
@@ -326,25 +352,90 @@ def test_candidates_pick_the_full_scans_chip(policy, capacity, specs, ops):
             add(*spec)
 
 
-def test_index_files_idle_hosts_in_fleet_order():
-    chips = [
-        StubChip("a", MODELS, None),
-        StubChip("b", ("m1",), None),
-        StubChip("a", ("m2",), None),
-        StubChip("b", MODELS, None),
-    ]
-    index = CandidateIndex(chips)
+def stub_shard(specs, capacity=None):
+    chips = [StubChip(kind, models, capacity) for kind, models in specs]
+    index = CandidateIndex(chips, capacity)
     for position in range(len(chips)):
         index.settled(position)
-    assert index.candidates("m1") == ([chips[0], chips[1]], 2)
-    index.enqueued(0)
-    chips[0].outstanding_s = 1.0
-    assert index.candidates("m1") == ([chips[0], chips[1]], 2)
-    assert index.candidates("m2") == ([chips[0], chips[2], chips[3]], 3)
+    return chips, index
+
+
+def make_live(index, chips, position, outstanding_s, depth=1):
+    index.enqueued(position)
+    chips[position].queue_depth = depth
+    chips[position].outstanding_s = outstanding_s
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 2])
+@pytest.mark.parametrize("drift", [DRIFT, -DRIFT, 1e-300, -1e-300])
+def test_drifted_live_chips(capacity, drift):
+    """A live chip that drained to a tiny ± residue is judged by its real
+    key: below an idle host's ``0.0`` it wins, above it loses."""
+    chips, index = stub_shard([("b", MODELS)] * 4, capacity)
+    make_live(index, chips, 2, drift, depth=0)   # served out, residue left
+    make_live(index, chips, 3, 1.0 + drift)
+    policy = make_policy("least_work")
+    chip, scanned = index.least(policy.key, "m1")
+    assert (chip, scanned) == full_scan(policy, index, chips, "m1")
+    assert chip is (chips[2] if drift < 0 else chips[0])
+    assert scanned == 3   # two live chips, one idle kind
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 2])
+@pytest.mark.parametrize("live_first", [True, False])
+def test_sparsity_keys_that_round_equal(capacity, live_first):
+    """``DRIFT + 1.0 == 0.0 + 1.0 == 0.5 + 0.5``: unequal loads with equal
+    keys, live or idle, of either kind, go to the lowest position."""
+    assert DRIFT + 1.0 == 1.0 and DRIFT > 0.0
+    specs = [("b", MODELS)] * 2 + [("a", MODELS)] * 2
+    chips, index = stub_shard(specs if live_first else specs[::-1], capacity)
+    b_chips = [p for p, chip in enumerate(chips) if chip.kind == "b"]
+    a_chips = [p for p, chip in enumerate(chips) if chip.kind == "a"]
+    policy = make_policy("sparsity")
+
+    def least(model):
+        picked, scanned = index.least(policy.key, model)
+        assert (picked, scanned) == full_scan(policy, index, chips, model)
+        return picked
+
+    # m1 costs 1.0 on both kinds: a live b chip at DRIFT, b's idle host
+    # and a's idle host all key 1.0.
+    make_live(index, chips, b_chips[0], DRIFT, depth=0)
+    assert least("m1") is chips[0]
+    # m2 costs 0.5 on a: a loaded a chip at 0.5 + 0.5 ties the b chips
+    # and loses to the idle a host at 0.0 + 0.5.
+    make_live(index, chips, a_chips[0], 0.5)
+    assert least("m2") is chips[a_chips[1]]
+    # Both a chips loaded: every eligible chip keys 1.0.
+    make_live(index, chips, a_chips[1], 0.5)
+    first = next(chip for chip in chips if chip.has_queue_capacity())
+    assert least("m2") is first
+
+
+def test_index_files_idle_hosts_in_fleet_order():
+    chips, index = stub_shard([
+        ("a", MODELS), ("b", ("m1",)), ("a", ("m2",)), ("b", MODELS),
+    ])
+    key = make_policy("least_work").key
+    assert index.least(key, "m1") == (chips[0], 2)
+    make_live(index, chips, 0, 1.0)
+    assert index.least(key, "m1") == (chips[1], 2)
+    assert index.least(key, "m2") == (chips[2], 3)
     chips[0].accepting = chips[1].accepting = False
     index.drained(0)
     index.drained(1)
-    assert index.candidates("m1") == ([chips[3]], 2)
+    assert index.least(key, "m1") == (chips[3], 2)
     index.settled(0)   # not accepting: never filed again
-    assert index.candidates("m1") == ([chips[3]], 1)
-    assert index.candidates("m2") == ([chips[2], chips[3]], 2)
+    assert index.least(key, "m1") == (chips[3], 1)
+    assert index.least(key, "m2") == (chips[2], 2)
+    assert index.least(key, "m3") == (None, 0)
+
+
+def test_full_live_chip_is_not_eligible():
+    chips, index = stub_shard([("a", MODELS), ("b", MODELS)], capacity=1)
+    make_live(index, chips, 0, -DRIFT)   # least key, but its queue is full
+    key = make_policy("least_work").key
+    assert index.least(key, "m1") == (chips[1], 2)
+    chips[1].accepting = False
+    index.drained(1)
+    assert index.least(key, "m1") == (None, 1)

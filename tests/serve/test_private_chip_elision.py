@@ -404,15 +404,12 @@ class TestCounters:
 # -- fleets -------------------------------------------------------------------
 
 def digest_fields(digest) -> dict:
-    """Every ``WindowDigest`` field but the worker's wall time, sketches
-    as their payloads."""
-    fields = {
+    """Every ``WindowDigest`` field but the worker's wall time; the
+    latency and wait samples compare as tuples of floats."""
+    return {
         field.name: getattr(digest, field.name)
         for field in dataclasses.fields(digest) if field.name != "wall_s"
     }
-    fields["latency"] = digest.latency.to_dict()
-    fields["wait"] = digest.wait.to_dict()
-    return fields
 
 
 def capture_digests(monkeypatch) -> list:

@@ -15,7 +15,9 @@ properties pin what reordering must never change:
 * **WFQ fairness** — under a standing two-tenant backlog, cumulative
   virtual service per weight stays within a stage quantum of equal;
 * **queue depth** — the admission-control counter equals a recount of
-  the undispatched pool entries at every selection, in both modes.
+  the undispatched pool entries at every selection, in both modes, and
+  the chip's ``admitted - dispatched`` counters equal it after every
+  dispatch and every admission.
 """
 
 import pytest
@@ -169,23 +171,11 @@ def test_wfq_virtual_service_within_one_quantum(gold_weight, silver_weight):
         assert abs(normalized[0] - normalized[1]) <= quantum + 1e-12
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    requests=streams,
-    max_batch=st.integers(min_value=1, max_value=4),
-    mode=st.sampled_from(["static", "continuous"]),
-)
-def test_queue_depth_matches_recount_at_every_selection(
-    requests, max_batch, mode
-):
-    """``queue_depth`` is kept as a counter that drops at dispatch; under
-    priorities (so preemption in continuous mode) it never drifts from
-    ``sum(not e.started for e in pool)``."""
+def serve_checking_depth(requests, config):
+    """Serve ``requests`` on one chip, checking ``queue_depth`` around
+    every scheduling decision; returns the chip and the depths seen."""
     engine = Engine()
-    chip = ChipServer(
-        engine, BishopMachine(engine), profiles(),
-        SchedulerConfig(max_batch=max_batch, max_inflight=2, mode=mode),
-    )
+    chip = ChipServer(engine, BishopMachine(engine), profiles(), config)
     sched = chip.queue
     checks = []
 
@@ -194,7 +184,14 @@ def test_queue_depth_matches_recount_at_every_selection(
         assert sched.queue_depth == recount
         checks.append(recount)
 
+    def check_chip():
+        # The chip's counters lag the scheduler only between a decision
+        # and its dispatch, which no other process can observe.
+        assert chip.queue_depth == sched.queue_depth
+        check()
+
     select, take_batch = sched.select, serve_simulate.take_batch
+    dispatch = chip._dispatch
 
     def checked_select(prev):
         check()
@@ -208,17 +205,59 @@ def test_queue_depth_matches_recount_at_every_selection(
         check()
         return batch
 
+    def checked_dispatch(group):
+        dispatch(group)
+        check_chip()
+
     def arrivals():
         for request in requests:
             if request.arrival_s > engine.now:
                 yield Hold(request.arrival_s - engine.now)
             chip.enqueue(request)
+            check_chip()
         chip.close()
 
     sched.select = checked_select
+    chip._dispatch = checked_dispatch
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(serve_simulate, "take_batch", checked_take_batch)
         engine.spawn(arrivals(), name="arrivals")
         engine.run()
     assert chip.served_count == len(requests)
-    assert checks and sched.queue_depth == 0
+    assert checks and sched.queue_depth == 0 and chip.queue_depth == 0
+    assert chip.admitted == chip.dispatched == len(requests)
+    return chip, checks
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    requests=streams,
+    max_batch=st.integers(min_value=1, max_value=4),
+    mode=st.sampled_from(["static", "continuous"]),
+)
+def test_queue_depth_matches_recount_at_every_selection(
+    requests, max_batch, mode
+):
+    """``queue_depth`` is kept as a counter that drops at dispatch; under
+    priorities (so preemption in continuous mode) it never drifts from
+    ``sum(not e.started for e in pool)``, and the chip's
+    ``admitted - dispatched`` equals it after every dispatch."""
+    serve_checking_depth(
+        requests,
+        SchedulerConfig(max_batch=max_batch, max_inflight=2, mode=mode),
+    )
+
+
+def test_chip_depth_counters_under_preemption_and_joins():
+    """One stream that preempts and joins: the chip's two counters equal
+    the scheduler's depth after every dispatch and admission."""
+    requests = prioritized_stream(60, 2.5, seed=3, tiers=3)
+    chip, checks = serve_checking_depth(
+        requests,
+        SchedulerConfig(
+            max_batch=3, max_inflight=2, mode="continuous",
+            allow_join=True, preempt=True,
+        ),
+    )
+    assert chip.preemptions > 0 and chip.continuous_joins > 0
+    assert max(checks) > 1
