@@ -18,14 +18,17 @@ Work is expressed as *processes* — plain Python generators that yield
     Run a callback task: the kernel calls ``start(wake)`` at once and the
     process sleeps until the task calls ``wake()``.
 
-Callback tasks (``repro.arch.engine.lanes``) drive resources without a
-process: :meth:`Resource.request` grants a free unit by calling the
-callback synchronously, or queues it in the same FIFO as process
-waiters, and :meth:`Resource.release` (what a ``Release`` command runs)
-grants the next waiter — a queued callback is called synchronously, a
-queued process is resumed.  Only the callbacks a task schedules with
-:meth:`Engine.schedule` (its holds) or :meth:`Engine.schedule_at` (an
-elided program's one wake, at its absolute finish) are events.
+Callback tasks (``repro.arch.engine.lanes``) drive capacity-1 resources
+without a process: :meth:`Resource.hold` occupies a free unit for a
+duration at once — one call and one event, its end, scheduled through
+:meth:`Engine.schedule` — or queues the hold in the same FIFO as process
+waiters.  When a hold ends, the unit grants its next waiter (a queued
+hold is scheduled, a queued process resumed) and then calls the task's
+continuation with the hold's start.  :meth:`Resource.release` (what a
+``Release`` command runs) grants the next waiter the same way.  Only
+the hold ends and what a task schedules itself (an elided program's one
+wake, at its absolute finish, through :meth:`Engine.schedule_at`) are
+events.
 
 Determinism: events fire in ``(time, sequence number)`` order, so a
 simulation is a pure function of its inputs — the property the result
@@ -50,12 +53,13 @@ Nothing in the per-event path may tie a :class:`Process` into a reference
 cycle (e.g. a wake-up closure cached on the process): a fleet keeps
 thousands of processes live, and cyclic garbage at that scale triggers
 costly full collections.  The per-event ``lambda`` a wake-up schedules is
-acyclic.  One long-lived cycle remains by construction — ``Engine`` ↔
-``Resource`` — and only a full collection frees it: a fleet of 1,000
-chips leaves 5,000 resources in cycles per run.  :meth:`Engine.teardown`
-breaks it (and drops pending events and waiters) once a simulation's
-results have been read, so a finished engine is freed by reference
-counting.
+acyclic.  Two long-lived cycles remain by construction — ``Engine`` ↔
+``Resource``, and a resource ↔ the bound hold-end method it schedules —
+and only a full collection frees them: a fleet of 1,000 chips leaves
+5,000 resources in cycles per run.  :meth:`Engine.teardown` breaks both
+(and drops pending events, waiters and running holds' continuations)
+once a simulation's results have been read, so a finished engine is
+freed by reference counting.
 """
 
 from __future__ import annotations
@@ -196,10 +200,15 @@ class Resource:
 
     ``capacity`` units may be held simultaneously; further acquirers queue
     FIFO and are granted in order as units free up.  Processes acquire
-    with ``Acquire``/``Release`` commands, callback tasks with
-    :meth:`request`/:meth:`release`; both kinds of waiter share one queue
-    and one set of :class:`ResourceStats`.
+    with ``Acquire``/``Release`` commands; callback tasks occupy a
+    capacity-1 unit with :meth:`hold`.  Both kinds of waiter share one
+    queue and one set of :class:`ResourceStats`.
     """
+
+    __slots__ = (
+        "engine", "name", "capacity", "in_use", "stats",
+        "_queue", "_last_change", "_start", "_then", "_end_event",
+    )
 
     def __init__(self, engine: "Engine", name: str, capacity: int = 1):
         if capacity < 1:
@@ -209,23 +218,33 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self.stats = ResourceStats()
-        # Waiters in arrival order: a Process, or a callback to call on grant.
-        self._queue: deque[tuple[Process | Callable[[], None], float]] = deque()
+        # Waiters in arrival order: a Process, or a hold's (duration, then).
+        self._queue: deque[tuple[Process | tuple, float]] = deque()
         self._last_change = engine.now
+        # The running hold's start and continuation (dropped at its end),
+        # and the bound end event every hold schedules (made once).
+        self._start = 0.0
+        self._then: Callable[[float], None] | None = None
+        self._end_event = self._end
 
     def _integrate(self) -> None:
         now = self.engine.now
         self.stats.busy_s += self.in_use * (now - self._last_change)
         self._last_change = now
 
-    def _grant(self, waiter: Process | Callable[[], None]) -> None:
+    def _grant(self, process: Process) -> None:
         self._integrate()
         self.in_use += 1
         self.stats.acquisitions += 1
-        if isinstance(waiter, Process):
-            self.engine._resume(waiter)
+        self.engine._resume(process)
+
+    def _grant_next(self) -> None:
+        waiter, enqueued_at = self._queue.popleft()
+        self.stats.wait_s += self.engine.now - enqueued_at
+        if type(waiter) is tuple:
+            self.hold(*waiter)   # the unit is free: held at once
         else:
-            waiter()
+            self._grant(waiter)
 
     def _acquire(self, process: Process) -> None:
         if self.in_use < self.capacity:
@@ -233,13 +252,34 @@ class Resource:
         else:
             self._queue.append((process, self.engine.now))
 
-    def request(self, fn: Callable[[], None]) -> None:
-        """Claim one unit for a callback task: ``fn()`` runs as soon as
-        the unit is granted — synchronously, now, if one is free."""
-        if self.in_use < self.capacity:
-            self._grant(fn)
-        else:
-            self._queue.append((fn, self.engine.now))
+    def hold(self, duration: float, then: Callable[[float], None]) -> None:
+        """Occupy this capacity-1 unit for ``duration`` seconds — now if
+        it is free, else FIFO beside process waiters — then release it,
+        grant its next waiter and call ``then(start)`` with the grant
+        time.  The end is one event, through :meth:`Engine.schedule`."""
+        if self.capacity != 1:
+            raise ValueError(
+                f"hold needs a capacity-1 resource; {self.name!r} has "
+                f"capacity {self.capacity}"
+            )
+        engine = self.engine
+        if self.in_use:
+            self._queue.append(((duration, then), engine.now))
+            return
+        self.in_use = 1
+        self._last_change = self._start = engine.now
+        self.stats.acquisitions += 1
+        self._then = then
+        engine.schedule(duration, self._end_event)
+
+    def _end(self) -> None:
+        self.stats.busy_s += self.engine.now - self._last_change
+        self.in_use = 0
+        then, self._then = self._then, None
+        start = self._start
+        if self._queue:
+            self._grant_next()
+        then(start)
 
     def release(self) -> None:
         """Give back one unit; the first waiter, if any, is granted now."""
@@ -248,9 +288,7 @@ class Resource:
         self._integrate()
         self.in_use -= 1
         if self._queue and self.in_use < self.capacity:
-            waiter, enqueued_at = self._queue.popleft()
-            self.stats.wait_s += self.engine.now - enqueued_at
-            self._grant(waiter)
+            self._grant_next()
 
     @property
     def queued(self) -> int:
@@ -395,6 +433,8 @@ class Engine:
         self._ready.clear()
         for resource in self.resources.values():
             resource._queue.clear()
+            resource._then = None
+            del resource._end_event
         self.resources = {}
 
     # -- process stepping --------------------------------------------------

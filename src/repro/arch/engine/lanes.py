@@ -6,13 +6,11 @@ uncontended case.  Every serving lane runs a replay from here.  A
 replay drives the :class:`~repro.arch.engine.machine.BishopMachine`
 resources on the engine clock as a small callback state machine:
 
-* :meth:`Resource.request <repro.arch.engine.kernel.Resource.request>`
-  grants a free unit by calling back synchronously (or queues the
-  callback FIFO beside process waiters), and ``release`` grants the next
-  waiter, so acquire, release, grant, join and spawn cost no event;
-* a positive-duration occupancy costs exactly one timed event, its hold,
-  scheduled through :meth:`Engine.schedule
-  <repro.arch.engine.kernel.Engine.schedule>`;
+* a positive-duration occupancy is one call, :meth:`Resource.hold
+  <repro.arch.engine.kernel.Resource.hold>` (its duration fixed at the
+  request: a layer's timing cannot change while it waits), and one timed
+  event, its end, which grants the unit's next waiter and then calls the
+  replay back, so acquire, release, grant, join and spawn cost no event;
 * zero-duration work touches no resource and records a zero-width
   timeline entry.
 
@@ -21,9 +19,9 @@ A lane process hands a replay's ``start`` to the kernel
 ``wake`` — one ready event per program or stage.  The replay's state is
 explicit — layer index, pending branch counts, prefetch index — in plain
 ``__slots__`` attributes, and nothing refers back to the replay but the
-heap entries and resource queues holding its bound methods (and, while
-it is elided, its machine), so a finished (or abandoned) replay is freed
-by reference counting.
+heap entries, resource queues and running holds holding its bound
+methods (and, while it is elided, its machine), so a finished (or
+abandoned) replay is freed by reference counting.
 
 Private-chip elision.  A replay that starts on an idle chip (no unit
 held or queued, no elided replay in flight) with no timeline recorded
@@ -100,7 +98,6 @@ class _Replay:
     __slots__ = (
         "engine", "machine", "timings", "label", "batch", "timeline",
         "wake", "index", "timing", "pending", "cores",
-        "_t_core", "_t_sparse", "_t_spike", "_t_dram",
         "_t_start", "_busy", "_counts", "_wait",
     )
 
@@ -236,60 +233,42 @@ class _Replay:
     def _compute(self) -> bool:
         """Start the current layer's compute chain; ``False`` when it has
         no timed work (its zero-duration tasks only record entries)."""
-        timing = self.timing
-        machine = self.machine
+        timing, machine, batch = self.timing, self.machine, self.batch
         if timing.phase == "ATN":
             if timing.attention_s > 0:
-                machine.attention_core.request(self._core_go)
+                machine.attention_core.hold(timing.attention_s * batch, self._attention_end)
                 return True
             self._zero(machine.attention_core, "attn")
         elif timing.dense_s > 0 or timing.sparse_s > 0:
             self.cores = (timing.dense_s > 0) + (timing.sparse_s > 0)
             if timing.dense_s > 0:
-                machine.dense_core.request(self._core_go)
+                machine.dense_core.hold(timing.dense_s * batch, self._dense_end)
             if timing.sparse_s > 0:
-                machine.sparse_core.request(self._sparse_go)
+                machine.sparse_core.hold(timing.sparse_s * batch, self._sparse_end)
             return True
         return self._spike()
 
     def _spike(self) -> bool:
         if self.timing.spike_gen_s > 0:
-            self.machine.spike_gen.request(self._spike_go)
+            self.machine.spike_gen.hold(self.timing.spike_gen_s * self.batch, self._spike_end)
             return True
         self._zero(self.machine.spike_gen, "spike_gen")
         return False
 
-    def _core_go(self) -> None:
-        # The attention core on ATN layers, the dense core otherwise.
-        timing = self.timing
-        duration = timing.attention_s if timing.phase == "ATN" else timing.dense_s
-        self._t_core = self.engine.now
-        self.engine.schedule(duration * self.batch, self._core_end)
-
-    def _core_end(self) -> None:
-        if self.timing.phase == "ATN":
-            resource = self.machine.attention_core
-            if self.timeline is not None:
-                self._record(resource, "attn", self._t_core, self.index)
-            resource.release()
-            if not self._spike():
-                self._branch_done()
-            return
-        resource = self.machine.dense_core
+    def _attention_end(self, start: float) -> None:
         if self.timeline is not None:
-            self._record(resource, "dense", self._t_core, self.index)
-        resource.release()
+            self._record(self.machine.attention_core, "attn", start, self.index)
+        if not self._spike():
+            self._branch_done()
+
+    def _dense_end(self, start: float) -> None:
+        if self.timeline is not None:
+            self._record(self.machine.dense_core, "dense", start, self.index)
         self._core_done()
 
-    def _sparse_go(self) -> None:
-        self._t_sparse = self.engine.now
-        self.engine.schedule(self.timing.sparse_s * self.batch, self._sparse_end)
-
-    def _sparse_end(self) -> None:
-        resource = self.machine.sparse_core
+    def _sparse_end(self, start: float) -> None:
         if self.timeline is not None:
-            self._record(resource, "sparse", self._t_sparse, self.index)
-        resource.release()
+            self._record(self.machine.sparse_core, "sparse", start, self.index)
         self._core_done()
 
     def _core_done(self) -> None:
@@ -297,15 +276,9 @@ class _Replay:
         if not self.cores and not self._spike():
             self._branch_done()
 
-    def _spike_go(self) -> None:
-        self._t_spike = self.engine.now
-        self.engine.schedule(self.timing.spike_gen_s * self.batch, self._spike_end)
-
-    def _spike_end(self) -> None:
-        resource = self.machine.spike_gen
+    def _spike_end(self, start: float) -> None:
         if self.timeline is not None:
-            self._record(resource, "spike_gen", self._t_spike, self.index)
-        resource.release()
+            self._record(self.machine.spike_gen, "spike_gen", start, self.index)
         self._branch_done()
 
     def _branch_done(self) -> None:  # pragma: no cover - abstract
@@ -397,12 +370,13 @@ class SerialReplay(_Replay):
         timings = self.timings
         while self.index < self.stop:
             timing = self.timing = timings[self.index]
-            # Requests only schedule holds, so no branch can end before
+            # A hold only schedules its end, so no branch can end before
             # `pending` is set below.
             pending = int(self._compute())
-            if timing.dram_s(self.batch) > 0:
+            duration = timing.dram_s(self.batch)
+            if duration > 0:
                 pending += 1
-                self.machine.dram.request(self._dram_go)
+                self.machine.dram.hold(duration, self._dram_end)
             if pending:
                 self.pending = pending
                 return
@@ -411,15 +385,9 @@ class SerialReplay(_Replay):
 
     _run = _advance
 
-    def _dram_go(self) -> None:
-        self._t_dram = self.engine.now
-        self.engine.schedule(self.timing.dram_s(self.batch), self._dram_end)
-
-    def _dram_end(self) -> None:
-        resource = self.machine.dram
+    def _dram_end(self, start: float) -> None:
         if self.timeline is not None:
-            self._record(resource, "dram", self._t_dram, self.index)
-        resource.release()
+            self._record(self.machine.dram, "dram", start, self.index)
         self._branch_done()
 
     def _branch_done(self) -> None:
@@ -442,7 +410,7 @@ class ScheduledReplay(_Replay):
     waiting on it.
     """
 
-    __slots__ = ("fetch", "fetching", "_t_weight")
+    __slots__ = ("fetch", "fetching")
 
     def __init__(
         self,
@@ -514,9 +482,10 @@ class ScheduledReplay(_Replay):
         (which this start may release onto the next weight)."""
         timing = self.timing = self.timings[self.index]
         pending = int(self._compute())
-        if self.batch * timing.activation_dram_s > 0:
+        duration = self.batch * timing.activation_dram_s
+        if duration > 0:
             pending += 1
-            self.machine.dram.request(self._act_go)
+            self.machine.dram.hold(duration, self._act_end)
         if not self.fetching:
             self._prefetch()
         self.pending = pending
@@ -537,32 +506,21 @@ class ScheduledReplay(_Replay):
         while self.fetch < len(timings):
             if self.fetch > self.index + 1:  # layer fetch-1 not started
                 return
-            if timings[self.fetch].weight_dram_s > 0:
+            duration = timings[self.fetch].weight_dram_s
+            if duration > 0:
                 self.fetching = True
-                self.machine.dram.request(self._weight_go)
+                self.machine.dram.hold(duration, self._weight_end)
                 return
             self.fetch += 1
 
-    def _act_go(self) -> None:
-        self._t_dram = self.engine.now
-        self.engine.schedule(self.batch * self.timing.activation_dram_s, self._act_end)
-
-    def _act_end(self) -> None:
-        resource = self.machine.dram
+    def _act_end(self, start: float) -> None:
         if self.timeline is not None:
-            self._record(resource, "dram.a", self._t_dram, self.index)
-        resource.release()
+            self._record(self.machine.dram, "dram.a", start, self.index)
         self._branch_done()
 
-    def _weight_go(self) -> None:
-        self._t_weight = self.engine.now
-        self.engine.schedule(self.timings[self.fetch].weight_dram_s, self._weight_end)
-
-    def _weight_end(self) -> None:
-        resource = self.machine.dram
+    def _weight_end(self, start: float) -> None:
         if self.timeline is not None:
-            self._record(resource, "dram.w", self._t_weight, self.fetch)
-        resource.release()
+            self._record(self.machine.dram, "dram.w", start, self.fetch)
         self.fetching = False
         self.fetch += 1
         # The prefetcher moves on before the layer that waited on this

@@ -1,17 +1,23 @@
 """Discrete-event kernel semantics: clock, resources, joins, gates."""
 
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.arch.engine import (
     Acquire,
     Await,
+    BishopMachine,
     Engine,
     Hold,
     Join,
+    LayerTiming,
     Release,
     TimelineEntry,
     WaitFor,
 )
+from repro.arch.engine.lanes import ScheduledReplay, SerialReplay
 
 from .reference_lanes import use
 
@@ -221,16 +227,15 @@ class TestResources:
             engine.resource("core")
 
 
-class TestCallbackWaiters:
-    """`Resource.request` callbacks share the FIFO and the stats of
-    process waiters; a grant calls the callback synchronously."""
+class TestHolds:
+    """`Resource.hold` occupancies share the FIFO and the stats of
+    process waiters; a free unit is held at once, with one event."""
 
     @staticmethod
-    def callback_user(engine, resource, name, duration, log):
-        def granted():
-            log.append((name, engine.now))
-            engine.schedule(duration, resource.release)
-        return granted
+    def hold_user(engine, resource, name, duration, log):
+        def ended(start):
+            log.append((name, start))
+        return lambda: resource.hold(duration, ended)
 
     @staticmethod
     def process_user(engine, resource, name, duration, log):
@@ -239,109 +244,166 @@ class TestCallbackWaiters:
         yield Hold(duration)
         yield Release(resource)
 
-    def run_schedule(self, users, capacity=1):
+    def run_schedule(self, users):
         """``users``: ``(kind, name, request_s, duration)``, request
-        times distinct; returns the grant log and the resource."""
+        times distinct; returns the grant log (in grant order) and the
+        resource."""
         engine = Engine()
-        resource = engine.resource("core", capacity)
+        resource = engine.resource("core")
         log = []
         for kind, name, at, duration in users:
-            if kind == "callback":
-                granted = self.callback_user(engine, resource, name, duration, log)
-                engine.schedule(at, lambda g=granted: resource.request(g))
+            if kind == "hold":
+                engine.schedule(at, self.hold_user(engine, resource, name, duration, log))
             else:
                 gen = self.process_user(engine, resource, name, duration, log)
                 engine.schedule(at, lambda g=gen: engine.spawn(g))
         engine.run()
         resource._integrate()
-        return log, resource
+        assert resource._then is None
+        return sorted(log, key=lambda entry: entry[1]), resource
 
-    def test_process_and_callback_waiters_share_one_fifo(self):
+    def test_process_and_hold_waiters_share_one_fifo(self):
         log, resource = self.run_schedule([
             ("process", "p0", 0.0, 1.0),
-            ("callback", "c1", 0.125, 1.0),
+            ("hold", "h1", 0.125, 1.0),
             ("process", "p2", 0.25, 1.0),
-            ("callback", "c3", 0.375, 1.0),
+            ("hold", "h3", 0.375, 1.0),
             ("process", "p4", 0.5, 1.0),
         ])
         assert log == [
-            ("p0", 0.0), ("c1", 1.0), ("p2", 2.0), ("c3", 3.0), ("p4", 4.0),
+            ("p0", 0.0), ("h1", 1.0), ("p2", 2.0), ("h3", 3.0), ("p4", 4.0),
         ]
         assert resource.stats.acquisitions == 5
         assert resource.stats.busy_s == 5.0
         assert resource.stats.wait_s == 0.875 + 1.75 + 2.625 + 3.5
 
-    def test_free_unit_grants_synchronously(self):
+    def test_free_unit_is_held_at_once_with_one_event(self):
         engine = Engine()
         resource = engine.resource("core")
-        granted = []
-        resource.request(lambda: granted.append(engine.now))
-        assert granted == [0.0]      # no event was needed
+        ended = []
+        resource.hold(1.0, ended.append)
         assert resource.in_use == 1 and resource.stats.acquisitions == 1
-        resource.request(lambda: granted.append(engine.now))
-        assert granted == [0.0] and resource.queued == 1
-        resource.release()           # the queued callback runs inside
-        assert granted == [0.0, 0.0] and resource.queued == 0
-        assert resource.in_use == 1
+        assert len(engine._heap) == 1 and not engine._ready
+        resource.hold(0.5, ended.append)
+        assert resource.queued == 1 and len(engine._heap) == 1
+        assert engine.run() == 1.5
+        assert ended == [0.0, 1.0]   # each continuation gets its start
+        assert resource.in_use == 0 and resource.queued == 0
+        assert resource.stats.busy_s == 1.5 and resource.stats.wait_s == 1.0
 
-    def test_capacity_k_grants_k_at_a_time_in_order(self):
-        users = [
-            ("callback" if i % 2 else "process", f"u{i}", i / 64, 1.0)
-            for i in range(7)
-        ]
-        log, resource = self.run_schedule(users, capacity=3)
-        assert [name for name, _ in log] == [f"u{i}" for i in range(7)]
-        # three units: grants in waves at ~0, 1 and 2 s
-        assert [t for _, t in log] == [
-            0.0, 1 / 64, 2 / 64, 1.0, 1 + 1 / 64, 1 + 2 / 64, 2.0,
-        ]
-        assert resource.stats.acquisitions == 7
-        assert resource.stats.busy_s == 7.0
-
-    @pytest.mark.parametrize("capacity", [1, 2, 3])
-    def test_stats_equal_an_all_process_twin(self, capacity):
-        durations = [1.0, 0.5, 2.0, 0.25, 1.5, 0.75, 3.0, 0.5, 1.25]
+    @given(st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(0, 64),                        # request, in 1/8 s
+            st.floats(0.0, 4.0, exclude_min=True, allow_subnormal=False),
+        ),
+        min_size=1, max_size=12,
+    ))
+    def test_stats_equal_an_all_process_twin(self, users):
+        # Distinct request times: a same-instant tie between a hold and a
+        # process is broken by their event hops, not by the FIFO.
         mixed = [
-            ("callback" if i % 3 != 1 else "process", f"u{i}", i / 8, d)
-            for i, d in enumerate(durations)
+            ("hold" if is_hold else "process", f"u{i}", (at * 16 + i) / 128, d)
+            for i, (is_hold, at, d) in enumerate(users)
         ]
         twin = [("process", name, at, d) for _, name, at, d in mixed]
-        log_mixed, mixed_resource = self.run_schedule(mixed, capacity)
-        log_twin, twin_resource = self.run_schedule(twin, capacity)
+        log_mixed, mixed_resource = self.run_schedule(mixed)
+        log_twin, twin_resource = self.run_schedule(twin)
         assert log_mixed == log_twin
         assert mixed_resource.stats == twin_resource.stats
-        assert mixed_resource.stats.wait_s > 0
 
-    def test_callback_granted_inside_release_schedules_a_hold(self):
+    def test_waiter_granted_inside_the_end_is_held_before_then_runs(self):
         engine = Engine()
         resource = engine.resource("core")
         log = []
 
-        def granted():
-            log.append(("granted", engine.now))
-            engine.schedule(2.0, ended)
+        def first_ended(start):
+            # the queued hold was granted, and its end scheduled, first
+            log.append(("first ended", start, engine.now))
+            assert resource.in_use == 1 and len(engine._heap) == 1
+            assert resource.stats.acquisitions == 2
 
-        def ended():
-            log.append(("hold ended", engine.now))
-            resource.release()
+        def second_ended(start):
+            log.append(("second ended", start, engine.now))
+
+        resource.hold(1.0, first_ended)
+        resource.hold(2.0, second_ended)     # queued behind the first
+        assert engine.run() == 3.0
+        assert log == [("first ended", 0.0, 1.0), ("second ended", 1.0, 3.0)]
+        assert resource.stats.busy_s == 3.0
+        assert resource.stats.wait_s == 1.0
+        assert resource.stats.acquisitions == 2
+
+    def test_hold_granted_inside_a_process_release_is_scheduled_at_once(self):
+        engine = Engine()
+        resource = engine.resource("core")
+        log = []
 
         def holder():
             yield Acquire(resource)
-            resource.request(granted)    # queued behind the holder
+            resource.hold(2.0, lambda start: log.append(("ended", start, engine.now)))
             yield Hold(1.0)
             yield Release(resource)
-            # _release already granted the callback and scheduled its hold
+            # the release granted the hold and scheduled its end
             log.append(("holder resumed", engine.now))
             assert resource.in_use == 1 and len(engine._heap) == 1
 
         engine.spawn(holder())
         assert engine.run() == 3.0
-        assert log == [
-            ("granted", 1.0), ("holder resumed", 1.0), ("hold ended", 3.0),
-        ]
+        assert log == [("holder resumed", 1.0), ("ended", 1.0, 3.0)]
         assert resource.stats.busy_s == 3.0
         assert resource.stats.wait_s == 1.0
         assert resource.stats.acquisitions == 2
+
+    def test_hold_needs_a_capacity_one_resource(self):
+        engine = Engine()
+        resource = engine.resource("cores", capacity=3)
+        with pytest.raises(ValueError, match="'cores'"):
+            resource.hold(1.0, lambda start: None)
+        assert resource.in_use == 0 and not engine._heap
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_duration_raises_through_schedule(
+        self, duration, monkeypatch
+    ):
+        engine = Engine()
+        resource = engine.resource("core")
+        scheduled = []
+        original = Engine.schedule
+
+        def counted(self, delay, fn):
+            scheduled.append(delay)
+            return original(self, delay, fn)
+
+        monkeypatch.setattr(Engine, "schedule", counted)
+        with pytest.raises(ValueError, match="non-finite|into the past"):
+            resource.hold(duration, lambda start: None)
+        assert len(scheduled) == 1
+
+    def test_no_resource_keeps_a_continuation_after_a_run(self):
+        # Two contended replays on one chip (a timeline turns elision
+        # off): once the engine drains, no unit refers to a replay.
+        engine = Engine()
+        machine = BishopMachine(engine)
+        timings = (
+            LayerTiming(0, "qkv", "MLP", dense_s=1.0, sparse_s=0.5,
+                        spike_gen_s=0.25, weight_dram_s=0.5,
+                        activation_dram_s=0.25),
+            LayerTiming(0, "attn", "ATN", attention_s=0.75, spike_gen_s=0.25,
+                        activation_dram_s=0.5),
+        )
+        timeline = []
+
+        def lane(replay):
+            yield Await(replay.start)
+
+        for i, replay in enumerate((SerialReplay, ScheduledReplay, SerialReplay)):
+            engine.spawn(lane(replay(engine, machine, timings, f"r{i}",
+                                     timeline=timeline)))
+        engine.run()
+        assert timeline and all(unit.stats.acquisitions for unit in machine.units)
+        assert [unit._then for unit in machine.units] == [None] * 5
+        assert not any(unit.in_use or unit.queued for unit in machine.units)
 
 
 class TestAwait:
@@ -615,9 +677,8 @@ class TestEventCounters:
         assert metrics.counter("engine.events.timed").value == 1
         assert metrics.counter("engine.events.ready").value == 2
 
-    def test_counters_equal_schedule_calls_on_a_serving_stream(
-        self, metrics, monkeypatch
-    ):
+    @staticmethod
+    def serve_static():
         from repro.serve import (
             SchedulerConfig,
             poisson_arrivals,
@@ -629,6 +690,57 @@ class TestEventCounters:
         requests = poisson_arrivals(
             12, 1.5 / profiles["model4"].single_latency_s, "model4", seed=3
         )
+        simulate_serving(requests, SchedulerConfig(max_inflight=2), profiles=profiles)
+
+    @staticmethod
+    def serve_continuous():
+        # The serve_saturated configuration: joins, preemption, priorities
+        # and weighted tenants at rho 1.5.
+        from repro.serve import (
+            SchedulerConfig,
+            assign_priorities,
+            assign_tenants,
+            parse_tenants,
+            poisson_arrivals,
+            request_profile,
+            simulate_serving,
+        )
+
+        profiles = {m: request_profile(m) for m in ("model2", "model4")}
+        mean = 0.5 * (profiles["model2"].single_latency_s
+                      + profiles["model4"].single_latency_s)
+        tenants = parse_tenants("gold:3+silver:1")
+        requests = poisson_arrivals(24, 1.5 / mean, "model2:0.5+model4:0.5", seed=3)
+        requests = assign_priorities(requests, "0:0.8+1:0.2", seed=3)
+        requests = assign_tenants(requests, tenants, seed=3)
+        simulate_serving(
+            requests,
+            SchedulerConfig(max_batch=4, max_inflight=2, mode="continuous",
+                            allow_join=True, preempt=True),
+            profiles=profiles, tenants=tenants,
+        )
+
+    @staticmethod
+    def cluster_sharded():
+        from repro.cluster import (
+            ShardingConfig,
+            homogeneous_fleet,
+            simulate_cluster_sharded,
+        )
+        from repro.serve import SchedulerConfig, poisson_arrivals
+
+        requests = poisson_arrivals(40, 20000.0, "model2:0.4+model4:0.6", seed=3)
+        simulate_cluster_sharded(
+            requests, homogeneous_fleet(4),
+            SchedulerConfig(max_batch=1, max_inflight=2),
+            sharding=ShardingConfig(num_shards=2, window_s=5e-4),
+        )
+
+    @pytest.mark.parametrize("run", ["serve_static", "serve_continuous", "cluster_sharded"])
+    def test_counters_equal_schedule_calls(self, metrics, monkeypatch, run):
+        # Every event, hold ends included, goes through `Engine.schedule`
+        # (what perf's `engine.events_per_req` counts) or, for an elided
+        # program's one wake, `Engine.schedule_at`.
         scheduled = 0
         original = Engine.schedule
         original_at = Engine.schedule_at
@@ -643,10 +755,9 @@ class TestEventCounters:
             scheduled += 1
             return original_at(self, time, fn)
 
-        # An elided program's wake is scheduled at its absolute finish.
         monkeypatch.setattr(Engine, "schedule", counted)
         monkeypatch.setattr(Engine, "schedule_at", counted_at)
-        simulate_serving(requests, SchedulerConfig(max_inflight=2), profiles=profiles)
+        getattr(self, run)()
         timed = metrics.counter("engine.events.timed").value
         ready = metrics.counter("engine.events.ready").value
         assert timed > 0 and ready > 0

@@ -275,14 +275,15 @@ class TestExactTies:
     def record_order(self, monkeypatch) -> list[str]:
         """Log each enqueue, elided wake and spike-generator hold end."""
         order: list[str] = []
-        for cls, name, tag in (
-            (ChipServer, "enqueue", "arrival"),
-            (lanes._Replay, "_elided_end", "wake"),
-            (lanes._Replay, "_spike_end", "spike_end"),
+        for cls, name, tag, indexed in (
+            (ChipServer, "enqueue", "arrival", True),
+            (lanes._Replay, "_elided_end", "wake", False),
+            (lanes._Replay, "_spike_end", "spike_end", False),
         ):
-            def logged(self, *args, _original=getattr(cls, name), _tag=tag):
+            def logged(self, *args, _original=getattr(cls, name), _tag=tag,
+                       _indexed=indexed):
                 engine = self.engine
-                label = f"{_tag}{args[0].index if args else ''}@{engine.now}"
+                label = f"{_tag}{args[0].index if _indexed else ''}@{engine.now}"
                 order.append(label)
                 return _original(self, *args)
 
