@@ -53,13 +53,12 @@ Nothing in the per-event path may tie a :class:`Process` into a reference
 cycle (e.g. a wake-up closure cached on the process): a fleet keeps
 thousands of processes live, and cyclic garbage at that scale triggers
 costly full collections.  The per-event ``lambda`` a wake-up schedules is
-acyclic.  Two long-lived cycles remain by construction — ``Engine`` ↔
-``Resource``, and a resource ↔ the bound hold-end method it schedules —
-and only a full collection frees them: a fleet of 1,000 chips leaves
-5,000 resources in cycles per run.  :meth:`Engine.teardown` breaks both
-(and drops pending events, waiters and running holds' continuations)
-once a simulation's results have been read, so a finished engine is
-freed by reference counting.
+acyclic.  One long-lived cycle remains by construction — ``Engine`` ↔
+``Resource`` — and only a full collection frees it: a fleet of 1,000
+chips leaves 5,000 resources in cycles per run.  :meth:`Engine.teardown`
+breaks it (and drops pending events, waiters and running holds'
+continuations) once a simulation's results have been read, so a finished
+engine is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -207,7 +206,7 @@ class Resource:
 
     __slots__ = (
         "engine", "name", "capacity", "in_use", "stats",
-        "_queue", "_last_change", "_start", "_then", "_end_event",
+        "_queue", "_last_change", "_start", "_then",
     )
 
     def __init__(self, engine: "Engine", name: str, capacity: int = 1):
@@ -221,11 +220,9 @@ class Resource:
         # Waiters in arrival order: a Process, or a hold's (duration, then).
         self._queue: deque[tuple[Process | tuple, float]] = deque()
         self._last_change = engine.now
-        # The running hold's start and continuation (dropped at its end),
-        # and the bound end event every hold schedules (made once).
+        # The running hold's start and continuation (dropped at its end).
         self._start = 0.0
         self._then: Callable[[float], None] | None = None
-        self._end_event = self._end
 
     def _integrate(self) -> None:
         now = self.engine.now
@@ -270,7 +267,7 @@ class Resource:
         self._last_change = self._start = engine.now
         self.stats.acquisitions += 1
         self._then = then
-        engine.schedule(duration, self._end_event)
+        engine.schedule(duration, self._end)
 
     def _end(self) -> None:
         self.stats.busy_s += self.engine.now - self._last_change
@@ -434,7 +431,6 @@ class Engine:
         for resource in self.resources.values():
             resource._queue.clear()
             resource._then = None
-            del resource._end_event
         self.resources = {}
 
     # -- process stepping --------------------------------------------------

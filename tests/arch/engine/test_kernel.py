@@ -244,12 +244,12 @@ class TestHolds:
         yield Hold(duration)
         yield Release(resource)
 
-    def run_schedule(self, users):
+    def run_schedule(self, users, capacity=1):
         """``users``: ``(kind, name, request_s, duration)``, request
         times distinct; returns the grant log (in grant order) and the
         resource."""
         engine = Engine()
-        resource = engine.resource("core")
+        resource = engine.resource("core", capacity)
         log = []
         for kind, name, at, duration in users:
             if kind == "hold":
@@ -290,6 +290,18 @@ class TestHolds:
         assert ended == [0.0, 1.0]   # each continuation gets its start
         assert resource.in_use == 0 and resource.queued == 0
         assert resource.stats.busy_s == 1.5 and resource.stats.wait_s == 1.0
+
+    def test_capacity_k_grants_k_at_a_time_in_order(self):
+        # Holds need a capacity-1 unit; processes still share k units.
+        users = [("process", f"u{i}", i / 64, 1.0) for i in range(7)]
+        log, resource = self.run_schedule(users, capacity=3)
+        assert [name for name, _ in log] == [f"u{i}" for i in range(7)]
+        # three units: grants in waves at ~0, 1 and 2 s
+        assert [t for _, t in log] == [
+            0.0, 1 / 64, 2 / 64, 1.0, 1 + 1 / 64, 1 + 2 / 64, 2.0,
+        ]
+        assert resource.stats.acquisitions == 7
+        assert resource.stats.busy_s == 7.0
 
     @given(st.lists(
         st.tuples(
