@@ -11,7 +11,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro.arch import BishopAccelerator, BishopConfig, pipeline_schedule
+from repro.arch import BishopAccelerator, BishopConfig
 from repro.bundles import BundleSpec
 from repro.model import SpikingTransformer, load_model, save_model, tiny_config
 from repro.snn import quantize_model
@@ -48,10 +48,10 @@ def main() -> None:
     x = encode_batch(dataset.x_test[:2], "image", deployed.config.timesteps)
     trace = deployed.trace(x)
     run = BishopAccelerator(BishopConfig(bundle_spec=SPEC)).run_trace(trace)
-    schedule = pipeline_schedule(run)
-    print(f"\nBishop inference: {run.total_latency_s * 1e6:.2f} µs serial, "
-          f"{schedule.pipelined_latency_s * 1e6:.2f} µs double-buffered "
-          f"({schedule.savings_fraction:.1%} of DRAM time hidden), "
+    program = run.program
+    print(f"\nBishop inference: {program.serial_latency_s * 1e6:.2f} µs serial, "
+          f"{program.scheduled_latency_s * 1e6:.2f} µs double-buffered "
+          f"(bound {program.pipelined_bound_s * 1e6:.2f} µs), "
           f"{run.total_energy_pj / 1e6:.3f} µJ")
 
 

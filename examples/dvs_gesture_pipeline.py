@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from repro.algo import ECPConfig
-from repro.arch import BishopAccelerator, BishopConfig, pipeline_schedule
+from repro.arch import BishopAccelerator, BishopConfig
 from repro.baselines import PTBAccelerator
 from repro.bundles import BundleSpec
 from repro.model import SpikingTransformer, tiny_config
@@ -60,10 +60,10 @@ def main() -> None:
           f"  ptb {ptb.total_latency_s * 1e6:.2f} µs")
     print(f"speedup vs PTB: {ptb.total_latency_s / report_ecp.total_latency_s:.2f}x")
 
-    schedule = pipeline_schedule(report_ecp)
-    print(f"double-buffered pipeline: {schedule.serial_latency_s * 1e6:.2f} µs serial"
-          f" -> {schedule.pipelined_latency_s * 1e6:.2f} µs"
-          f" ({schedule.savings_fraction:.1%} hidden)")
+    program = report_ecp.program
+    print(f"double-buffered pipeline: {program.serial_latency_s * 1e6:.2f} µs serial"
+          f" -> {program.scheduled_latency_s * 1e6:.2f} µs"
+          f" (bound {program.pipelined_bound_s * 1e6:.2f} µs)")
 
 
 if __name__ == "__main__":

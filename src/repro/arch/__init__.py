@@ -15,10 +15,7 @@ from .engine import (
     EngineRun,
     LayerTiming,
     TimelineEntry,
-    layer_timings,
-    simulate_inference,
 )
-from .pipeline import PipelineSchedule, pipeline_schedule
 from .sram import SRAMEstimate, estimate_sram, glb_configuration_estimate
 from .attention_core import (
     AttentionCoreResult,
@@ -76,15 +73,11 @@ __all__ = [
     "SRAMEstimate",
     "estimate_sram",
     "glb_configuration_estimate",
-    "PipelineSchedule",
-    "pipeline_schedule",
     "BishopMachine",
     "Engine",
     "EngineRun",
     "LayerTiming",
     "TimelineEntry",
-    "layer_timings",
-    "simulate_inference",
     "LayerBoundedness",
     "boundedness_profile",
     "EnergyDecomposition",

@@ -13,15 +13,14 @@ simulated.
 
 Lowering goes through the compiler (``repro.compiler``): ``run_trace``
 compiles the trace with the pass pipeline (plus an optional
-:class:`~repro.algo.ECPConfig`), materializes the per-layer analytical
-reports from the compiled :class:`~repro.compiler.ir.Program`, and replays
-the layer chain on the discrete-event engine (``repro.arch.engine``),
-attaching the resulting timeline to the report.  The architecture
-ablations (no stratifier, no bundle skipping) are pass toggles:
-``run_trace(trace, passes=...)``.  For one uncontended request the event
-makespan reproduces the closed-form total, which keeps the analytical
-numbers as the engine's validation oracle; the serving layer
-(``repro.serve``) replays the same compiled programs under contention.
+:class:`~repro.algo.ECPConfig`) and materializes the per-layer analytical
+reports from the compiled :class:`~repro.compiler.ir.Program`, which it
+keeps as ``report.program``.  The program is the one uncontended latency
+model: ``serial_latency_s``, ``scheduled_latency_s`` and
+``pipelined_bound_s``.  The architecture ablations (no stratifier, no
+bundle skipping) are pass toggles: ``run_trace(trace, passes=...)``.  The
+serving layer (``repro.serve``) replays the same compiled programs on the
+discrete-event engine under contention.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from ..compiler.passes import PassConfig, compile_trace, materialize_report
 from ..model import ModelTrace
 from .config import BishopConfig
 from .energy import EnergyModel
-from .engine.machine import simulate_inference
 from .report import InferenceReport
 
 __all__ = ["BishopAccelerator"]
@@ -52,25 +50,17 @@ class BishopAccelerator:
         self,
         trace: ModelTrace,
         ecp: ECPConfig | None = None,
-        simulate_events: bool = True,
         passes: "PassConfig | str | None" = None,
     ) -> InferenceReport:
         """Simulate a full single-image inference.
 
         The trace is compiled through the pass pipeline (``repro.compiler``)
         and the per-layer analytical reports are materialized from the
-        resulting program, available as ``report.program``.  The layer
-        chain is then replayed on the discrete-event engine and the
-        resulting timeline attached as ``report.engine_run`` (set
-        ``simulate_events=False`` to skip, e.g. inside tight design-space
-        loops).  ``passes`` toggles individual optimization passes
+        resulting program, available as ``report.program``.  ``passes``
+        toggles individual optimization passes
         (``"all"`` by default; e.g. ``PassConfig().without("stratify")``
         runs every layer on the dense core).
         """
-        program = compile_trace(
+        return materialize_report(compile_trace(
             trace, self.config, self.energy, ecp=ecp, passes=passes
-        )
-        report = materialize_report(program)
-        if simulate_events:
-            report.engine_run = simulate_inference(report, self.config, self.energy)
-        return report
+        ))

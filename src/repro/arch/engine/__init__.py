@@ -10,8 +10,8 @@
     Callback replays of a program or stage (one event per occupancy):
     every contended run.
 ``fastpath``
-    Vectorized closed-form replay of uncontended task graphs: every
-    single-request makespan.
+    Closed-form depth-1 prefetch makespan of an uncontended task graph
+    (the compiler's schedule pass).
 
 See docs/ARCHITECTURE.md for the event model and how a core plugs in.
 """
@@ -32,7 +32,7 @@ from .kernel import (
     WaitFor,
 )
 from .lanes import ScheduledReplay, SerialReplay
-from .machine import BishopMachine, LayerTiming, layer_timings, simulate_inference
+from .machine import BishopMachine, LayerTiming
 from .timeline import EngineRun, TimelineEntry, entries_from_dicts, entries_to_dicts
 
 __all__ = [
@@ -57,7 +57,5 @@ __all__ = [
     "WaitFor",
     "entries_from_dicts",
     "entries_to_dicts",
-    "layer_timings",
     "schedule_for",
-    "simulate_inference",
 ]

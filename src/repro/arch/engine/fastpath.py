@@ -4,23 +4,21 @@ The event replay (the callback lanes of ``lanes.py``) fires one timed
 event per occupancy, which is exact but still costs an event-heap walk
 per request — too much for every schedule-pass measurement and DSE
 point.  For the *uncontended* single-request case the schedule is a pure
-function of the per-layer task durations, so it can be evaluated in
-closed form over numpy arrays:
-
-* **serial** (the legacy ``run_trace`` semantics) — per layer, compute ∥
-  DRAM with a barrier: ``Σ max(batch·compute, weights + batch·activation)``;
-* **scheduled** (the compiler's depth-1 weight prefetch) — a linear
-  recurrence over the DRAM channel's deterministic FIFO service order
-  ``a₀, w₀, w₁, a₁, w₂, a₂, …`` (a layer's activation traffic enqueues
-  before the *next* layer's weight prefetch; at ties the prefetcher wins
-  the channel before the newly started layer's activation enqueues —
-  exactly the event replay's ordering).
+function of the per-layer task durations, so the compiler's depth-1
+weight prefetch can be evaluated in closed form: a linear recurrence over
+the DRAM channel's deterministic FIFO service order
+``a₀, w₀, w₁, a₁, w₂, a₂, …`` (a layer's activation traffic enqueues
+before the *next* layer's weight prefetch; at ties the prefetcher wins
+the channel before the newly started layer's activation enqueues —
+exactly the event replay's ordering).  The layer-serial makespan
+``Σ max(compute, dram)`` needs no recurrence: it is the compiled
+program's ``serial_latency_s``.
 
 A :class:`FastSchedule` is built once per distinct timing tuple (they are
 hashable value objects, so :func:`schedule_for` memoizes across requests,
 chips, and compile passes) and then answers makespan queries in O(layers)
-with no events.  It answers every uncontended makespan in ``src``; the
-callback replays of :mod:`.lanes` stay its test oracle, pinned to it on
+with no events.  It answers every uncontended scheduled makespan in
+``src``; the callback replays of :mod:`.lanes` stay its test oracle, pinned to it on
 the zoo and ``==`` on integer-grid timings.
 """
 
@@ -31,9 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import ResourceStats
-from .machine import BishopMachine, LayerTiming
-from .timeline import EngineRun, TimelineEntry
+from .machine import LayerTiming
 
 __all__ = ["FastSchedule", "schedule_for"]
 
@@ -99,16 +95,6 @@ class FastSchedule:
         return float(self.sparse.sum()) / total if total > 0 else 0.0
 
     # -- makespans -----------------------------------------------------------
-    def serial_makespan(self, batch: int = 1) -> float:
-        """Layer-serial makespan: ``Σ max(compute, dram)`` (vectorized)."""
-        if not self.timings:
-            return 0.0
-        return float(
-            np.maximum(
-                batch * self.compute, self.weight + batch * self.activation
-            ).sum()
-        )
-
     def scheduled_makespan(self, batch: int = 1) -> float:
         """Depth-1 weight-prefetch makespan (the scheduling pass's emission).
 
@@ -157,88 +143,6 @@ class FastSchedule:
             finish = max(start + c, a_end, weights_done)
             prev_start = start
         return finish
-
-    # -- replay --------------------------------------------------------------
-    def serial_run(
-        self,
-        batch: int = 1,
-        label: str = "request",
-        record_timeline: bool = True,
-    ) -> EngineRun:
-        """Synthesize the serial replay's :class:`EngineRun` without events.
-
-        Entry labels and spans match those of
-        :class:`~repro.arch.engine.lanes.SerialReplay`
-        (``{label}/L{i}.{kind}:dense`` …): one entry per layer task, and
-        zero-duration attention/spike tasks record a zero-width entry
-        without counting an acquisition.  ``energy_pj`` is left at 0 for
-        the caller to fill in (static energy needs the energy model).
-        """
-        n = len(self.timings)
-        compute = batch * self.compute
-        dram = self.weight + batch * self.activation
-        spans = np.maximum(compute, dram)
-        ends = np.cumsum(spans)
-        starts = ends - spans
-        makespan = float(ends[-1]) if n else 0.0
-
-        timeline: list[TimelineEntry] = []
-        if record_timeline:
-            for i, t in enumerate(self.timings):
-                s = float(starts[i])
-                layer = f"{label}/L{i}.{t.kind}"
-                if t.phase == "ATN":
-                    pre = batch * t.attention_s
-                    timeline.append(
-                        TimelineEntry("attention_core", f"{layer}:attn", s, s + pre)
-                    )
-                else:
-                    pre = batch * max(t.dense_s, t.sparse_s)
-                    if t.dense_s > 0:
-                        timeline.append(TimelineEntry(
-                            "dense_core", f"{layer}:dense", s, s + batch * t.dense_s
-                        ))
-                    if t.sparse_s > 0:
-                        timeline.append(TimelineEntry(
-                            "sparse_core", f"{layer}:sparse", s, s + batch * t.sparse_s
-                        ))
-                timeline.append(TimelineEntry(
-                    "spike_gen", f"{layer}:spike_gen",
-                    s + pre, s + pre + batch * t.spike_gen_s,
-                ))
-                if dram[i] > 0:
-                    timeline.append(TimelineEntry(
-                        "dram", f"{layer}:dram", s, s + float(dram[i])
-                    ))
-
-        busy = {
-            "dense_core": float((batch * self.dense).sum()),
-            "sparse_core": float((batch * self.sparse).sum()),
-            "attention_core": float((batch * self.attention).sum()),
-            "spike_gen": float((batch * self.spike).sum()),
-            "dram": float(dram.sum()),
-        }
-        acquisitions = {
-            "dense_core": int(np.count_nonzero(self.dense > 0)),
-            "sparse_core": int(np.count_nonzero(self.sparse > 0)),
-            "attention_core": int(np.count_nonzero(self.attention > 0)),
-            "spike_gen": int(np.count_nonzero(self.spike > 0)),
-            "dram": int(np.count_nonzero(dram > 0)),
-        }
-        return EngineRun(
-            makespan_s=makespan,
-            energy_pj=0.0,
-            timeline=timeline,
-            resource_stats={
-                name: ResourceStats(
-                    busy_s=busy[name], acquisitions=acquisitions[name]
-                )
-                for name in BishopMachine.RESOURCE_NAMES
-            },
-            resource_capacity={
-                name: 1 for name in BishopMachine.RESOURCE_NAMES
-            },
-        )
 
 
 @lru_cache(maxsize=1024)

@@ -8,18 +8,16 @@ the five shared units — dense core, sparse core, attention core, spike
 generator, DRAM channel — as :class:`~repro.arch.engine.kernel.Resource`
 objects on one engine clock.
 
-Two implementations replay a timing tuple: the closed form of
-:mod:`.fastpath` answers every uncontended run with no events, and the
-callback replays of :mod:`.lanes` (one timed event per occupancy) serve
-every contended one — a program that starts on an idle chip is walked
-to one wake at its finish until another replay starts beside it
-(``BishopMachine.elided``).  For a single request the two agree with the
-closed-form ``Σ max(compute, dram)`` latency (the regression-test
-oracle); the event replay's value is contention: multiple in-flight
-requests queue on the same resources, which is what the serving layer
-(``repro.serve``) measures.  Each machine's resources hold their
-engine, and the engine holds the resources: those cycles live until
-:meth:`Engine.teardown <repro.arch.engine.kernel.Engine.teardown>`.
+Uncontended latency is not measured here: the compiled
+:class:`~repro.compiler.ir.Program` answers it in closed form (the
+schedule pass through :mod:`.fastpath`).  The callback replays of
+:mod:`.lanes` (one timed event per occupancy) serve every contended run
+— a program that starts on an idle chip is walked to one wake at its
+finish until another replay starts beside it (``BishopMachine.elided``).
+Multiple in-flight requests queue on the same resources, which is what
+the serving layer (``repro.serve``) measures.  Each machine's resources
+hold their engine, and the engine holds the resources: those cycles live
+until :meth:`Engine.teardown <repro.arch.engine.kernel.Engine.teardown>`.
 """
 
 from __future__ import annotations
@@ -28,16 +26,10 @@ from dataclasses import dataclass
 
 from ..config import BishopConfig
 from ..energy import EnergyModel
-from ..report import InferenceReport, LayerReport
+from ..report import LayerReport
 from .kernel import Engine, Resource
-from .timeline import EngineRun
 
-__all__ = [
-    "BishopMachine",
-    "LayerTiming",
-    "layer_timings",
-    "simulate_inference",
-]
+__all__ = ["BishopMachine", "LayerTiming"]
 
 
 @dataclass(frozen=True)
@@ -108,15 +100,6 @@ def layer_timing(
     )
 
 
-def layer_timings(
-    report: InferenceReport,
-    config: BishopConfig,
-    energy: EnergyModel | None = None,
-) -> tuple[LayerTiming, ...]:
-    energy = energy or EnergyModel()
-    return tuple(layer_timing(layer, config, energy) for layer in report.layers)
-
-
 class BishopMachine:
     """One Bishop chip: the five contended resources of Fig. 9.
 
@@ -151,31 +134,3 @@ class BishopMachine:
         """Short (un-prefixed) unit name → engine resource."""
         return dict(zip(self.RESOURCE_NAMES, self.units))
 
-
-def simulate_inference(
-    report: InferenceReport,
-    config: BishopConfig,
-    energy: EnergyModel | None = None,
-    record_timeline: bool = True,
-) -> EngineRun:
-    """Replay one analytic inference report as a serial :class:`EngineRun`.
-
-    Single request, no contention: the makespan equals the closed-form
-    ``Σ max(compute, dram)`` and the energy equals the analytical total —
-    the agreement the zoo regression test pins to 1%.
-
-    The replay is synthesized by the closed form of
-    :mod:`~repro.arch.engine.fastpath`, with no events.
-    """
-    energy = energy or EnergyModel()
-    timings = layer_timings(report, config, energy)
-    from ... import obs
-    from .fastpath import schedule_for  # local: fastpath imports this module
-
-    with obs.span("engine.simulate", cat="engine", model=report.model_name):
-        schedule = schedule_for(timings)
-        run = schedule.serial_run(
-            batch=1, label=report.model_name, record_timeline=record_timeline
-        )
-        run.energy_pj = schedule.dynamic_pj + energy.static_pj(run.makespan_s)
-        return run

@@ -8,9 +8,8 @@ from typing import TYPE_CHECKING
 from .energy import EnergyModel
 from .memory import TrafficLedger
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine uses reports)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..compiler.ir import Program
-    from .engine.timeline import EngineRun
 
 __all__ = ["EnergyBreakdown", "LayerReport", "InferenceReport"]
 
@@ -74,10 +73,6 @@ class InferenceReport:
     accelerator: str
     model_name: str
     layers: list[LayerReport] = field(default_factory=list)
-    # Event timeline of the same inference on the discrete-event engine
-    # (attached by BishopAccelerator.run_trace; None for closed-form-only
-    # baselines such as PTB and the GPU roofline).
-    engine_run: "EngineRun | None" = None
     # The compiled program this report was materialized from (Bishop only;
     # None for baselines and hand-assembled reports).
     program: "Program | None" = None
@@ -86,13 +81,6 @@ class InferenceReport:
     @property
     def total_latency_s(self) -> float:
         return sum(layer.latency_s for layer in self.layers)
-
-    @property
-    def event_latency_s(self) -> float:
-        """Engine-measured makespan; falls back to the closed-form total."""
-        if self.engine_run is not None:
-            return self.engine_run.makespan_s
-        return self.total_latency_s
 
     @property
     def total_energy_pj(self) -> float:

@@ -252,8 +252,7 @@ class Program:
     # -- latency estimates -------------------------------------------------
     @property
     def serial_latency_s(self) -> float:
-        """Layer-serial makespan: ``Σ max(compute, dram)`` — the legacy
-        ``run_trace`` closed form."""
+        """Layer-serial makespan: ``Σ max(compute, dram)``."""
         return sum(stage.latency_s for stage in self.stages)
 
     @property
@@ -271,8 +270,8 @@ class Program:
 
     @property
     def scheduled_latency_s(self) -> float | None:
-        """Engine-measured makespan under depth-1 weight prefetch (set by
-        the scheduling pass; ``None`` when the pass did not run)."""
+        """Makespan under depth-1 weight prefetch, computed in closed form
+        by the scheduling pass (``None`` when the pass did not run)."""
         value = self.meta.get("scheduled_latency_s")
         return float(value) if value is not None else None
 

@@ -27,22 +27,21 @@ swap them into ``repro.serve.simulate`` in place of the replays.
 
 :func:`replay_makespan` and :func:`replay_inference` run the callback
 replays of :mod:`repro.arch.engine.lanes` alone on a fresh engine: the
-event-replay twins of the closed form that ``src`` answers every
-uncontended request with (``FastSchedule.serial_makespan`` /
-``scheduled_makespan`` and ``simulate_inference``).
+event-replay twins of the closed forms that ``src`` answers every
+uncontended request with (``Program.serial_latency_s`` and
+``FastSchedule.scheduled_makespan``).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.arch.config import BishopConfig
 from repro.arch.energy import EnergyModel
 from repro.arch.engine.kernel import (
     Acquire, Engine, Hold, Join, Release, Resource, WaitFor,
 )
 from repro.arch.engine.lanes import ScheduledReplay, SerialReplay
-from repro.arch.engine.machine import BishopMachine, LayerTiming, layer_timings
+from repro.arch.engine.machine import BishopMachine, LayerTiming
 from repro.arch.engine.timeline import EngineRun, TimelineEntry
 from repro.arch.report import InferenceReport
 
@@ -55,6 +54,7 @@ __all__ = [
     "replay_inference",
     "replay_makespan",
     "scheduled_inference_process",
+    "serial_closed_form",
     "stage_process",
     "use",
 ]
@@ -281,32 +281,42 @@ def reference_makespan(
     return engine.run()
 
 
+def serial_closed_form(
+    timings: tuple[LayerTiming, ...], batch: int = 1
+) -> float:
+    """The layer-serial makespan ``Σ max(batch·compute, dram(batch))``:
+    ``Program.serial_latency_s`` at batch 1."""
+    return sum(max(batch * t.compute_s, t.dram_s(batch)) for t in timings)
+
+
 def replay_makespan(
     timings: tuple[LayerTiming, ...],
     scheduled: bool = False,
     batch: int = 1,
 ) -> float:
-    """Uncontended makespan of one request on the callback replays."""
+    """Uncontended makespan of one request on the callback replays.  The
+    replay records a timeline, so it is never elided: every occupancy is
+    a callback hold."""
     engine = Engine()
     replay = ScheduledReplay if scheduled else SerialReplay
     replay(
-        engine, BishopMachine(engine), tuple(timings), "measure", batch
+        engine, BishopMachine(engine), tuple(timings), "measure", batch, []
     ).start(lambda: None)
     return engine.run()
 
 
 def replay_inference(
     report: InferenceReport,
-    config: BishopConfig,
     energy: EnergyModel | None = None,
-    record_timeline: bool = True,
 ) -> EngineRun:
-    """``simulate_inference`` replayed as a ``SerialReplay`` on a fresh
-    engine: same makespan, energy and (tile-coalesced) timeline."""
+    """The compiled program of a ``run_trace`` report replayed as a
+    ``SerialReplay`` on a fresh engine, with a timeline: a recording
+    replay is never elided, so every occupancy is a callback hold.  The
+    energy adds the static share over the measured makespan."""
     energy = energy or EnergyModel()
-    timings = layer_timings(report, config, energy)
+    timings = report.program.timings()
     engine = Engine()
-    timeline: list[TimelineEntry] | None = [] if record_timeline else None
+    timeline: list[TimelineEntry] = []
     SerialReplay(
         engine, BishopMachine(engine), timings, report.model_name, 1, timeline
     ).start(lambda: None)

@@ -1,30 +1,30 @@
-"""Closed form vs event replay: the vectorized fast path must agree with
-the callback replays to float precision.
+"""Closed form vs event replay: the uncontended closed forms must agree
+with the callback replays to float precision.
 
-The fast path answers every uncontended single-request makespan in
-closed form and synthesizes the serial replay's :class:`EngineRun`
-without events; the oracles of :mod:`.reference_lanes`
-(:func:`replay_makespan`, :func:`replay_inference`) replay the same
-program with the callback lanes on a fresh engine.  These tests pin the
-two against each other on the zoo, on randomized task graphs (including
-the degenerate shapes: zero-compute, zero-weight, zero-activation, empty
-chains), across batch sizes, and ``==`` on integer-grid timings, where
-every sum is exact and each DRAM tie rule must match bit for bit.
+``src`` answers every uncontended single-request makespan in closed
+form: the layer-serial ``Σ max(compute, dram)`` (the compiled program's
+``serial_latency_s``; :func:`serial_closed_form` at any batch) and the
+depth-1 prefetch recurrence of :class:`FastSchedule`.  The oracles of
+:mod:`.reference_lanes` (:func:`replay_makespan`,
+:func:`replay_inference`) replay the same program with the callback
+lanes on a fresh engine.  These tests pin the two against each other on
+the zoo, on randomized task graphs (including the degenerate shapes:
+zero-compute, zero-weight, zero-activation, empty chains), across batch
+sizes, and ``==`` on integer-grid timings, where every sum is exact and
+each DRAM tie rule must match bit for bit.
 """
-
-import time
 
 import numpy as np
 import pytest
 
-from repro.arch import BishopAccelerator, BishopConfig, EnergyModel, simulate_inference
+from repro.arch import BishopAccelerator, BishopConfig
 from repro.arch.engine import LayerTiming, schedule_for
 from repro.arch.engine.fastpath import FastSchedule
 from repro.bundles import BundleSpec
 from repro.harness.synthetic import PROFILES, synthetic_trace
 from repro.model import MODEL_ZOO, model_config
 
-from .reference_lanes import replay_inference, replay_makespan
+from .reference_lanes import replay_inference, replay_makespan, serial_closed_form
 
 APPROX = dict(rel=1e-9, abs=1e-12)
 
@@ -64,7 +64,7 @@ class TestMakespanEquivalence:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_serial_matches_kernel_on_random_graphs(self, seed, batch):
         timings = random_timings(np.random.default_rng(seed), 12)
-        fast = schedule_for(timings).serial_makespan(batch)
+        fast = serial_closed_form(timings, batch)
         kernel = replay_makespan(timings, scheduled=False, batch=batch)
         assert fast == pytest.approx(kernel, **APPROX)
 
@@ -77,16 +77,15 @@ class TestMakespanEquivalence:
         assert fast == pytest.approx(kernel, **APPROX)
 
     def test_empty_chain(self):
-        schedule = schedule_for(())
-        assert schedule.serial_makespan() == 0.0
-        assert schedule.scheduled_makespan() == 0.0
+        assert schedule_for(()).scheduled_makespan() == 0.0
+        assert replay_makespan(()) == 0.0
 
     def test_scheduled_between_serial_and_pipelined_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             timings = random_timings(rng, 10)
             schedule = schedule_for(timings)
-            serial = schedule.serial_makespan()
+            serial = serial_closed_form(timings)
             scheduled = schedule.scheduled_makespan()
             bound = max(
                 float(schedule.compute.sum()),
@@ -101,8 +100,11 @@ class TestMakespanEquivalence:
         program = compile_model("model4", BishopConfig(bundle_spec=BundleSpec(2, 4)))
         timings = program.timings()
         schedule = schedule_for(timings)
+        assert program.serial_latency_s == pytest.approx(
+            replay_makespan(timings), **APPROX
+        )
         for batch in (1, 2, 4):
-            assert schedule.serial_makespan(batch) == pytest.approx(
+            assert serial_closed_form(timings, batch) == pytest.approx(
                 replay_makespan(timings, scheduled=False, batch=batch),
                 **APPROX,
             )
@@ -110,72 +112,6 @@ class TestMakespanEquivalence:
                 replay_makespan(timings, scheduled=True, batch=batch),
                 **APPROX,
             )
-
-
-def coalesce(timeline):
-    """Merge adjacent same-task chunk entries (the kernel's tile quanta)
-    into one run per task, keyed by (resource, label)."""
-    runs: dict[tuple[str, str], list[float]] = {}
-    for entry in sorted(timeline, key=lambda e: (e.resource, e.label, e.start_s)):
-        key = (entry.resource, entry.label)
-        if key in runs and entry.start_s <= runs[key][1] + 1e-12:
-            runs[key][1] = max(runs[key][1], entry.end_s)
-        else:
-            runs[key] = [entry.start_s, entry.end_s]
-    return {key: tuple(span) for key, span in runs.items()}
-
-
-def assert_timelines_match(fast, kernel):
-    fast_runs = coalesce(fast.timeline)
-    kernel_runs = coalesce(kernel.timeline)
-    assert set(fast_runs) == set(kernel_runs)
-    for key, (start, end) in kernel_runs.items():
-        assert fast_runs[key][0] == pytest.approx(start, **APPROX), key
-        assert fast_runs[key][1] == pytest.approx(end, **APPROX), key
-    # coalesced: one entry per layer task, never one per tile quantum
-    assert len(fast.timeline) == len(fast_runs)
-    assert len(fast.timeline) <= len(kernel.timeline)
-
-
-class TestReplayEquivalence:
-    @pytest.fixture(scope="class")
-    def report(self):
-        spec = BundleSpec(2, 4)
-        trace = synthetic_trace(
-            model_config("model4"), PROFILES["model4"], spec, seed=0
-        )
-        return BishopAccelerator(
-            BishopConfig(bundle_spec=spec)
-        ).run_trace(trace, simulate_events=False)
-
-    def _runs(self, report):
-        config = BishopConfig(bundle_spec=BundleSpec(2, 4))
-        return (
-            simulate_inference(report, config, EnergyModel()),
-            replay_inference(report, config, EnergyModel()),
-        )
-
-    def test_makespan_energy_and_stats_match(self, report):
-        fast, kernel = self._runs(report)
-        assert fast.makespan_s == pytest.approx(kernel.makespan_s, **APPROX)
-        assert fast.energy_pj == pytest.approx(kernel.energy_pj, **APPROX)
-        assert set(fast.resource_stats) == set(kernel.resource_stats)
-        for name, stats in kernel.resource_stats.items():
-            assert fast.resource_stats[name].busy_s == pytest.approx(
-                stats.busy_s, **APPROX
-            ), name
-            assert fast.resource_stats[name].wait_s == 0.0
-
-    def test_timelines_match_after_coalescing(self, report):
-        assert_timelines_match(*self._runs(report))
-
-    def test_record_timeline_flag(self, report):
-        run = simulate_inference(
-            report, BishopConfig(bundle_spec=BundleSpec(2, 4)),
-            record_timeline=False,
-        )
-        assert run.timeline == []
-        assert run.makespan_s > 0
 
 
 class TestFastScheduleMemoization:
@@ -208,8 +144,8 @@ class TestFastScheduleMemoization:
 
 class TestServingProfileEquivalence:
     """The timings the serving layer replays (``request_profile``) agree
-    with the kernel to the speedup test's 1e-9 bound for every zoo model
-    and pass set, and the synthesized serial run carries that makespan."""
+    with the kernel to a 1e-9 relative bound for every zoo model and pass
+    set."""
 
     @pytest.mark.parametrize("passes", ["all", "packing+stratify+ecp", "none"])
     @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
@@ -220,13 +156,10 @@ class TestServingProfileEquivalence:
         schedule = schedule_for(timings)
         kernel_serial = replay_makespan(timings, scheduled=False)
         kernel_scheduled = replay_makespan(timings, scheduled=True)
-        fast_serial = schedule.serial_makespan()
+        fast_serial = serial_closed_form(timings)
         assert abs(fast_serial - kernel_serial) <= 1e-9 * kernel_serial
         assert abs(schedule.scheduled_makespan() - kernel_scheduled) <= (
             1e-9 * kernel_scheduled
-        )
-        assert schedule.serial_run(label=model).makespan_s == pytest.approx(
-            fast_serial, **APPROX
         )
 
     @pytest.mark.parametrize("passes", ["all", "packing+stratify+ecp", "none"])
@@ -254,7 +187,7 @@ class TestServingProfileEquivalence:
             kernel_scheduled = replay_makespan(
                 timings, scheduled=True, batch=batch
             )
-            assert abs(schedule.serial_makespan(batch) - kernel_serial) <= (
+            assert abs(serial_closed_form(timings, batch) - kernel_serial) <= (
                 1e-9 * kernel_serial
             )
             assert abs(schedule.scheduled_makespan(batch) - kernel_scheduled) <= (
@@ -263,81 +196,37 @@ class TestServingProfileEquivalence:
 
 
 class TestReplayEquivalenceZoo:
+    """The compiled program of each zoo report, replayed on the callback
+    lanes, reproduces the report's closed-form latency, energy and
+    per-unit busy time."""
+
     @pytest.fixture(scope="class", params=sorted(MODEL_ZOO))
-    def runs(self, request):
+    def report(self, request):
         model = request.param
         spec = BundleSpec(2, 4)
-        config = BishopConfig(bundle_spec=spec)
         trace = synthetic_trace(model_config(model), PROFILES[model], spec, seed=0)
-        report = BishopAccelerator(config).run_trace(trace, simulate_events=False)
-        return (
-            simulate_inference(report, config, EnergyModel()),
-            replay_inference(report, config, EnergyModel()),
+        return BishopAccelerator(BishopConfig(bundle_spec=spec)).run_trace(trace)
+
+    def test_makespan_energy_and_busy_match(self, report):
+        run = replay_inference(report)
+        assert run.makespan_s == pytest.approx(report.total_latency_s, **APPROX)
+        assert run.makespan_s == pytest.approx(
+            report.program.serial_latency_s, **APPROX
         )
-
-    def test_makespan_energy_and_busy_match(self, runs):
-        fast, kernel = runs
-        assert fast.makespan_s == pytest.approx(kernel.makespan_s, **APPROX)
-        assert fast.energy_pj == pytest.approx(kernel.energy_pj, **APPROX)
-        assert set(fast.resource_stats) == set(kernel.resource_stats)
-        for name, stats in kernel.resource_stats.items():
-            assert fast.resource_stats[name].busy_s == pytest.approx(
-                stats.busy_s, **APPROX
-            ), name
-
-    def test_timelines_match_after_coalescing(self, runs):
-        assert_timelines_match(*runs)
-
-
-@pytest.mark.slow
-class TestSpeedup:
-    def test_fast_replay_is_at_least_5x(self):
-        """One compiled model4 program's uncontended request: the
-        generator reference lanes' tile-granular event walk (serial +
-        scheduled, ``MAX_QUANTA`` quanta per core task) against the fast
-        path's closed-form makespans plus :class:`EngineRun` synthesis.
-        Both sides run once before timing.  The schedule memo is cleared
-        inside the timed region, so its construction is timed and every
-        later repeat answers from the cached columnar schedule."""
-        from repro.arch.engine import fastpath
-        from repro.serve import request_profile
-
-        from .reference_lanes import MAX_QUANTA, reference_makespan
-
-        repeats = 3
-        timings = request_profile("model4", seed=0).timings
-
-        def lanes():
-            return (
-                reference_makespan(timings, False, max_quanta=MAX_QUANTA),
-                reference_makespan(timings, True, max_quanta=MAX_QUANTA),
-            )
-
-        def fast():
-            schedule = schedule_for(timings)
-            schedule.serial_run(label="model4")
-            return schedule.serial_makespan(), schedule.scheduled_makespan()
-
-        lanes()
-        fast()
-
-        started = time.perf_counter()
-        for _ in range(repeats):
-            kernel_serial, kernel_scheduled = lanes()
-        kernel_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        fastpath._schedule_for.cache_clear()
-        for _ in range(repeats):
-            fast_serial, fast_scheduled = fast()
-        fast_s = time.perf_counter() - started
-
-        serial_err = abs(fast_serial - kernel_serial) / max(kernel_serial, 1e-30)
-        scheduled_err = abs(fast_scheduled - kernel_scheduled) / max(
-            kernel_scheduled, 1e-30
-        )
-        assert kernel_s / fast_s >= 5.0
-        assert max(serial_err, scheduled_err) <= 1e-9
+        assert run.energy_pj == pytest.approx(report.total_energy_pj, **APPROX)
+        timings = report.program.timings()
+        busy = {
+            "dense_core": sum(t.dense_s for t in timings),
+            "sparse_core": sum(t.sparse_s for t in timings),
+            "attention_core": sum(t.attention_s for t in timings),
+            "spike_gen": sum(t.spike_gen_s for t in timings),
+            "dram": sum(t.dram_s() for t in timings),
+        }
+        assert set(run.resource_stats) == set(busy)
+        for name, value in busy.items():
+            stats = run.resource_stats[name]
+            assert stats.busy_s == pytest.approx(value, **APPROX), name
+            assert stats.wait_s == 0.0, name
 
 
 # -- integer-grid property: exact ties -------------------------------------
@@ -381,9 +270,8 @@ def grid_chains(draw):
 def test_closed_form_equals_replay_on_integer_grid(scheduled, timings, batch):
     """Every DRAM tie rule of the closed form matches the event replay
     bit for bit: no tolerance, unlike the uniform-float cases above."""
-    schedule = FastSchedule.from_timings(timings)
     closed_form = (
-        schedule.scheduled_makespan(batch) if scheduled
-        else schedule.serial_makespan(batch)
+        FastSchedule.from_timings(timings).scheduled_makespan(batch)
+        if scheduled else serial_closed_form(timings, batch)
     )
     assert closed_form == replay_makespan(timings, scheduled, batch)

@@ -4,18 +4,12 @@ import gc
 
 import pytest
 
-from repro.arch import (
-    BishopAccelerator,
-    BishopConfig,
-    EnergyModel,
-    layer_timings,
-    simulate_inference,
-)
+from repro.arch import BishopAccelerator, BishopConfig
 from repro.bundles import BundleSpec
 from repro.harness.synthetic import PROFILES, synthetic_trace
 from repro.model import model_config
 
-from .reference_lanes import MAX_QUANTA, _quanta
+from .reference_lanes import MAX_QUANTA, _quanta, replay_inference
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +21,12 @@ def report():
 
 class TestLayerTimings:
     def test_compute_matches_notes(self, report):
-        config = BishopConfig(bundle_spec=BundleSpec(2, 4))
-        for timing, layer in zip(layer_timings(report, config), report.layers):
+        for timing, layer in zip(report.program.timings(), report.layers):
             assert timing.compute_s == pytest.approx(layer.notes["compute_time_s"])
             assert timing.dram_s() == pytest.approx(layer.notes["dram_time_s"])
 
     def test_attention_layers_have_no_core_split(self, report):
-        config = BishopConfig(bundle_spec=BundleSpec(2, 4))
-        for timing in layer_timings(report, config):
+        for timing in report.program.timings():
             if timing.phase == "ATN":
                 assert timing.dense_s == 0.0 and timing.sparse_s == 0.0
                 assert timing.attention_s > 0.0
@@ -42,21 +34,18 @@ class TestLayerTimings:
                 assert timing.attention_s == 0.0
 
     def test_dynamic_energy_excludes_static(self, report):
-        config = BishopConfig(bundle_spec=BundleSpec(2, 4))
-        timings = layer_timings(report, config)
+        timings = report.program.timings()
         dynamic = sum(t.dynamic_pj for t in timings)
         static = sum(l.energy.static_pj for l in report.layers)
         assert dynamic + static == pytest.approx(report.total_energy_pj)
 
     def test_tile_counts_recorded(self, report):
-        config = BishopConfig(bundle_spec=BundleSpec(2, 4))
-        timings = layer_timings(report, config)
+        timings = report.program.timings()
         assert any(t.dense_tiles > 1 for t in timings)
         assert any(t.attention_tiles >= 1 for t in timings if t.phase == "ATN")
 
     def test_batch_scaling(self, report):
-        config = BishopConfig(bundle_spec=BundleSpec(2, 4))
-        timing = layer_timings(report, config)[0]
+        timing = report.program.timings()[0]
         assert timing.dram_s(4) == pytest.approx(
             timing.weight_dram_s + 4 * timing.activation_dram_s
         )
@@ -80,43 +69,33 @@ class TestQuanta:
         assert _quanta(10_000) == 1
 
 
-class TestSimulateInference:
-    def test_matches_analytical_oracle(self, report):
-        config = BishopConfig(bundle_spec=BundleSpec(2, 4))
-        run = simulate_inference(report, config, EnergyModel())
+class TestReplayInference:
+    """The compiled program replayed alone on a fresh engine."""
+
+    @pytest.fixture(scope="class")
+    def run(self, report):
+        return replay_inference(report)
+
+    def test_matches_analytical_oracle(self, report, run):
         assert run.makespan_s == pytest.approx(report.total_latency_s, rel=1e-9)
         assert run.energy_pj == pytest.approx(report.total_energy_pj, rel=1e-9)
 
-    def test_attached_by_run_trace(self, report):
-        assert report.engine_run is not None
-        assert report.event_latency_s == pytest.approx(report.total_latency_s)
-
-    def test_timeline_covers_all_resources(self, report):
-        resources = {entry.resource for entry in report.engine_run.timeline}
+    def test_timeline_covers_all_resources(self, run):
+        resources = {entry.resource for entry in run.timeline}
         assert {"dense_core", "sparse_core", "attention_core", "spike_gen", "dram"} <= resources
 
-    def test_utilization_bounded(self, report):
-        for name, value in report.engine_run.utilization().items():
+    def test_utilization_bounded(self, run):
+        for name, value in run.utilization().items():
             assert 0.0 <= value <= 1.0 + 1e-9, name
 
-    def test_cores_never_overlap_themselves(self, report):
+    def test_cores_never_overlap_themselves(self, run):
         by_resource = {}
-        for entry in report.engine_run.timeline:
+        for entry in run.timeline:
             by_resource.setdefault(entry.resource, []).append(entry)
         for entries in by_resource.values():
             entries.sort(key=lambda e: e.start_s)
             for first, second in zip(entries, entries[1:]):
                 assert second.start_s >= first.end_s - 1e-12
-
-    def test_simulate_events_flag_skips_engine(self):
-        spec = BundleSpec(2, 4)
-        trace = synthetic_trace(
-            model_config("model4"), PROFILES["model4"], spec, seed=0
-        )
-        config = BishopConfig(bundle_spec=spec)
-        report = BishopAccelerator(config).run_trace(trace, simulate_events=False)
-        assert report.engine_run is None
-        assert report.event_latency_s == report.total_latency_s
 
 
 class TestMachineConstruction:
@@ -144,8 +123,7 @@ class TestContention:
         """Two concurrent requests finish later than one, earlier than 2x serial."""
         from repro.arch.engine import BishopMachine, Engine, SerialReplay
 
-        config = BishopConfig(bundle_spec=BundleSpec(2, 4))
-        timings = layer_timings(report, config)
+        timings = report.program.timings()
         single = report.total_latency_s
 
         engine = Engine()

@@ -5,9 +5,10 @@ paper's Sec.-6.1 chip; this suite extends the same 1% contract across a
 seeded random sample of the DSE design space — the configurations the
 explorer actually visits (odd core geometries, tiny GLBs, starved DRAM,
 off-default bundle volumes).  A single uncontended request has no
-queueing, so closed-form and event-level models must agree everywhere in
-the space, not just at the paper point; drift beyond tolerance means one
-of the two models changed semantics for some configuration class.
+queueing, so the closed form and the callback-lane replay of the compiled
+program must agree everywhere in the space, not just at the paper point;
+drift beyond tolerance means one of the two models changed semantics for
+some configuration class.
 """
 
 import numpy as np
@@ -17,6 +18,8 @@ from repro.arch import BishopAccelerator
 from repro.dse import default_space
 from repro.harness.synthetic import DensityProfile, synthetic_trace
 from repro.model import SpikingTransformerConfig
+
+from .reference_lanes import replay_inference
 
 TOLERANCE = 0.01
 NUM_SAMPLES = 10
@@ -54,8 +57,8 @@ def test_engine_matches_closed_form_off_paper(point):
     trace = synthetic_trace(MODEL, PROFILE, config.bundle_spec, seed=11)
     report = BishopAccelerator(config).run_trace(trace)
 
-    run = report.engine_run
-    assert run is not None
+    run = replay_inference(report)
+    assert run.timeline
     assert run.makespan_s == pytest.approx(report.total_latency_s, rel=TOLERANCE)
     assert run.energy_pj == pytest.approx(report.total_energy_pj, rel=TOLERANCE)
     # The engine never beats the slowest single layer's critical path.

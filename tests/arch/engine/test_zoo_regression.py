@@ -1,9 +1,10 @@
 """Engine-vs-analytical regression over the Table-2 model zoo.
 
-For every zoo model, single-request engine latency and energy must agree
-with the legacy closed-form InferenceReport within 1%.  The tolerance is
-deliberately loose relative to the observed agreement (~1e-15): it
-documents where event-level modelling may legitimately diverge — under
+For every zoo model, the compiled program replayed alone on a fresh
+engine (the callback lanes, with a timeline, so no elision) must agree
+with the closed-form InferenceReport's latency and energy within 1%.
+The tolerance is deliberately loose relative to the observed agreement
+(~1e-15): it documents where event-level modelling may legitimately diverge — under
 *contention* (multiple requests, see `repro.serve`) the engine queues on
 shared cores, which the closed-form sums cannot express.  A single
 uncontended request has no such queueing, so any drift beyond tolerance
@@ -17,6 +18,8 @@ from repro.bundles import BundleSpec
 from repro.harness.synthetic import PROFILES, synthetic_trace
 from repro.model import MODEL_ZOO, model_config
 
+from .reference_lanes import replay_inference
+
 TOLERANCE = 0.01
 
 
@@ -29,8 +32,8 @@ def test_engine_matches_closed_form(model):
     trace = synthetic_trace(model_config(model), PROFILES[model], spec, seed=0)
     report = BishopAccelerator(config).run_trace(trace)
 
-    run = report.engine_run
-    assert run is not None
+    run = replay_inference(report)
+    assert run.timeline
     assert run.makespan_s == pytest.approx(report.total_latency_s, rel=TOLERANCE)
     assert run.energy_pj == pytest.approx(report.total_energy_pj, rel=TOLERANCE)
     # the engine never beats the per-layer critical path

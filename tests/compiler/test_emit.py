@@ -2,20 +2,18 @@
 
 import pytest
 
-from repro.arch import pipeline_schedule
 from repro.arch.engine import schedule_for
 from repro.arch.engine.machine import LayerTiming
 
-from ..arch.engine.reference_lanes import replay_makespan
-from ..arch.test_pipeline import report, staged
+from ..arch.engine.reference_lanes import replay_makespan, serial_closed_form
+from ..arch.test_pipeline import program
 
 
 def closed_form(timings, scheduled=False, batch=1):
     """What the schedule pass and the serving profiles read."""
-    schedule = schedule_for(tuple(timings))
     if scheduled:
-        return schedule.scheduled_makespan(batch)
-    return schedule.serial_makespan(batch)
+        return schedule_for(tuple(timings)).scheduled_makespan(batch)
+    return serial_closed_form(timings, batch)
 
 
 @pytest.fixture(
@@ -95,52 +93,39 @@ class TestScheduledEmission:
         ) == pytest.approx(10.0)
 
 
-def pairs_schedule(layers):
-    """``pipeline_schedule`` of ``(compute, dram)`` pairs (all-weight
-    traffic) or ``(compute, weight, activation)`` triples."""
-    return pipeline_schedule(report(*(
-        staged(layer[0], layer[1], layer[2] if len(layer) > 2 else 0.0)
-        for layer in layers
-    )))
-
-
 class TestTwoResourceEmission:
-    """The datapath + DRAM channel chain of ``pipeline_schedule``."""
+    """The datapath + DRAM channel chain of a compiled program."""
 
     def test_serial_pairs_match_closed_form(self):
-        pairs = [(3.0, 1.0), (2.0, 4.0)]
-        schedule = pairs_schedule(pairs)
-        assert schedule.serial_latency_s == pytest.approx(3.0 + 4.0)
-        assert schedule.compute_total_s == pytest.approx(5.0)
-        assert schedule.dram_total_s == pytest.approx(5.0)
+        compiled = program((3.0, 1.0, 0.0), (2.0, 4.0, 0.0))
+        assert compiled.serial_latency_s == pytest.approx(3.0 + 4.0)
+        assert sum(s.compute_s for s in compiled.stages) == pytest.approx(5.0)
+        assert sum(s.dram_s for s in compiled.stages) == pytest.approx(5.0)
 
-    def test_prefetch_between_serial_and_bound(self):
-        pairs = [(3.0, 1.0), (2.0, 4.0), (1.0, 3.0)]
-        serial = sum(max(c, d) for c, d in pairs)
-        bound = max(sum(c for c, _ in pairs), sum(d for _, d in pairs))
-        scheduled = pairs_schedule(pairs).scheduled_latency_s
-        assert bound * (1 - 1e-12) <= scheduled <= serial * (1 + 1e-12)
+    def test_prefetch_between_serial_and_bound(self, measure):
+        compiled = program((3.0, 1.0, 0.0), (2.0, 4.0, 0.0), (1.0, 3.0, 0.0))
+        scheduled = measure(compiled.timings(), scheduled=True)
+        assert (
+            compiled.pipelined_bound_s * (1 - 1e-12)
+            <= scheduled
+            <= compiled.serial_latency_s * (1 + 1e-12)
+        )
 
-    def test_prefetch_wins_on_alternating_chain(self):
-        pairs = [(4.0, 1.0), (1.0, 4.0)] * 3
-        serial = sum(max(c, d) for c, d in pairs)       # 24
-        scheduled = pairs_schedule(pairs).scheduled_latency_s
-        assert scheduled < serial
+    def test_prefetch_wins_on_alternating_chain(self, measure):
+        compiled = program(*[(4.0, 1.0, 0.0), (1.0, 4.0, 0.0)] * 3)
+        serial = compiled.serial_latency_s          # 24
+        assert measure(compiled.timings(), scheduled=True) < serial
 
     def test_activation_traffic_is_never_prefetched(self, measure):
         """Causality: a layer's activation spill cannot stream before the
-        layer computes, so an activation-dominated chain gains nothing —
-        the pairs schedule must agree with the executable machine
-        schedule, not beat it."""
+        layer computes, so an activation-dominated chain gains nothing."""
         triples = [(4.0, 0.0, 1.0), (1.0, 0.0, 4.0)] * 2
         serial = sum(max(c, w + a) for c, w, a in triples)
-        assert pairs_schedule(triples).scheduled_latency_s == pytest.approx(serial)
-        timings = tuple(
-            timing(c, w, a) for c, w, a in triples
-        )
-        assert measure(timings, scheduled=True) == pytest.approx(serial)
+        compiled = program(*triples)
+        assert compiled.serial_latency_s == pytest.approx(serial)
+        assert measure(compiled.timings(), scheduled=True) == pytest.approx(serial)
 
-    def test_empty_pairs(self):
-        schedule = pairs_schedule([])
-        assert schedule.scheduled_latency_s == 0.0
-        assert schedule.serial_latency_s == 0.0
+    def test_empty_pairs(self, measure):
+        compiled = program()
+        assert measure(compiled.timings(), scheduled=True) == 0.0
+        assert compiled.serial_latency_s == 0.0

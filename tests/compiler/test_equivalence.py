@@ -101,7 +101,7 @@ class TestRunTraceContract:
     def test_run_trace_totals_match_direct_lowering(self, zoo_traces):
         trace = zoo_traces["model4"]
         config = BishopConfig(bundle_spec=SPEC)
-        report = BishopAccelerator(config).run_trace(trace, simulate_events=False)
+        report = BishopAccelerator(config).run_trace(trace)
         direct = direct_report(trace, config)
         assert report.total_latency_s == sum(l.latency_s for l in direct)
         assert report.total_energy_pj == sum(l.energy.total_pj for l in direct)
@@ -112,9 +112,7 @@ class TestRunTraceContract:
         trace = zoo_traces["model4"]
         config = BishopConfig(bundle_spec=SPEC)
         ecp = ECPConfig(theta_q=6, theta_k=6, spec=SPEC)
-        report = BishopAccelerator(config).run_trace(
-            trace, ecp=ecp, simulate_events=False
-        )
+        report = BishopAccelerator(config).run_trace(trace, ecp=ecp)
         direct = direct_report(trace, config, ecp=ecp)
         assert report.total_latency_s == sum(l.latency_s for l in direct)
         assert report.total_energy_pj == sum(l.energy.total_pj for l in direct)

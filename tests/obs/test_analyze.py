@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.arch import BishopConfig, EnergyModel, simulate_inference
+from repro.arch import BishopConfig
 from repro.arch.accelerator import BishopAccelerator
 from repro.bundles import BundleSpec
 from repro.harness.synthetic import PROFILES, synthetic_trace
@@ -96,13 +96,13 @@ class TestCriticalPathBasics:
         assert payload["blocking_shares"] == {"a": 1.0}
 
 
-# The closed form `src` answers with, and its event-replay oracle.
-REPLAYS = {"fast": simulate_inference, "kernel": replay_inference}
+# The event replay of a compiled program on the callback lanes.
+REPLAYS = {"kernel": replay_inference}
 
 
 class TestCriticalPathZoo:
     """Acceptance: exact attribution across the Table-2 zoo, on the
-    closed-form run and on the event replay."""
+    event replay."""
 
     @pytest.fixture(scope="class")
     def reports(self):
@@ -113,15 +113,13 @@ class TestCriticalPathZoo:
             trace = synthetic_trace(
                 model_config(model), PROFILES[model], spec, seed=0
             )
-            out[model] = accelerator.run_trace(trace, simulate_events=False)
+            out[model] = accelerator.run_trace(trace)
         return out
 
     @pytest.mark.parametrize("mode", sorted(REPLAYS))
     def test_path_sums_to_makespan_exactly(self, reports, mode):
-        spec = BundleSpec(2, 4)
-        config = BishopConfig(bundle_spec=spec)
         for model, report in reports.items():
-            run = REPLAYS[mode](report, config, EnergyModel())
+            run = REPLAYS[mode](report)
             path = run.critical_path()
             assert path.total_s == pytest.approx(
                 run.makespan_s, rel=1e-9
@@ -141,10 +139,8 @@ class TestCriticalPathZoo:
         trace = synthetic_trace(
             model_config("model4"), PROFILES["model4"], spec, seed=0
         )
-        report = BishopAccelerator(config).run_trace(
-            trace, simulate_events=False
-        )
-        run = REPLAYS[mode](report, config, EnergyModel())
+        report = BishopAccelerator(config).run_trace(trace)
+        run = REPLAYS[mode](report)
         path = critical_path(run)
         assert path.total_s == pytest.approx(run.makespan_s, rel=1e-9)
         shares = path.blocking_shares()
@@ -232,10 +228,8 @@ class TestEngineRunToDict:
         )
         report = BishopAccelerator(
             BishopConfig(bundle_spec=spec)
-        ).run_trace(trace, simulate_events=False)
-        run = simulate_inference(
-            report, BishopConfig(bundle_spec=spec), EnergyModel()
-        )
+        ).run_trace(trace)
+        run = replay_inference(report)
         payload = run.to_dict()
         assert payload["makespan_s"] == run.makespan_s
         assert len(payload["timeline"]) == len(run.timeline)
