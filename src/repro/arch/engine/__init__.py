@@ -1,7 +1,7 @@
 """Discrete-event engine for the heterogeneous-core simulator.
 
 ``kernel``
-    Event queue, shared clock, cooperative processes, contended resources.
+    Event queue, shared clock, contended resources; work is callbacks.
 ``timeline``
     Timeline records and the :class:`EngineRun` result container.
 ``machine``
@@ -17,44 +17,22 @@ See docs/ARCHITECTURE.md for the event model and how a core plugs in.
 """
 
 from .fastpath import FastSchedule, schedule_for
-from .kernel import (
-    Acquire,
-    Await,
-    Command,
-    Engine,
-    Gate,
-    Hold,
-    Join,
-    Process,
-    Release,
-    Resource,
-    ResourceStats,
-    WaitFor,
-)
+from .kernel import Engine, Resource, ResourceStats
 from .lanes import ScheduledReplay, SerialReplay
 from .machine import BishopMachine, LayerTiming
 from .timeline import EngineRun, TimelineEntry, entries_from_dicts, entries_to_dicts
 
 __all__ = [
-    "Acquire",
-    "Await",
     "BishopMachine",
-    "Command",
     "Engine",
     "EngineRun",
     "FastSchedule",
-    "Gate",
-    "Hold",
-    "Join",
     "LayerTiming",
-    "Process",
-    "Release",
     "Resource",
     "ResourceStats",
     "ScheduledReplay",
     "SerialReplay",
     "TimelineEntry",
-    "WaitFor",
     "entries_from_dicts",
     "entries_to_dicts",
     "schedule_for",

@@ -14,9 +14,9 @@ resources on the engine clock as a small callback state machine:
 * zero-duration work touches no resource and records a zero-width
   timeline entry.
 
-A lane process hands a replay's ``start`` to the kernel
-(``yield Await(replay.start)``) and sleeps until the replay calls
-``wake`` — one ready event per program or stage.  The replay's state is
+A serving lane calls a replay's ``start(wake)`` with a ``wake`` that
+schedules the lane's continuation as a zero-delay event — one ready
+event per program or stage.  The replay's state is
 explicit — layer index, pending branch counts, prefetch index — in plain
 ``__slots__`` attributes, and nothing refers back to the replay but the
 heap entries, resource queues and running holds holding its bound
@@ -38,13 +38,14 @@ units, so ended holds are credited and running holds, queued DRAM
 requests and the replay's state are exactly the event replay's) and
 moves the pending hold ends onto the engine.  The stale wake then does
 nothing.  Every user of a chip's units must therefore go through a
-replay's ``start``; a process yielding ``Acquire`` on them would not see
-an elided program.
+replay's ``start``; a bare :meth:`Resource.hold
+<repro.arch.engine.kernel.Resource.hold>` on them would not see an
+elided program.
 
 The test oracles are a set of generator lanes
-(``tests/arch/engine/reference_lanes.py``) that spawn a process per
-compute chain, core task and DRAM stream, at about twenty events per
-stage, and the event replay itself with elision patched off
+(``tests/arch/engine/reference_lanes.py``, on the process kernel of
+``reference_kernel.py``) that spawn a process per compute chain, core
+task and DRAM stream, at about twenty events per stage, and the event replay itself with elision patched off
 (``tests/serve/test_private_chip_elision.py``).
 
 Tie rule.  A layer requests its compute chain, then its DRAM stream,

@@ -77,14 +77,11 @@ class EngineRun:
     energy_pj: float
     timeline: list[TimelineEntry] = field(default_factory=list)
     resource_stats: dict[str, ResourceStats] = field(default_factory=dict)
-    resource_capacity: dict[str, int] = field(default_factory=dict)
 
     def utilization(self) -> dict[str, float]:
         """Busy fraction of each resource over the makespan."""
         return {
-            name: stats.utilization(
-                self.makespan_s, self.resource_capacity.get(name, 1)
-            )
+            name: stats.utilization(self.makespan_s)
             for name, stats in self.resource_stats.items()
         }
 
@@ -134,10 +131,6 @@ class EngineRun:
             timeline=list(timeline or []),
             resource_stats={
                 name: replace(resource.stats)
-                for name, resource in engine.resources.items()
-            },
-            resource_capacity={
-                name: resource.capacity
                 for name, resource in engine.resources.items()
             },
         )

@@ -114,7 +114,6 @@ class ShardChipStats:
     requests_served: int
     mean_batch_size: float
     busy_s: dict[str, float]          # per engine unit
-    capacity: dict[str, int]
     dynamic_energy_pj: float
     started_s: float
     accepting: bool
@@ -137,10 +136,7 @@ class ShardChipStats:
             requests_served=self.requests_served,
             mean_batch_size=self.mean_batch_size,
             utilization={
-                unit: (
-                    busy / (span * self.capacity.get(unit, 1))
-                    if span > 0 else 0.0
-                )
+                unit: busy / span if span > 0 else 0.0
                 for unit, busy in self.busy_s.items()
             },
             dynamic_energy_mj=self.dynamic_energy_pj * 1e-9,

@@ -47,18 +47,19 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .. import obs
-from ..arch.engine.kernel import Engine, Hold
+from ..arch.engine.kernel import Engine
 from ..arch.engine.machine import BishopMachine
 from ..arch.energy import EnergyModel
 from ..serve.profiles import request_profile
 from ..serve.report import latency_stats, slo_block
 from ..serve.scheduler import SchedulerConfig
-from ..serve.simulate import ChipServer
+from ..serve.simulate import ChipServer, feed_arrivals
 from ..serve.sketch import LatencySketch
-from ..serve.workload import Request, TenantSpec
+from ..serve.workload import Request, TenantSpec, arrival_order
 from .admission import (
     AdmissionConfig,
     CandidateIndex,
@@ -357,30 +358,27 @@ class ShardState:
         self.tenant_admission.release(request)
 
     # -- window advance ----------------------------------------------------
-    def _feed(self, requests: tuple[Request, ...]):
-        for request in requests:
-            gap = request.arrival_s - self.engine.now
-            if gap > 0:
-                yield Hold(gap)
-            chip = None
-            if self.tenant_admission.admit(request):
-                chip = self._route(request)
-                if chip is None:
-                    self.tenant_admission.release(request)
+    def _deliver(self, request: Request) -> None:
+        """Admit and route one arrival, or shed it."""
+        chip = None
+        if self.tenant_admission.admit(request):
+            chip = self._route(request)
             if chip is None:
-                self.shed += 1
-                self._window_shed += 1
-                self.shed_by_model[request.model] = (
-                    self.shed_by_model.get(request.model, 0) + 1
+                self.tenant_admission.release(request)
+        if chip is None:
+            self.shed += 1
+            self._window_shed += 1
+            self.shed_by_model[request.model] = (
+                self.shed_by_model.get(request.model, 0) + 1
+            )
+            if request.tenant:
+                self.tenant_shed[request.tenant] = (
+                    self.tenant_shed.get(request.tenant, 0) + 1
                 )
-                if request.tenant:
-                    self.tenant_shed[request.tenant] = (
-                        self.tenant_shed.get(request.tenant, 0) + 1
-                    )
-            else:
-                chip.enqueue(request)
-                self._index.enqueued(self._slots[chip])
-            self.delivered += 1
+        else:
+            chip.enqueue(request)
+            self._index.enqueued(self._slots[chip])
+        self.delivered += 1
 
     def _route(self, request: Request) -> ChipServer | None:
         """The policy's chip for ``request``, or ``None`` to shed."""
@@ -450,10 +448,9 @@ class ShardState:
             shard=self.init.shard, arrivals=len(requests),
         ):
             if requests:
-                self.engine.spawn(
-                    self._feed(tuple(requests)),
-                    name=f"shard{self.init.shard}:feed",
-                )
+                self.engine.schedule(0.0, partial(
+                    feed_arrivals, self.engine, tuple(requests), 0, self._deliver,
+                ))
             self.engine.run(until=until)
         chips, index = self.chips, self._index
         live = index.live
@@ -508,8 +505,8 @@ class ShardState:
         """End-of-run per-chip counters (called once, after the last step).
 
         Tears the shard's chips and engine down afterwards: a fleet's
-        resources, dispatchers and recorder links form reference cycles
-        that only a full collection would otherwise free.
+        resources and recorder links form reference cycles that only a
+        full collection would otherwise free.
         """
         obs.inc(
             "serve.scheduler.selects",
@@ -526,10 +523,6 @@ class ShardState:
                 mean_batch_size=chip.mean_batch_size,
                 busy_s={
                     unit: resource.stats.busy_s
-                    for unit, resource in chip.machine.resources.items()
-                },
-                capacity={
-                    unit: resource.capacity
                     for unit, resource in chip.machine.resources.items()
                 },
                 dynamic_energy_pj=chip.dynamic_energy_pj,
@@ -626,7 +619,7 @@ def simulate_cluster_sharded(
     # imports this package — runtime access must be deferred to call time.
     from ..runtime.executor import ShardPool
 
-    stream = sorted(requests, key=lambda r: (r.arrival_s, r.index))
+    stream = arrival_order(requests)
     models = tuple(sorted({r.model for r in stream}))
     if models:
         fleet.validate_placement(models)

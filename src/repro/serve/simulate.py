@@ -9,8 +9,15 @@ program, contending with every other lane for the dense/sparse/attention
 cores, the spike generator, and the DRAM channel, and repeats until the
 pool is dry.  Static mode's quantum is the whole program; continuous
 mode's is one stage.  A lane replays its quantum as a callback task
-(``repro.arch.engine.lanes``, one timed event per occupancy) and sleeps
-until the task wakes it.
+(``repro.arch.engine.lanes``, one timed event per occupancy).
+
+Everything here is a callback on the engine clock.  Where the
+dispatcher, a lane or the arrival feed waits — for work, for its
+replay, for the next arrival — it schedules the callback it continues
+in: a zero-delay event when woken (the dispatcher's wake-up, a
+replay's ``wake``), a timed one for an arrival.  The callbacks are
+bound methods and ``functools.partial`` objects over them, made per
+event, so no chip is tied into a reference cycle by its own plumbing.
 
 :func:`simulate_serving` wires ONE chip server to an arrival stream — the
 N=1 special case of the fleet simulation (``repro.cluster``), which
@@ -22,8 +29,11 @@ and chip energy (dynamic per work done + static over the horizon).
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable, Sequence
+
 from .. import obs
-from ..arch.engine.kernel import Await, Engine, Hold, WaitFor
+from ..arch.engine.kernel import Engine
 from ..arch.engine.lanes import ScheduledReplay, SerialReplay
 from ..arch.engine.machine import BishopMachine
 from ..arch.engine.timeline import EngineRun, TimelineEntry
@@ -32,9 +42,9 @@ from .continuous import ContinuousBatchScheduler, StageEntry
 from .profiles import RequestProfile, request_profile
 from .report import ServedRequest, ServingReport, build_report
 from .scheduler import SchedulerConfig, take_batch
-from .workload import Request, TenantSpec
+from .workload import Request, TenantSpec, arrival_order
 
-__all__ = ["ChipServer", "simulate_serving"]
+__all__ = ["ChipServer", "feed_arrivals", "simulate_serving"]
 
 
 class ChipServer:
@@ -83,7 +93,6 @@ class ChipServer:
         self.queue = ContinuousBatchScheduler(
             self.scheduler, profiles, self.tenants
         )
-        self.work = engine.gate()
         self.inflight = 0
         # Entries admitted and first dispatched: their difference is the
         # queue depth, since ``_dispatch`` is where every entry starts.
@@ -101,10 +110,10 @@ class ChipServer:
         self.closed = False          # no further arrivals will ever come
         self.started_s = engine.now  # chips added mid-run start later
         self.drained_s: float | None = None
-        self._lanes = 0
-        self._dispatcher = engine.spawn(
-            self._schedule_loop(), name=f"{name or 'chip'}:scheduler"
-        )
+        # The dispatcher waits for work: `enqueue`, `close` and a lane's
+        # exit schedule it again.  Its first run is scheduled now.
+        self._waiting = False
+        engine.schedule(0.0, self._schedule_loop)
 
     # -- router-facing interface ------------------------------------------
     def hosts(self, model: str) -> bool:
@@ -137,12 +146,12 @@ class ChipServer:
         obs.inc("serve.admitted")
         obs.set_gauge("serve.queue_depth", self.queue_depth)
         self.outstanding_s += self.service_estimate_s(request.model)
-        self.work.signal()
+        self._wake_dispatcher()
 
     def close(self) -> None:
-        """No more arrivals: drain the queue, then let the scheduler exit."""
+        """No more arrivals: drain the queue, then let the dispatcher finish."""
         self.closed = True
-        self.work.signal()
+        self._wake_dispatcher()
 
     @property
     def idle(self) -> bool:
@@ -157,37 +166,34 @@ class ChipServer:
         return self.batch_size_weighted / self.served_count
 
     def teardown(self) -> None:
-        """Break this chip's reference cycles once its results are read.
+        """Break this chip's reference cycle once its results are read.
 
-        The dispatcher's generator frame and the ``work`` gate's waiter
-        list both lead back to the server, and a recorder points back at
-        its owner; closing the generator and dropping the recorder lets
-        reference counting free a finished chip (pair with
-        :meth:`Engine.teardown <repro.arch.engine.kernel.Engine.teardown>`).
+        A recorder points back at its owner; dropping it lets reference
+        counting free a finished chip (pair with :meth:`Engine.teardown
+        <repro.arch.engine.kernel.Engine.teardown>`).
         """
-        self._dispatcher.generator.close()
         self.recorder = None
 
-    # -- serving processes -------------------------------------------------
-    def _schedule_loop(self):
+    # -- dispatcher and lanes ----------------------------------------------
+    def _wake_dispatcher(self) -> None:
+        if self._waiting:
+            self._waiting = False
+            self.engine.schedule(0.0, self._schedule_loop)
+
+    def _schedule_loop(self) -> None:
         # Lanes are the chip's inference slots: each runs one group at a
         # time and takes its next group itself; a lane exits when the
-        # ready pool is dry and is respawned on the next arrival.
-        while True:
-            if not self.queue.empty and self.inflight < self.scheduler.max_inflight:
-                self.inflight += 1
-                lane = self._lanes
-                self._lanes += 1
-                name = f"{self.name or 'chip'}:lane{lane}"
-                self.engine.spawn(self._run_lane(), name=name)
-                continue
-            if self.closed and self.queue.empty:
-                self._maybe_mark_drained()
-                return
-            yield WaitFor(self.work)
+        # ready pool is dry and is started again on the next arrival.
+        while not self.queue.empty and self.inflight < self.scheduler.max_inflight:
+            self.inflight += 1
+            self.engine.schedule(0.0, self._run_lane)
+        if self.closed and self.queue.empty:
+            self._maybe_mark_drained()
+        else:
+            self._waiting = True
 
     def _maybe_mark_drained(self) -> None:
-        # Fully idle after close: the dispatcher may exit while lanes are
+        # Fully idle after close: the dispatcher may finish while lanes are
         # still running, so the last lane to exit also checks.
         if self.closed and self.idle and self.drained_s is None:
             self.drained_s = self.engine.now
@@ -195,15 +201,17 @@ class ChipServer:
     def _label(self, label: str) -> str:
         return f"{self.name}/{label}" if self.name else label
 
-    def _run_lane(self):
+    def _run_lane(self) -> None:
         """One inference slot: take a group, run one quantum, repeat."""
         if self.scheduler.continuous:
-            yield from self._stage_quanta()
+            self._stage_quantum([])
         else:
-            yield from self._program_quanta()
+            self._program_quantum()
+
+    def _lane_done(self) -> None:
         self.inflight -= 1
         self._maybe_mark_drained()
-        self.work.signal()
+        self._wake_dispatcher()
 
     def _dispatch(self, group: list[StageEntry]) -> None:
         for entry in group:
@@ -211,42 +219,51 @@ class ChipServer:
                 entry.start_s = self.engine.now
                 self.dispatched += 1
 
-    def _program_quanta(self):
-        """Static mode: the whole program for each :func:`take_batch` group.
+    def _program_quantum(self) -> None:
+        """Static mode: the whole program for the next :func:`take_batch`
+        group, or the lane's exit when the pool is dry.
 
         Profiles compiled with the scheduling pass replay under the
         depth-1 weight-prefetch schedule; others layer-serially.
         """
-        sched = self.queue
-        pool = sched.pool
-        while pool:
-            group = take_batch(pool, self.scheduler.max_batch)
-            sched.selects += 1
-            self._dispatch(group)
-            size = len(group)
-            profile = self.profiles[group[0].request.model]
-            scheduled = getattr(profile, "scheduled", False)
-            label = self._label(f"b{group[0].request.index}x{size}")
-            replay = ScheduledReplay if scheduled else SerialReplay
-            yield Await(replay(
-                self.engine, self.machine, profile.timings, label, size,
-                self.timeline,
-            ).start)
-            obs.inc("serve.batches")
-            obs.observe("serve.batch_size", size)
-            self.dynamic_energy_pj += profile.batch_dynamic_pj(size)
-            self._finish_entries(sched.program_done(group, self.engine.now))
+        pool = self.queue.pool
+        if not pool:
+            self._lane_done()
+            return
+        group = take_batch(pool, self.scheduler.max_batch)
+        self.queue.selects += 1
+        self._dispatch(group)
+        size = len(group)
+        profile = self.profiles[group[0].request.model]
+        scheduled = getattr(profile, "scheduled", False)
+        label = self._label(f"b{group[0].request.index}x{size}")
+        replay = ScheduledReplay if scheduled else SerialReplay
+        replay(
+            self.engine, self.machine, profile.timings, label, size,
+            self.timeline,
+        ).start(partial(
+            self.engine.schedule, 0.0, partial(self._program_done, group)
+        ))
 
-    def _stage_quanta(self):
+    def _program_done(self, group: list[StageEntry]) -> None:
+        size = len(group)
+        obs.inc("serve.batches")
+        obs.observe("serve.batch_size", size)
+        profile = self.profiles[group[0].request.model]
+        self.dynamic_energy_pj += profile.batch_dynamic_pj(size)
+        self._finish_entries(self.queue.program_done(group, self.engine.now))
+        self._program_quantum()
+
+    def _stage_quantum(self, group: list[StageEntry]) -> None:
         """Continuous mode: one compiled stage per scheduling decision.
 
         The lane asks the scheduler for an execution group at every stage
         boundary (handing back its previous group, so joins, leaves, WFQ
         switches, and preemptions all happen here), executes exactly one
-        compiled stage for the whole group, then repeats.
+        compiled stage for the whole group, then repeats; it exits when
+        the scheduler has no group for it.
         """
         sched = self.queue
-        group: list[StageEntry] = []
         while True:
             group, stage, preempted, joined = sched.select(group)
             for entry in preempted:
@@ -264,28 +281,35 @@ class ChipServer:
                 self.continuous_joins += joined
                 obs.inc("serve.continuous_joins")
             if not group:
+                self._lane_done()
                 return
             head = group[0]
             timings = self.profiles[head.request.model].timings
             size = len(group)
             self._dispatch(group)
-            if not timings:
-                # A zero-stage program completes at dispatch, as in
-                # static mode; the whole group shares the model.
-                self._finish_entries(sched.program_done(group, self.engine.now))
-                group = []
-                continue
-            obs.inc("serve.stage_groups")
-            label = self._label(f"c{head.cohort}x{size}")
-            yield Await(SerialReplay(
-                self.engine, self.machine, timings, label, size,
-                self.timeline, stage, stage + 1,
-            ).start)
-            self.dynamic_energy_pj += timings[stage].batch_dynamic_pj(size)
-            finished = sched.stage_done(group, stage, self.engine.now)
-            if finished:
-                self._finish_entries(finished)
-                group = [e for e in group if not e.done]
+            if timings:
+                break
+            # A zero-stage program completes at dispatch, as in static
+            # mode; the whole group shares the model.
+            self._finish_entries(sched.program_done(group, self.engine.now))
+            group = []
+        obs.inc("serve.stage_groups")
+        label = self._label(f"c{head.cohort}x{size}")
+        SerialReplay(
+            self.engine, self.machine, timings, label, size,
+            self.timeline, stage, stage + 1,
+        ).start(partial(
+            self.engine.schedule, 0.0, partial(self._stage_done, group, stage)
+        ))
+
+    def _stage_done(self, group: list[StageEntry], stage: int) -> None:
+        timing = self.profiles[group[0].request.model].timings[stage]
+        self.dynamic_energy_pj += timing.batch_dynamic_pj(len(group))
+        finished = self.queue.stage_done(group, stage, self.engine.now)
+        if finished:
+            self._finish_entries(finished)
+            group = [e for e in group if not e.done]
+        self._stage_quantum(group)
 
     def _finish_entries(self, finished: list[StageEntry]) -> None:
         now = self.engine.now
@@ -315,6 +339,39 @@ class ChipServer:
             self.outstanding_s -= self.service_estimate_s(request.model)
 
 
+def feed_arrivals(
+    engine: Engine,
+    stream: Sequence[Request],
+    index: int,
+    deliver: Callable[[Request], None],
+    done: Callable[[], None] | None = None,
+) -> None:
+    """Hand ``stream[index:]`` to ``deliver`` as the clock reaches each
+    arrival, then call ``done``: the arrival feed of a chip or a shard.
+
+    Requests already due are delivered at once; for the next one in the
+    future the feed schedules its own resumption at that arrival.
+    """
+    while index < len(stream):
+        gap = stream[index].arrival_s - engine.now
+        if gap > 0:
+            engine.schedule(
+                gap, partial(_arrive, engine, stream, index, deliver, done)
+            )
+            return
+        deliver(stream[index])
+        index += 1
+    if done is not None:
+        done()
+
+
+def _arrive(engine, stream, index, deliver, done) -> None:
+    # Due now: the scheduled gap may miss `arrival_s` by an ulp, so the
+    # gap is not checked again.
+    deliver(stream[index])
+    feed_arrivals(engine, stream, index + 1, deliver, done)
+
+
 def simulate_serving(
     requests: list[Request],
     scheduler: SchedulerConfig | None = None,
@@ -338,7 +395,7 @@ def simulate_serving(
     """
     scheduler = scheduler or SchedulerConfig()
     energy = energy or EnergyModel()
-    stream = sorted(requests, key=lambda r: (r.arrival_s, r.index))
+    stream = arrival_order(requests)
     profiles = dict(profiles) if profiles else {}  # never mutate the caller's
     with obs.span(
         "serve.simulate", cat="serve",
@@ -358,16 +415,9 @@ def simulate_serving(
             timeline=timeline, tenants=tenants,
         )
         total = len(stream)
-
-        def arrivals():
-            for request in stream:
-                gap = request.arrival_s - engine.now
-                if gap > 0:
-                    yield Hold(gap)
-                chip.enqueue(request)
-            chip.close()
-
-        engine.spawn(arrivals(), name="arrivals")
+        engine.schedule(
+            0.0, partial(feed_arrivals, engine, stream, 0, chip.enqueue, chip.close)
+        )
         engine.run()
         obs.inc("serve.scheduler.selects", chip.queue.selects)
     if len(chip.served) != total:  # pragma: no cover - engine invariant

@@ -37,7 +37,9 @@ entries because ``,`` already delimits sweep-axis values on the CLI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from ..model import MODEL_ZOO
 __all__ = [
     "Request",
     "TenantSpec",
+    "arrival_order",
     "arrival_trace",
     "assign_priorities",
     "assign_tenants",
@@ -73,6 +76,21 @@ class Request:
     region: str = ""     # originating region ("" for single-region streams)
     tenant: str = ""     # owning tenant ("" for single-tenant streams)
     priority: int = 0    # scheduling tier; higher preempts lower
+
+
+def arrival_order(requests: Iterable[Request]) -> list[Request]:
+    """``requests`` in the order a simulator serves them: by
+    ``(arrival_s, index)``.  A non-finite ``arrival_s`` raises
+    ``ValueError`` naming the request: NaN has no place in that order,
+    and no clock ever reaches it."""
+    stream = sorted(requests, key=lambda r: (r.arrival_s, r.index))
+    for request in stream:
+        if not math.isfinite(request.arrival_s):
+            raise ValueError(
+                f"request {request.index} has a non-finite arrival_s "
+                f"{request.arrival_s}"
+            )
+    return stream
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Reference replays: the oracles for the closed form and the callback lanes.
 
-These are the engine processes the chip replay was first written as.
-Per layer they spawn a process per compute chain, core task and DRAM
-stream, and every acquire, hold, release, join and spawn is an event of
-its own.  :mod:`repro.arch.engine.lanes` replays the same task graphs
+These are the engine processes the chip replay was first written as,
+on the process kernel of :mod:`.reference_kernel`.  Per layer they
+spawn a process per compute chain, core task and DRAM stream, and every
+acquire, hold, release, join and spawn is an event of its own.  :mod:`repro.arch.engine.lanes` replays the same task graphs
 with one event per occupancy; the tests here pin the two against each
 other:
 
@@ -23,7 +23,8 @@ fast path is timed against.
 
 :class:`SerialLanes` and :class:`ScheduledLanes` put these processes
 behind the callback replays' ``start(wake)`` interface, so a test can
-swap them into ``repro.serve.simulate`` in place of the replays.
+swap them into ``repro.serve.simulate`` in place of the replays (with
+:class:`~.reference_kernel.ProcessEngine` in place of its engine).
 
 :func:`replay_makespan` and :func:`replay_inference` run the callback
 replays of :mod:`repro.arch.engine.lanes` alone on a fresh engine: the
@@ -37,13 +38,15 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.arch.energy import EnergyModel
-from repro.arch.engine.kernel import (
-    Acquire, Engine, Hold, Join, Release, Resource, WaitFor,
-)
+from repro.arch.engine.kernel import Engine
 from repro.arch.engine.lanes import ScheduledReplay, SerialReplay
 from repro.arch.engine.machine import BishopMachine, LayerTiming
 from repro.arch.engine.timeline import EngineRun, TimelineEntry
 from repro.arch.report import InferenceReport
+
+from .reference_kernel import (
+    Acquire, Hold, Join, ProcessEngine, ProcessResource, Release, WaitFor,
+)
 
 __all__ = [
     "MAX_QUANTA",
@@ -65,8 +68,8 @@ MAX_QUANTA = 8
 
 
 def use(
-    engine: Engine,
-    resource: Resource,
+    engine: ProcessEngine,
+    resource: ProcessResource,
     duration_s: float,
     timeline: list[TimelineEntry] | None = None,
     label: str = "",
@@ -105,7 +108,7 @@ def _quanta(tiles: int, max_quanta: int = 1) -> int:
 
 
 def _compute_chain(
-    engine: Engine,
+    engine: ProcessEngine,
     machine: BishopMachine,
     timing: LayerTiming,
     label: str,
@@ -145,7 +148,7 @@ def _compute_chain(
 
 
 def stage_process(
-    engine: Engine,
+    engine: ProcessEngine,
     machine: BishopMachine,
     timing: LayerTiming,
     label: str,
@@ -177,7 +180,7 @@ def stage_process(
 
 
 def inference_process(
-    engine: Engine,
+    engine: ProcessEngine,
     machine: BishopMachine,
     timings: tuple[LayerTiming, ...],
     label: str = "request",
@@ -195,7 +198,7 @@ def inference_process(
 
 
 def scheduled_inference_process(
-    engine: Engine,
+    engine: ProcessEngine,
     machine: BishopMachine,
     timings: tuple[LayerTiming, ...],
     label: str = "request",
@@ -271,7 +274,7 @@ def reference_makespan(
     max_quanta: int = 1,
 ) -> float:
     """Uncontended makespan of one request on the generator lanes."""
-    engine = Engine()
+    engine = ProcessEngine()
     machine = BishopMachine(engine)
     process = scheduled_inference_process if scheduled else inference_process
     engine.spawn(
@@ -333,7 +336,7 @@ class _Lanes:
     """A replay's ``start(wake)`` over generator processes: one lane
     process runs them in turn, then calls ``wake``."""
 
-    def __init__(self, engine: Engine, label: str, processes):
+    def __init__(self, engine: ProcessEngine, label: str, processes):
         self.engine = engine
         self.label = label
         self.processes = processes
@@ -353,7 +356,7 @@ class SerialLanes(_Lanes):
 
     def __init__(
         self,
-        engine: Engine,
+        engine: ProcessEngine,
         machine: BishopMachine,
         timings: tuple[LayerTiming, ...],
         label: str = "request",
@@ -378,7 +381,7 @@ class ScheduledLanes(_Lanes):
 
     def __init__(
         self,
-        engine: Engine,
+        engine: ProcessEngine,
         machine: BishopMachine,
         timings: tuple[LayerTiming, ...],
         label: str = "request",

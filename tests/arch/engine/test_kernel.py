@@ -1,30 +1,35 @@
-"""Discrete-event kernel semantics: clock, resources, joins, gates."""
+"""Discrete-event kernel semantics: clock, resources, joins, gates.
+
+``src``'s :class:`~repro.arch.engine.kernel.Engine` runs callbacks and
+capacity-1 ``Resource.hold`` occupancies only.  The process cases —
+holds, acquires, joins, gates, ``Await`` and capacity-k resources — run
+on :class:`~.reference_kernel.ProcessEngine`, the process kernel the
+test oracles use, which is ``src``'s engine plus process stepping.
+"""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.arch.engine import (
-    Acquire,
-    Await,
-    BishopMachine,
-    Engine,
-    Hold,
-    Join,
-    LayerTiming,
-    Release,
-    TimelineEntry,
-    WaitFor,
-)
+from repro.arch.engine import BishopMachine, Engine, LayerTiming, TimelineEntry
 from repro.arch.engine.lanes import ScheduledReplay, SerialReplay
 
+from .reference_kernel import (
+    Acquire,
+    Await,
+    Hold,
+    Join,
+    ProcessEngine,
+    Release,
+    WaitFor,
+)
 from .reference_lanes import use
 
 
 class TestClockAndHold:
     def test_hold_advances_clock(self):
-        engine = Engine()
+        engine = ProcessEngine()
 
         def proc():
             yield Hold(2.5)
@@ -34,7 +39,7 @@ class TestClockAndHold:
         assert engine.run() == pytest.approx(4.0)
 
     def test_parallel_processes_overlap(self):
-        engine = Engine()
+        engine = ProcessEngine()
         for _ in range(3):
             engine.spawn(iter([Hold(5.0)]))
         assert engine.run() == pytest.approx(5.0)
@@ -63,14 +68,14 @@ class TestClockAndHold:
         "until", [float("nan"), float("inf"), float("-inf")]
     )
     def test_non_finite_until_rejected(self, until):
-        engine = Engine()
+        engine = ProcessEngine()
         engine.spawn(iter([Hold(10.0)]))
         with pytest.raises(ValueError, match="non-finite"):
             engine.run(until=until)
         assert engine.now == 0.0
 
     def test_run_until_stops_early(self):
-        engine = Engine()
+        engine = ProcessEngine()
         engine.spawn(iter([Hold(10.0)]))
         assert engine.run(until=3.0) == pytest.approx(3.0)
         # the remaining event still fires on the next run
@@ -84,12 +89,12 @@ class TestClockAndHold:
         assert engine.now == 4.0
 
     def test_run_until_after_drain_advances(self):
-        engine = Engine()
+        engine = ProcessEngine()
         engine.spawn(iter([Hold(1.0)]))
         assert engine.run(until=5.0) == 5.0
 
     def test_run_until_never_moves_clock_backwards(self):
-        engine = Engine()
+        engine = ProcessEngine()
         engine.spawn(iter([Hold(3.0)]))
         engine.run()
         assert engine.run(until=1.0) == 3.0
@@ -168,7 +173,7 @@ class TestClockAndHold:
 
 class TestResources:
     def test_contention_serializes(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         finishes = []
 
@@ -184,7 +189,7 @@ class TestResources:
         assert [name for name, _ in finishes] == ["a", "b"]  # FIFO grant order
 
     def test_capacity_allows_parallelism(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("pool", capacity=2)
 
         def proc():
@@ -197,7 +202,7 @@ class TestResources:
         assert engine.run() == pytest.approx(2.0)
 
     def test_busy_and_wait_stats(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
 
         def proc():
@@ -214,7 +219,7 @@ class TestResources:
         assert resource.stats.utilization(engine.now) == pytest.approx(1.0)
 
     def test_release_of_idle_resource_raises(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         engine.spawn(iter([Release(resource)]))
         with pytest.raises(RuntimeError, match="idle resource"):
@@ -248,7 +253,7 @@ class TestHolds:
         """``users``: ``(kind, name, request_s, duration)``, request
         times distinct; returns the grant log (in grant order) and the
         resource."""
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core", capacity)
         log = []
         for kind, name, at, duration in users:
@@ -347,7 +352,7 @@ class TestHolds:
         assert resource.stats.acquisitions == 2
 
     def test_hold_granted_inside_a_process_release_is_scheduled_at_once(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         log = []
 
@@ -368,7 +373,7 @@ class TestHolds:
         assert resource.stats.acquisitions == 2
 
     def test_hold_needs_a_capacity_one_resource(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("cores", capacity=3)
         with pytest.raises(ValueError, match="'cores'"):
             resource.hold(1.0, lambda start: None)
@@ -395,7 +400,7 @@ class TestHolds:
     def test_no_resource_keeps_a_continuation_after_a_run(self):
         # Two contended replays on one chip (a timeline turns elision
         # off): once the engine drains, no unit refers to a replay.
-        engine = Engine()
+        engine = ProcessEngine()
         machine = BishopMachine(engine)
         timings = (
             LayerTiming(0, "qkv", "MLP", dense_s=1.0, sparse_s=0.5,
@@ -420,7 +425,7 @@ class TestHolds:
 
 class TestAwait:
     def test_process_sleeps_until_the_task_wakes_it(self):
-        engine = Engine()
+        engine = ProcessEngine()
         log = []
 
         def start(wake):
@@ -436,7 +441,7 @@ class TestAwait:
         assert log == [("started", 0.0), ("resumed", 1.5)]
 
     def test_wake_inside_start_resumes_at_once(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resumed = []
 
         def proc():
@@ -451,7 +456,7 @@ class TestAwait:
 
 class TestTeardown:
     def test_teardown_drops_events_and_waiters(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
 
         def proc():
@@ -471,7 +476,7 @@ class TestTeardown:
 
 class TestJoinAndGate:
     def test_join_waits_for_child(self):
-        engine = Engine()
+        engine = ProcessEngine()
         order = []
 
         def child():
@@ -488,7 +493,7 @@ class TestJoinAndGate:
         assert order == ["child", "parent"]
 
     def test_join_on_finished_process_returns_immediately(self):
-        engine = Engine()
+        engine = ProcessEngine()
         done = []
 
         def child():
@@ -505,7 +510,7 @@ class TestJoinAndGate:
         assert done == [pytest.approx(5.0)]
 
     def test_gate_broadcast(self):
-        engine = Engine()
+        engine = ProcessEngine()
         woken = []
         gate = engine.gate()
 
@@ -525,7 +530,7 @@ class TestJoinAndGate:
         assert all(t == pytest.approx(2.0) for _, t in woken)
 
     def test_unknown_command_raises(self):
-        engine = Engine()
+        engine = ProcessEngine()
         engine.spawn(iter(["not a command"]), name="rogue")
         with pytest.raises(TypeError, match="'rogue'.*expected a Command"):
             engine.run()
@@ -536,7 +541,7 @@ class TestCommandSubclasses:
 
     @staticmethod
     def trace(hold_cls, acquire_cls):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         log = []
 
@@ -571,7 +576,7 @@ class TestCommandSubclasses:
         class NotACommand:
             pass
 
-        engine = Engine()
+        engine = ProcessEngine()
         engine.spawn(iter([Hold(1.0), NotACommand()]), name="stray")
         with pytest.raises(TypeError, match="process 'stray' yielded"):
             engine.run()
@@ -579,7 +584,7 @@ class TestCommandSubclasses:
 
 class TestUseHelper:
     def test_records_timeline(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         timeline = []
         engine.spawn(use(engine, resource, 4.0, timeline, "task", chunks=4))
@@ -591,7 +596,7 @@ class TestUseHelper:
         assert {e.resource for e in timeline} == {"core"}
 
     def test_chunks_let_competitor_interleave(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         timeline = []
         engine.spawn(use(engine, resource, 4.0, timeline, "chunked", chunks=4))
@@ -609,7 +614,7 @@ class TestUseHelper:
     def test_captured_stats_survive_further_running(self):
         from repro.arch.engine import EngineRun
 
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         engine.spawn(use(engine, resource, 2.0, label="first"))
         engine.run(until=2.0)
@@ -622,7 +627,7 @@ class TestUseHelper:
     def test_mid_hold_snapshot_counts_elapsed_occupancy(self):
         from repro.arch.engine import EngineRun
 
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         engine.spawn(use(engine, resource, 2.0, label="task"))
         engine.run(until=1.0)   # snapshot in the middle of the hold
@@ -636,7 +641,7 @@ class TestUseHelper:
         # Zero-cost work must stay visible in the timeline (the occupancy
         # report matches the compiled stage list) without ever touching
         # the resource.
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         timeline = []
         engine.spawn(use(engine, resource, 0.0, timeline, "noop"))
@@ -647,7 +652,7 @@ class TestUseHelper:
         assert resource.stats.busy_s == 0.0
 
     def test_zero_duration_entry_lands_at_current_time(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         timeline = []
 
@@ -660,7 +665,7 @@ class TestUseHelper:
         assert timeline == [TimelineEntry("core", "noop", 2.0, 2.0)]
 
     def test_zero_duration_without_timeline_is_silent(self):
-        engine = Engine()
+        engine = ProcessEngine()
         resource = engine.resource("core")
         engine.spawn(use(engine, resource, 0.0))
         assert engine.run() == 0.0
@@ -682,7 +687,7 @@ class TestEventCounters:
         obs.registry.reset()
 
     def test_counters_split_timed_and_ready_events(self, metrics):
-        engine = Engine()
+        engine = ProcessEngine()
         engine.spawn(iter([Hold(1.0), Hold(0.0)]))
         engine.run()
         # timed: the 1.0 s hold; ready: spawn, the 0 s hold, the final step
@@ -747,6 +752,23 @@ class TestEventCounters:
             SchedulerConfig(max_batch=1, max_inflight=2),
             sharding=ShardingConfig(num_shards=2, window_s=5e-4),
         )
+
+    # (timed, ready) fired on each stream, recorded when the dispatcher,
+    # lanes and arrival feeds were generator processes: their callbacks
+    # resume at the same points, so every event keeps its place.
+    PINNED = {
+        "serve_static": (805, 35),
+        "serve_continuous": (862, 313),
+        "cluster_sharded": (3674, 128),
+    }
+
+    @pytest.mark.parametrize("run", sorted(PINNED))
+    def test_counters_are_pinned(self, metrics, run):
+        getattr(self, run)()
+        assert (
+            metrics.counter("engine.events.timed").value,
+            metrics.counter("engine.events.ready").value,
+        ) == self.PINNED[run]
 
     @pytest.mark.parametrize("run", ["serve_static", "serve_continuous", "cluster_sharded"])
     def test_counters_equal_schedule_calls(self, metrics, monkeypatch, run):

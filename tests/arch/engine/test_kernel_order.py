@@ -2,7 +2,9 @@
 
 :class:`HeapEngine` is the event loop the kernel had before zero-delay
 events moved to a FIFO beside the heap: every event, ready or timed, goes
-through one ``(time, seq)`` heap.  Hypothesis draws random process graphs
+through one ``(time, seq)`` heap.  Both engines step processes as
+:class:`~.reference_kernel.ProcessEngine` does, whose ``schedule`` and
+``run`` are ``src``'s.  Hypothesis draws random process graphs
 — zero and positive holds, capacity-1 and capacity-k resources, joins on
 finished and running processes, gates, ``run(until=...)`` windows, and a
 clock of ``2**53`` where a small positive hold does not move the clock —
@@ -15,15 +17,14 @@ import math
 
 import pytest
 
-from repro.arch.engine import Engine, Hold, Join, WaitFor
-
+from .reference_kernel import Hold, Join, ProcessEngine, WaitFor
 from .reference_lanes import use
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
-class HeapEngine(Engine):
+class HeapEngine(ProcessEngine):
     """Reference kernel: every event on the heap, ordered by ``(time, seq)``."""
 
     def schedule(self, delay, fn):
@@ -140,5 +141,5 @@ def simulate(engine_cls, program):
 @settings(max_examples=150)
 @given(PROGRAMS)
 def test_ready_fifo_matches_heap_order(program):
-    assert simulate(Engine, program) == simulate(HeapEngine, program)
+    assert simulate(ProcessEngine, program) == simulate(HeapEngine, program)
 

@@ -100,9 +100,12 @@ class TestReplayInference:
 
 class TestMachineConstruction:
     def test_allocates_no_command(self):
-        """Only processes build commands: a 1,000-chip fleet's 5,000
-        resources must not each carry an ``Acquire``/``Release`` pair."""
-        from repro.arch.engine import BishopMachine, Command, Engine
+        """Only processes build commands, and they exist only in the
+        reference kernel: a 1,000-chip fleet's 5,000 resources must not
+        each carry an ``Acquire``/``Release`` pair."""
+        from repro.arch.engine import BishopMachine, Engine
+
+        from .reference_kernel import Command
 
         def commands():
             return {id(obj) for obj in gc.get_objects() if isinstance(obj, Command)}

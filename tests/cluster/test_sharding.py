@@ -1,6 +1,7 @@
 """Sharded cluster simulation: conformance, windows, processes, scaling."""
 
 import json
+import math
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.cluster import (
     partition_fleet,
     simulate_cluster_sharded,
 )
+from repro.cluster import sharding
 from repro.serve import (
     Request,
     SchedulerConfig,
@@ -61,6 +63,24 @@ class TestPartition:
             partition_fleet(homogeneous_fleet(4), 0)
         with pytest.raises(ValueError, match="cannot split"):
             partition_fleet(homogeneous_fleet(2), 3)
+
+
+class TestArrivals:
+    @pytest.mark.parametrize("arrival_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_names_the_request(self, monkeypatch, arrival_s):
+        # A NaN arrival is never `< until`, so the window loop could never
+        # pass it: fail here rather than hang if the loop is reached.
+        def window(self):
+            raise AssertionError("the window loop ran")
+
+        monkeypatch.setattr(sharding._Coordinator, "window", window)
+        stream = [
+            Request(index=0, model="model1", arrival_s=0.0),
+            Request(index=1, model="model1", arrival_s=arrival_s),
+            Request(index=2, model="model1", arrival_s=0.001),
+        ]
+        with pytest.raises(ValueError, match="request 1 has a non-finite arrival_s"):
+            simulate_cluster_sharded(stream, homogeneous_fleet(2))
 
 
 class TestShardingConfig:

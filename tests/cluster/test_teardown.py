@@ -1,8 +1,7 @@
 """A finished simulation leaves no repro objects in reference cycles.
 
-Engines and their resources, chip dispatchers and the shard ↔ chip
-recorder links form cycles that only a full garbage
-collection frees; in a 1,000-chip fleet that is tens of thousands of
+Engines and their resources and the shard ↔ chip recorder links form
+cycles that only a full garbage collection frees; in a 1,000-chip fleet that is tens of thousands of
 objects per run, lingering until a gen-2 collection.  ``Engine.teardown``
 and ``ChipServer.teardown`` break them at the end of ``simulate_serving``
 and ``ShardState.finalize``, so reference counting frees everything.

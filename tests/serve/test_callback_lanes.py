@@ -4,7 +4,9 @@ Serving runs each program or stage through a callback replay
 (``repro.arch.engine.lanes``): one timed event per positive-duration
 occupancy, no event for an acquire, release, grant, join or spawn.  The
 oracle swaps the generator lanes of ``tests/arch/engine/reference_lanes.py``
-(one quantum per core task) in for the replays.  On whole streams of
+(one quantum per core task) in for the replays, and the process kernel
+of ``tests/arch/engine/reference_kernel.py`` in for the engine they run
+on.  On whole streams of
 real compiled profiles every request's ``(start_s, finish_s,
 batch_size, preemptions)``, every ``ResourceStats``, the report payload
 and the (sorted) timeline must be ``==`` between the two.
@@ -22,6 +24,7 @@ import pytest
 
 from repro.arch.engine import LayerTiming
 from repro.cluster import ShardingConfig, homogeneous_fleet, simulate_cluster_sharded
+from repro.cluster import sharding
 from repro.serve import simulate as serve_simulate
 from repro.serve import (
     RequestProfile,
@@ -35,6 +38,7 @@ from repro.serve import (
     simulate_serving,
 )
 
+from ..arch.engine.reference_kernel import ProcessEngine
 from ..arch.engine.reference_lanes import ScheduledLanes, SerialLanes
 
 MODELS = ("model1", "model2", "model4")
@@ -49,8 +53,11 @@ def profiles(request):
 
 
 def generator_lanes(monkeypatch, run):
-    """Run ``run()`` with the generator lanes in place of the replays."""
+    """Run ``run()`` with the generator lanes in place of the replays,
+    on the process kernel."""
     with monkeypatch.context() as patch:
+        patch.setattr(serve_simulate, "Engine", ProcessEngine)
+        patch.setattr(sharding, "Engine", ProcessEngine)
         patch.setattr(serve_simulate, "SerialReplay", SerialLanes)
         patch.setattr(serve_simulate, "ScheduledReplay", ScheduledLanes)
         return run()
@@ -223,8 +230,9 @@ class TestEventBudget:
         monkeypatch.setattr(_Replay, "_elide", lambda self: False)
         simulate_serving(stream, SchedulerConfig(), profiles=profiles)
         assert sum(delay > 0 for delay in calls) == holds
-        # Ready hops: two spawns (dispatcher, arrivals), the arrival's and
-        # the lane exit's dispatcher wake-ups, the lane spawn, one wake.
+        # Ready hops: the dispatcher's and the arrival feed's first runs,
+        # the arrival's and the lane exit's dispatcher wake-ups, the lane
+        # start, one wake.
         assert len(calls) == holds + 6
 
 

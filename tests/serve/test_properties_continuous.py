@@ -20,12 +20,14 @@ properties pin what reordering must never change:
   dispatch and every admission.
 """
 
+from functools import partial
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.arch.engine import BishopMachine, Engine, Hold  # noqa: E402
+from repro.arch.engine import BishopMachine, Engine  # noqa: E402
 from repro.serve import simulate as serve_simulate  # noqa: E402
 from repro.serve import (  # noqa: E402
     ChipServer,
@@ -191,7 +193,7 @@ def serve_checking_depth(requests, config):
         check()
 
     select, take_batch = sched.select, serve_simulate.take_batch
-    dispatch = chip._dispatch
+    dispatch, enqueue = chip._dispatch, chip.enqueue
 
     def checked_select(prev):
         check()
@@ -209,19 +211,20 @@ def serve_checking_depth(requests, config):
         dispatch(group)
         check_chip()
 
-    def arrivals():
-        for request in requests:
-            if request.arrival_s > engine.now:
-                yield Hold(request.arrival_s - engine.now)
-            chip.enqueue(request)
-            check_chip()
-        chip.close()
+    def checked_enqueue(request):
+        enqueue(request)
+        check_chip()
 
     sched.select = checked_select
     chip._dispatch = checked_dispatch
+    chip.enqueue = checked_enqueue
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(serve_simulate, "take_batch", checked_take_batch)
-        engine.spawn(arrivals(), name="arrivals")
+        # `simulate_serving`'s arrival feed, on this checked chip.
+        engine.schedule(0.0, partial(
+            serve_simulate.feed_arrivals, engine, requests, 0,
+            chip.enqueue, chip.close,
+        ))
         engine.run()
     assert chip.served_count == len(requests)
     assert checks and sched.queue_depth == 0 and chip.queue_depth == 0

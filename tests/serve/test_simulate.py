@@ -1,6 +1,7 @@
 """End-to-end serving simulation: queueing, batching, reporting."""
 
 import json
+import math
 
 import pytest
 
@@ -112,6 +113,19 @@ class TestInflight:
         serial = simulate_serving(requests, SchedulerConfig(max_inflight=1))
         overlapped = simulate_serving(requests, SchedulerConfig(max_inflight=2))
         assert overlapped.horizon_s < serial.horizon_s
+
+
+class TestArrivals:
+    @pytest.mark.parametrize("arrival_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_names_the_request(self, profile, arrival_s):
+        # NaN was served at the previous arrival time with a NaN latency.
+        stream = [
+            Request(index=0, model=MODEL, arrival_s=0.0),
+            Request(index=1, model=MODEL, arrival_s=arrival_s),
+            Request(index=2, model=MODEL, arrival_s=0.001),
+        ]
+        with pytest.raises(ValueError, match="request 1 has a non-finite arrival_s"):
+            simulate_serving(stream, SchedulerConfig(), profiles={MODEL: profile})
 
 
 class TestReport:
