@@ -5,18 +5,17 @@
 ``timeline``
     Timeline records and the :class:`EngineRun` result container.
 ``machine``
-    The Bishop chip as engine resources plus the per-layer task durations.
+    The Bishop chip as engine resources plus the per-layer task descriptor.
 ``lanes``
     Callback replays of a program or stage (one event per occupancy):
     every contended run.
-``fastpath``
-    Closed-form depth-1 prefetch makespan of an uncontended task graph
-    (the compiler's schedule pass).
+
+An uncontended request needs no engine: the compiled
+:class:`~repro.compiler.ir.Program` answers its latency in closed form.
 
 See docs/ARCHITECTURE.md for the event model and how a core plugs in.
 """
 
-from .fastpath import FastSchedule, schedule_for
 from .kernel import Engine, Resource, ResourceStats
 from .lanes import ScheduledReplay, SerialReplay
 from .machine import BishopMachine, LayerTiming
@@ -26,7 +25,6 @@ __all__ = [
     "BishopMachine",
     "Engine",
     "EngineRun",
-    "FastSchedule",
     "LayerTiming",
     "Resource",
     "ResourceStats",
@@ -35,5 +33,4 @@ __all__ = [
     "TimelineEntry",
     "entries_from_dicts",
     "entries_to_dicts",
-    "schedule_for",
 ]

@@ -1,8 +1,8 @@
 """Callback lanes: replay a compiled program with one event per occupancy.
 
-This is ``src``'s one event replay of a compiled program; the closed
-form of :mod:`~repro.arch.engine.fastpath` is the other replay, for the
-uncontended case.  Every serving lane runs a replay from here.  A
+This is ``src``'s one event replay of a compiled program; the compiled
+:class:`~repro.compiler.ir.Program` answers the uncontended case in
+closed form.  Every serving lane runs a replay from here.  A
 replay drives the :class:`~repro.arch.engine.machine.BishopMachine`
 resources on the engine clock as a small callback state machine:
 
@@ -51,8 +51,8 @@ task and DRAM stream, at about twenty events per stage, and the event replay its
 Tie rule.  A layer requests its compute chain, then its DRAM stream,
 then (prefetch programs) lets the prefetcher move on — the generator
 lanes' spawn order — and the depth-1 prefetch keeps every DRAM tie rule
-of :meth:`FastSchedule.scheduled_makespan
-<repro.arch.engine.fastpath.FastSchedule.scheduled_makespan>`.  A lane
+of the schedule pass's closed form
+(:func:`~repro.compiler.passes.prefetch_makespan`).  A lane
 alone on its chip therefore replays the generator lanes exactly.  Where
 two lanes want a free resource at the same instant, the kernel's ready
 FIFO serves the generator lane with fewer hops since that instant's

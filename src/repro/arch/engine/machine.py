@@ -2,31 +2,31 @@
 
 The analytical core models (``dense_core``/``sparse_core``/``attention_core``
 /``spike_generator``) stay the single source of truth for *how long* each
-unit works on a layer; this module turns those per-layer numbers into
-:class:`LayerTiming` task descriptors, and :class:`BishopMachine` holds
+unit works on a layer; the compiler lowers those per-layer numbers into
+IR tile ops, and a compiled stage hands the engine one
+:class:`LayerTiming` task descriptor
+(:meth:`~repro.compiler.ir.Stage.timing`).  :class:`BishopMachine` holds
 the five shared units — dense core, sparse core, attention core, spike
 generator, DRAM channel — as :class:`~repro.arch.engine.kernel.Resource`
 objects on one engine clock.
 
 Uncontended latency is not measured here: the compiled
 :class:`~repro.compiler.ir.Program` answers it in closed form (the
-schedule pass through :mod:`.fastpath`).  The callback replays of
-:mod:`.lanes` (one timed event per occupancy) serve every contended run
-— a program that starts on an idle chip is walked to one wake at its
-finish until another replay starts beside it (``BishopMachine.elided``).
-Multiple in-flight requests queue on the same resources, which is what
-the serving layer (``repro.serve``) measures.  Each machine's resources
-hold their engine, and the engine holds the resources: those cycles live
-until :meth:`Engine.teardown <repro.arch.engine.kernel.Engine.teardown>`.
+schedule pass's :func:`~repro.compiler.passes.prefetch_makespan`).  The
+callback replays of :mod:`.lanes` (one timed event per occupancy) serve
+every contended run — a program that starts on an idle chip is walked to
+one wake at its finish until another replay starts beside it
+(``BishopMachine.elided``).  Multiple in-flight requests queue on the
+same resources, which is what the serving layer (``repro.serve``)
+measures.  Each machine's resources hold their engine, and the engine
+holds the resources: those cycles live until
+:meth:`Engine.teardown <repro.arch.engine.kernel.Engine.teardown>`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import BishopConfig
-from ..energy import EnergyModel
-from ..report import LayerReport
 from .kernel import Engine, Resource
 
 __all__ = ["BishopMachine", "LayerTiming"]
@@ -34,7 +34,7 @@ __all__ = ["BishopMachine", "LayerTiming"]
 
 @dataclass(frozen=True)
 class LayerTiming:
-    """One layer's engine task durations, extracted from a LayerReport."""
+    """One layer's engine task durations, read off a compiled stage."""
 
     block: int
     kind: str
@@ -63,41 +63,6 @@ class LayerTiming:
 
     def batch_dynamic_pj(self, batch: int = 1) -> float:
         return (self.dynamic_pj - self.weight_dram_pj) * batch + self.weight_dram_pj
-
-
-def layer_timing(
-    layer: LayerReport,
-    config: BishopConfig,
-    energy: EnergyModel,
-) -> LayerTiming:
-    """Extract engine task durations from one analytic layer report."""
-    clock = config.clock_hz
-    units = layer.unit_cycles
-    weight_bytes = layer.traffic.bytes(level="dram", kind="weight")
-    activation_bytes = layer.traffic.bytes(level="dram") - weight_bytes
-    if layer.phase == "ATN":
-        attention_s = (units.get("mode1", 0.0) + units.get("mode2", 0.0)) / clock
-        dense_s = sparse_s = 0.0
-    else:
-        attention_s = 0.0
-        dense_s = units.get("dense", 0.0) / clock
-        sparse_s = units.get("sparse", 0.0) / clock
-    return LayerTiming(
-        block=layer.block,
-        kind=layer.kind,
-        phase=layer.phase,
-        dense_s=dense_s,
-        sparse_s=sparse_s,
-        attention_s=attention_s,
-        spike_gen_s=units.get("spike_gen", 0.0) / clock,
-        weight_dram_s=config.dram.transfer_time_s(weight_bytes),
-        activation_dram_s=config.dram.transfer_time_s(activation_bytes),
-        dynamic_pj=layer.energy.total_pj - layer.energy.static_pj,
-        weight_dram_pj=energy.memory_pj("dram", weight_bytes),
-        dense_tiles=int(layer.notes.get("dense_tiles", 1)),
-        sparse_tiles=int(layer.notes.get("sparse_tiles", 1)),
-        attention_tiles=int(layer.notes.get("attention_tiles", 1)),
-    )
 
 
 class BishopMachine:

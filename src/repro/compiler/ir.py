@@ -185,8 +185,9 @@ class Stage:
         return max(self.compute_s, self.dram_s)
 
     def timing(self) -> "LayerTiming":
-        """The engine task descriptor of this stage (exact float round-trip
-        with :func:`repro.arch.engine.machine.layer_timing`)."""
+        """The engine task descriptor of this stage: its ops' durations and
+        tile counts, plus the energy annotations of
+        :func:`~repro.compiler.lowering.stage_ops`."""
         from ..arch.engine.machine import LayerTiming
 
         def tiles(core: str) -> int:

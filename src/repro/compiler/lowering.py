@@ -16,8 +16,9 @@ The split of responsibilities:
 * :func:`lower_matmul_layer` / :func:`lower_attention_layer` — cycle/energy/
   traffic models composed into a :class:`LayerReport`;
 * :func:`stage_ops` — decompose a lowered report into the IR's
-  :class:`~repro.compiler.ir.TileOp` occupancies (exact float round-trip
-  with the engine's :func:`~repro.arch.engine.machine.layer_timing`).
+  :class:`~repro.compiler.ir.TileOp` occupancies, from which
+  :meth:`~repro.compiler.ir.Stage.timing` builds the engine's task
+  descriptor.
 
 Each layer is bundled and counted once: planning reduces the layer's
 ingest :class:`TTBGrid` to per-feature statistics (one
@@ -41,7 +42,6 @@ from ..arch.dense_core import (
     simulate_dense_core,
 )
 from ..arch.energy import EnergyModel
-from ..arch.engine.machine import layer_timing
 from ..arch.memory import TrafficLedger, bundle_storage_bytes, spike_payload_bytes
 from ..arch.report import EnergyBreakdown, LayerReport
 from ..arch.sparse_core import simulate_sparse_core, sparse_core_cycles
@@ -359,43 +359,43 @@ def stage_ops(
 ) -> tuple[tuple[TileOp, ...], dict]:
     """Decompose a lowered report into IR tile ops plus energy annotations.
 
-    Built on :func:`~repro.arch.engine.machine.layer_timing`, so a stage's
-    :meth:`~repro.compiler.ir.Stage.timing` round-trips the engine task
-    descriptor exactly — the compiled serving path replays the same floats
-    the legacy path did.
+    Each core op is the unit's cycles on the chip clock (the attention
+    core's two modes together), each DRAM op one stream's transfer time,
+    split into the (prefetchable) weight and the activation traffic.
+    :meth:`~repro.compiler.ir.Stage.timing` reads the engine's task
+    descriptor back from these ops and annotations.
     """
-    timing = layer_timing(report, config, energy)
+    clock = config.clock_hz
+    units = report.unit_cycles
+    if report.phase == "ATN":
+        attention = units.get("mode1", 0.0) + units.get("mode2", 0.0)
+        cores = {"attention_core": attention / clock}
+    else:
+        cores = {
+            "dense_core": units.get("dense", 0.0) / clock,
+            "sparse_core": units.get("sparse", 0.0) / clock,
+        }
+    ops = [
+        TileOp(
+            core, duration,
+            tiles=int(report.notes.get(core.replace("_core", "_tiles"), 1)),
+        )
+        for core, duration in cores.items()
+        if duration > 0
+    ]
+    spike_gen_s = units.get("spike_gen", 0.0) / clock
+    if spike_gen_s > 0:
+        ops.append(TileOp("spike_gen", spike_gen_s))
     weight_bytes = report.traffic.bytes(level="dram", kind="weight")
     activation_bytes = report.traffic.bytes(level="dram") - weight_bytes
-
-    ops: list[TileOp] = []
-    if timing.dense_s > 0:
-        ops.append(TileOp("dense_core", timing.dense_s, tiles=timing.dense_tiles))
-    if timing.sparse_s > 0:
-        ops.append(TileOp("sparse_core", timing.sparse_s, tiles=timing.sparse_tiles))
-    if timing.attention_s > 0:
-        ops.append(
-            TileOp("attention_core", timing.attention_s, tiles=timing.attention_tiles)
-        )
-    if timing.spike_gen_s > 0:
-        ops.append(TileOp("spike_gen", timing.spike_gen_s))
-    if timing.weight_dram_s > 0:
-        ops.append(
-            TileOp("dram", timing.weight_dram_s, bytes=weight_bytes, tag="weight")
-        )
-    if timing.activation_dram_s > 0:
-        ops.append(
-            TileOp(
-                "dram",
-                timing.activation_dram_s,
-                bytes=activation_bytes,
-                tag="activation",
-            )
-        )
+    for tag, nbytes in (("weight", weight_bytes), ("activation", activation_bytes)):
+        duration = config.dram.transfer_time_s(nbytes)
+        if duration > 0:
+            ops.append(TileOp("dram", duration, bytes=nbytes, tag=tag))
 
     annotations = {
-        "dynamic_pj": timing.dynamic_pj,
-        "weight_dram_pj": timing.weight_dram_pj,
+        "dynamic_pj": report.energy.total_pj - report.energy.static_pj,
+        "weight_dram_pj": energy.memory_pj("dram", weight_bytes),
         "energy_pj": report.energy.total_pj,
         "latency_s": report.latency_s,
         "cycles": report.cycles,

@@ -26,7 +26,8 @@ individually-testable passes over a mutable :class:`Compilation`:
     traffic; stage drafts gain :class:`~repro.compiler.ir.TileOp` bindings.
 ``schedule``
     Depth-1 weight-prefetch/double-buffer scheduling: marks weight streams
-    prefetchable and measures the scheduled makespan on the event engine.
+    prefetchable and computes the scheduled makespan in closed form
+    (:func:`prefetch_makespan`).
 
 :func:`compile_trace` assembles the pipeline from a :class:`PassConfig`:
 each optimization pass can be toggled off, and the toggles are the only
@@ -45,7 +46,7 @@ from ..algo.ecp import ECPConfig
 from ..arch.attention_core import merge_attention_heads
 from ..arch.config import BishopConfig
 from ..arch.energy import EnergyModel
-from ..arch.engine.fastpath import schedule_for
+from ..arch.engine.machine import LayerTiming
 from ..arch.report import InferenceReport, LayerReport
 from ..bundles import TTBGrid
 from ..model.trace import LayerRecord, ModelTrace
@@ -73,6 +74,7 @@ __all__ = [
     "compile_trace",
     "default_pipeline",
     "materialize_report",
+    "prefetch_makespan",
 ]
 
 # Optimization-pass toggles addressable from CLI specs.
@@ -369,9 +371,56 @@ class SchedulePass(CompilerPass):
                 raise RuntimeError("schedule pass requires lowered stages")
             draft.annotations["prefetch_weights"] = True
             timings.append(_draft_stage(draft).timing())
-        comp.meta["scheduled_latency_s"] = schedule_for(
-            tuple(timings)
-        ).scheduled_makespan()
+        comp.meta["scheduled_latency_s"] = prefetch_makespan(timings)
+
+
+def prefetch_makespan(timings: Sequence[LayerTiming]) -> float:
+    """Makespan of one uncontended request under depth-1 weight prefetch.
+
+    A linear recurrence over the DRAM channel's deterministic FIFO service
+    order ``a₀, w₀, w₁, a₁, w₂, a₂, …``, mirroring
+    :class:`~repro.arch.engine.lanes.ScheduledReplay` event for event: layer
+    ``i``'s weights may stream once layer ``i-1`` has started and the
+    previous weight stream finished, and a layer completes when its
+    compute, its activation stream, and its own weight stream are all done.
+    """
+    finish = 0.0        # completion time of the previous layer
+    prev_start = 0.0    # when the previous layer started (prefetch gate)
+    channel = 0.0       # DRAM channel free time (last FIFO service end)
+    weights_done = 0.0  # when the previous layer's weight stream ended
+    for index, timing in enumerate(timings):
+        w = timing.weight_dram_s
+        a = timing.activation_dram_s
+        start = finish
+        if index == 0:
+            # Layer 0: its activation enqueues before the prefetcher
+            # even exists, so it wins the channel over w0.
+            a_end = 0.0
+            if a > 0:
+                channel += a
+                a_end = channel
+            if w > 0:
+                channel += w
+                weights_done = channel
+        else:
+            # w_i is requested at max(prev weights done, prev layer
+            # start) — never later than this layer's start, and at ties
+            # the prefetcher's acquire lands before the new layer's
+            # activation enqueues, so w_i is served first.
+            if w > 0:
+                channel = max(channel, weights_done, prev_start) + w
+                new_done = channel
+            else:
+                new_done = max(weights_done, prev_start)
+            if a > 0:
+                channel = max(channel, start) + a
+                a_end = channel
+            else:
+                a_end = start
+            weights_done = new_done
+        finish = max(start + timing.compute_s, a_end, weights_done)
+        prev_start = start
+    return finish
 
 
 def _draft_stage(draft: StageDraft) -> Stage:

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from ..arch import BishopConfig
-from ..arch.engine.fastpath import FastSchedule, schedule_for
 from ..arch.engine.machine import LayerTiming
 from ..bundles import BundleSpec
 from ..compiler import PassConfig, compile_model
@@ -40,24 +41,36 @@ class RequestProfile:
     model: str
     timings: tuple[LayerTiming, ...]
     single_latency_s: float        # uncontended engine latency (oracle-equal)
-    dynamic_pj: float              # per-request dynamic energy at batch 1
     scheduled: bool = False        # replay under the prefetch schedule
-    # The program's precomputed per-layer schedule, looked up once per
-    # profile: batch energy and core-share queries answer from columnar
-    # sums instead of re-walking (or re-hashing) the layer chain per request.
-    schedule: FastSchedule = field(init=False, repr=False, compare=False)
+    # Derived once from ``timings``, so per-request batch energy answers
+    # from two sums instead of re-walking the layer chain.
+    dynamic_pj: float = field(init=False, compare=False)  # batch-1 dynamic energy
+    weight_dram_pj: float = field(init=False, repr=False, compare=False)
+    # Fraction of core-seconds this model spends on the sparse core (the
+    # cluster experiments report it per chip kind; routing does not read it).
+    sparse_core_share: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schedule", schedule_for(self.timings))
+        # numpy's pairwise sums, not Python's ``sum`` (they differ from 8
+        # layers on): serving energy reaches the artifacts.
+        def total(values: list[float]) -> float:
+            return float(np.array(values, dtype=np.float64).sum())
+
+        timings = self.timings
+        core_s = total([
+            t.dense_s + t.sparse_s + t.attention_s + t.spike_gen_s
+            for t in timings
+        ])
+        share = total([t.sparse_s for t in timings]) / core_s if core_s > 0 else 0.0
+        object.__setattr__(self, "dynamic_pj", total([t.dynamic_pj for t in timings]))
+        object.__setattr__(
+            self, "weight_dram_pj", total([t.weight_dram_pj for t in timings])
+        )
+        object.__setattr__(self, "sparse_core_share", share)
 
     def batch_dynamic_pj(self, batch: int) -> float:
-        return self.schedule.batch_dynamic_pj(batch)
-
-    @property
-    def sparse_core_share(self) -> float:
-        """Fraction of core-seconds this model spends on the sparse core —
-        the trace-sparsity signal the affinity router keys on."""
-        return self.schedule.sparse_core_share
+        """Dynamic energy of one batched request (weights stream once)."""
+        return (self.dynamic_pj - self.weight_dram_pj) * batch + self.weight_dram_pj
 
 
 def profile_config(
@@ -110,6 +123,5 @@ def _request_profile(
         model=model,
         timings=timings,
         single_latency_s=program.request_latency_s,
-        dynamic_pj=sum(t.dynamic_pj for t in timings),
         scheduled=program.scheduled,
     )

@@ -235,9 +235,8 @@ class ChipServer:
         self._dispatch(group)
         size = len(group)
         profile = self.profiles[group[0].request.model]
-        scheduled = getattr(profile, "scheduled", False)
         label = self._label(f"b{group[0].request.index}x{size}")
-        replay = ScheduledReplay if scheduled else SerialReplay
+        replay = ScheduledReplay if profile.scheduled else SerialReplay
         replay(
             self.engine, self.machine, profile.timings, label, size,
             self.timeline,

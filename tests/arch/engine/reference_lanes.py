@@ -18,8 +18,8 @@ A core task holds its unit in ``min(tiles, max_quanta)`` equal quanta,
 releasing it between quanta so a competitor can slot in at tile
 boundaries.  ``max_quanta`` defaults to 1, one occupancy per task as in
 the callback lanes, where the two must agree ``==``; at
-:data:`MAX_QUANTA` the lanes interleave tile by tile, the event walk the
-fast path is timed against.
+:data:`MAX_QUANTA` the lanes interleave tile by tile, and the callback
+replays agree with them within 1e-9.
 
 :class:`SerialLanes` and :class:`ScheduledLanes` put these processes
 behind the callback replays' ``start(wake)`` interface, so a test can
@@ -29,8 +29,8 @@ swap them into ``repro.serve.simulate`` in place of the replays (with
 :func:`replay_makespan` and :func:`replay_inference` run the callback
 replays of :mod:`repro.arch.engine.lanes` alone on a fresh engine: the
 event-replay twins of the closed forms that ``src`` answers every
-uncontended request with (``Program.serial_latency_s`` and
-``FastSchedule.scheduled_makespan``).
+uncontended request with (``Program.serial_latency_s`` and the schedule
+pass's ``prefetch_makespan``).
 """
 
 from __future__ import annotations

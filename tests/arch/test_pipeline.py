@@ -4,15 +4,16 @@ The double-buffered GLBs overlap each layer's compute with its DRAM
 streaming (Sec. 6.1), so a :class:`~repro.compiler.ir.Program` answers
 three uncontended latencies: the layer-serial ``serial_latency_s``
 (``Σ max(compute, dram)``), the depth-1 weight-prefetch makespan the
-schedule pass computes with :func:`~repro.arch.engine.schedule_for`, and
+schedule pass computes with
+:func:`~repro.compiler.passes.prefetch_makespan`, and
 the ``pipelined_bound_s`` floor ``max(Σ compute, Σ dram)``.  The
 prefetch makespan is checked in closed form and on the callback replay.
 """
 
 import pytest
 
-from repro.arch.engine import schedule_for
 from repro.compiler.ir import Program, Stage, TileOp
+from repro.compiler.passes import prefetch_makespan
 
 from .engine.reference_lanes import replay_makespan
 
@@ -35,7 +36,7 @@ def program(*stages) -> Program:
 
 
 def closed_form(compiled: Program) -> float:
-    return schedule_for(compiled.timings()).scheduled_makespan()
+    return prefetch_makespan(compiled.timings())
 
 
 def replay(compiled: Program) -> float:

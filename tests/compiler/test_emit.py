@@ -2,17 +2,19 @@
 
 import pytest
 
-from repro.arch.engine import schedule_for
 from repro.arch.engine.machine import LayerTiming
+from repro.compiler.passes import prefetch_makespan
 
 from ..arch.engine.reference_lanes import replay_makespan, serial_closed_form
 from ..arch.test_pipeline import program
 
 
 def closed_form(timings, scheduled=False, batch=1):
-    """What the schedule pass and the serving profiles read."""
+    """What the compiled program reads: the schedule pass's prefetch
+    recurrence (batch 1 only) or the layer-serial sum."""
     if scheduled:
-        return schedule_for(tuple(timings)).scheduled_makespan(batch)
+        assert batch == 1, "the prefetch closed form has no batch"
+        return prefetch_makespan(timings)
     return serial_closed_form(timings, batch)
 
 
@@ -88,7 +90,8 @@ class TestScheduledEmission:
         timings = (timing(1.0, 4.0, 2.0),)
         # batch=3: compute 3, weights 4 (once), activations 6.
         assert measure(timings, batch=3) == pytest.approx(10.0)
-        assert measure(
+        # A batched prefetch schedule has no closed form: replay only.
+        assert replay_makespan(
             timings, scheduled=True, batch=3
         ) == pytest.approx(10.0)
 

@@ -1,30 +1,39 @@
-"""Closed form vs event replay: the uncontended closed forms must agree
-with the callback replays to float precision.
+"""The compiler's closed forms vs event replay: the uncontended makespans
+of a compiled program must agree with the callback replays to float
+precision.
 
 ``src`` answers every uncontended single-request makespan in closed
 form: the layer-serial ``Σ max(compute, dram)`` (the compiled program's
 ``serial_latency_s``; :func:`serial_closed_form` at any batch) and the
-depth-1 prefetch recurrence of :class:`FastSchedule`.  The oracles of
-:mod:`.reference_lanes` (:func:`replay_makespan`,
-:func:`replay_inference`) replay the same program with the callback
-lanes on a fresh engine.  These tests pin the two against each other on
-the zoo, on randomized task graphs (including the degenerate shapes:
-zero-compute, zero-weight, zero-activation, empty chains), across batch
-sizes, and ``==`` on integer-grid timings, where every sum is exact and
-each DRAM tie rule must match bit for bit.
+schedule pass's depth-1 prefetch recurrence,
+:func:`~repro.compiler.passes.prefetch_makespan`, at batch 1.  The
+oracles of :mod:`tests.arch.engine.reference_lanes`
+(:func:`replay_makespan`, :func:`replay_inference`) replay the same
+program with the callback lanes on a fresh engine.  These tests pin the
+two against each other on the zoo, on randomized task graphs (including
+the degenerate shapes: zero-compute, zero-weight, zero-activation, empty
+chains), and ``==`` on integer-grid timings, where every sum is exact
+and each DRAM tie rule must match bit for bit.  A prefetch schedule at
+batch > 1 has no closed form: the replay is pinned there to the
+generator reference lanes.
 """
 
 import numpy as np
 import pytest
 
 from repro.arch import BishopAccelerator, BishopConfig
-from repro.arch.engine import LayerTiming, schedule_for
-from repro.arch.engine.fastpath import FastSchedule
+from repro.arch.engine import LayerTiming
 from repro.bundles import BundleSpec
+from repro.compiler.passes import prefetch_makespan
 from repro.harness.synthetic import PROFILES, synthetic_trace
 from repro.model import MODEL_ZOO, model_config
 
-from .reference_lanes import replay_inference, replay_makespan, serial_closed_form
+from ..arch.engine.reference_lanes import (
+    reference_makespan,
+    replay_inference,
+    replay_makespan,
+    serial_closed_form,
+)
 
 APPROX = dict(rel=1e-9, abs=1e-12)
 
@@ -69,27 +78,32 @@ class TestMakespanEquivalence:
         assert fast == pytest.approx(kernel, **APPROX)
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_scheduled_matches_kernel_on_random_graphs(self, seed, batch):
+    def test_scheduled_matches_kernel_on_random_graphs(self, seed):
         timings = random_timings(np.random.default_rng(100 + seed), 12)
-        fast = schedule_for(timings).scheduled_makespan(batch)
-        kernel = replay_makespan(timings, scheduled=True, batch=batch)
+        fast = prefetch_makespan(timings)
+        kernel = replay_makespan(timings, scheduled=True)
         assert fast == pytest.approx(kernel, **APPROX)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batched_scheduled_replay_matches_reference_lanes(self, seed):
+        timings = random_timings(np.random.default_rng(100 + seed), 12)
+        assert replay_makespan(timings, scheduled=True, batch=3) == (
+            reference_makespan(timings, scheduled=True, batch=3)
+        )
+
     def test_empty_chain(self):
-        assert schedule_for(()).scheduled_makespan() == 0.0
+        assert prefetch_makespan(()) == 0.0
         assert replay_makespan(()) == 0.0
 
     def test_scheduled_between_serial_and_pipelined_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             timings = random_timings(rng, 10)
-            schedule = schedule_for(timings)
             serial = serial_closed_form(timings)
-            scheduled = schedule.scheduled_makespan()
+            scheduled = prefetch_makespan(timings)
             bound = max(
-                float(schedule.compute.sum()),
-                float((schedule.weight + schedule.activation).sum()),
+                sum(t.compute_s for t in timings),
+                sum(t.dram_s() for t in timings),
             )
             assert scheduled <= serial * (1 + 1e-12) + 1e-15
             assert scheduled >= bound * (1 - 1e-12) - 1e-15
@@ -99,47 +113,18 @@ class TestMakespanEquivalence:
 
         program = compile_model("model4", BishopConfig(bundle_spec=BundleSpec(2, 4)))
         timings = program.timings()
-        schedule = schedule_for(timings)
         assert program.serial_latency_s == pytest.approx(
             replay_makespan(timings), **APPROX
+        )
+        assert program.scheduled_latency_s == prefetch_makespan(timings)
+        assert prefetch_makespan(timings) == pytest.approx(
+            replay_makespan(timings, scheduled=True), **APPROX
         )
         for batch in (1, 2, 4):
             assert serial_closed_form(timings, batch) == pytest.approx(
                 replay_makespan(timings, scheduled=False, batch=batch),
                 **APPROX,
             )
-            assert schedule.scheduled_makespan(batch) == pytest.approx(
-                replay_makespan(timings, scheduled=True, batch=batch),
-                **APPROX,
-            )
-
-
-class TestFastScheduleMemoization:
-    def test_equal_timing_tuples_share_one_schedule(self):
-        a = random_timings(np.random.default_rng(3), 6)
-        b = tuple(LayerTiming(**{
-            field: getattr(t, field) for field in t.__dataclass_fields__
-        }) for t in a)
-        assert a is not b
-        assert schedule_for(a) is schedule_for(b)
-
-    def test_batch_energy_matches_layer_sum(self):
-        timings = random_timings(np.random.default_rng(4), 6)
-        schedule = schedule_for(timings)
-        for batch in (1, 2, 5):
-            assert schedule.batch_dynamic_pj(batch) == pytest.approx(
-                sum(t.batch_dynamic_pj(batch) for t in timings), **APPROX
-            )
-
-    def test_sparse_core_share_matches_layer_sum(self):
-        timings = random_timings(np.random.default_rng(5), 6)
-        schedule = schedule_for(timings)
-        total = sum(
-            t.dense_s + t.sparse_s + t.attention_s + t.spike_gen_s
-            for t in timings
-        )
-        expected = sum(t.sparse_s for t in timings) / total
-        assert schedule.sparse_core_share == pytest.approx(expected, **APPROX)
 
 
 class TestServingProfileEquivalence:
@@ -153,12 +138,11 @@ class TestServingProfileEquivalence:
         from repro.serve import request_profile
 
         timings = request_profile(model, passes=passes).timings
-        schedule = schedule_for(timings)
         kernel_serial = replay_makespan(timings, scheduled=False)
         kernel_scheduled = replay_makespan(timings, scheduled=True)
         fast_serial = serial_closed_form(timings)
         assert abs(fast_serial - kernel_serial) <= 1e-9 * kernel_serial
-        assert abs(schedule.scheduled_makespan() - kernel_scheduled) <= (
+        assert abs(prefetch_makespan(timings) - kernel_scheduled) <= (
             1e-9 * kernel_scheduled
         )
 
@@ -179,20 +163,17 @@ class TestServingProfileEquivalence:
         from repro.serve import request_profile
 
         timings = request_profile("model4", bs_t=bs_t, bs_n=bs_n).timings
-        schedule = schedule_for(timings)
         for batch in (1, 4):
             kernel_serial = replay_makespan(
                 timings, scheduled=False, batch=batch
             )
-            kernel_scheduled = replay_makespan(
-                timings, scheduled=True, batch=batch
-            )
             assert abs(serial_closed_form(timings, batch) - kernel_serial) <= (
                 1e-9 * kernel_serial
             )
-            assert abs(schedule.scheduled_makespan(batch) - kernel_scheduled) <= (
-                1e-9 * kernel_scheduled
-            )
+        kernel_scheduled = replay_makespan(timings, scheduled=True)
+        assert abs(prefetch_makespan(timings) - kernel_scheduled) <= (
+            1e-9 * kernel_scheduled
+        )
 
 
 class TestReplayEquivalenceZoo:
@@ -265,13 +246,17 @@ def grid_chains(draw):
     return tuple(draw(grid_layer(index)) for index in range(layers))
 
 
-@pytest.mark.parametrize("scheduled", [False, True], ids=["serial", "scheduled"])
 @given(timings=grid_chains(), batch=st.integers(1, 4))
-def test_closed_form_equals_replay_on_integer_grid(scheduled, timings, batch):
-    """Every DRAM tie rule of the closed form matches the event replay
-    bit for bit: no tolerance, unlike the uniform-float cases above."""
-    closed_form = (
-        FastSchedule.from_timings(timings).scheduled_makespan(batch)
-        if scheduled else serial_closed_form(timings, batch)
+def test_serial_closed_form_equals_replay_on_integer_grid(timings, batch):
+    """The layer-serial sum is the event replay's makespan bit for bit:
+    no tolerance, unlike the uniform-float cases above."""
+    assert serial_closed_form(timings, batch) == replay_makespan(
+        timings, False, batch
     )
-    assert closed_form == replay_makespan(timings, scheduled, batch)
+
+
+@given(timings=grid_chains())
+def test_prefetch_makespan_equals_replay_on_integer_grid(timings):
+    """Every DRAM tie rule of the prefetch recurrence matches the event
+    replay bit for bit."""
+    assert prefetch_makespan(timings) == replay_makespan(timings, True)

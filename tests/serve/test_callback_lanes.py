@@ -190,7 +190,7 @@ class TestPrefetchTieRules:
         timings = self.CASES[case]
         profile = RequestProfile(
             model="p", timings=timings, single_latency_s=1.0,
-            dynamic_pj=0.0, scheduled=True,
+            scheduled=True,
         )
         stream = [Request(index=i, model="p", arrival_s=0.0) for i in range(batch)]
         assert_lanes_agree(
@@ -237,9 +237,7 @@ class TestEventBudget:
 
 
 class TestZeroStagePrograms:
-    EMPTY = RequestProfile(
-        model="empty", timings=(), single_latency_s=0.0, dynamic_pj=0.0
-    )
+    EMPTY = RequestProfile(model="empty", timings=(), single_latency_s=0.0)
 
     @pytest.mark.parametrize("mode", ["static", "continuous"])
     def test_complete_at_dispatch(self, mode):
@@ -298,7 +296,7 @@ def grid_profiles(draw):
         profiles[name] = RequestProfile(
             model=name, timings=timings,
             single_latency_s=sum(max(t.compute_s, t.dram_s(1)) for t in timings),
-            dynamic_pj=0.0, scheduled=draw(st.booleans()),
+            scheduled=draw(st.booleans()),
         )
     return profiles
 

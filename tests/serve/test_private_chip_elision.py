@@ -171,7 +171,7 @@ def layer(compute=0.0, activation=0.0, weight=0.0, spike=0.25, sparse=0.0):
 def grid_profile(timings, scheduled):
     return {"p": RequestProfile(
         model="p", timings=tuple(timings), single_latency_s=1.0,
-        dynamic_pj=0.0, scheduled=scheduled,
+        scheduled=scheduled,
     )}
 
 
@@ -486,7 +486,7 @@ def grid_cases(draw):
         profiles[name] = RequestProfile(
             model=name, timings=timings,
             single_latency_s=sum(max(t.compute_s, t.dram_s(1)) for t in timings),
-            dynamic_pj=0.0, scheduled=draw(st.booleans()),
+            scheduled=draw(st.booleans()),
         )
     n = draw(st.integers(1, 8))
     slots = sorted(draw(st.lists(st.integers(0, 16), min_size=n, max_size=n)))
