@@ -512,6 +512,10 @@ class ShardState:
             "serve.scheduler.selects",
             sum(chip.queue.selects for chip in self.chips),
         )
+        obs.inc(
+            "serve.scheduler.continued",
+            sum(chip.queue.continued for chip in self.chips),
+        )
         for resource in self.engine.resources.values():
             resource._integrate()
         chips = tuple(

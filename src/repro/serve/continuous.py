@@ -51,6 +51,27 @@ that are popped when they surface; ``len``, ``queue_depth`` and
 the test oracle (``tests/serve/reference_scheduler.py``): a Hypothesis
 property and whole serving runs require every decision to be ``==``.
 
+**The continuation test.**  Most boundaries keep their group: the
+carry wins the head rule and nothing pooled would enter it.  ``select``
+checks that first and then returns the carry as it is, with no pool
+traffic.  The argument that this is exactly the general path's result:
+a group runs one stage of one model, so its carried members share a
+``(model, completed)`` checkpoint and, with joins off, a cohort.  When
+the head rule picks ``carry[0]``, the general path's peers are the
+first ``max_batch - 1`` by ``order`` of the carried tail plus the pooled
+entries at that checkpoint (joins on) or in that cohort (joins off).
+A joins-off cohort is fixed when it forms, at most ``max_batch``
+entries, and always moves whole, so none of it is pooled.  With joins
+on, either none is pooled at the checkpoint, or the carry is full and
+the lowest pooled ``order`` comes after the tail's last (or
+``max_batch`` is 1 and there are no peers).  Then, if the tail is in
+``order`` (``_take`` merges by ``order``, so a lane's carry is), those
+peers are the tail itself.  The group is then the carry, so nothing is
+preempted or joined, the cohort is unchanged, and each carried entry's
+``_resumable`` increment on the way in cancels its decrement on the way
+out.
+:attr:`~ContinuousBatchScheduler.continued` counts these boundaries.
+
 Degenerate conformance: with a single tenant, one priority tier, and
 ``allow_join=False`` / ``preempt=False``, stage-quantum selection
 reduces exactly to :func:`~repro.serve.scheduler.take_batch` order and
@@ -225,6 +246,12 @@ class ReadyPool:
                 oldest = entry
         return oldest
 
+    def stage_top(self, model: str, stage: int) -> StageEntry | None:
+        """The pooled entry of ``model`` at checkpoint ``stage`` with the
+        lowest admission order, if any (joins on)."""
+        heap = self._stages.get((model, stage))
+        return self._top(heap) if heap else None
+
     def take_stage(self, model, stage, skip, k, extra) -> list[StageEntry]:
         """Up to ``k`` entries of ``model`` at checkpoint ``stage``."""
         return self._take(self._stages.get((model, stage), ()), skip, k, extra)
@@ -271,7 +298,8 @@ class ContinuousBatchScheduler:
     :meth:`program_done`.  The scheduler owns all ordering decisions, the
     lane owns the engine processes.  :attr:`selects` counts group
     decisions (every :meth:`select`, and every static ``take_batch`` the
-    lane reports).
+    lane reports), :attr:`continued` the selects that the continuation
+    test decided.
     """
 
     def __init__(
@@ -288,6 +316,7 @@ class ContinuousBatchScheduler:
         self.preemptions = 0
         self.joins = 0
         self.selects = 0
+        self.continued = 0       # selects decided by the continuation test
         self._order = 0
         self._resumable = 0      # started (preempted) entries in the pool
         self._next_cohort = 0
@@ -327,55 +356,71 @@ class ContinuousBatchScheduler:
             self._serial[model] = cached
         return cached
 
-    def _virtual_time(self, tenant: str) -> tuple[float, str]:
-        return (
-            self.service_s.get(tenant, 0.0) / self.weights.get(tenant, 1.0),
-            tenant,
-        )
-
     def _pick_head(self, carry: list[StageEntry]) -> StageEntry:
+        # With preemption off an in-flight group always continues: only
+        # carried work competes.  Otherwise the top tier over pool and
+        # carry.  Then WFQ: the least virtual service per weight,
+        # ``(service / weight, tenant)``, wins the boundary, and within the
+        # tenant carried work continues first (no churn at equal
+        # priority), by ``_progress``.  Virtual times are unique per
+        # tenant, so one pass over the carry for the least (virtual time,
+        # progress) key and one over the top tier's pooled tenants decide.
         tiers = self.pool.tiers
-        if carry and not self.config.preempt:
-            # Preemption off: an in-flight group always continues; only
-            # fresh dispatches (empty carry) see the pool.
-            top, candidates = None, carry
-        else:
-            top = max([*tiers, *[e.request.priority for e in carry]])
-            candidates = [e for e in carry if e.request.priority == top]
-        tenants = {e.request.tenant for e in candidates}
-        tenants.update(tiers.get(top, ()))
-        # WFQ: least virtual service per weight wins the boundary.
-        tenant = min(tenants, key=self._virtual_time)
-        candidates = [e for e in candidates if e.request.tenant == tenant]
-        if candidates:
-            # Carried work continues first (avoids churn at equal priority).
-            return min(candidates, key=_progress)
-        return self.pool.head(top, tenant)
+        service, weights = self.service_s, self.weights
+        top = None
+        if self.config.preempt or not carry:
+            top = max(tiers) if tiers else carry[0].request.priority
+            for entry in carry:
+                if entry.request.priority > top:
+                    top = entry.request.priority
+        best = best_key = None
+        for entry in carry:
+            request = entry.request
+            if top is None or request.priority == top:
+                tenant = request.tenant
+                key = (
+                    service.get(tenant, 0.0) / weights.get(tenant, 1.0),
+                    tenant, -entry.completed, entry.order,
+                )
+                if best is None or key < best_key:
+                    best, best_key = entry, key
+        pooled = pooled_key = None
+        for tenant in tiers.get(top, ()):
+            key = (service.get(tenant, 0.0) / weights.get(tenant, 1.0), tenant)
+            if pooled is None or key < pooled_key:
+                pooled, pooled_key = tenant, key
+        if pooled is not None and (best is None or pooled_key < best_key[:2]):
+            return self.pool.head(top, pooled)
+        return best
 
     def select(
         self, prev: list[StageEntry]
     ) -> tuple[list[StageEntry], int, list[StageEntry], int]:
         """Re-form one lane's execution group at a stage boundary.
 
-        ``prev`` is the lane's previous group; its unfinished members (the
-        carry) compete beside the pooled entries, so the selection sees
-        every runnable request.  Returns ``(group, stage, preempted,
-        joined)``: the chosen group (empty when nothing is runnable — the
-        lane exits), the stage index to execute, the carried members
-        displaced by strictly higher priority, in ``prev`` order (their
-        checkpoint is ``completed``), and how many members merged in from
-        other in-flight cohorts.  Carried members left out of the group
-        return to the pool.
+        ``prev`` is the lane's previous group, in service and out of the
+        pool (in any order); its unfinished members (the carry) compete
+        beside the pooled entries, so the selection sees every runnable
+        request.  Returns ``(group, stage, preempted, joined)``: the
+        chosen group (empty when nothing is runnable — the lane exits),
+        the stage index to execute, the carried members displaced by
+        strictly higher priority, in ``prev`` order (their checkpoint is
+        ``completed``), and how many members merged in from other
+        in-flight cohorts.  Carried members left out of the group return
+        to the pool.
         """
         self.selects += 1
         pool = self.pool
         carry = [e for e in prev if not e.done]
-        for entry in carry:
-            if not pool.discard(entry):
-                self._resumable += 1
         if not carry and not pool:
             return [], 0, [], 0
         head = self._pick_head(carry)
+        if carry and head is carry[0] and self._continues(carry):
+            self.continued += 1
+            return carry, head.completed, [], 0
+        for entry in carry:
+            if not pool.discard(entry):
+                self._resumable += 1
         stage = head.completed
         group = [head, *self._peers(head, stage, carry)]
 
@@ -406,6 +451,24 @@ class ContinuousBatchScheduler:
             if entry not in group:
                 pool.insert(entry)
         return group, stage, preempted, joined
+
+    def _continues(self, carry: list[StageEntry]) -> bool:
+        # The continuation test (module docstring): the head rule picked
+        # ``carry[0]``; is the general path's group then the carry itself?
+        for i in range(2, len(carry)):
+            if carry[i - 1].order > carry[i].order:
+                return False
+        if not self.config.allow_join:
+            # A joins-off cohort is fixed when it forms, at most max_batch
+            # entries, and every select moves it whole: none of a carried
+            # cohort is pooled.
+            return True
+        head = carry[0]
+        top = self.pool.stage_top(head.request.model, head.completed)
+        return top is None or (
+            len(carry) == self.config.max_batch
+            and (len(carry) == 1 or carry[-1].order < top.order)
+        )
 
     def _peers(
         self, head: StageEntry, stage: int, carry: list[StageEntry]
@@ -444,7 +507,12 @@ class ContinuousBatchScheduler:
         """Record one executed stage for every group member; returns the
         members that just completed their last stage (they leave the
         group — their peers continue)."""
+        # A group runs one stage of one model: one serial-time lookup,
+        # credited per member in group order.
         size = len(group)
+        serial = self._serial_stages(group[0].request.model)[stage]
+        service = self.service_s
+        finished = []
         for entry in group:
             if entry.completed != stage:  # pragma: no cover - invariant
                 raise RuntimeError(
@@ -453,13 +521,13 @@ class ContinuousBatchScheduler:
                 )
             entry.executed.append(stage)
             entry.completed += 1
-            entry.max_group = max(entry.max_group, size)
-            serial = self._serial_stages(entry.request.model)[stage]
+            if entry.max_group < size:
+                entry.max_group = size
             tenant = entry.request.tenant
-            self.service_s[tenant] = self.service_s.get(tenant, 0.0) + serial
-        finished = [e for e in group if e.done]
-        for entry in finished:
-            entry.finish_s = now
+            service[tenant] = service.get(tenant, 0.0) + serial
+            if entry.completed >= entry.total_stages:
+                entry.finish_s = now
+                finished.append(entry)
         return finished
 
     def program_done(

@@ -293,7 +293,11 @@ class ChipServer:
             self._finish_entries(sched.program_done(group, self.engine.now))
             group = []
         obs.inc("serve.stage_groups")
-        label = self._label(f"c{head.cohort}x{size}")
+        # The replay label only names timeline entries.
+        label = (
+            "" if self.timeline is None
+            else self._label(f"c{head.cohort}x{size}")
+        )
         SerialReplay(
             self.engine, self.machine, timings, label, size,
             self.timeline, stage, stage + 1,
@@ -419,6 +423,7 @@ def simulate_serving(
         )
         engine.run()
         obs.inc("serve.scheduler.selects", chip.queue.selects)
+        obs.inc("serve.scheduler.continued", chip.queue.continued)
     if len(chip.served) != total:  # pragma: no cover - engine invariant
         raise RuntimeError(
             f"serving simulation stalled: {len(chip.served)}/{total} completed"

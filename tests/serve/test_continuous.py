@@ -29,6 +29,8 @@ from repro.serve import (
     take_batch,
 )
 
+from .reference_scheduler import ReferenceScheduler
+
 MODEL = "model4"
 PASSES = "packing+stratify+ecp"
 
@@ -279,6 +281,145 @@ class TestJoinLeave:
         assert sched.joins == 0
 
 
+class Twin:
+    """The indexed scheduler and the list-scan oracle, driven in step on
+    ``lanes`` lanes; every decision must be ``==`` across the two."""
+
+    def __init__(self, profiles, lanes=1, tenants=(), **config):
+        config.setdefault("mode", "continuous")
+        self.scheds = [
+            cls(SchedulerConfig(**config), profiles, tenants)
+            for cls in (ContinuousBatchScheduler, ReferenceScheduler)
+        ]
+        self.lanes = [[([], None) for _ in range(lanes)] for _ in self.scheds]
+        self.now = 0.0
+
+    @property
+    def continued(self) -> int:
+        return self.scheds[0].continued
+
+    def add(self, i, **fields):
+        for sched in self.scheds:
+            sched.add(request(i, **fields))
+
+    def select(self, lane=0):
+        decisions = []
+        for sched, lanes in zip(self.scheds, self.lanes):
+            group, stage, preempted, joined = sched.select(lanes[lane][0])
+            lanes[lane] = (group, stage)
+            decisions.append((
+                [e.request.index for e in group], stage,
+                [e.request.index for e in preempted], joined,
+            ))
+        assert decisions[0] == decisions[1]
+        return decisions[0]
+
+    def done(self, lane=0):
+        self.now += 1.0
+        for sched, lanes in zip(self.scheds, self.lanes):
+            group, stage = lanes[lane]
+            sched.stage_done(group, stage, self.now)
+            lanes[lane] = ([e for e in group if not e.done], None)
+
+    def step(self, lane=0):
+        self.done(lane)
+        return self.select(lane)
+
+
+class TestContinuation:
+    """A carried group that wins its head and has no pooled peer to take
+    in continues through :meth:`select`'s continuation test; each way a
+    carried group must *not* simply continue goes the general way.  The
+    list-scan oracle decides every boundary beside it."""
+
+    def preempted_at_stage_1(self, profiles, carried, max_batch):
+        # Entry 0 runs stage 0 on lane 1 and is preempted back to the
+        # pool at checkpoint 1 (order 0); the ``carried`` entries run
+        # stage 0 together on lane 0.
+        twin = Twin(profiles, lanes=2, max_batch=max_batch)
+        twin.add(0)
+        assert twin.select(lane=1)[0] == [0]
+        for i in carried:
+            twin.add(i)
+        assert twin.select(lane=0)[0] == list(carried)
+        twin.done(lane=1)
+        twin.add(9, priority=1)
+        assert twin.select(lane=1) == ([9], 0, [0], 0)
+        twin.done(lane=0)
+        return twin
+
+    def test_lower_order_peer_displaces_a_full_group(self, profiles):
+        twin = self.preempted_at_stage_1(profiles, (1, 2), max_batch=2)
+        assert twin.select(lane=0) == ([1, 0], 1, [], 1)
+        assert twin.continued == 0
+
+    def test_lower_order_peer_joins_a_group_with_room(self, profiles):
+        twin = self.preempted_at_stage_1(profiles, (1, 2), max_batch=3)
+        assert twin.select(lane=0) == ([1, 0, 2], 1, [], 1)
+        assert twin.continued == 0
+
+    def test_lone_carry_continues_past_any_peer(self, profiles):
+        # max_batch 1: a group has no room for peers at all
+        twin = self.preempted_at_stage_1(profiles, (1,), max_batch=1)
+        assert twin.select(lane=0) == ([1], 1, [], 0)
+        assert twin.continued == 1
+
+    def test_carry_handed_back_out_of_order_regroups_in_order(self, profiles):
+        twin = Twin(profiles, max_batch=4)
+        for i in range(3):
+            twin.add(i)
+        assert twin.select() == ([0, 1, 2], 0, [], 0)
+        twin.done()
+        for lanes in twin.lanes:
+            (a, b, c), stage = lanes[0]
+            lanes[0] = ([a, c, b], stage)
+        assert twin.select() == ([0, 1, 2], 1, [], 0)
+        assert twin.continued == 0
+
+    def test_higher_order_peer_leaves_a_full_group_alone(self, profiles):
+        twin = Twin(profiles, lanes=2, max_batch=2)
+        for i in range(4):
+            twin.add(i)
+        assert twin.select(lane=0)[0] == [0, 1]
+        assert twin.select(lane=1)[0] == [2, 3]
+        twin.done(lane=1)
+        twin.add(9, priority=1)
+        assert twin.select(lane=1) == ([9], 0, [2, 3], 0)
+        assert twin.step(lane=0) == ([0, 1], 1, [], 0)
+        assert twin.continued == 1
+
+    def test_pooled_tenant_wins_wfq_from_the_carry(self, profiles):
+        tenants = (TenantSpec("gold", 2.0), TenantSpec("silver", 1.0))
+        twin = Twin(profiles, tenants=tenants, max_batch=1)
+        twin.add(0, tenant="silver")
+        assert twin.select()[0] == [0]
+        twin.add(1, tenant="gold")
+        # silver has service, gold none: gold takes the boundary
+        assert twin.step() == ([1], 0, [], 0)
+        while (decision := twin.step())[0] == [1]:
+            pass
+        # gold continued until its virtual service passed silver's
+        assert twin.continued > 0
+        assert decision == ([0], 1, [], 0)
+        gold = twin.scheds[0].service_s["gold"] / 2.0
+        assert gold > twin.scheds[0].service_s["silver"]
+
+    @pytest.mark.parametrize("preempt", [True, False])
+    def test_higher_tier_arrival(self, profiles, preempt):
+        twin = Twin(profiles, max_batch=2, preempt=preempt)
+        twin.add(0)
+        twin.add(1)
+        assert twin.select() == ([0, 1], 0, [], 0)
+        assert twin.step() == ([0, 1], 1, [], 0)
+        twin.add(2, priority=1)
+        if preempt:
+            assert twin.step() == ([2], 0, [0, 1], 0)
+            assert twin.continued == 1
+        else:
+            assert twin.step() == ([0, 1], 2, [], 0)
+            assert twin.continued == 2
+
+
 class TestWFQ:
     TENANTS = (TenantSpec("gold", 3.0), TenantSpec("silver", 1.0))
 
@@ -316,9 +457,17 @@ class TestWFQ:
         assert sched.service_s["walkin"] > 0
 
 
+class Calls(list):
+    """Decision calls in order, plus the selects the continuation test
+    decided."""
+
+    continued = 0
+
+
 class TestSelectsCounter:
     """``serve.scheduler.selects`` counts every group decision: each
-    continuous ``select`` and each static ``take_batch``."""
+    continuous ``select`` and each static ``take_batch``;
+    ``serve.scheduler.continued`` the selects that kept their group."""
 
     @pytest.fixture
     def metrics(self):
@@ -331,13 +480,16 @@ class TestSelectsCounter:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counted = []
+        counted = Calls()
         select = ContinuousBatchScheduler.select
         take = serve_simulate.take_batch
 
         def counted_select(self, prev):
             counted.append("select")
-            return select(self, prev)
+            before = self.continued
+            result = select(self, prev)
+            counted.continued += self.continued - before
+            return result
 
         def counted_take(pool, max_batch):
             counted.append("take_batch")
@@ -361,6 +513,9 @@ class TestSelectsCounter:
         expected = "select" if mode == "continuous" else "take_batch"
         assert calls and set(calls) == {expected}
         assert metrics.counter("serve.scheduler.selects").value == len(calls)
+        continued = metrics.counter("serve.scheduler.continued").value
+        assert continued == calls.continued
+        assert (continued > 0) == (mode == "continuous")
 
     def test_cluster_runs_add_their_chips_decisions(self, metrics, calls):
         from repro.cluster import (
@@ -379,6 +534,8 @@ class TestSelectsCounter:
         )
         assert 0 < single < len(calls)
         assert metrics.counter("serve.scheduler.selects").value == len(calls)
+        continued = metrics.counter("serve.scheduler.continued").value
+        assert 0 < continued == calls.continued
 
 
 class TestStageSerial:
