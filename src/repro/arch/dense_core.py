@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bundles import BundleSpec
+from ..bundles.ttb import count_active
 from .config import BishopConfig
 from .energy import EnergyModel
 from .memory import TrafficLedger, bundle_storage_bytes
@@ -91,7 +92,9 @@ def dense_tile_activity(
     skipping every step is taken.  ``tile_steps[d]`` counts the tiles in
     which feature ``d`` steps and ``row_steps[d]`` the bundle rows those
     steps occupy (every row of a tile steps; the last tile may be short).
-    Both are ``int64``, so a partition's statistics are exact sums.
+    Both are ``int64``, so a partition's statistics are exact sums; the
+    tile counts accumulate in the narrow width of
+    :func:`~repro.bundles.ttb.count_active`.
     """
     num_bundles, d_in = active.shape
     rows = config.dense_rows
@@ -104,17 +107,22 @@ def dense_tile_activity(
     padded = np.zeros((row_tiles * rows, d_in), dtype=bool)
     padded[:num_bundles] = active
     activity = padded.reshape(row_tiles, rows, d_in).any(axis=1)
-    rows_per_tile = np.minimum(rows, num_bundles - rows * np.arange(row_tiles))
-    return activity.sum(axis=0, dtype=np.int64), rows_per_tile @ activity
+    tile_steps = count_active(activity, 0)
+    # Every tile steps all its rows; the last tile is short by `missing`.
+    row_steps = tile_steps * rows
+    missing = row_tiles * rows - num_bundles
+    if missing:
+        row_steps -= missing * activity[-1]
+    return tile_steps, row_steps
 
 
 def dense_core_cycles(
-    tile_steps: float,
-    num_features: int,
+    tile_steps: "float | np.ndarray",
+    num_features: "int | np.ndarray",
     num_bundles: int,
     out_features: int,
     config: BishopConfig,
-) -> float:
+) -> "float | np.ndarray":
     """Dense-core cycles from the layer's statistics.
 
     ``tile_steps`` is the number of (bundle-row tile, feature) steps the
@@ -122,16 +130,30 @@ def dense_core_cycles(
     is the number of bundle rows (time × token bundle slots).  Every
     output tile replays the steps and pays the pipeline fill once per
     (row tile × output tile).
+
+    Scalars give a ``float``.  Arrays of ``tile_steps`` and
+    ``num_features`` (one entry per partition) give the ``float64`` array
+    of the same element-wise operations, so each entry is ``==`` the
+    scalar call on it.
     """
-    if num_features == 0 or out_features == 0:
-        return 0.0
     _, volume_cycles = psum_chunking(config)
     row_tiles = -(-num_bundles // config.dense_rows)
     col_tiles = -(-out_features // config.dense_cols)
-    return (
-        float(tile_steps) * volume_cycles * col_tiles
+    cycles = (
+        _float64(tile_steps) * volume_cycles * col_tiles
         + (row_tiles * col_tiles) * config.pipeline_fill_cycles
     )
+    # No features, no cycles (no outputs, col_tiles = 0: the sum reads 0).
+    if isinstance(cycles, np.ndarray):
+        return np.where(num_features == 0, 0.0, cycles)
+    return cycles if num_features else 0.0
+
+
+def _float64(value: "float | np.ndarray") -> "float | np.ndarray":
+    """A cycle formula's operand: ``float`` or a ``float64`` array."""
+    if isinstance(value, np.ndarray):
+        return value.astype(np.float64)
+    return float(value)
 
 
 def simulate_dense_core(

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import BishopConfig
-from .dense_core import psum_chunking
+from .dense_core import _float64, psum_chunking
 from .energy import EnergyModel
 from .memory import TrafficLedger, bundle_storage_bytes
 
@@ -51,23 +53,29 @@ class SparseCoreResult:
         return energy.compute_pj("sparse", self.sparse_ops)
 
 
-def _waves(active_pairs: float, config: BishopConfig) -> float:
+def _waves(
+    active_pairs: "float | np.ndarray", config: BishopConfig
+) -> "float | np.ndarray":
     """Distribution-network waves: active pairs spread over the TTB units."""
-    return -(-float(active_pairs) // config.sparse_units)
+    return -(-active_pairs // config.sparse_units)
 
 
 def sparse_core_cycles(
-    active_pairs: float, out_features: int, config: BishopConfig
-) -> float:
+    active_pairs: "float | np.ndarray", out_features: int, config: BishopConfig
+) -> "float | np.ndarray":
     """Sparse-core cycles from the partition's active (bundle, feature) pair
-    count: ``⌈active_pairs / units⌉ × O × volume cycles × overhead``."""
-    if out_features == 0 or active_pairs == 0:
-        return 0.0
+    count: ``⌈active_pairs / units⌉ × O × volume cycles × overhead``.
+
+    A scalar gives a ``float``; an array of counts (one per partition)
+    gives the ``float64`` array of the same element-wise operations, each
+    entry ``==`` the scalar call on it.
+    """
     # TTB units hold one psum per bundle slot; oversized bundles split into
-    # chunks (same register budget as the dense core's PEs).
+    # chunks (same register budget as the dense core's PEs).  No pairs or
+    # no outputs read 0: ⌈0 / units⌉ = 0.
     _, volume_cycles = psum_chunking(config)
     return (
-        _waves(active_pairs, config) * out_features * volume_cycles
+        _waves(_float64(active_pairs), config) * out_features * volume_cycles
         * config.sparse_overhead
     )
 

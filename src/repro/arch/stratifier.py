@@ -20,31 +20,44 @@ sums over ``R_D`` and ``R_S`` for the core models — no partition is copied.
 
 Prefix-sum scoring: the partition at θ_s depends only on which count
 values are ``<= θ_s``, so :func:`balanced_theta` does its O(D) work once
-per layer — one histogram of ``counts`` (active bundles per feature) and
-one stable ``argsort`` — and cuts every candidate partition as two views
-of that order: ``order[:k]`` sparse, ``order[k:]`` dense, ``k`` the
-cumulative histogram at θ_s.  Candidate partitions therefore reach the
-scorers in count order, not index order (the same feature sets as
-:func:`stratify`, whose plans stay in ascending index order).  The compiler
-(``compiler.lowering.plan_stratification``) scores each candidate in O(1)
-from ``int64`` tables indexed by count value — features, Σ``counts`` and
-Σ``tile_steps`` (dense row-tiles each feature is active in) over the
-features ``<= θ`` — through ``dense_core_cycles`` / ``sparse_core_cycles``,
-the same cycle formulas the core simulators use.  The per-candidate loop
-that sliced the spikes and ran both simulators survives as the test oracle
-(``tests/compiler/test_stratify_scorer.py``): every score and the chosen
+per layer — one histogram of ``counts`` (active bundles per feature) —
+and each candidate costs O(1) Python work: one slotted
+:class:`Candidate` view (θ_s and the count ``k`` of features ``<= θ_s``)
+and one call of each scorer.  A candidate's feature sets are views of
+one stable count-order ``argsort`` (``order[:k]`` sparse, ``order[k:]``
+dense), built on the first read of any candidate's partition and shared
+by the rest — so they reach the scorers in count order, not index order
+(the same feature sets as :func:`stratify`, whose plans stay in ascending
+index order), and a search whose scorers read no partition sorts
+nothing.  The compiler (``compiler.lowering.plan_stratification``) is
+such a search: it evaluates ``dense_core_cycles`` / ``sparse_core_cycles``
+once per layer over every count value, as array expressions of ``int64``
+prefix tables — features, Σ``counts`` and Σ``tile_steps`` (dense
+row-tiles each feature is active in) over the features ``<= θ`` — and
+its scorers look a candidate's cycles up by θ_s.
+
+The search keeps its callback protocol — one dense and one sparse call
+per candidate, ascending θ_s, first strict minimum — although the
+compiler's scores are all known before the loop: the perf benchmark's
+probe counts candidates by wrapping ``balanced_theta``'s dense callback,
+and the test oracle (``tests/compiler/test_stratify_scorer.py``) drives
+the same loop with callbacks that slice each candidate's partition out
+of the spikes and run the core simulators; every score and the chosen
 θ_s are ``==`` to it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
 from ..bundles import BundleSpec, TTBGrid, as_grid
 
 __all__ = [
+    "Candidate",
     "StratifiedWorkload",
     "stratify",
     "theta_for_dense_fraction",
@@ -147,6 +160,43 @@ def theta_for_dense_fraction(
     return float(np.quantile(counts, 1.0 - dense_fraction, method="lower"))
 
 
+class Candidate:
+    """One balanced-θ_s candidate, as :func:`balanced_theta`'s scorers see
+    it: ``theta``, the layer's ``active_per_feature``, and the
+    :func:`stratify` feature sets at ``theta`` as views of the layer's
+    stable count order (count order, not index order).
+
+    The order is built on the first read of any candidate's partition and
+    shared by the search's other candidates; a scorer that reads only
+    ``theta`` sorts nothing.
+    """
+
+    __slots__ = ("theta", "active_per_feature", "_k", "_order")
+
+    def __init__(
+        self, theta: float, counts: np.ndarray, k: int,
+        order: Callable[[], np.ndarray],
+    ):
+        self.theta = theta
+        self.active_per_feature = counts
+        self._k = k          # features with count <= theta
+        self._order = order  # () -> the stable argsort of counts
+
+    @property
+    def dense_features(self) -> np.ndarray:
+        return self._order()[self._k:]
+
+    @property
+    def sparse_features(self) -> np.ndarray:
+        return self._order()[:self._k]
+
+
+@cache
+def _quantile_grid(num_candidates: int) -> tuple[float, ...]:
+    """``np.linspace(0, 1, num_candidates)``: the candidate quantiles."""
+    return tuple(np.linspace(0.0, 1.0, num_candidates).tolist())
+
+
 def balanced_theta(
     spikes: "np.ndarray | TTBGrid",
     spec: BundleSpec,
@@ -158,16 +208,19 @@ def balanced_theta(
 ) -> float:
     """Pick θ_s minimizing ``max(dense core time, sparse core time)``.
 
-    ``dense_time_fn(workload)`` / ``sparse_time_fn(workload)`` are callbacks
-    supplied by the accelerator so the search uses the real cycle models;
-    each is called once per candidate, in ascending θ_s order, and the first
-    strict minimum wins.  Candidates are the ``method="lower"`` quantiles of
-    the distinct per-feature counts (``counts``: non-negative integers,
-    computed from ``spikes`` if not given).  Each candidate's workload holds
-    the :func:`stratify` feature sets as views of one stable count-order
-    ``argsort`` — in count order, not index order — so a candidate costs
-    O(1) beyond its callbacks.  A layer without features returns θ_s = 0
-    without calling them.
+    ``dense_time_fn(candidate)`` / ``sparse_time_fn(candidate)`` are
+    callbacks supplied by the accelerator so the search uses the real cycle
+    models; each is called once per candidate, in ascending θ_s order, with
+    the same :class:`Candidate`, and the first strict minimum wins.
+    Candidates are the ``method="lower"`` quantiles of the distinct
+    per-feature counts (``counts``: non-negative integers, computed from
+    ``spikes`` if not given).  Each candidate costs O(1) Python work beyond
+    its callbacks; its feature sets are views of one stable count-order
+    ``argsort``, built only if a callback reads a partition.  The protocol
+    stays one call pair per candidate, not a vectorized argmin, because
+    the perf probe counts candidates through the dense callback and the
+    sliced-simulator oracle scores each partition.  A layer without
+    features returns θ_s = 0 without calling them.
     """
     counts = _counts(spikes, spec, counts)
     if counts.size == 0:
@@ -176,29 +229,20 @@ def balanced_theta(
     unique = np.flatnonzero(histogram)
     below = np.cumsum(histogram)         # features with count <= value
     if len(unique) > num_candidates:
-        # np.quantile(unique, linspace, method="lower") picks these indices
-        quantiles = np.linspace(0.0, 1.0, num_candidates)
-        picks = np.floor((len(unique) - 1) * quantiles).astype(np.intp)
-        # The picks are nondecreasing: dropping a repeat of the previous
-        # pick leaves the distinct ones in ascending order.
-        picks = picks.tolist()
-        candidates = unique[
-            [pick for pick, prev in zip(picks, [-1, *picks]) if pick != prev]
-        ]
+        # np.quantile(unique, grid, method="lower") picks these indices;
+        # the candidates are the distinct picks, ascending.
+        last = len(unique) - 1
+        picks = sorted({int(last * q) for q in _quantile_grid(num_candidates)})
+        candidates = unique[picks]
     else:
         candidates = unique
-    order = np.argsort(counts, kind="stable")
-    best_theta, best_time = float(candidates[0]), np.inf
-    for theta in candidates:
-        k = below[theta]
-        workload = StratifiedWorkload(
-            dense_features=order[k:],
-            sparse_features=order[:k],
-            theta=float(theta),
-            active_per_feature=counts,
-        )
-        bottleneck = max(dense_time_fn(workload), sparse_time_fn(workload))
+    order = cache(partial(np.argsort, counts, kind="stable"))
+    thetas = candidates.tolist()
+    best_theta, best_time = float(thetas[0]), np.inf
+    for theta, k in zip(thetas, below[candidates].tolist()):
+        candidate = Candidate(float(theta), counts, k, order)
+        bottleneck = max(dense_time_fn(candidate), sparse_time_fn(candidate))
         if bottleneck < best_time:
             best_time = bottleneck
-            best_theta = float(theta)
+            best_theta = candidate.theta
     return best_theta

@@ -14,16 +14,24 @@ checked and converted once.  Bundle activity is an ``any`` reduction over
 each bundle's ``BS_t × BS_n`` slots; the Eq.-9 tags are integer counts,
 computed only when asked.  One grid per tensor serves every consumer:
 planning and lowering read its per-feature statistics, never a copy.
+
+Counts of active bundles (:func:`count_active`) accumulate in ``uint16``
+while the summed length — the bundle rows of a grid, the row tiles of the
+dense core — is under 65,536, so no count can reach the width's limit,
+and in ``int64`` otherwise; they are returned as ``int64`` either way, so
+sums of them are exact.  Ragged grids are zero-padded into one fresh
+array by a slice copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-__all__ = ["BundleSpec", "TTBGrid", "as_grid", "pad_to_bundle_grid"]
+__all__ = ["BundleSpec", "TTBGrid", "as_grid", "count_active", "pad_to_bundle_grid"]
 
 
 @dataclass(frozen=True)
@@ -57,13 +65,28 @@ def pad_to_bundle_grid(spikes: np.ndarray, spec: BundleSpec) -> np.ndarray:
     Padding with zeros never creates active bundles, so all tag statistics
     are invariant under this operation.
     """
-    t, n, _ = spikes.shape
+    t, n, d = spikes.shape
     bt, bn = spec.grid_shape(t, n)
-    pad_t = bt * spec.bs_t - t
-    pad_n = bn * spec.bs_n - n
-    if pad_t == 0 and pad_n == 0:
+    shape = (bt * spec.bs_t, bn * spec.bs_n, d)
+    if shape == spikes.shape:
         return spikes
-    return np.pad(spikes, ((0, pad_t), (0, pad_n), (0, 0)))
+    padded = np.zeros(shape, dtype=spikes.dtype)
+    padded[:t, :n] = spikes
+    return padded
+
+
+def count_active(active: np.ndarray, axis: int | tuple[int, ...]) -> np.ndarray:
+    """``active.sum(axis)`` as ``int64``: a count of ``True`` entries.
+
+    The sum accumulates in ``uint16`` while the summed length is under
+    65,536 (no count can overflow it, and the narrow accumulator is
+    several times faster than ``int64`` on ``bool``), else in ``int64``;
+    either way the counts are the same integers.
+    """
+    axes = (axis,) if isinstance(axis, int) else axis
+    length = math.prod(active.shape[a] for a in axes)
+    dtype = np.uint16 if length < 2**16 else np.int64
+    return active.sum(axis=axis, dtype=dtype).astype(np.int64, copy=False)
 
 
 class TTBGrid:
@@ -158,8 +181,9 @@ class TTBGrid:
     @cached_property
     def active_per_feature(self) -> np.ndarray:
         """Active-bundle count per feature ``(D,)`` — the stratifier's and
-        Fig. 5's per-feature statistic."""
-        return self.active.sum(axis=(0, 1), dtype=np.int64)
+        Fig. 5's per-feature statistic; see :func:`count_active` for the
+        accumulator width."""
+        return count_active(self.active, (0, 1))
 
     @cached_property
     def active_per_bundle_row(self) -> np.ndarray:

@@ -47,6 +47,7 @@ from ..arch.report import EnergyBreakdown, LayerReport
 from ..arch.sparse_core import simulate_sparse_core, sparse_core_cycles
 from ..arch.spike_generator import simulate_spike_generator
 from ..arch.stratifier import (
+    Candidate,
     StratifiedWorkload,
     balanced_theta,
     stratify,
@@ -105,10 +106,13 @@ def plan_stratification(
     build it from.  The plan carries per-feature statistics of it:
     ``counts`` (``active_per_feature``; a partition's active-pair count is
     their sum) and the :func:`dense_tile_activity` steps (a dense
-    partition's steps are their sums).  Every balanced-θ candidate is
-    scored in O(1) from ``int64`` prefix tables of ``counts`` and
-    ``tile_steps`` indexed by count value, built once per layer; the
-    scores equal the core simulators' cycles on the partitions exactly.
+    partition's steps are their sums).  The balanced-θ search's scores
+    are two lookups per candidate: ``dense_core_cycles`` and
+    ``sparse_core_cycles`` run once per layer over every count value, as
+    array expressions of ``int64`` prefix tables of ``counts`` and
+    ``tile_steps`` indexed by count value; each entry equals the core
+    simulators' cycles on that partition exactly, and no scorer reads a
+    candidate's partition, so the search sorts nothing.
     The plan's ``theta_candidates`` counts the candidates scored.
     """
     spec = config.bundle_spec
@@ -124,7 +128,6 @@ def plan_stratification(
         )
     else:
         tile_steps = statistics[0]
-        num_bundles = grid.n_bt * grid.n_bn
         # Entry v: features, Σ counts and Σ tile_steps over count <= v.
         features_le = np.bincount(counts)
         pairs_le = features_le * np.arange(len(features_le))
@@ -132,24 +135,20 @@ def plan_stratification(
         np.add.at(steps_le, counts, tile_steps)
         for table in (features_le, pairs_le, steps_le):
             np.cumsum(table, out=table)
-        num_features, total_steps = len(counts), tile_steps.sum()
+        # Entry v: each core's cycles on the partition at θ_s = v.
+        dense_at = dense_core_cycles(
+            tile_steps.sum() - steps_le, len(counts) - features_le,
+            grid.n_bt * grid.n_bn, out_features, config,
+        ).tolist()
+        sparse_at = sparse_core_cycles(pairs_le, out_features, config).tolist()
 
-        def dense_cycles(workload: StratifiedWorkload) -> float:
+        def dense_cycles(candidate: Candidate) -> float:
             nonlocal scored
             scored += 1
-            theta = int(workload.theta)
-            return dense_core_cycles(
-                total_steps - steps_le[theta],
-                num_features - int(features_le[theta]),
-                num_bundles,
-                out_features,
-                config,
-            )
+            return dense_at[int(candidate.theta)]
 
-        def sparse_cycles(workload: StratifiedWorkload) -> float:
-            return sparse_core_cycles(
-                pairs_le[int(workload.theta)], out_features, config
-            )
+        def sparse_cycles(candidate: Candidate) -> float:
+            return sparse_at[int(candidate.theta)]
 
         theta = balanced_theta(
             grid, spec, dense_cycles, sparse_cycles, counts=counts

@@ -235,7 +235,11 @@ class ChipServer:
         self._dispatch(group)
         size = len(group)
         profile = self.profiles[group[0].request.model]
-        label = self._label(f"b{group[0].request.index}x{size}")
+        # The replay label only names timeline entries.
+        label = (
+            "" if self.timeline is None
+            else self._label(f"b{group[0].request.index}x{size}")
+        )
         replay = ScheduledReplay if profile.scheduled else SerialReplay
         replay(
             self.engine, self.machine, profile.timings, label, size,

@@ -1,12 +1,14 @@
 """The closed-form θ_s scorer pinned to the per-candidate simulator loop.
 
-``plan_stratification`` scores each θ_s candidate from two per-feature
-statistics of one bundle grid.  The oracle is the loop it replaced:
-``balanced_theta`` with callbacks that slice the candidate's partition out
-of the spikes, count its statistics from the slice, and run
-:func:`simulate_dense_core` / :func:`simulate_sparse_core` on them.  Every
-candidate's dense and sparse score must equal the oracle's with ``==``,
-and so must the chosen θ_s.
+``plan_stratification`` scores each θ_s candidate by looking it up in
+per-layer cycle tables built from two per-feature statistics of one
+bundle grid.  The oracle is the loop it replaced: ``balanced_theta`` with
+callbacks that slice the candidate's partition out of the spikes, count
+its statistics from the slice, and run :func:`simulate_dense_core` /
+:func:`simulate_sparse_core` on them.  Every candidate's dense and sparse
+score must equal the oracle's with ``==``, and so must the chosen θ_s.
+The candidates the compiler scored hold their partitions lazily; read
+afterwards, they must be :func:`stratify`'s feature sets.
 """
 
 from unittest import mock
@@ -15,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import BishopConfig
-from repro.bundles import BundleSpec
+from repro.arch import BishopConfig, stratify
+from repro.bundles import BundleSpec, TTBGrid
 from repro.compiler import lowering
 from repro.harness.fig16 import DEFAULT_VOLUMES, INTRINSIC_CLUSTER_SPEC
 from repro.harness.synthetic import PROFILES, synthetic_trace
@@ -44,8 +46,9 @@ def scorer_mismatches(
 ) -> tuple[int, list]:
     """``(candidates scored, mismatches)`` of one layer's balanced θ_s.
 
-    Runs ``plan_stratification`` with its scorers spied on, then re-scores
-    every candidate partition with the simulators.
+    Runs ``plan_stratification`` with its scorers spied on, then reads
+    every candidate's partition (the compiler's scorers read none), checks
+    it against :func:`stratify` and re-scores it with the simulators.
     """
     scored = []
     balanced_theta = lowering.balanced_theta
@@ -68,7 +71,13 @@ def scorer_mismatches(
             spikes, out_features, config, skip_inactive
         )
     mismatches = []
+    counts = TTBGrid(spikes, config.bundle_spec).active_per_feature
     for core, candidate, value in scored:
+        want = stratify(spikes, config.bundle_spec, candidate.theta, counts=counts)
+        for name in ("dense_features", "sparse_features"):
+            got = np.sort(getattr(candidate, name))
+            if not np.array_equal(got, getattr(want, name)):
+                mismatches.append((name, candidate.theta, got, getattr(want, name)))
         if core == "dense":
             want = dense_core_on(
                 spikes[:, :, candidate.dense_features], out_features, config,
@@ -84,6 +93,36 @@ def scorer_mismatches(
     if workload.theta != want_theta:
         mismatches.append(("theta", None, workload.theta, want_theta))
     return sum(core == "dense" for core, _, _ in scored), mismatches
+
+
+def test_compiler_search_sorts_nothing():
+    """The compiler's scorers read no partition, so a balanced-θ search
+    builds no count order; the first partition read builds one, shared by
+    every candidate of that search."""
+    gen = np.random.default_rng(5)
+    spikes = gen.random((8, 32, 48)) < gen.random(48) * 0.5
+    config = BishopConfig()
+    candidates = []
+    balanced_theta = lowering.balanced_theta
+
+    def spy(spikes_, spec, dense_fn, sparse_fn, *args, **kwargs):
+        def dense(candidate):
+            candidates.append(candidate)
+            return dense_fn(candidate)
+
+        return balanced_theta(spikes_, spec, dense, sparse_fn, *args, **kwargs)
+
+    with mock.patch.object(lowering, "balanced_theta", spy), mock.patch(
+        "numpy.argsort", wraps=np.argsort
+    ) as argsort:
+        lowering.plan_stratification(spikes, 64, config)
+        assert len(candidates) > 1
+        assert argsort.call_count == 0
+        first = candidates[0].sparse_features
+        for candidate in candidates:
+            assert candidate.dense_features.base is first.base
+            assert candidate.sparse_features.base is first.base
+        assert argsort.call_count == 1
 
 
 @st.composite
